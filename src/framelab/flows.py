@@ -6,6 +6,11 @@ completion of the flow direction, so the frame flow reduces to the geodesic
 flow; on T^3 the transported part of the frame is constant.  Ergodicity is
 always diagnosed, never asserted: Birkhoff estimates carry both the time and
 the space average.
+
+Space averages use the package's one unit-bundle quadrature,
+`geometry.unit_bundle_nodes`, with each direction completed to a frame by
+`geometry.frame_completion` and, on T^3, turned through equispaced angles of
+the SO(2) fibre (Haar measure).
 """
 
 from dataclasses import dataclass
@@ -67,37 +72,29 @@ def position_observable(fn):
 # Frame flow and right action
 
 
-def _oriented_normal(model, point, e1):
-    """Metric rotation of e1 by +pi/2 (two-dimensional models)."""
-    if model.kind == geo.SPHERE:
-        s = np.sin(point[0])
-        return np.array([-s * e1[1], e1[0] / s])
-    return np.array([-e1[1], e1[0]])
-
-
 def frame_flow(model, fp, t):
     """Advance a frame point: e_1 flows along the geodesic, the rest is
     parallel transported.  Re-orthonormalizes when rounding drift exceeds
     1e-12."""
     state = geo.PointState(point=fp.point, velocity=fp.frame[:, 0])
     end = geo.geodesic_advance(model, state, t)
-    n = model.dim
-    frame = np.empty((n, n))
-    frame[:, 0] = end.velocity
     if model.kind == geo.TORUS:
-        frame[:, 1:] = fp.frame[:, 1:]
-    elif n == 2:
-        normal = _oriented_normal(model, end.point, end.velocity)
-        sign = 1.0 if geo.is_oriented(model, fp) else -1.0
-        frame[:, 1] = sign * normal
-    else:  # pragma: no cover - no curved 3d models
-        for j in range(1, n):
-            frame[:, j] = geo.parallel_transport(model, state, t, fp.frame[:, j])
+        frame = fp.frame.copy()  # flat: the whole frame is parallel
+    else:  # two-dimensional: e_2 is the normal of e_1 on the frame's side
+        frame = geo.frame_completion(model, end.point, end.velocity)
+        if not geo.is_oriented(model, fp):
+            frame[:, 1] = -frame[:, 1]
     out = geo.FramePoint(point=end.point, frame=frame)
     if geo.orthonormality_residual(model, out) > _ORTHO_FIX:
         out = geo.FramePoint(point=end.point,
                              frame=geo.gram_orthonormalize(model, end.point, frame))
     return out
+
+
+def _turns(a):
+    """SO(2) rotations by the angles a, shape a.shape + (2, 2)."""
+    c, s = np.cos(a), np.sin(a)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 def right_action(fp, g):
@@ -167,7 +164,10 @@ def random_frame_point(model, rng):
     n = model.dim
     if model.kind == geo.TORUS:
         point = rng.uniform(0, model.periods, size=n)
-        frame = _complete_euclidean_frame(rng.normal(size=n), rng, n)
+        e1 = rng.normal(size=n)
+        frame = geo.frame_completion(model, point, e1 / np.linalg.norm(e1))
+        if n == 3:  # Haar on the SO(2) fibre over the uniform direction
+            frame[:, 1:] = frame[:, 1:] @ _turns(rng.uniform(0, 2 * np.pi))
         return geo.FramePoint(point=point, frame=frame)
     if model.kind == geo.SPHERE:
         c = rng.uniform(-0.98, 0.98)
@@ -188,22 +188,7 @@ def random_frame_point(model, rng):
     scale = 1.0 / np.sqrt(np.diag(g))
     e1 = np.array([np.cos(a) * scale[0], np.sin(a) * scale[1]])
     e1 /= np.sqrt(e1 @ g @ e1)
-    e2 = _oriented_normal(model, point, e1)
-    return geo.FramePoint(point=np.asarray(point, float), frame=np.column_stack([e1, e2]))
-
-
-def _complete_euclidean_frame(e1, rng, n):
-    e1 = e1 / np.linalg.norm(e1)
-    cols = [e1]
-    while len(cols) < n:
-        v = rng.normal(size=n)
-        for c in cols:
-            v -= (c @ v) * c
-        cols.append(v / np.linalg.norm(v))
-    frame = np.column_stack(cols)
-    if np.linalg.det(frame) < 0:
-        frame[:, -1] = -frame[:, -1]
-    return frame
+    return geo.FramePoint(point=point, frame=geo.frame_completion(model, point, e1))
 
 
 # ---------------------------------------------------------------------------
@@ -211,106 +196,33 @@ def _complete_euclidean_frame(e1, rng, n):
 
 
 def liouville_nodes(model, resolution):
-    """Product quadrature nodes (FramePoint, weight) for the Liouville measure
-    on the unit tangent bundle extended by Haar over the frame fiber.
+    """Quadrature for the Liouville measure on the unit tangent bundle extended
+    by Haar measure on the frame fibre: arrays (points (N, n), frames
+    (N, n, n), weights (N,)), weights not normalized.
 
-    Weights are normalized to sum to 1 exactly.
+    The unit-bundle nodes of `geometry.unit_bundle_nodes` are completed to
+    frames; on T^3 each frame's (e_2, e_3) is turned through `resolution`
+    equispaced angles.
     """
-    if resolution < 4:
-        raise ValueError("resolution must be at least 4 nodes per dimension")
-    nodes = list(_raw_nodes(model, resolution))
-    total = sum(w for _, w in nodes)
-    return [(fp, w / total) for fp, w in nodes]
-
-
-def _raw_nodes(model, res):
-    if model.kind == geo.TORUS and model.dim == 2:
-        xs = [np.arange(res) * (p / res) for p in model.periods]
-        angles = np.arange(res) * (2 * np.pi / res)
-        for x0 in xs[0]:
-            for x1 in xs[1]:
-                for a in angles:
-                    e1 = np.array([np.cos(a), np.sin(a)])
-                    e2 = np.array([-np.sin(a), np.cos(a)])
-                    yield geo.FramePoint(point=np.array([x0, x1]),
-                                         frame=np.column_stack([e1, e2])), 1.0
-        return
-    if model.kind == geo.TORUS and model.dim == 3:
-        xs = [np.arange(res) * (p / res) for p in model.periods]
-        cs, ws = np.polynomial.legendre.leggauss(res)
-        phis = np.arange(2 * res) * (np.pi / res)
-        alphas = np.arange(res) * (2 * np.pi / res)
-        for x0 in xs[0]:
-            for x1 in xs[1]:
-                for x2 in xs[2]:
-                    point = np.array([x0, x1, x2])
-                    for c, w in zip(cs, ws):
-                        s = np.sqrt(1.0 - c * c)
-                        for ph in phis:
-                            e1 = np.array([s * np.cos(ph), s * np.sin(ph), c])
-                            u, v = _transverse_pair(e1)
-                            for a in alphas:
-                                e2 = np.cos(a) * u + np.sin(a) * v
-                                e3 = -np.sin(a) * u + np.cos(a) * v
-                                yield geo.FramePoint(
-                                    point=point,
-                                    frame=np.column_stack([e1, e2, e3])), w
-        return
-    if model.kind == geo.SPHERE:
-        cs, ws = np.polynomial.legendre.leggauss(res)
-        phis = np.arange(2 * res) * (np.pi / res)
-        angles = np.arange(res) * (2 * np.pi / res)
-        for c, w in zip(cs, ws):
-            th = np.arccos(c)
-            s = np.sin(th)
-            for ph in phis:
-                point = np.array([th, ph])
-                for a in angles:
-                    e1 = np.array([np.cos(a), np.sin(a) / s])
-                    e2 = np.array([-np.sin(a), np.cos(a) / s])
-                    yield geo.FramePoint(point=point,
-                                         frame=np.column_stack([e1, e2])), w
-        return
-    if model.kind == geo.OCTAGON:
-        rv = geo._OCT_RHO_VERTEX
-        h = 2.0 * rv / res
-        grid = -rv + h * (np.arange(res) + 0.5)
-        angles = np.arange(res) * (2 * np.pi / res)
-        for x in grid:
-            for y in grid:
-                z = complex(x, y)
-                if not geo.octagon_contains(z):
-                    continue
-                lam = 2.0 / (1.0 - abs(z) ** 2)
-                w = lam * lam
-                point = np.array([x, y])
-                for a in angles:
-                    e1 = np.array([np.cos(a), np.sin(a)]) / lam
-                    e2 = np.array([-np.sin(a), np.cos(a)]) / lam
-                    yield geo.FramePoint(point=point,
-                                         frame=np.column_stack([e1, e2])), w
-        return
-    raise ValueError(f"no quadrature for {model.kind} of dim {model.dim}")
-
-
-def _transverse_pair(e1):
-    pole = np.array([0.0, 0.0, 1.0])
-    if abs(e1 @ pole) > 0.9:
-        pole = np.array([1.0, 0.0, 0.0])
-    u = np.cross(pole, e1)
-    u /= np.linalg.norm(u)
-    return u, np.cross(e1, u)
+    points, dirs, weights = geo.unit_bundle_nodes(model, resolution)
+    frames = geo.frame_completion(model, points, dirs)
+    if model.dim == 3:
+        turns = _turns(np.arange(resolution) * (2 * np.pi / resolution))
+        turned = np.repeat(frames[:, None], resolution, axis=1)
+        turned[..., 1:] = frames[:, None, :, 1:] @ turns
+        frames = turned.reshape(-1, 3, 3)
+        points = np.repeat(points, resolution, axis=0)
+        weights = np.repeat(weights, resolution)
+    return points, frames, weights
 
 
 def liouville_haar_average(model, obs, resolution=12):
     """Liouville x Haar quadrature average of the observable (normalized so
     the average of the constant 1 is exactly 1)."""
-    if resolution < 4:
-        raise ValueError("resolution must be at least 4 nodes per dimension")
     out = np.zeros((obs.fiber_dim, obs.fiber_dim), dtype=complex)
     total = 0.0
-    for fp, w in _raw_nodes(model, resolution):
-        out += w * _eval(obs, fp)
+    for point, frame, w in zip(*liouville_nodes(model, resolution)):
+        out += w * _eval(obs, geo.FramePoint(point=point, frame=frame))
         total += w
     return out / total
 

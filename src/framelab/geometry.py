@@ -8,6 +8,11 @@ Three models are provided, each with exact (closed-form) flow and transport:
 - the regular genus-2 hyperbolic octagon in the Poincare disk, with the
   standard opposite-side pairings.
 
+The package's one quadrature rule on the unit tangent bundle
+(`unit_bundle_nodes`) and its one oriented frame completion
+(`frame_completion`) live here; the Liouville-Haar averages of `flows` and the
+tracial states of `limits` both integrate with them.
+
 A generic 4th-order integrator of the geodesic/transport equations is kept
 only as a cross-check oracle (`parallel_transport_rk4`).
 """
@@ -551,3 +556,94 @@ def gram_orthonormalize(model, point, frame):
             out[:, i] -= (out[:, j] @ g @ out[:, i]) * out[:, j]
         out[:, i] /= np.sqrt(out[:, i] @ g @ out[:, i])
     return out
+
+
+def frame_completion(model, point, e1):
+    """Oriented metric-orthonormal frame(s) at `point` with first column e1.
+
+    `e1` is a metric-unit tangent vector (n,) or a batch (..., n) at points
+    (..., n); the result has shape (..., n, n).  Two-dimensional models rotate
+    e1 by +pi/2 in the metric.  On T^3 the second column is the unit normal
+    of e1 against the pole e_3 (against e_1 when |e1 . e_3| > 0.9) and the
+    third completes the right-handed triple.
+    """
+    e1 = np.asarray(e1, dtype=float)
+    out = np.empty(e1.shape + (model.dim,))
+    out[..., 0] = e1
+    x, y = e1[..., 0], e1[..., 1]
+    if model.dim == 2:
+        s = np.sin(np.asarray(point, dtype=float)[..., 0]) if model.kind == SPHERE else 1.0
+        out[..., 0, 1] = -s * y
+        out[..., 1, 1] = x / s
+        return out
+    z = e1[..., 2]
+    # u = pole x e1 with the pole e_3, or e_1 where e1 is near e_3
+    p1 = (np.abs(z) > 0.9) * 1.0
+    p3 = 1.0 - p1
+    u0, u1, u2 = -p3 * y, p3 * x - p1 * z, p1 * y
+    norm = np.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+    u0, u1, u2 = u0 / norm, u1 / norm, u2 / norm
+    out[..., 0, 1], out[..., 1, 1], out[..., 2, 1] = u0, u1, u2
+    # e1 x u written out: np.cross costs tens of microseconds on one vector
+    out[..., 0, 2] = y * u2 - z * u1
+    out[..., 1, 2] = z * u0 - x * u2
+    out[..., 2, 2] = x * u1 - y * u0
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Unit-bundle quadrature
+
+
+def _sphere_rule(res):
+    """Gauss-Legendre in cos(theta) times 2 res equispaced azimuths on S^2:
+    flat arrays (cos theta, phi, weight), cos theta outermost."""
+    cs, ws = np.polynomial.legendre.leggauss(res)
+    phis = np.arange(2 * res) * (np.pi / res)
+    return np.repeat(cs, 2 * res), np.tile(phis, res), np.repeat(ws, 2 * res)
+
+
+def unit_bundle_nodes(model, resolution):
+    """Product quadrature for the Liouville measure on the unit tangent bundle.
+
+    Returns base points (N, n), metric-unit directions (N, n) and positive
+    weights (N,), not normalized.  Base rules: the equispaced grid on tori;
+    Gauss-Legendre in cos(theta) times 2 * resolution azimuths on the sphere;
+    the midpoint grid of the octagon's bounding square, clipped to the
+    fundamental domain and weighted by the conformal factor lambda^2.  Unit
+    fibres: `resolution` equispaced angles on the circle (the trapezoid rule,
+    exact below angular degree `resolution`), the sphere rule on T^3.
+    """
+    if resolution < 4:
+        raise ValueError("resolution must be at least 4 nodes per dimension")
+    res = resolution
+    if model.kind == TORUS:
+        axes = [np.arange(res) * (p / res) for p in model.periods]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.dim)
+        base_w = np.ones(len(points))
+        root_g = np.ones_like(points)
+    elif model.kind == SPHERE:
+        c, ph, base_w = _sphere_rule(res)
+        th = np.arccos(c)
+        points = np.column_stack([th, ph])
+        root_g = np.column_stack([np.ones_like(th), np.sin(th)])
+    else:
+        rv = _OCT_RHO_VERTEX
+        grid = -rv + (2.0 * rv / res) * (np.arange(res) + 0.5)
+        z = (grid[:, None] + 1j * grid[None, :]).ravel()
+        z = z[[octagon_contains(c) for c in z]]
+        lam = 2.0 / (1.0 - np.abs(z) ** 2)
+        points = np.column_stack([z.real, z.imag])
+        base_w = lam * lam
+        root_g = np.column_stack([lam, lam])
+    if model.dim == 2:
+        a = np.arange(res) * (2 * np.pi / res)
+        fibre, fibre_w = np.column_stack([np.cos(a), np.sin(a)]), np.ones(res)
+    else:
+        c, ph, fibre_w = _sphere_rule(res)
+        s = np.sqrt(1.0 - c * c)
+        fibre = np.column_stack([s * np.cos(ph), s * np.sin(ph), c])
+    # the metric is diagonal in every chart: divide by its square root
+    dirs = (fibre[None, :, :] / root_g[:, None, :]).reshape(-1, model.dim)
+    return (np.repeat(points, len(fibre), axis=0), dirs,
+            np.outer(base_w, fibre_w).ravel())

@@ -68,7 +68,8 @@ def cesaro_state(sm, n):
 
 
 def heat_state(sm, t):
-    """Gibbs trace-ratio state at inverse temperature t."""
+    """Gibbs trace-ratio state at inverse temperature t; its error is the
+    truncation bound of `spectral.heat_state_trace`."""
     if t <= 0:
         raise ValueError("heat time must be positive")
     return StateFunctional(kind="heat", context=sm, t=float(t))
@@ -79,7 +80,7 @@ def tracial_state_functional(model, fiber_dim=1, resolution=8, weight=None):
     invariant section (used by the ergodic decomposition)."""
     wt = None
     if weight is not None:
-        wt = _symbol_average(model, weight, fiber_dim, resolution, trace_only=True)
+        wt = _symbol_average(model, weight, fiber_dim, resolution)
     return StateFunctional(kind="tracial", context=model, fiber_dim=fiber_dim,
                            resolution=resolution, weight=weight, weight_trace=wt)
 
@@ -88,69 +89,25 @@ def tracial_state_functional(model, fiber_dim=1, resolution=8, weight=None):
 # Unit-bundle quadrature for symbols
 
 
-def _unit_bundle_nodes(model, res):
-    if model.kind == geo.TORUS and model.dim == 2:
-        xs = [np.arange(res) * (p / res) for p in model.periods]
-        angles = np.arange(2 * res) * (np.pi / res)
-        for x0 in xs[0]:
-            for x1 in xs[1]:
-                point = np.array([x0, x1])
-                for a in angles:
-                    yield point, np.array([np.cos(a), np.sin(a)]), 1.0
-        return
-    if model.kind == geo.TORUS and model.dim == 3:
-        xs = [np.arange(res) * (p / res) for p in model.periods]
-        cs, ws = np.polynomial.legendre.leggauss(res)
-        phis = np.arange(2 * res) * (np.pi / res)
-        for x0 in xs[0]:
-            for x1 in xs[1]:
-                for x2 in xs[2]:
-                    point = np.array([x0, x1, x2])
-                    for c, w in zip(cs, ws):
-                        s = np.sqrt(1.0 - c * c)
-                        for ph in phis:
-                            xi = np.array([s * np.cos(ph), s * np.sin(ph), c])
-                            yield point, xi, w
-        return
-    if model.kind == geo.SPHERE:
-        cs, ws = np.polynomial.legendre.leggauss(res)
-        phis = np.arange(2 * res) * (np.pi / res)
-        angles = np.arange(2 * res) * (np.pi / res)
-        for c, w in zip(cs, ws):
-            th = np.arccos(c)
-            s = np.sin(th)
-            for ph in phis:
-                point = np.array([th, ph])
-                for a in angles:
-                    yield point, np.array([np.cos(a), np.sin(a) / s]), w
-        return
-    raise ValueError(f"no unit-bundle quadrature for {model.kind}")
-
-
-def _symbol_average(model, symbol, fiber_dim, res, other=None, trace_only=False):
-    """Quadrature of tr(symbol [ other ]) over the unit bundle, normalized."""
+def _symbol_average(model, symbol, fiber_dim, res, other=None):
+    """Normalized quadrature of tr(symbol [other]) over the unit bundle, with
+    xi the metric-unit direction of each node of `geometry.unit_bundle_nodes`."""
+    points, dirs, weights = geo.unit_bundle_nodes(model, res)
     acc = 0.0 + 0.0j
-    total = 0.0
-    for point, xi, w in _unit_bundle_nodes(model, res):
+    for point, xi, w in zip(points, dirs, weights):
         m = np.asarray(symbol(point, xi), dtype=complex).reshape(fiber_dim, fiber_dim)
         if other is not None:
             m = m @ np.asarray(other(point, xi), dtype=complex).reshape(fiber_dim,
                                                                         fiber_dim)
         acc += w * np.trace(m)
-        total += w
-    val = acc / total
-    del trace_only
-    return val
+    return acc / weights.sum()
 
 
 def tracial_state(model, symbol, fiber_dim=1, resolution=8):
-    """(1 / fiber rank) * Liouville average of tr(symbol), with a quadrature
-    refinement error estimate."""
-    sym = symbol.evaluator if isinstance(symbol, sp.SymbolField) else symbol
-    coarse = _symbol_average(model, sym, fiber_dim, max(4, resolution // 2))
-    fine = _symbol_average(model, sym, fiber_dim, resolution)
-    return StateValue(value=fine / fiber_dim,
-                      error=float(abs(fine - coarse)) / fiber_dim)
+    """(1 / fiber rank) * Liouville average of tr(symbol), with the error
+    estimated against the rule at half the resolution (at least 4); at
+    resolution 4 there is no coarser rule and the error is nan."""
+    return evaluate(tracial_state_functional(model, fiber_dim, resolution), symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -174,33 +131,29 @@ def evaluate(state, a_op):
         diag = mat.diagonal()[: state.n]
         return StateValue(value=complex(diag.sum() / state.n), error=0.0)
     if state.kind == "heat":
-        lam = sm.lam + sm.potential + sm.mass ** 2
-        gibbs = np.exp(-state.t * (lam - lam.min()))
-        den = gibbs.sum()
-        num = (mat.diagonal() * gibbs).sum()
-        tail = sm.dim * np.exp(-state.t * (lam.max() - lam.min()))
-        return StateValue(value=complex(num / den), error=float(tail / den))
+        # a constant potential or mass cancels in the Gibbs ratio
+        value, error = sp._gibbs_ratio(sm.lam, mat.diagonal(), state.t)
+        return StateValue(value=complex(value), error=error)
     raise ValueError(f"unknown state kind {state.kind!r}")
 
 
 def _evaluate_tracial(state, a_op):
-    if isinstance(a_op, sp.OperatorMatrix):
-        if a_op.symbol is None:
-            raise ValueError("tracial evaluation needs an attached symbol")
-        sym = a_op.symbol.evaluator
-    elif isinstance(a_op, sp.SymbolField):
-        sym = a_op.evaluator
-    else:
-        sym = a_op
+    sym = a_op.symbol if isinstance(a_op, sp.OperatorMatrix) else a_op
+    if isinstance(sym, sp.SymbolField):
+        sym = sym.evaluator
+    if not callable(sym):
+        raise ValueError("tracial evaluation needs an attached symbol")
     model, k, res = state.context, state.fiber_dim, state.resolution
     if state.weight is None:
-        fine = _symbol_average(model, sym, k, res)
-        coarse = _symbol_average(model, sym, k, max(4, res // 2))
-        return StateValue(value=fine / k, error=float(abs(fine - coarse)) / k)
-    fine = _symbol_average(model, state.weight, k, res, other=sym)
-    coarse = _symbol_average(model, state.weight, k, max(4, res // 2), other=sym)
-    return StateValue(value=fine / state.weight_trace,
-                      error=float(abs(fine - coarse) / abs(state.weight_trace)))
+        weight, other, norm = sym, None, k
+    else:
+        weight, other, norm = state.weight, sym, state.weight_trace
+    fine = _symbol_average(model, weight, k, res, other)
+    coarse_res = max(4, res // 2)
+    if coarse_res == res:  # the coarsest rule has nothing to compare with
+        return StateValue(value=fine / norm, error=float("nan"))
+    coarse = _symbol_average(model, weight, k, coarse_res, other)
+    return StateValue(value=fine / norm, error=float(abs(fine - coarse) / abs(norm)))
 
 
 def state_positivity_residual(state, ops):
@@ -276,15 +229,13 @@ def compare_states(sm, a_op, n_ladder=None, t_ladder=None, resolution=8):
         seen.add(st.n)
         val = evaluate(st, a_op).value
         cesaro_rows.append((st.n, val, abs(val - trac.value)))
+    t0 = sp._heat_floor(sm.lam)
     if t_ladder is None:
-        t0 = sp.heat_time_floor(_delta_of(sm))
         t_ladder = [8 * t0, 4 * t0, 2 * t0, t0]
     heat_rows = []
     for t in t_ladder:
-        st = heat_state(sm, t)
-        out = evaluate(st, a_op)
-        reliable = t >= sp.heat_time_floor(_delta_of(sm))
-        heat_rows.append((t, out.value, abs(out.value - trac.value), reliable))
+        out = evaluate(heat_state(sm, t), a_op)
+        heat_rows.append((t, out.value, abs(out.value - trac.value), t >= t0))
     return ConvergenceReport(
         tracial=trac,
         cesaro_rows=tuple(cesaro_rows),
@@ -292,12 +243,6 @@ def compare_states(sm, a_op, n_ladder=None, t_ladder=None, resolution=8):
         cesaro_monotone=_monotone_with_slack([g for _, _, g in cesaro_rows]),
         heat_monotone=_monotone_with_slack([g for _, _, g, _ in heat_rows]),
     )
-
-
-def _delta_of(sm):
-    lam = sm.lam + sm.potential + sm.mass ** 2
-    return sp.OperatorMatrix(matrix=scipy.sparse.diags(lam).tocsr(), order=2,
-                             domain=sm)
 
 
 # ---------------------------------------------------------------------------
@@ -452,30 +397,29 @@ def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
 # ergodic decomposition of the tracial state
 
 
-def frame_completion(xi):
-    """Deterministic special-orthogonal completion with first column xi."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape == (2,):
-        return np.column_stack([xi, [-xi[1], xi[0]]])
-    pole = np.array([0.0, 0.0, 1.0])
-    if abs(xi @ pole) > 0.9:
-        pole = np.array([1.0, 0.0, 0.0])
-    u = np.cross(pole, xi)
-    u /= np.linalg.norm(u)
-    return np.column_stack([xi, u, np.cross(xi, u)])
-
-
 def invariant_section(apply_fn, proj, fiber_dim):
-    """Symbol of a stabilizer-invariant fiber matrix: at covector xi the
-    matrix is conjugated by the representation of a frame completion."""
+    """Symbol of a stabilizer-invariant fiber matrix: at a unit covector xi
+    in orthonormal components the matrix is conjugated by the representation
+    of the completion of xi to an SO(n) matrix (`geometry.frame_completion`
+    on the flat torus, whose chart components are orthonormal)."""
     proj = np.asarray(proj, dtype=complex)
 
     def ev(point, xi):
-        u = np.asarray(apply_fn(frame_completion(np.asarray(xi, float))),
-                       dtype=complex)
+        frame = geo.frame_completion(geo.flat_torus(len(xi)), point, xi)
+        u = np.asarray(apply_fn(frame), dtype=complex)
         return u @ proj @ u.conj().T
 
     return sp.SymbolField(evaluator=ev, fiber_dim=fiber_dim)
+
+
+def _in_chart(model, section):
+    """A section of orthonormal components read at the chart directions of the
+    unit-bundle quadrature: sqrt(G) maps a metric-unit chart vector to them."""
+
+    def ev(point, xi):
+        return section(point, np.sqrt(np.diag(geo.metric_at(model, point))) * xi)
+
+    return ev
 
 
 def ergodic_decomposition(tracial, projections, apply_fn):
@@ -495,26 +439,12 @@ def ergodic_decomposition(tracial, projections, apply_fn):
         raise ValueError("projections do not sum to the identity")
     out = []
     for mat in mats:
-        section = invariant_section(apply_fn, mat, k)
-        weight_trace = _symbol_average(model, section.evaluator, k, res)
+        section = _in_chart(model, invariant_section(apply_fn, mat, k).evaluator)
+        weight_trace = _symbol_average(model, section, k, res)
         weight = float(np.real(weight_trace)) / k
         comp = StateFunctional(kind="tracial", context=model, fiber_dim=k,
-                               resolution=res, weight=section.evaluator,
+                               resolution=res, weight=section,
                                weight_trace=weight_trace)
         out.append((weight, comp))
     return out
 
-
-def beta_push_symbol(model, symbol, t):
-    """Pull the symbol back along the reversed unit-speed flow (torus models,
-    where the transport part is trivial)."""
-    if model.kind != geo.TORUS:
-        raise ValueError("symbol push-forward is implemented on tori")
-    sym = symbol.evaluator if isinstance(symbol, sp.SymbolField) else symbol
-    per = np.asarray(model.periods)
-    m = symbol.fiber_dim if isinstance(symbol, sp.SymbolField) else 1
-
-    def ev(point, xi):
-        return sym((np.asarray(point) - t * np.asarray(xi)) % per, xi)
-
-    return sp.SymbolField(evaluator=ev, fiber_dim=m)

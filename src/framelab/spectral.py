@@ -401,8 +401,6 @@ def hodge_projections(model, p, K):
 def _wedge_basis_matrix(xi, comps):
     """Matrix of (interior product with xi) composed with (xi wedge .)."""
     # entries of the symbol of Q = projection onto xi ^ Lambda^{p-1}
-    n = len(xi)
-    p = len(comps[0]) if comps else 0
     out = np.zeros((len(comps), len(comps)), dtype=complex)
     for a, ca in enumerate(comps):
         for b, cb in enumerate(comps):
@@ -416,7 +414,6 @@ def _wedge_basis_matrix(xi, comps):
                         sb = _perm_sign((j,) + rest_b)
                         acc += sa * sb * xi[i] * xi[j]
             out[a, b] = acc
-    del n, p
     return out
 
 
@@ -498,7 +495,7 @@ def sign_and_halves(d_op):
     """
     sq = (d_op.matrix @ d_op.matrix).tocsr()
     diag = laplacian_diagonal(OperatorMatrix(matrix=sq, order=2, domain=d_op.domain))
-    inv_sqrt, kernel = _pinv_diag(diag, power=-0.5)
+    inv_sqrt, _ = _pinv_diag(diag, power=-0.5)
     sign = (d_op.matrix @ scipy.sparse.diags(inv_sqrt)).tocsr()
     sgn2 = (sign @ sign).tocsr()
     p_plus = (0.5 * (sgn2 + sign)).tocsr()
@@ -512,9 +509,7 @@ def sign_and_halves(d_op):
         minus_sym = SymbolField(lambda x, xi: 0.5 * (np.eye(m) - sym(x, xi)), m)
     else:
         plus_sym = minus_sym = None
-    out = mk(sign, sym), mk(p_plus, plus_sym), mk(p_minus, minus_sym)
-    del kernel
-    return out
+    return mk(sign, sym), mk(p_plus, plus_sym), mk(p_minus, minus_sym)
 
 
 # ---------------------------------------------------------------------------
@@ -661,13 +656,31 @@ class HeatValue:
     reliable: bool
 
 
-def heat_time_floor(delta_op):
-    """Smallest t at which the truncated tail is below 1e-12 of the leading term."""
-    lam = laplacian_diagonal(delta_op)
+def _heat_floor(lam):
+    """Smallest t at which the truncated tail, for eigenvalues lam, is below
+    1e-12 of the leading term."""
     span = lam.max() - lam.min()
     if span <= 0:
         return 0.0
     return float((np.log(lam.size) + 12 * np.log(10.0)) / span)
+
+
+def _gibbs_ratio(lam, diag, t):
+    """sum(diag exp(-t lam)) / sum(exp(-t lam)) and its truncation bound.
+
+    The bound, dim exp(-t (max lam - min lam)) (1 + max |diag|) / Z with Z the
+    shifted denominator, estimates what the modes beyond the cutoff would add.
+    """
+    gibbs = np.exp(-t * (lam - lam.min()))
+    den = gibbs.sum()
+    tail = lam.size * np.exp(-t * (lam.max() - lam.min()))
+    scale = float(np.abs(diag).max())
+    return (diag * gibbs).sum() / den, float(tail * (1.0 + scale) / den)
+
+
+def heat_time_floor(delta_op):
+    """Smallest t at which the truncated tail is below 1e-12 of the leading term."""
+    return _heat_floor(laplacian_diagonal(delta_op))
 
 
 def heat_state_trace(a_op, delta_op, t):
@@ -677,14 +690,9 @@ def heat_state_trace(a_op, delta_op, t):
     if t <= 0:
         raise ValueError("heat time must be positive")
     lam = laplacian_diagonal(delta_op)
-    gibbs = np.exp(-t * (lam - lam.min()))
-    den = gibbs.sum()
-    num = (a_op.matrix.diagonal() * gibbs).sum()
-    tail = lam.size * np.exp(-t * (lam.max() - lam.min()))
-    a_scale = float(np.abs(a_op.matrix.diagonal()).max()) if a_op.matrix.nnz else 0.0
-    estimate = tail * (1.0 + a_scale) / den
-    return HeatValue(value=num / den, truncation_estimate=float(estimate),
-                     reliable=t >= heat_time_floor(delta_op))
+    value, estimate = _gibbs_ratio(lam, a_op.matrix.diagonal(), t)
+    return HeatValue(value=value, truncation_estimate=estimate,
+                     reliable=t >= _heat_floor(lam))
 
 
 # ---------------------------------------------------------------------------
