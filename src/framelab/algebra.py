@@ -1,9 +1,10 @@
 """Clifford algebras, SO(n)/SO(n-1) representation tables, invariant projections.
 
-Representations are carried as finite tables: a quadrature sample of group
-elements with representing unitaries and weights, plus the generating map so
-tables can be restricted or re-sampled.  Stabilizer quadratures are exact for
-the low matrix-coefficient degrees appearing here:
+A representation table is a group map, its Lie-algebra map and a seeded
+spot-check sample of generic rotations.  Invariant projections are exact: the
+groups are connected, so the commutant of a representation is the null space
+of the commutators with its Lie-algebra image.  The Haar quadratures on SO(m),
+m <= 4, are an independent oracle for the tests:
 
 - SO(2): trapezoid on the rotation angle (64 nodes, exact below degree 64);
 - SO(3): z-y-z Euler angles, trapezoid in alpha/gamma and Gauss-Legendre in
@@ -26,7 +27,9 @@ _PAULI1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
-_CHUNK = 4096
+# Relative null-space cut: the other eigenvalues of the commutant's Gram
+# matrix are Casimir values of nontrivial tensor representations, all >= 1.
+_NULL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,12 +42,12 @@ class CliffordModel:
 
 @dataclass(frozen=True, eq=False)
 class RepresentationTable:
-    """A sampled (possibly projective) unitary representation.
+    """A (possibly projective) unitary representation of SO(group_dim).
 
-    `sample` is a tuple of (group element, representing unitary, weight)
-    triples; weights sum to 1.  `apply` maps a group element matrix to its
-    representing unitary; `apply_batch`, when present, does the same for a
-    stacked array of group elements.
+    `apply` maps a group element matrix to its representing unitary; `lie`
+    maps an antisymmetric A to d rho(A), with expm(d rho(A)) = apply(expm(A))
+    (up to sign if projective).  `sample` holds (generic rotation, unitary,
+    weight) spot-check triples, weights summing to 1; it is not a quadrature.
     """
 
     group: str
@@ -53,7 +56,7 @@ class RepresentationTable:
     sample: tuple
     projective: bool
     apply: callable
-    apply_batch: callable = None
+    lie: callable
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,14 +145,13 @@ def spin_lift(cl, r):
     Satisfies lift(r) gamma_xi lift(r)^{-1} = gamma_{r xi}; the branch is the
     Clifford exponential of the principal bivector logarithm.
     """
-    a = so_log(r)
-    dim = cl.gammas[0].shape[0]
-    biv = np.zeros((dim, dim), dtype=complex)
-    for i in range(cl.n):
-        for j in range(cl.n):
-            if a[i, j] != 0.0:
-                biv += 0.25 * a[i, j] * (cl.gammas[i] @ cl.gammas[j])
-    return scipy.linalg.expm(biv)
+    return scipy.linalg.expm(_bivector(cl, so_log(r)))
+
+
+def _bivector(cl, a):
+    """Spin Lie algebra element 1/4 sum_ij a_ij gamma_i gamma_j of an antisymmetric a."""
+    g = np.asarray(cl.gammas)
+    return 0.25 * np.einsum("ij,iab,jbc->ac", a, g, g)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +162,13 @@ def _trapezoid_angles(count, period=2.0 * np.pi):
     return np.arange(count) * (period / count)
 
 
-def haar_sample(m, so2_nodes=64, so3_nodes=16, su2_nodes=(8, 3, 8)):
+def haar_sample(m):
     """Haar quadrature sample [(element, weight)] on SO(m), m in {1, 2, 3, 4}.
 
     Exact for the trigonometric/Legendre coefficient degrees of the
-    representations used in this package.
+    representations used in this package; the tests use it as an oracle.
     """
+    so2_nodes, so3_nodes, su2_nodes = 64, 16, (8, 3, 8)
     if m == 1:
         return [(np.eye(1), 1.0)]
     if m == 2:
@@ -289,16 +292,37 @@ def exterior_power_matrix(g, p):
     return np.linalg.det(minors)
 
 
-def exterior_rep(n, p, count=24, seed=0):
-    """SO(n) acting on the p-th exterior power of C^n."""
+def exterior_rep(n, p):
+    """SO(n) acting on the p-th exterior power of C^n.
+
+    The Lie map is the derivation action: d rho(A) e_J sums A[r, j] e_J' over
+    j in J and r not in J, where J' is J with j replaced by r, re-sorted with
+    the sign of that permutation (A has zero diagonal).
+    """
+    basis = list(itertools.combinations(range(n), p))
+    index = {s: i for i, s in enumerate(basis)}
+    terms = [(index[tuple(sorted(set(s) - {j} | {r}))], col, r, j,
+              (-1) ** sum(min(j, r) < x < max(j, r) for x in s))
+             for col, s in enumerate(basis) for j in s for r in range(n) if r not in s]
+    rows, cols, rs, js, signs = np.array(terms, dtype=int).reshape(-1, 5).T
 
     def apply(g):
         return exterior_power_matrix(g, p)
 
-    sample = tuple((g, apply(g), w) for g, w in generic_rotations(n, count, seed))
-    return RepresentationTable(group=f"SO({n})", group_dim=n, degree=comb(n, p),
-                               sample=sample, projective=False,
-                               apply=apply, apply_batch=apply)
+    def lie(a):
+        out = np.zeros((len(basis), len(basis)), dtype=np.result_type(a, float))
+        out[rows, cols] = signs * np.asarray(a)[rs, js]
+        return out
+
+    return _table(n, len(basis), False, apply, lie)
+
+
+def _table(m, degree, projective, apply, lie):
+    """An SO(m) table with the seeded generic spot-check sample."""
+    sample = tuple((g, apply(g), w) for g, w in generic_rotations(m))
+    return RepresentationTable(group=f"SO({m})", group_dim=m, degree=degree,
+                               sample=sample, projective=projective,
+                               apply=apply, lie=lie)
 
 
 def embed_stabilizer(h):
@@ -311,35 +335,19 @@ def embed_stabilizer(h):
     return out
 
 
-def restrict_to_stabilizer(rep, **haar_kwargs):
-    """Restrict an SO(n) table to the SO(n-1) subgroup fixing the first vector.
-
-    The restricted table is sampled on an exact Haar quadrature of SO(n-1).
-    """
-    n = rep.group_dim
-    hs = haar_sample(n - 1, **haar_kwargs)
+def restrict_to_stabilizer(rep):
+    """Restrict an SO(n) table to the SO(n-1) subgroup fixing the first vector."""
 
     def apply(h):
         return rep.apply(embed_stabilizer(h))
 
-    if rep.apply_batch is not None:
-        sample = []
-        for i0 in range(0, len(hs), _CHUNK):
-            chunk = hs[i0:i0 + _CHUNK]
-            emb = embed_stabilizer(np.stack([h for h, _ in chunk]))
-            mats = rep.apply_batch(emb)
-            sample.extend((h, m, w) for (h, w), m in zip(chunk, mats))
-        sample = tuple(sample)
-        batch = lambda h: rep.apply_batch(embed_stabilizer(h))
-    else:
-        sample = tuple((h, apply(h), w) for h, w in hs)
-        batch = None
-    return RepresentationTable(group=f"SO({n - 1})", group_dim=n - 1, degree=rep.degree,
-                               sample=sample, projective=rep.projective,
-                               apply=apply, apply_batch=batch)
+    def lie(a):
+        return rep.lie(np.pad(a, ((1, 0), (1, 0))))  # block-diag(0, a)
+
+    return _table(rep.group_dim - 1, rep.degree, rep.projective, apply, lie)
 
 
-def conjugation_rep(cl, **haar_kwargs):
+def conjugation_rep(cl):
     """SO(n-1) acting on End(C^(2^floor(n/2))) by tau(g) x = rho(g)^{-1} x rho(g).
 
     The representing unitaries are the projective spin lifts rho(g); the
@@ -349,10 +357,10 @@ def conjugation_rep(cl, **haar_kwargs):
     def apply(h):
         return spin_lift(cl, embed_stabilizer(h))
 
-    sample = tuple((h, apply(h), w) for h, w in haar_sample(cl.n - 1, **haar_kwargs))
-    return RepresentationTable(group=f"SO({cl.n - 1})", group_dim=cl.n - 1,
-                               degree=cl.gammas[0].shape[0], sample=sample,
-                               projective=True, apply=apply)
+    def lie(a):
+        return _bivector(cl, np.pad(a, ((1, 0), (1, 0))))
+
+    return _table(cl.n - 1, cl.gammas[0].shape[0], True, apply, lie)
 
 
 def conjugate_by(rep_matrix, x):
@@ -364,8 +372,7 @@ def table_residuals(rep, rng=None, pairs=12):
     """Diagnostics: weight sum defect, max non-unitarity, (projective) cocycle defect."""
     wsum = sum(w for _, _, w in rep.sample)
     eye = np.eye(rep.degree)
-    stride = max(1, len(rep.sample) // 256)
-    unit = max(np.abs(u.conj().T @ u - eye).max() for _, u, _ in rep.sample[::stride])
+    unit = max(np.abs(u.conj().T @ u - eye).max() for _, u, _ in rep.sample)
     rng = rng or np.random.default_rng(0)
     idx = rng.integers(0, len(rep.sample), size=(pairs, 2))
     coc = 0.0
@@ -384,36 +391,30 @@ def table_residuals(rep, rng=None, pairs=12):
 # Invariant projections
 
 
-def _stacked_sample(rep):
-    mats = np.stack([u for _, u, _ in rep.sample])
-    weights = np.array([w for _, _, w in rep.sample])
-    return mats, weights
-
-
-def haar_average_conjugation(rep, x):
-    """Quadrature average of g -> rho(g) x rho(g)^{-1} (commutant projection)."""
-    mats, weights = _stacked_sample(rep)
-    out = np.zeros_like(x, dtype=complex)
-    for i0 in range(0, len(weights), _CHUNK):
-        u = mats[i0:i0 + _CHUNK]
-        w = weights[i0:i0 + _CHUNK]
-        out += np.einsum("n,nij,jk,nlk->il", w, u, x, u.conj(), optimize=True)
-    return out
-
-
 def isotypic_projections(rep, seed=0, cluster_gap=1e-6, tol=1e-10):
-    """Decompose C^degree into invariant subspaces of the sampled representation.
+    """Decompose C^degree into invariant subspaces of the representation.
 
-    A seeded generic Hermitian matrix is Haar-averaged into the commutant and
-    its eigenspaces are clustered into projections.  The projections are
-    Hermitian idempotents summing to the identity and commuting with every
-    sampled representing matrix.
+    The commutant of the connected group is the null space of sum_{i<j}
+    ad_ij^H ad_ij, ad_ij X = [d rho(E_ij), X].  A seeded generic Hermitian
+    matrix, projected onto it (as its Haar average of conjugates would be), is
+    split by eigenspaces into projections; commuting with every sampled
+    unitary checks the Lie map against the group map.
     """
-    k = rep.degree
+    m, k = rep.group_dim, rep.degree
+    eye = np.eye(k)
+    gram = np.zeros((k * k, k * k))
+    for i, j in itertools.combinations(range(m), 2):
+        e = np.zeros((m, m))
+        e[i, j], e[j, i] = -1.0, 1.0
+        g = rep.lie(e)
+        ad = np.kron(g, eye) - np.kron(eye, g.T)
+        gram = gram + ad.conj().T @ ad
+    vals, vecs = np.linalg.eigh(gram)
+    null = vecs[:, vals < _NULL_TOL * max(vals[-1], 1.0)]
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
     x = x + x.conj().T
-    xbar = haar_average_conjugation(rep, x)
+    xbar = (null @ (null.conj().T @ x.ravel())).reshape(k, k)
     xbar = 0.5 * (xbar + xbar.conj().T)
     vals, vecs = np.linalg.eigh(xbar)
     scale = max(np.abs(vals).max(), 1.0)
@@ -429,26 +430,19 @@ def isotypic_projections(rep, seed=0, cluster_gap=1e-6, tol=1e-10):
         projs.append(IsotypicProjection(projector=v @ v.conj().T,
                                         dimension=len(idx), label=label))
     total = sum(p.projector for p in projs)
-    if np.abs(total - np.eye(k)).max() > tol:
-        raise ResolutionError("projections do not resolve the identity; "
-                              "quadrature too coarse for this representation")
+    if np.abs(total - eye).max() > tol:
+        raise ResolutionError("projections do not resolve the identity")
     if commutation_residual(rep, projs) > tol:
         raise ResolutionError("projection fails to commute with the sampled "
-                              "representation; quadrature too coarse")
+                              "representation; its Lie map disagrees with its group map")
     return projs
 
 
 def commutation_residual(rep, projs):
     """Max |[rho(g), p]| entry over all sampled g and all projections."""
-    mats, _ = _stacked_sample(rep)
-    worst = 0.0
+    u = np.stack([m for _, m, _ in rep.sample])[:, None]
     stack = np.stack([p.projector for p in projs])
-    for i0 in range(0, mats.shape[0], _CHUNK):
-        u = mats[i0:i0 + _CHUNK]
-        left = np.einsum("nij,pjk->npik", u, stack)
-        right = np.einsum("pij,njk->npik", stack, u)
-        worst = max(worst, float(np.abs(left - right).max()))
-    return worst
+    return float(np.abs(u @ stack - stack @ u).max())
 
 
 def pascal_split_check(ranks, n, p):

@@ -28,7 +28,7 @@ class FlowObservable:
 
     `equivariance_rep`, when present, is an SO(n-1) RepresentationTable whose
     conjugation action the observable must intertwine under the right action
-    on fibers.
+    on fibers; `equivariance_residual` checks this on the table's sample.
     """
 
     evaluator: callable

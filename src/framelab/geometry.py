@@ -148,11 +148,12 @@ def hyperbolic_octagon():
 
 
 def octagon_contains(z, tol=_BOUNDARY_TOL):
-    """True if the disk point z lies in the closed fundamental octagon."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        return False
-    return bool(np.min(np.abs(z - _OCT_CENTERS)) >= _OCT_CIRCLE_R - tol)
+    """True where the disk point(s) z lie in the closed fundamental octagon;
+    a bool for a scalar z, a mask of its shape for an array."""
+    z = np.asarray(z)
+    out = (np.abs(z) < 1.0) & (np.abs(z[..., None] - _OCT_CENTERS).min(axis=-1)
+                               >= _OCT_CIRCLE_R - tol)
+    return out if out.ndim else bool(out)
 
 
 def _oct_violation(z):
@@ -631,7 +632,7 @@ def unit_bundle_nodes(model, resolution):
         rv = _OCT_RHO_VERTEX
         grid = -rv + (2.0 * rv / res) * (np.arange(res) + 0.5)
         z = (grid[:, None] + 1j * grid[None, :]).ravel()
-        z = z[[octagon_contains(c) for c in z]]
+        z = z[octagon_contains(z)]
         lam = 2.0 / (1.0 - np.abs(z) ** 2)
         points = np.column_stack([z.real, z.imag])
         base_w = lam * lam

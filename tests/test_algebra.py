@@ -1,5 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from framelab import ResolutionError
 from framelab import algebra as alg
@@ -71,7 +77,6 @@ def test_so_log_roundtrip():
         for g, _ in alg.generic_rotations(m, count=5, seed=7):
             a = alg.so_log(g)
             assert np.abs(a + a.T).max() < 1e-12
-            import scipy.linalg
             assert np.abs(scipy.linalg.expm(a) - g).max() < 1e-12
     del rng
 
@@ -180,6 +185,41 @@ def test_conjugation_rep_table():
     assert res["cocycle"] < 1e-10
 
 
+def _lie_tables():
+    for n in range(2, 6):
+        for p in range(n + 1):
+            ext = alg.exterior_rep(n, p)
+            yield pytest.param(ext, id=f"exterior-{n}-{p}")
+            yield pytest.param(alg.restrict_to_stabilizer(ext), id=f"restricted-{n}-{p}")
+    for n in range(3, 7):
+        yield pytest.param(alg.conjugation_rep(alg.build_clifford(n)), id=f"conjugation-{n}")
+
+
+@pytest.mark.parametrize("rep", _lie_tables())
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_lie_map_integrates_to_group_map(rep, data):
+    m = rep.group_dim
+    x = data.draw(arrays(float, (m, m), elements=st.floats(-2.0, 2.0)))
+    a = x - x.T
+    lhs = scipy.linalg.expm(rep.lie(a))
+    rhs = rep.apply(scipy.linalg.expm(a))
+    err = np.abs(lhs - rhs).max()
+    if rep.projective:
+        err = min(err, np.abs(lhs + rhs).max())
+    assert err < 1e-10
+
+
+def test_exterior_lie_map_is_integral():
+    rep = alg.exterior_rep(5, 2)
+    for i in range(5):
+        for j in range(i + 1, 5):
+            e = np.zeros((5, 5))
+            e[i, j], e[j, i] = -1.0, 1.0
+            g = rep.lie(e)
+            assert np.array_equal(g, np.round(g)) and np.array_equal(g, -g.T)
+
+
 def test_conjugation_acts_on_clifford_vectors():
     # tau(g)(gamma_xi) = gamma_{embed(g)^{-1} xi}, checked on samples
     cl = alg.build_clifford(3)
@@ -252,26 +292,53 @@ def test_isotypic_wedge2_c4():
     assert sorted(p.dimension for p in projs) == [3, 3]
 
 
-def test_isotypic_spin_rep():
-    # C^2 under the projective SO(2) spin lift: weights +-1/2, two lines
-    cl = alg.build_clifford(3)
-    rep = alg.conjugation_rep(cl)
+def _spin_split(n):
+    rep = alg.conjugation_rep(alg.build_clifford(n))
     projs = alg.isotypic_projections(rep)
     _check_projections(rep, projs)
-    assert sorted(p.dimension for p in projs) == [1, 1]
+    return sorted(p.dimension for p in projs)
 
 
-def test_isotypic_detects_coarse_quadrature():
-    # 2-node Euler rule aliases the degree-2 coefficients of SO(3)
-    rep = alg.restrict_to_stabilizer(alg.exterior_rep(4, 1), so3_nodes=2)
+def test_isotypic_spin_rep():
+    # C^2 under the projective SO(2) spin lift: weights +-1/2, two lines
+    assert _spin_split(3) == [1, 1]
+
+
+# Cl(5): the two half-spin representations of Spin(4); Cl(4), Cl(6): two
+# copies of the spin representation of Spin(3), Spin(5)
+@pytest.mark.parametrize("n,ranks", [(4, [2, 2]), (5, [2, 2]), (6, [4, 4])])
+def test_isotypic_spin_rep_higher(n, ranks):
+    assert _spin_split(n) == ranks
+
+
+def test_isotypic_detects_lie_map_contradicting_apply():
+    # a zero Lie map makes every matrix commute; the sampled unitaries refute it
+    rep = alg.restrict_to_stabilizer(alg.exterior_rep(4, 1))
+    bad = dataclasses.replace(rep, lie=lambda a: np.zeros((4, 4)))
     with pytest.raises(ResolutionError):
-        alg.isotypic_projections(rep)
+        alg.isotypic_projections(bad)
 
 
-@pytest.mark.parametrize("n,p", [(3, 1), (4, 1), (4, 2), (5, 2)])
+@pytest.mark.parametrize("n,p", [(4, 2), (5, 1)])
+def test_exact_projections_commute_with_haar_nodes(n, p):
+    # the Haar quadrature of SO(n-1) is an independent oracle for the commutant
+    rep = alg.restrict_to_stabilizer(alg.exterior_rep(n, p))
+    mats = rep.apply(np.stack([h for h, _ in alg.haar_sample(n - 1)]))
+    for pr in alg.branching_projections(n, p):
+        q = pr.projector
+        assert np.abs(mats @ q - q @ mats).max() < 1e-12
+
+
+# Lambda^p R^n restricted to SO(n-1) is Lambda^p + Lambda^(p-1) of R^(n-1)
+BRANCHING_RANKS = {(3, 1): [1, 1, 1], (4, 1): [1, 3], (4, 2): [3, 3], (5, 2): [3, 3, 4],
+                   (6, 2): [5, 10], (6, 3): [10, 10]}
+
+
+@pytest.mark.parametrize("n,p", list(BRANCHING_RANKS))
 def test_branching_pascal_split(n, p):
     rep = alg.branching_report(n, p)
     assert rep["pascal_split_ok"], rep["ranks"]
+    assert sorted(rep["ranks"]) == BRANCHING_RANKS[n, p]
     assert rep["identity_residual"] < 1e-10
     assert rep["commutant_residual"] < 1e-10
     from math import comb

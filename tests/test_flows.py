@@ -260,7 +260,7 @@ def test_birkhoff_octagon_short_horizon_sanity():
 
 
 def test_equivariant_observable_passes():
-    rep = alg.restrict_to_stabilizer(alg.exterior_rep(3, 1), so2_nodes=16)
+    rep = alg.restrict_to_stabilizer(alg.exterior_rep(3, 1))
     b = np.diag([1.0, 2.0, -0.5])
     obs = fl.FlowObservable(
         evaluator=lambda fp: fp.frame.T @ b @ fp.frame,
@@ -272,7 +272,7 @@ def test_equivariant_observable_passes():
 
 
 def test_non_equivariant_observable_fails():
-    rep = alg.restrict_to_stabilizer(alg.exterior_rep(3, 1), so2_nodes=16)
+    rep = alg.restrict_to_stabilizer(alg.exterior_rep(3, 1))
     b = np.diag([1.0, 2.0, -0.5])
     obs = fl.FlowObservable(evaluator=lambda fp: b, fiber_dim=3,
                             equivariance_rep=rep)

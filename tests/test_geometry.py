@@ -124,6 +124,25 @@ def test_octagon_stays_in_domain():
         assert geo.octagon_contains(complex(s.point[0], s.point[1]), tol=1e-12)
 
 
+def test_octagon_contains_array_matches_scalar_loop():
+    # reference: the per-point test, on the res-80 clipping grid and on points
+    # within 1e-12 of the side circles
+    rv = geo._OCT_RHO_VERTEX
+    grid = -rv + (2.0 * rv / 80) * (np.arange(80) + 0.5)
+    rng = np.random.default_rng(9)
+    k = rng.integers(0, 8, size=4000)
+    near = (geo._OCT_CENTERS[k] + (geo._OCT_CIRCLE_R + rng.uniform(-1e-12, 1e-12, 4000))
+            * np.exp(1j * rng.uniform(0, 2 * np.pi, 4000)))
+    for z in ((grid[:, None] + 1j * grid[None, :]).ravel(), near):
+        want = [abs(c) < 1.0 and np.min(np.abs(c - geo._OCT_CENTERS))
+                >= geo._OCT_CIRCLE_R - geo._BOUNDARY_TOL for c in z]
+        mask = geo.octagon_contains(z)
+        assert mask.shape == z.shape
+        assert np.array_equal(mask, want)
+        assert [geo.octagon_contains(c) for c in z] == want
+    assert type(geo.octagon_contains(0.1 + 0.2j)) is bool
+
+
 # ---------------------------------------------------------------------------
 # parallel transport
 
