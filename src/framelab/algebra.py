@@ -285,6 +285,9 @@ def exterior_power_matrix(g, p):
     if p == 1:
         return g.copy()
     rows = np.array(list(itertools.combinations(range(n), p)))
+    if p >= 3:
+        # subnormal entries make LAPACK's LU divide by zero inside det
+        g = np.where(np.abs(g) < np.finfo(float).tiny, 0, g)
     minors = g[..., rows[:, None, :, None], rows[None, :, None, :]]
     if p == 2:
         return (minors[..., 0, 0] * minors[..., 1, 1]

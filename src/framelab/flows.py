@@ -7,6 +7,15 @@ flow; on T^3 the transported part of the frame is constant.  Ergodicity is
 always diagnosed, never asserted: Birkhoff estimates carry both the time and
 the space average.
 
+`frame_flow` is array-first: frame points (..., n) / (..., n, n) advance by
+times that broadcast against the batch, and a single frame point is a batch of
+one.  Birkhoff averages and `sample_trajectory` advance all trajectories
+through blocks of sample times k dt with one `frame_flow` call per block,
+each sample taken from the block's anchor by the closed-form flow.  A block
+holds at most `_BLOCK_POINTS` frame points and, on the octagon, spans at most
+one geodesic substep (0.5); the observable is still evaluated once per sample
+and trajectory.
+
 Space averages use the package's one unit-bundle quadrature,
 `geometry.unit_bundle_nodes`, with each direction completed to a frame by
 `geometry.frame_completion` and, on T^3, turned through equispaced angles of
@@ -20,6 +29,7 @@ import numpy as np
 from . import geometry as geo
 
 _ORTHO_FIX = 1e-12
+_BLOCK_POINTS = 4096  # frame points per frame_flow call in _sample_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,22 +83,34 @@ def position_observable(fn):
 
 
 def frame_flow(model, fp, t):
-    """Advance a frame point: e_1 flows along the geodesic, the rest is
-    parallel transported.  Re-orthonormalizes when rounding drift exceeds
-    1e-12."""
-    state = geo.PointState(point=fp.point, velocity=fp.frame[:, 0])
+    """Advance frame point(s): e_1 flows along the geodesic, the rest is
+    parallel transported.
+
+    Array-first like `geometry.geodesic_advance`: `fp.point` has shape
+    (..., n), `fp.frame` (..., n, n), and `t` is a scalar or an array that
+    broadcasts against the batch shape; a single frame point and a scalar t
+    give the shapes (n,) and (n, n).  On two-dimensional models e_2 is the
+    metric normal of e_1 on the side given by the sign of the incoming frame's
+    determinant.  A frame whose orthonormality residual exceeds 1e-12 is
+    re-orthonormalized by Gram-Schmidt.
+    """
+    state = geo.PointState(point=fp.point, velocity=fp.frame[..., 0])
     end = geo.geodesic_advance(model, state, t)
-    if model.kind == geo.TORUS:
-        frame = fp.frame.copy()  # flat: the whole frame is parallel
-    else:  # two-dimensional: e_2 is the normal of e_1 on the frame's side
+    n = model.dim
+    if model.kind == geo.TORUS:  # flat: the whole frame is parallel
+        frame = np.broadcast_to(fp.frame, end.point.shape + (n,)).copy()
+    else:
         frame = geo.frame_completion(model, end.point, end.velocity)
-        if not geo.is_oriented(model, fp):
-            frame[:, 1] = -frame[:, 1]
-    out = geo.FramePoint(point=end.point, frame=frame)
-    if geo.orthonormality_residual(model, out) > _ORTHO_FIX:
-        out = geo.FramePoint(point=end.point,
-                             frame=geo.gram_orthonormalize(model, end.point, frame))
-    return out
+        f = fp.frame
+        negative = f[..., 0, 0] * f[..., 1, 1] - f[..., 0, 1] * f[..., 1, 0] <= 0
+        if negative.any():
+            frame[..., 1] *= np.where(negative, -1.0, 1.0)[..., None]
+    drifted = np.flatnonzero(geo._frame_residuals(model, end.point, frame) > _ORTHO_FIX)
+    if len(drifted):
+        points, frames = end.point.reshape(-1, n), frame.reshape(-1, n, n)
+        for i in drifted:
+            frames[i] = geo.gram_orthonormalize(model, points[i], frames[i])
+    return geo.FramePoint(point=end.point, frame=frame)
 
 
 def _turns(a):
@@ -231,28 +253,61 @@ def liouville_haar_average(model, obs, resolution=12):
 # Birkhoff averages
 
 
+def _sample_blocks(model, fps, steps, dt):
+    """Frame points of the trajectories from `fps` at the sample times k dt,
+    k = 0 .. steps - 1, as FramePoint blocks of shape (samples, len(fps), ...).
+
+    One `frame_flow` call gives a whole block, each sample advanced from the
+    block's anchor, the last sample of the block before (the starting points
+    for the first).  A block holds at most `_BLOCK_POINTS` frame points (at
+    least one sample) and, on the octagon, spans at most one geodesic substep
+    (floor(0.5 / dt) samples), so every sample takes a single substep.
+    """
+    anchor = geo.FramePoint(point=np.stack([fp.point for fp in fps]),
+                            frame=np.stack([fp.frame for fp in fps]))
+    size = max(1, _BLOCK_POINTS // len(fps))
+    if model.kind == geo.OCTAGON:
+        size = min(size, max(1, int(geo._MAX_SUBSTEP / dt)))
+    first = 0
+    while first < steps:
+        count = min(size, steps - first)
+        offsets = np.arange(count) if first == 0 else np.arange(1, count + 1)
+        block = frame_flow(model, anchor, (offsets * dt)[:, None])
+        yield block
+        anchor = geo.FramePoint(point=block.point[-1], frame=block.frame[-1])
+        first += count
+
+
+def _block_values(obs, block):
+    """Observable values (samples, trajectories, m, m) on a block."""
+    n = block.point.shape[-1]
+    values = [_eval(obs, geo.FramePoint(point=p, frame=f))
+              for p, f in zip(block.point.reshape(-1, n), block.frame.reshape(-1, n, n))]
+    return np.array(values).reshape(block.point.shape[:2] + values[0].shape)
+
+
 def birkhoff_average(model, obs, fps, horizon, dt=0.01,
                      space_resolution=12, space_average=None):
     """Trajectory time average versus Liouville-Haar space average.
 
     `fps` is one FramePoint or a list (the time average is then the ensemble
-    mean over trajectories).  The space average can be passed in to avoid
-    recomputation across calls.
+    mean over trajectories).  The observable is sampled at the times k dt,
+    k = 0 .. round(horizon / dt) - 1.  All trajectories advance together, one
+    `frame_flow` call per block of sample times: a block holds at most 4,096
+    frame points (samples x trajectories, at least one sample) and, on the
+    octagon, at most floor(0.5 / dt) samples, so memory stays flat in the
+    horizon.  The space average can be passed in to avoid recomputation
+    across calls.
     """
     if horizon < dt or dt <= 0:
         raise ValueError("need horizon >= dt > 0")
     if isinstance(fps, geo.FramePoint):
         fps = [fps]
     steps = int(round(horizon / dt))
-    acc = np.zeros((obs.fiber_dim, obs.fiber_dim), dtype=complex)
-    for fp in fps:
-        traj = np.zeros_like(acc)
-        cur = fp
-        for _ in range(steps):
-            traj += _eval(obs, cur)
-            cur = frame_flow(model, cur, dt)
-        acc += traj / steps
-    acc /= len(fps)
+    traj = np.zeros((len(fps), obs.fiber_dim, obs.fiber_dim), dtype=complex)
+    for block in _sample_blocks(model, fps, steps, dt):
+        traj += _block_values(obs, block).sum(axis=0)
+    acc = (traj / steps).sum(axis=0) / len(fps)
     if space_average is None:
         space_average = liouville_haar_average(model, obs, space_resolution)
     return BirkhoffEstimate(time_average=acc, space_average=np.asarray(space_average, dtype=complex).reshape(obs.fiber_dim, obs.fiber_dim),
@@ -261,18 +316,19 @@ def birkhoff_average(model, obs, fps, horizon, dt=0.01,
 
 
 def sample_trajectory(model, obs, fp, horizon, dt):
-    """Trajectory samples (times, points, frames, observable values)."""
+    """Trajectory samples at the times k dt, k = 0 .. round(horizon / dt) - 1:
+    arrays (times, points, frames, normalized traces of the observable)."""
     steps = int(round(horizon / dt))
     times = np.arange(steps) * dt
     points = np.empty((steps, model.dim))
     frames = np.empty((steps, model.dim, model.dim))
     values = np.empty(steps, dtype=complex)
-    cur = fp
-    for i in range(steps):
-        points[i] = cur.point
-        frames[i] = cur.frame
-        values[i] = np.trace(_eval(obs, cur)) / obs.fiber_dim
-        cur = frame_flow(model, cur, dt)
+    first = 0
+    for block in _sample_blocks(model, [fp], steps, dt):
+        rows = slice(first, first + len(block.point))
+        points[rows], frames[rows] = block.point[:, 0], block.frame[:, 0]
+        values[rows] = np.trace(_block_values(obs, block)[:, 0], axis1=-2, axis2=-1) / obs.fiber_dim
+        first = rows.stop
     return times, points, frames, values
 
 

@@ -156,12 +156,6 @@ def octagon_contains(z, tol=_BOUNDARY_TOL):
     return out if out.ndim else bool(out)
 
 
-def _oct_violation(z):
-    d = np.abs(z - _OCT_CENTERS)
-    k = int(np.argmin(d))
-    return _OCT_CIRCLE_R - d[k], k
-
-
 def _oct_apply_pairing(k, z, v):
     a = _OCT_PAIR_A
     b = _OCT_PAIR_B[k]
@@ -169,65 +163,88 @@ def _oct_apply_pairing(k, z, v):
     z2 = (a * z + b) / den
     v2 = v / (den * den)
     # renormalize to unit speed; kills accumulated rounding at each crossing
-    v2 *= 0.5 * (1.0 - abs(z2) ** 2) / abs(v2)
+    v2 *= 0.5 * (1.0 - np.abs(z2) ** 2) / np.abs(v2)
     return z2, v2
 
 
 def _oct_normalize(z, v):
+    """Map disk states (1-D arrays, changed in place) back into the octagon.
+
+    Each pass applies the pairing of the most violated side to the rows still
+    outside, and only to those rows.
+    """
+    rows = np.arange(len(z))
     for _ in range(32):
-        depth, k = _oct_violation(z)
-        if depth <= _BOUNDARY_TOL:
+        d = np.abs(z[rows, None] - _OCT_CENTERS)
+        outside = _OCT_CIRCLE_R - d.min(axis=-1) > _BOUNDARY_TOL
+        rows = rows[outside]
+        if not len(rows):
             return z, v
-        z, v = _oct_apply_pairing((k + 4) % 8, z, v)
+        k = (d[outside].argmin(axis=-1) + 4) % 8
+        z[rows], v[rows] = _oct_apply_pairing(k, z[rows], v[rows])
     raise RuntimeError("octagon re-entry did not terminate")
 
 
 def _oct_geodesic_step(z, v, t):
     """Advance (z, v) by time t along the disk geodesic; no domain reduction."""
-    phase = v / abs(v)
+    phase = v / np.abs(v)
     w = np.tanh(0.5 * t) * phase
     den = 1.0 + np.conj(z) * w
     z2 = (w + z) / den
-    dT = (1.0 - abs(z) ** 2) / (den * den)
+    dT = (1.0 - np.abs(z) ** 2) / (den * den)
     v2 = dT * phase
-    v2 *= 0.5 * (1.0 - abs(z2) ** 2) / abs(v2)
+    v2 *= 0.5 * (1.0 - np.abs(z2) ** 2) / np.abs(v2)
     return z2, v2
 
 
+def _oct_advance(z, v, t):
+    """Advance disk states (1-D arrays) by their own times t, in substeps of at
+    most `_MAX_SUBSTEP` with re-entry after each; every row takes at least one
+    (possibly zero-length) substep."""
+    if not np.isfinite(t).all():
+        raise ValueError("octagon flow times must be finite")
+    remaining = t.copy()
+    rows = slice(None)
+    while True:
+        h = np.sign(remaining[rows]) * np.minimum(_MAX_SUBSTEP, np.abs(remaining[rows]))
+        z[rows], v[rows] = _oct_normalize(*_oct_geodesic_step(z[rows], v[rows], h))
+        remaining[rows] -= h
+        rows = np.flatnonzero(remaining)
+        if not len(rows):
+            return z, v
+
+
 # ---------------------------------------------------------------------------
-# Sphere chart <-> ambient helpers
+# Sphere chart <-> ambient conversion (arrays (..., 2) <-> (..., 3))
 
 
-def _sph_point(p):
-    th, ph = float(p[0]), float(p[1])
+def _sph_frame(p):
+    """Ambient position x and the unit directions e_theta, e_phi of the chart's
+    coordinate lines at chart points p."""
+    th, ph = p[..., 0], p[..., 1]
+    st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+    x = np.stack([st * cp, st * sp, ct], axis=-1)
+    e_th = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    e_ph = np.stack([-sp, cp, np.zeros_like(ph)], axis=-1)
+    return x, e_th, e_ph
+
+
+def _sph_to_ambient(p, v):
+    """Ambient position and tangent vector of chart point(s) p, vector(s) v."""
+    x, e_th, e_ph = _sph_frame(p)
+    return x, v[..., :1] * e_th + (v[..., 1] * np.sin(p[..., 0]))[..., None] * e_ph
+
+
+def _sph_to_chart(x, u):
+    """Chart point(s) and vector(s) of ambient position x, tangent vector u."""
+    th = np.arccos(np.clip(x[..., 2], -1.0, 1.0))
+    ph = np.arctan2(x[..., 1], x[..., 0]) % (2.0 * np.pi)
+    p = np.stack([th, ph], axis=-1)
+    _, e_th, e_ph = _sph_frame(p)
     s = np.sin(th)
-    return np.array([s * np.cos(ph), s * np.sin(ph), np.cos(th)])
-
-
-def _sph_chart(x):
-    th = np.arccos(np.clip(x[2], -1.0, 1.0))
-    ph = np.arctan2(x[1], x[0]) % (2.0 * np.pi)
-    return np.array([th, ph])
-
-
-def _sph_basis(p):
-    th, ph = float(p[0]), float(p[1])
-    e_th = np.array([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), -np.sin(th)])
-    e_ph = np.array([-np.sin(ph), np.cos(ph), 0.0])
-    return e_th, e_ph
-
-
-def _sph_vel_ambient(p, v):
-    e_th, e_ph = _sph_basis(p)
-    return v[0] * e_th + v[1] * np.sin(p[0]) * e_ph
-
-
-def _sph_vel_chart(p, u):
-    e_th, e_ph = _sph_basis(p)
-    s = np.sin(p[0])
-    if s < 1e-13:
+    if np.any(s < 1e-13):
         raise ValueError("tangent chart components undefined at the poles")
-    return np.array([u @ e_th, (u @ e_ph) / s])
+    return p, np.stack([(u * e_th).sum(axis=-1), (u * e_ph).sum(axis=-1) / s], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,43 +317,43 @@ def unit_speed(model, point, direction):
 
 
 def geodesic_advance(model, state, t):
-    """Advance a geodesic state by time t (closed form per model).
+    """Advance geodesic state(s) by time(s) t (closed form per model).
+
+    Array-first: `state.point` and `state.velocity` have shape (..., n) and
+    `t` is a scalar or an array that broadcasts against the batch shape `...`;
+    the result has the broadcast batch shape.  A single state and a scalar t
+    are a batch of one and give arrays of shape (n,).
 
     Torus geodesics are straight lines modulo the periods; sphere geodesics
-    are great circles; octagon geodesics are hyperbolic translations with
-    side-pairing re-entry into the fundamental domain.
+    are great circles, exact for any t (a zero-speed state stays where it is;
+    `ValueError` when a result lies within 1e-13 of a pole, where the chart
+    has no velocity components); octagon geodesics are hyperbolic translations
+    in substeps of at most 0.5 with side-pairing re-entry into the fundamental
+    domain after each.
     """
-    t = float(t)
+    t = np.asarray(t, dtype=float)
     p = np.asarray(state.point, dtype=float)
     v = np.asarray(state.velocity, dtype=float)
     if model.kind == TORUS:
-        per = np.asarray(model.periods)
-        return PointState(point=(p + t * v) % per, velocity=v.copy())
+        point = (p + t[..., None] * v) % np.asarray(model.periods)
+        return PointState(point=point, velocity=np.broadcast_to(v, point.shape).copy())
     if model.kind == SPHERE:
-        x = _sph_point(p)
-        u = _sph_vel_ambient(p, v)
-        s = np.linalg.norm(u)
-        if s == 0.0:
-            return PointState(point=p.copy(), velocity=v.copy())
-        uh = u / s
-        ang = s * t
+        x, u = _sph_to_ambient(p, v)
+        s = np.linalg.norm(u, axis=-1, keepdims=True)
+        moving = s > 0.0
+        uh = u / np.where(moving, s, 1.0)
+        ang = s * t[..., None]
         x2 = x * np.cos(ang) + uh * np.sin(ang)
         u2 = s * (-x * np.sin(ang) + uh * np.cos(ang))
-        p2 = _sph_chart(x2)
-        return PointState(point=p2, velocity=_sph_vel_chart(p2, u2))
-    z = complex(p[0], p[1])
-    vz = complex(v[0], v[1])
-    remaining = t
-    sgn = 1.0 if t >= 0 else -1.0
-    while True:
-        h = sgn * min(_MAX_SUBSTEP, abs(remaining))
-        z, vz = _oct_geodesic_step(z, vz, h)
-        z, vz = _oct_normalize(z, vz)
-        remaining -= h
-        if abs(remaining) <= 0.0:
-            break
-    return PointState(point=np.array([z.real, z.imag]),
-                      velocity=np.array([vz.real, vz.imag]))
+        p2, v2 = _sph_to_chart(x2, u2)
+        if not moving.all():
+            p2, v2 = np.where(moving, p2, p), np.where(moving, v2, v)
+        return PointState(point=p2, velocity=v2)
+    z, vz, t = np.broadcast_arrays(p[..., 0] + 1j * p[..., 1], v[..., 0] + 1j * v[..., 1], t)
+    shape = z.shape
+    z, vz = _oct_advance(z.ravel().copy(), vz.ravel().copy(), t.ravel())
+    return PointState(point=np.stack([z.real, z.imag], axis=-1).reshape(shape + (2,)),
+                      velocity=np.stack([vz.real, vz.imag], axis=-1).reshape(shape + (2,)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +373,16 @@ def parallel_transport(model, state, t, w):
         return w.copy()
     if model.kind == SPHERE:
         p = np.asarray(state.point, dtype=float)
-        x = _sph_point(p)
-        u = _sph_vel_ambient(p, state.velocity)
+        x, u = _sph_to_ambient(p, np.asarray(state.velocity, dtype=float))
         s = np.linalg.norm(u)
         uh = u / s
         b = np.cross(x, uh)
-        wa = _sph_vel_ambient(p, w)
+        wa = _sph_to_ambient(p, w)[1]
         cu, cb, cx = wa @ uh, wa @ b, wa @ x
         ang = s * t
         x2 = x * np.cos(ang) + uh * np.sin(ang)
         uh2 = -x * np.sin(ang) + uh * np.cos(ang)
-        wa2 = cu * uh2 + cb * b + cx * x2
-        return _sph_vel_chart(_sph_chart(x2), wa2)
+        return _sph_to_chart(x2, cu * uh2 + cb * b + cx * x2)[1]
     vz = complex(state.velocity[0], state.velocity[1])
     wz = complex(w[0], w[1])
     ratio = wz / vz
@@ -424,8 +439,7 @@ def _sphere_vertex(v):
     v = np.asarray(v, dtype=float)
     if v.shape == (3,):
         return v / np.linalg.norm(v)
-    th, ph = float(v[0]), float(v[1])
-    return np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+    return _sph_frame(v)[0]
 
 
 def _sphere_connect(a, b):
@@ -540,6 +554,22 @@ def orthonormality_residual(model, fp):
     """Max-norm residual of frame^T G frame = I at the frame's base point."""
     g = metric_at(model, fp.point)
     return float(np.abs(fp.frame.T @ g @ fp.frame - np.eye(model.dim)).max())
+
+
+def _frame_residuals(model, points, frames):
+    """Per-frame max-norm residuals of frame^T G frame = I for frames
+    (..., n, n) at points (..., n); every chart metric here is diagonal."""
+    if model.kind == TORUS:
+        gram = np.swapaxes(frames, -1, -2) @ frames
+    else:
+        if model.kind == SPHERE:
+            s = np.sin(points[..., 0])
+            g = np.stack([np.ones_like(s), s * s], axis=-1)
+        else:
+            lam = 2.0 / (1.0 - (points[..., 0] ** 2 + points[..., 1] ** 2))
+            g = np.stack([lam * lam] * 2, axis=-1)
+        gram = np.swapaxes(frames, -1, -2) @ (g[..., :, None] * frames)
+    return np.abs(gram - np.eye(model.dim)).max(axis=(-2, -1))
 
 
 def is_oriented(model, fp):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,18 @@ def test_exterior_power_is_homomorphism():
         lhs = alg.exterior_power_matrix(a @ b, 2)
         rhs = alg.exterior_power_matrix(a, 2) @ alg.exterior_power_matrix(b, 2)
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_exterior_power_of_subnormal_rotation_is_quiet(n):
+    # rotations within a few subnormal ulps of I made det's LU divide by zero
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x = rng.integers(-4, 5, size=(n, n)) * 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = alg.exterior_power_matrix(np.eye(n) + x - x.T, 3)
+        assert np.array_equal(out, np.eye(len(out)))
 
 
 def test_restriction_embeds_stabilizer():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from framelab import algebra as alg
 from framelab import flows as fl
@@ -70,6 +73,52 @@ def test_orthonormality_drift_long_run():
     for _ in range(1000):
         fp = fl.frame_flow(OCT, fp, 1.0)
     assert geo.orthonormality_residual(OCT, fp) < 1e-10
+
+
+def _stacked(fps):
+    return geo.FramePoint(point=np.stack([fp.point for fp in fps]),
+                          frame=np.stack([fp.frame for fp in fps]))
+
+
+def _sphere_z(fp, t):
+    """cos(theta) along the exact unit-speed great circle of a sphere frame point."""
+    th = fp.point[0]
+    return np.cos(th) * np.cos(t) - fp.frame[0, 0] * np.sin(th) * np.sin(t)
+
+
+@pytest.mark.parametrize("model", [TORUS2, TORUS3, SPHERE, OCT],
+                         ids=lambda m: m.kind + str(m.dim))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_batched_frame_flow_matches_scalar_calls(model, seed, data):
+    rng = np.random.default_rng(seed)
+    count = data.draw(st.integers(1, 5))
+    fps = [fl.random_frame_point(model, rng) for _ in range(count)]
+    if model.dim == 2:  # negatively oriented frames keep their side
+        fps = [geo.FramePoint(point=fp.point, frame=fp.frame * [1.0, s])
+               for fp, s in zip(fps, rng.choice([-1.0, 1.0], size=count))]
+    cols = data.draw(st.sampled_from([1, count]))
+    t = data.draw(arrays(float, (data.draw(st.integers(1, 4)), cols),
+                         elements=st.floats(-3.0, 3.0)))
+    out = fl.frame_flow(model, _stacked(fps), t)
+    n = model.dim
+    assert out.point.shape == (len(t), count, n)
+    assert out.frame.shape == (len(t), count, n, n)
+    for k in range(len(t)):
+        for j, fp in enumerate(fps):
+            one = fl.frame_flow(model, fp, t[k, j % cols])
+            assert np.abs(out.point[k, j] - one.point).max() <= 1e-12
+            assert np.abs(out.frame[k, j] - one.frame).max() <= 1e-12
+            assert np.sign(np.linalg.det(one.frame)) == np.sign(np.linalg.det(fp.frame))
+
+
+@pytest.mark.parametrize("model", [TORUS2, TORUS3, SPHERE, OCT],
+                         ids=lambda m: m.kind + str(m.dim))
+def test_scalar_frame_flow_keeps_shapes(model):
+    fp = fl.random_frame_point(model, np.random.default_rng(18))
+    out = fl.frame_flow(model, fp, 0.8)
+    assert out.point.shape == (model.dim,)
+    assert out.frame.shape == (model.dim, model.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +302,44 @@ def test_birkhoff_octagon_short_horizon_sanity():
                               space_average=space)
     assert est.trajectory_count == 4
     assert est.gap < 0.1
+
+
+@pytest.mark.parametrize("model", [TORUS3, SPHERE, OCT], ids=lambda m: m.kind + str(m.dim))
+def test_birkhoff_ensemble_is_mean_of_single_trajectories(model):
+    rng = np.random.default_rng(19)
+    fps = [fl.random_frame_point(model, rng) for _ in range(5)]
+    obs = fl.scalar_observable(lambda p, f: np.cos(p[0]) * f[0, 0] + f[1, 0] ** 2)
+    zero = np.zeros((1, 1))
+    est = fl.birkhoff_average(model, obs, fps, horizon=8.0, dt=0.1, space_average=zero)
+    singles = [fl.birkhoff_average(model, obs, fp, horizon=8.0, dt=0.1,
+                                   space_average=zero).time_average for fp in fps]
+    assert abs(est.time_average[0, 0] - np.mean(singles)) <= 1e-14
+
+
+def test_birkhoff_sphere_over_several_blocks_matches_great_circles():
+    # 40 trajectories x 400 samples is 16,000 frame points: four blocks
+    rng = np.random.default_rng(20)
+    fps = [fl.random_frame_point(SPHERE, rng) for _ in range(40)]
+    obs = fl.position_observable(lambda p: np.cos(p[0]) ** 2)
+    steps, dt = 400, 0.1
+    est = fl.birkhoff_average(SPHERE, obs, fps, horizon=steps * dt, dt=dt,
+                              space_average=np.zeros((1, 1)))
+    assert steps * len(fps) > 3 * fl._BLOCK_POINTS
+    t = np.arange(steps) * dt
+    want = np.mean([np.mean(_sphere_z(fp, t) ** 2) for fp in fps])
+    assert abs(est.time_average[0, 0] - want) < 1e-9
+
+
+def test_sample_trajectory_follows_the_great_circle():
+    fp = fl.random_frame_point(SPHERE, np.random.default_rng(21))
+    obs = fl.position_observable(lambda p: np.cos(p[0]) ** 2)
+    steps, dt = 5000, 0.05
+    times, points, frames, values = fl.sample_trajectory(SPHERE, obs, fp, steps * dt, dt)
+    assert times.shape == values.shape == (steps,)
+    assert points.shape == (steps, 2) and frames.shape == (steps, 2, 2)
+    assert np.array_equal(times, np.arange(steps) * dt)
+    assert np.abs(values - _sphere_z(fp, times) ** 2).max() < 1e-12
+    assert np.abs(np.cos(points[:, 0]) - _sphere_z(fp, times)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from framelab import geometry as geo
 
@@ -141,6 +144,68 @@ def test_octagon_contains_array_matches_scalar_loop():
         assert np.array_equal(mask, want)
         assert [geo.octagon_contains(c) for c in z] == want
     assert type(geo.octagon_contains(0.1 + 0.2j)) is bool
+
+
+def _stacked_states(model, rng, count):
+    states = [random_state(model, rng) for _ in range(count)]
+    return geo.PointState(point=np.stack([s.point for s in states]),
+                          velocity=np.stack([s.velocity for s in states]))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_batched_advance_matches_scalar_calls(model, seed, data):
+    # times of either sign, past the octagon's 0.5 substep, broadcast (m, 1) or (m, N)
+    count = data.draw(st.integers(1, 5))
+    cols = data.draw(st.sampled_from([1, count]))
+    t = data.draw(arrays(float, (data.draw(st.integers(1, 4)), cols),
+                         elements=st.floats(-3.0, 3.0)))
+    states = _stacked_states(model, np.random.default_rng(seed), count)
+    out = geo.geodesic_advance(model, states, t)
+    assert out.point.shape == out.velocity.shape == (len(t), count, model.dim)
+    for k in range(len(t)):
+        for j in range(count):
+            one = geo.geodesic_advance(
+                model, geo.PointState(states.point[j], states.velocity[j]), t[k, j % cols])
+            assert np.abs(out.point[k, j] - one.point).max() <= 1e-12
+            assert np.abs(out.velocity[k, j] - one.velocity).max() <= 1e-12
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
+def test_scalar_advance_keeps_shapes(model):
+    s = random_state(model, np.random.default_rng(12))
+    for t in (0.7, np.float64(-1.3), np.array(2.1)):
+        out = geo.geodesic_advance(model, s, t)
+        assert out.point.shape == out.velocity.shape == (model.dim,)
+    batch = geo.geodesic_advance(model, _stacked_states(model, np.random.default_rng(13), 3), 0.4)
+    assert batch.point.shape == (3, model.dim)
+
+
+def test_octagon_rejects_non_finite_times():
+    s = random_state(OCT, np.random.default_rng(14))
+    for t in (np.nan, np.inf, np.array([0.3, -np.inf])):
+        with pytest.raises(ValueError):
+            geo.geodesic_advance(OCT, s, t)
+
+
+def test_sphere_batch_with_pole_bound_row_raises():
+    # the second row heads north from the equator and reaches the pole at t = pi/2
+    s = geo.PointState(point=np.array([[np.pi / 2, 0.3], [np.pi / 2, 0.3]]),
+                       velocity=np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    geo.geodesic_advance(SPHERE, s, 0.5)
+    with pytest.raises(ValueError):
+        geo.geodesic_advance(SPHERE, s, np.pi / 2)
+
+
+def test_sphere_zero_speed_state_unchanged():
+    s = geo.PointState(point=np.array([[0.8, 1.1], [1.2, 4.0]]),
+                       velocity=np.array([[0.0, 0.0], [0.6, 0.1]]))
+    out = geo.geodesic_advance(SPHERE, s, np.array([[0.0], [1.5], [-7.0]]))
+    assert np.array_equal(out.point[:, 0], np.broadcast_to(s.point[0], (3, 2)))
+    assert np.array_equal(out.velocity[:, 0], np.zeros((3, 2)))
+    alone = geo.geodesic_advance(SPHERE, geo.PointState(s.point[0], s.velocity[0]), 2.0)
+    assert np.array_equal(alone.point, s.point[0])
 
 
 # ---------------------------------------------------------------------------
