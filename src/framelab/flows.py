@@ -101,11 +101,11 @@ def frame_flow(model, fp, t):
         frame = np.broadcast_to(fp.frame, end.point.shape + (n,)).copy()
     else:
         frame = geo.frame_completion(model, end.point, end.velocity)
-        f = fp.frame
-        negative = f[..., 0, 0] * f[..., 1, 1] - f[..., 0, 1] * f[..., 1, 0] <= 0
+        negative = np.logical_not(geo.is_oriented(model, fp))
         if negative.any():
             frame[..., 1] *= np.where(negative, -1.0, 1.0)[..., None]
-    drifted = np.flatnonzero(geo._frame_residuals(model, end.point, frame) > _ORTHO_FIX)
+    residual = geo.orthonormality_residual(model, geo.FramePoint(point=end.point, frame=frame))
+    drifted = np.flatnonzero(residual > _ORTHO_FIX)
     if len(drifted):
         points, frames = end.point.reshape(-1, n), frame.reshape(-1, n, n)
         for i in drifted:
@@ -260,14 +260,16 @@ def _sample_blocks(model, fps, steps, dt):
     One `frame_flow` call gives a whole block, each sample advanced from the
     block's anchor, the last sample of the block before (the starting points
     for the first).  A block holds at most `_BLOCK_POINTS` frame points (at
-    least one sample) and, on the octagon, spans at most one geodesic substep
-    (floor(0.5 / dt) samples), so every sample takes a single substep.
+    least one sample) and spans at most `geometry._advance_span` (on the
+    octagon one geodesic substep, floor(0.5 / dt) samples), so every sample
+    takes a single closed-form advance.
     """
     anchor = geo.FramePoint(point=np.stack([fp.point for fp in fps]),
                             frame=np.stack([fp.frame for fp in fps]))
     size = max(1, _BLOCK_POINTS // len(fps))
-    if model.kind == geo.OCTAGON:
-        size = min(size, max(1, int(geo._MAX_SUBSTEP / dt)))
+    span = geo._advance_span(model)
+    if np.isfinite(span):
+        size = min(size, max(1, int(span / dt)))
     first = 0
     while first < steps:
         count = min(size, steps - first)

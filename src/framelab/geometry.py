@@ -214,6 +214,12 @@ def _oct_advance(z, v, t):
             return z, v
 
 
+def _advance_span(model):
+    """Longest time one closed-form advance covers without substepping:
+    unbounded on tori and the sphere, `_MAX_SUBSTEP` on the octagon."""
+    return _MAX_SUBSTEP if model.kind == OCTAGON else np.inf
+
+
 # ---------------------------------------------------------------------------
 # Sphere chart <-> ambient conversion (arrays (..., 2) <-> (..., 3))
 
@@ -325,11 +331,11 @@ def geodesic_advance(model, state, t):
     are a batch of one and give arrays of shape (n,).
 
     Torus geodesics are straight lines modulo the periods; sphere geodesics
-    are great circles, exact for any t (a zero-speed state stays where it is;
-    `ValueError` when a result lies within 1e-13 of a pole, where the chart
-    has no velocity components); octagon geodesics are hyperbolic translations
-    in substeps of at most 0.5 with side-pairing re-entry into the fundamental
-    domain after each.
+    are great circles, exact for any t (a zero-speed state stays where it is,
+    also on a pole; `ValueError` when a moving state's result lies within
+    1e-13 of a pole, where the chart has no velocity components); octagon
+    geodesics are hyperbolic translations in substeps of at most 0.5 with
+    side-pairing re-entry into the fundamental domain after each.
     """
     t = np.asarray(t, dtype=float)
     p = np.asarray(state.point, dtype=float)
@@ -345,9 +351,13 @@ def geodesic_advance(model, state, t):
         ang = s * t[..., None]
         x2 = x * np.cos(ang) + uh * np.sin(ang)
         u2 = s * (-x * np.sin(ang) + uh * np.cos(ang))
-        p2, v2 = _sph_to_chart(x2, u2)
-        if not moving.all():
-            p2, v2 = np.where(moving, p2, p), np.where(moving, v2, v)
+        if moving.all():
+            return PointState(*_sph_to_chart(x2, u2))
+        # only the moving rows are converted, so a resting state may sit at a pole
+        go = np.broadcast_to(moving[..., 0], x2.shape[:-1])
+        p2 = np.broadcast_to(p, go.shape + (2,)).copy()
+        v2 = np.broadcast_to(v, go.shape + (2,)).copy()
+        p2[go], v2[go] = _sph_to_chart(x2[go], u2[go])
         return PointState(point=p2, velocity=v2)
     z, vz, t = np.broadcast_arrays(p[..., 0] + 1j * p[..., 1], v[..., 0] + 1j * v[..., 1], t)
     shape = z.shape
@@ -550,31 +560,36 @@ def geodesic_polygon_area(model, vertices):
 # Frame utilities
 
 
-def orthonormality_residual(model, fp):
-    """Max-norm residual of frame^T G frame = I at the frame's base point."""
-    g = metric_at(model, fp.point)
-    return float(np.abs(fp.frame.T @ g @ fp.frame - np.eye(model.dim)).max())
-
-
-def _frame_residuals(model, points, frames):
-    """Per-frame max-norm residuals of frame^T G frame = I for frames
-    (..., n, n) at points (..., n); every chart metric here is diagonal."""
+def _metric_diagonal(model, points):
+    """Diagonals (..., n) of the chart metrics at points (..., n), unchecked;
+    every chart metric here is diagonal (`metric_at` is the checked scalar)."""
     if model.kind == TORUS:
-        gram = np.swapaxes(frames, -1, -2) @ frames
-    else:
-        if model.kind == SPHERE:
-            s = np.sin(points[..., 0])
-            g = np.stack([np.ones_like(s), s * s], axis=-1)
-        else:
-            lam = 2.0 / (1.0 - (points[..., 0] ** 2 + points[..., 1] ** 2))
-            g = np.stack([lam * lam] * 2, axis=-1)
-        gram = np.swapaxes(frames, -1, -2) @ (g[..., :, None] * frames)
-    return np.abs(gram - np.eye(model.dim)).max(axis=(-2, -1))
+        return np.ones(points.shape)
+    if model.kind == SPHERE:
+        s = np.sin(points[..., 0])
+        return np.stack([np.ones_like(s), s * s], axis=-1)
+    lam = 2.0 / (1.0 - (points[..., 0] ** 2 + points[..., 1] ** 2))
+    return np.stack([lam * lam] * 2, axis=-1)
+
+
+def orthonormality_residual(model, fp):
+    """Max-norm residual of frame^T G frame = I at the frame's base point.
+
+    Array-first: for frames (..., n, n) at points (..., n) the residuals have
+    the batch shape; a single frame gives a float.
+    """
+    frame = np.asarray(fp.frame, dtype=float)
+    g = _metric_diagonal(model, np.asarray(fp.point, dtype=float))
+    gram = np.swapaxes(frame, -1, -2) @ (g[..., :, None] * frame)
+    out = np.abs(gram - np.eye(model.dim)).max(axis=(-2, -1))
+    return out if out.ndim else float(out)
 
 
 def is_oriented(model, fp):
-    """True if the frame is positively oriented in the orthonormal gauge."""
-    return bool(np.linalg.det(fp.frame) > 0)
+    """True where the frame is positively oriented in the orthonormal gauge;
+    a bool for a single frame, a mask of the batch shape for frames (..., n, n)."""
+    out = np.linalg.det(fp.frame) > 0
+    return out if out.ndim else bool(out)
 
 
 def gram_orthonormalize(model, point, frame):

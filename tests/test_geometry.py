@@ -199,13 +199,19 @@ def test_sphere_batch_with_pole_bound_row_raises():
 
 
 def test_sphere_zero_speed_state_unchanged():
-    s = geo.PointState(point=np.array([[0.8, 1.1], [1.2, 4.0]]),
-                       velocity=np.array([[0.0, 0.0], [0.6, 0.1]]))
+    # the last row rests on the pole, where the chart has no velocity components
+    s = geo.PointState(point=np.array([[0.8, 1.1], [1.2, 4.0], [0.0, 0.0]]),
+                       velocity=np.array([[0.0, 0.0], [0.6, 0.1], [0.0, 0.0]]))
     out = geo.geodesic_advance(SPHERE, s, np.array([[0.0], [1.5], [-7.0]]))
-    assert np.array_equal(out.point[:, 0], np.broadcast_to(s.point[0], (3, 2)))
-    assert np.array_equal(out.velocity[:, 0], np.zeros((3, 2)))
-    alone = geo.geodesic_advance(SPHERE, geo.PointState(s.point[0], s.velocity[0]), 2.0)
-    assert np.array_equal(alone.point, s.point[0])
+    for row in (0, 2):
+        assert np.array_equal(out.point[:, row], np.broadcast_to(s.point[row], (3, 2)))
+        assert np.array_equal(out.velocity[:, row], np.zeros((3, 2)))
+    moved = geo.geodesic_advance(SPHERE, geo.PointState(s.point[1], s.velocity[1]), 1.5)
+    assert np.allclose(out.point[1, 1], moved.point, atol=1e-14)
+    for row in (0, 2):
+        alone = geo.geodesic_advance(SPHERE, geo.PointState(s.point[row], s.velocity[row]), 2.0)
+        assert np.array_equal(alone.point, s.point[row])
+        assert np.array_equal(alone.velocity, s.velocity[row])
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +331,22 @@ def test_gram_orthonormalize():
     f = geo.gram_orthonormalize(OCT, p, rng.normal(size=(2, 2)))
     fp = geo.FramePoint(point=p, frame=f)
     assert geo.orthonormality_residual(OCT, fp) < 1e-12
+
+
+@pytest.mark.parametrize("model", [geo.flat_torus(3, (1.0, 2.0, 1.5)), SPHERE, OCT])
+def test_frame_residual_and_orientation_are_array_first(model):
+    rng = np.random.default_rng(3)
+    n = model.dim
+    points = rng.uniform(0.3, 0.4, size=(4, 3, n))
+    frames = rng.normal(size=(4, 3, n, n))
+    batch = geo.FramePoint(point=points, frame=frames)
+    residual = geo.orthonormality_residual(model, batch)
+    oriented = geo.is_oriented(model, batch)
+    assert residual.shape == oriented.shape == (4, 3)
+    for i in np.ndindex(4, 3):
+        one = geo.FramePoint(point=points[i], frame=frames[i])
+        g = geo.metric_at(model, points[i])
+        expect = np.abs(frames[i].T @ g @ frames[i] - np.eye(n)).max()
+        assert isinstance(geo.orthonormality_residual(model, one), float)
+        assert abs(residual[i] - expect) <= 1e-12 * max(1.0, expect)
+        assert geo.is_oriented(model, one) is bool(oriented[i]) is bool(np.linalg.det(frames[i]) > 0)
