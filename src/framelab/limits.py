@@ -7,6 +7,7 @@ Every state evaluation returns a value together with an error estimate
 (truncation or quadrature), never a bare number.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,11 +60,7 @@ def cesaro_state(sm, n):
     """Average of the first N eigenstates, N rounded up to a degeneracy block."""
     if not 1 <= n <= sm.dim:
         raise ValueError(f"Cesaro length {n} outside the truncated basis")
-    boundary = 0
-    for block in sm.degeneracy_blocks():
-        boundary = block[-1] + 1
-        if boundary >= n:
-            break
+    boundary = next(b for b in sm._block_bounds()[1:] if b >= n)
     return StateFunctional(kind="cesaro", context=sm, n=boundary)
 
 
@@ -348,29 +345,46 @@ class VarianceReport:
 
 def subspace_eigensections(sm, proj_op, tol=1e-10):
     """Orthonormal eigensections of Delta spanning the projector range,
-    ordered by eigenvalue; requires [P, Delta] = 0."""
+    ordered by eigenvalue; requires [P, Delta] = 0.
+
+    A section lies in one degeneracy block of Delta and is returned as
+    (eigenvalue, block indices, coefficients): its entries at the block's
+    indices, zero elsewhere.  The sections of a block share its index array.
+    """
+    return list(_eigensections(sm, proj_op, tol))
+
+
+def _eigensections(sm, proj_op, tol):
+    """The sections of `subspace_eigensections` as a lazy iterator that
+    diagonalizes one degeneracy block at a time; the commutation check runs
+    at once."""
     delta = scipy.sparse.diags(sm.lam)
     comm = proj_op.matrix @ delta - delta @ proj_op.matrix
     if sp.frob(comm) > tol * max(1.0, float(sm.lam.max())):
         raise ValueError("projector does not commute with the Laplacian")
-    sections = []
-    for block in sm.degeneracy_blocks():
-        idx = np.array(block)
-        sub = proj_op.matrix[np.ix_(idx, idx)].toarray()
+    return _block_sections(sm, scipy.sparse.csr_matrix(proj_op.matrix))
+
+
+def _block_sections(sm, proj):
+    bounds = sm._block_bounds()
+    for a, b in zip(bounds, bounds[1:]):
+        sub = proj[a:b, a:b].toarray()
         vals, vecs = np.linalg.eigh(0.5 * (sub + sub.conj().T))
-        for col in range(len(block)):
-            if vals[col] > 0.5:
-                vec = np.zeros(sm.dim, dtype=complex)
-                vec[idx] = vecs[:, col]
-                sections.append((sm.lam[idx[0]], vec))
-    return sections
+        idx = np.arange(a, b)
+        for vec in vecs[:, vals > 0.5].T:
+            yield sm.lam[a], idx, vec
 
 
 def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
                      label="subspace"):
     """Variance of eigenstate values of A against the ergodic-component value
-    within the range of the projector (first n eigensections)."""
-    sections = subspace_eigensections(sm, proj_op)
+    within the range of the projector (first n eigensections).
+
+    Only the degeneracy blocks that hold the first n sections are
+    diagonalized, and each value v^H A v is taken on its block,
+    v^H A[idx, idx] v.
+    """
+    sections = list(itertools.islice(_eigensections(sm, proj_op, 1e-10), n))
     if n > len(sections):
         raise ValueError(f"requested {n} eigensections, subspace holds "
                          f"{len(sections)}")
@@ -383,10 +397,12 @@ def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
                               other=a_op.symbol.evaluator)
         den = _symbol_average(sm.model, proj_op.symbol.evaluator, k, resolution)
         limit_value = num / den
-    devs = []
-    for _, vec in sections[:n]:
-        val = np.vdot(vec, a_op.matrix @ vec)
-        devs.append(val - limit_value)
+    a_mat = scipy.sparse.csr_matrix(a_op.matrix)
+    devs, block, a_block = [], None, None
+    for _, idx, coef in sections:
+        if idx is not block:
+            block, a_block = idx, a_mat[np.ix_(idx, idx)].toarray()
+        devs.append(np.vdot(coef, a_block @ coef) - limit_value)
     variance = float(np.mean([abs(d) ** 2 for d in devs])) if devs else 0.0
     return VarianceReport(label=label, n=len(devs), variance=variance,
                           limit_value=complex(limit_value),

@@ -5,12 +5,19 @@ blocks), so the structural identities d^2 = 0, Delta = d delta + delta d,
 P + Q + H = 1, sign(D)^2 = 1 - ker hold to rounding rather than to a
 discretization error.  Operators are stored as sparse matrices over the
 canonical basis ordering (ascending eigenvalue, then lexicographic label).
+
+Assembly is array-first.  Every basis keeps, next to its labels, the integer
+mode and fiber component of each canonical position and the canonical
+position of each element in enumeration order, so an operator's rows,
+columns and values come from numpy over the whole basis and a small table per
+(fiber component, direction).  Only a user's coefficient function in
+`quantize` is still called once per label.
 """
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 import scipy.sparse
@@ -21,6 +28,9 @@ from . import algebra as alg
 from . import geometry as geo
 
 _KERNEL_RELATIVE = 1e-10
+# Largest smaller side for which `spectral_norm` takes the dense SVD of a
+# sparse matrix (the two methods cost about the same at 100 x 100).
+_DENSE_SIDE = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,6 +40,14 @@ class SpectralModel:
     `lam` holds the geometric Laplacian eigenvalue of each basis element;
     the operator built on top may add a constant potential and mass^2.
     Ordering is canonical: ascending eigenvalue, then lexicographic label.
+
+    Label arrays, in canonical order: `modes` (dim, n) holds the Fourier mode
+    k of each element on a torus and its (l, m) on the sphere; `components`
+    the fiber index, i.e. the form component (position in
+    `itertools.combinations(range(n), p)`), the spinor index, or the sphere
+    family (position in `_SPHERE_FAMILIES`).  `position` maps the enumeration
+    order (modes in `itertools.product` order on a torus, (l, m) ascending on
+    the sphere, then components) to the canonical order.
     """
 
     model: geo.ManifoldModel
@@ -42,6 +60,10 @@ class SpectralModel:
     potential: float = 0.0
     mass: float = 0.0
     index: dict = field(repr=False, default=None)
+    modes: np.ndarray = field(repr=False, default=None)
+    components: np.ndarray = field(repr=False, default=None)
+    position: np.ndarray = field(repr=False, default=None)
+    _bounds: dict = field(init=False, repr=False, default_factory=dict)
 
     @property
     def dim(self):
@@ -52,14 +74,24 @@ class SpectralModel:
         return np.sqrt(self.lam)
 
     def degeneracy_blocks(self, tol=1e-9):
-        """Index ranges of equal-eigenvalue clusters, in canonical order."""
-        blocks = [[0]]
-        for i in range(1, self.dim):
-            if self.lam[i] - self.lam[blocks[-1][0]] <= tol * (1.0 + self.lam[i]):
-                blocks[-1].append(i)
-            else:
-                blocks.append([i])
-        return blocks
+        """Index ranges of equal-eigenvalue clusters, in canonical order: a
+        cluster holds the indices i after its first index f with
+        lam[i] - lam[f] <= tol (1 + lam[i])."""
+        bounds = self._block_bounds(tol)
+        return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+    def _block_bounds(self, tol=1e-9):
+        """First index of each degeneracy block, then dim; computed once per
+        tol.  A block can only start where lam changes, so the greedy scan
+        runs over distinct eigenvalues, not over basis elements."""
+        if tol not in self._bounds:
+            lam = self.lam.tolist()
+            bounds = [0] if lam else []
+            for i in (np.flatnonzero(np.diff(self.lam)) + 1).tolist():
+                if lam[i] - lam[bounds[-1]] > tol * (1.0 + lam[i]):
+                    bounds.append(i)
+            self._bounds[tol] = tuple(bounds) + (self.dim,)
+        return self._bounds[tol]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +135,22 @@ def frob(m):
 
 
 def spectral_norm(m):
-    """Operator 2-norm; dense SVD for small matrices, iterative otherwise."""
+    """Operator 2-norm.
+
+    A sparse matrix whose smaller side exceeds `_DENSE_SIDE` gets its largest
+    singular value from ARPACK (`svds`), which needs only matrix-vector
+    products; anything smaller, and every dense matrix, takes the dense SVD,
+    which is the faster of the two below that size.
+    """
     if scipy.sparse.issparse(m):
         if min(m.shape) == 0 or m.nnz == 0:
             return 0.0
-        if max(m.shape) <= 600:
+        if min(m.shape) <= _DENSE_SIDE:
             return float(np.linalg.norm(m.toarray(), 2))
-        v0 = np.ones(min(m.shape))
+        # a generic start: a structured one such as all-ones can lie in the
+        # kernel (ARPACK then stops on a zero starting vector) or in an
+        # invariant subspace that misses the top singular vector
+        v0 = np.random.default_rng(0).standard_normal(min(m.shape))
         s = scipy.sparse.linalg.svds(m.tocsc().astype(complex), k=1, v0=v0,
                                      return_singular_vectors=False, maxiter=5000)
         return float(s[0])
@@ -136,7 +177,7 @@ def shell_indices(sm, lo, hi):
 def mode_block(op, mode):
     """Dense fiber block of a mode-diagonal operator at the given mode label."""
     sm = op.domain
-    rows = [i for i, lab in enumerate(sm.labels) if lab[1] == mode]
+    rows = np.flatnonzero((sm.modes == np.asarray(mode)).all(axis=1)).tolist()
     return op.matrix[np.ix_(rows, rows)].toarray(), rows
 
 
@@ -150,22 +191,45 @@ def _cache_key(model, bundle, p, K):
     return (model.kind, model.dim, model.periods, bundle, p, K)
 
 
-def _torus_modes(model, K):
-    n = model.dim
-    return [k for k in itertools.product(range(-K, K + 1), repeat=n)]
-
-
 def _dual(model, k):
+    """Dual covector(s) 2 pi k / period of torus mode(s) k, shape (..., n)."""
     return 2.0 * np.pi * np.asarray(k, dtype=float) / np.asarray(model.periods)
 
 
-def _sorted_model(model, bundle, p, K, labels, lam, fiber_dim):
-    order = sorted(range(len(labels)), key=lambda i: (lam[i], labels[i]))
+def _sorted_model(model, bundle, p, K, labels, lam, fiber_dim, modes, components,
+                  keys):
+    """Canonical model from elements in enumeration order.
+
+    `keys` are integer arrays that order the labels lexicographically, most
+    significant first; with `lam` in front they give the canonical order.
+    """
+    order = np.lexsort(keys[::-1] + (lam,))
+    position = np.empty(order.size, dtype=int)
+    position[order] = np.arange(order.size)
     labels = tuple(labels[i] for i in order)
-    lam = np.array([lam[i] for i in order])
     return SpectralModel(model=model, bundle=bundle, form_degree=p, cutoff=K,
-                         labels=labels, lam=lam, fiber_dim=fiber_dim,
-                         index={lab: i for i, lab in enumerate(labels)})
+                         labels=labels, lam=lam[order], fiber_dim=fiber_dim,
+                         index={lab: i for i, lab in enumerate(labels)},
+                         modes=modes[order], components=components[order],
+                         position=position)
+
+
+def _locate(sm, modes, components):
+    """Canonical positions of (mode, component) pairs in `sm`; -1 for a mode
+    outside the truncation."""
+    modes = np.asarray(modes)
+    K = sm.cutoff
+    if sm.model.kind == geo.TORUS:
+        inside = (np.abs(modes) <= K).all(axis=-1)
+        strides = (2 * K + 1) ** np.arange(modes.shape[-1] - 1, -1, -1)
+        mode_id = (modes + K) @ strides
+    else:
+        l, m = modes[..., 0], modes[..., 1]
+        _, l0 = _SPHERE_FAMILIES[sm.form_degree or 0]
+        inside = (l >= l0) & (l <= K) & (np.abs(m) <= l)
+        mode_id = l * l + l + m - l0 * l0
+    enum = np.where(inside, mode_id * sm.fiber_dim + components, 0)
+    return np.where(inside, sm.position[enum], -1)
 
 
 def basis_for(model, bundle, K, p=None):
@@ -186,43 +250,55 @@ def basis_for(model, bundle, K, p=None):
 
 def _torus_basis(model, bundle, p, K):
     n = model.dim
-    modes = _torus_modes(model, K)
-    lam_of = {k: float(_dual(model, k) @ _dual(model, k)) for k in modes}
     if bundle == "functions":
-        labels = [("f", k) for k in modes]
-        lam = [lam_of[k] for k in modes]
-        return _sorted_model(model, bundle, None, K, labels, lam, 1)
-    if bundle == "forms":
-        comps = list(itertools.combinations(range(n), p))
-        labels = [("w", k, c) for k in modes for c in comps]
-        lam = [lam_of[k] for k in modes for _ in comps]
-        return _sorted_model(model, bundle, p, K, labels, lam, comb(n, p))
-    if bundle == "spinors":
-        d = 2 ** (n // 2)
-        labels = [("s", k, a) for k in modes for a in range(d)]
-        lam = [lam_of[k] for k in modes for _ in range(d)]
-        return _sorted_model(model, bundle, None, K, labels, lam, d)
-    raise CapabilityError(f"unknown bundle {bundle!r}")
+        tag, comps = "f", [None]
+    elif bundle == "forms":
+        tag, comps = "w", list(itertools.combinations(range(n), p))
+    elif bundle == "spinors":
+        tag, comps = "s", list(range(2 ** (n // 2)))
+    else:
+        raise CapabilityError(f"unknown bundle {bundle!r}")
+    # modes in itertools.product order, the enumeration order of `position`
+    grid = np.indices((2 * K + 1,) * n).reshape(n, -1).T - K
+    mode_tuples = list(map(tuple, grid.tolist()))
+    if tag == "f":
+        labels = [("f", k) for k in mode_tuples]
+    else:
+        labels = [(tag, k, c) for k in mode_tuples for c in comps]
+    kappa = _dual(model, grid)
+    # the stacked matmul runs the same dot kernel as kappa @ kappa per mode, so
+    # the eigenvalues, and with them the canonical order, are bit-identical
+    lam = (kappa[:, None, :] @ kappa[:, :, None])[:, 0, 0]
+    nc = len(comps)
+    modes = np.repeat(grid, nc, axis=0)
+    components = np.tile(np.arange(nc), len(grid))
+    return _sorted_model(model, bundle, p if tag == "w" else None, K, labels,
+                         np.repeat(lam, nc), nc, modes, components,
+                         tuple(modes.T) + (components,))
+
+
+# Sphere bases by form degree (functions count as degree 0): the families in
+# enumeration order and the lowest l.
+_SPHERE_FAMILIES = {0: (("f",), 0), 1: (("ex", "co"), 1), 2: (("v",), 0)}
 
 
 def _sphere_basis(model, bundle, p, K):
-    if bundle == "functions" or (bundle == "forms" and p == 0):
-        labels = [("f", (l, m)) for l in range(K + 1) for m in range(-l, l + 1)]
-        lam = [float(l * (l + 1)) for l in range(K + 1) for _ in range(-l, l + 1)]
-        return _sorted_model(model, bundle, p, K, labels, lam, 1)
-    if bundle == "forms" and p == 1:
-        labels, lam = [], []
-        for fam in ("ex", "co"):
-            for l in range(1, K + 1):
-                for m in range(-l, l + 1):
-                    labels.append((fam, (l, m)))
-                    lam.append(float(l * (l + 1)))
-        return _sorted_model(model, bundle, p, K, labels, lam, 2)
-    if bundle == "forms" and p == 2:
-        labels = [("v", (l, m)) for l in range(K + 1) for m in range(-l, l + 1)]
-        lam = [float(l * (l + 1)) for l in range(K + 1) for _ in range(-l, l + 1)]
-        return _sorted_model(model, bundle, p, K, labels, lam, 1)
-    raise CapabilityError("sphere bundles: functions, p-forms for p in {0,1,2}")
+    if bundle == "functions":
+        degree = 0
+    elif bundle == "forms" and p in _SPHERE_FAMILIES:
+        degree = p
+    else:
+        raise CapabilityError("sphere bundles: functions, p-forms for p in {0,1,2}")
+    fams, l0 = _SPHERE_FAMILIES[degree]
+    lms = [(l, m) for l in range(l0, K + 1) for m in range(-l, l + 1)]
+    labels = [(fam, lm) for lm in lms for fam in fams]
+    nf = len(fams)
+    modes = np.repeat(np.array(lms, dtype=int).reshape(-1, 2), nf, axis=0)
+    components = np.tile(np.arange(nf), len(lms))
+    l = modes[:, 0]
+    fam_rank = np.argsort(np.argsort(fams))[components]
+    return _sorted_model(model, bundle, p, K, labels, (l * (l + 1)).astype(float), nf,
+                         modes, components, (fam_rank, l, modes[:, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +313,8 @@ def build_laplacian(model, bundle, K, potential=0.0, mass=0.0, p=None):
     """
     if potential + mass * mass < 0:
         raise ValueError("need mass^2 + potential >= 0 for square roots")
-    sm = basis_for(model, bundle, K, p)
-    sm = SpectralModel(model=sm.model, bundle=sm.bundle, form_degree=sm.form_degree,
-                       cutoff=sm.cutoff, labels=sm.labels, lam=sm.lam,
-                       fiber_dim=sm.fiber_dim, potential=float(potential),
-                       mass=float(mass), index=sm.index)
+    sm = dataclasses.replace(basis_for(model, bundle, K, p), potential=float(potential),
+                             mass=float(mass))
     shift = potential + mass * mass
     mat = scipy.sparse.diags(sm.lam + shift).tocsr().astype(complex)
     m = sm.fiber_dim
@@ -273,6 +346,32 @@ def _perm_sign(seq):
     return s
 
 
+def _sparse(rows, cols, vals, shape):
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape, dtype=complex)
+
+
+def _frozen(a):
+    """Read-only array: the cached tables are shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(n, p):
+    """dx_j ^ dx_I for each p-form component I and direction j: the index of
+    the (p+1)-form component and the sign, or -1 and 0 where j is in I."""
+    comps = list(itertools.combinations(range(n), p))
+    targets = {c: i for i, c in enumerate(itertools.combinations(range(n), p + 1))}
+    target = np.full((len(comps), n), -1)
+    sign = np.zeros((len(comps), n))
+    for a, comp in enumerate(comps):
+        for j in range(n):
+            if j not in comp:
+                target[a, j] = targets[tuple(sorted(comp + (j,)))]
+                sign[a, j] = _perm_sign((j,) + comp)
+    return _frozen(target), _frozen(sign)
+
+
 def exterior_d(model, p, K):
     """Exterior derivative from p-forms to (p+1)-forms on the truncated basis."""
     dom = basis_for(model, "forms", K, p)
@@ -282,38 +381,32 @@ def exterior_d(model, p, K):
         mat = scipy.sparse.csr_matrix((0, dom.dim), dtype=complex)
         return OperatorMatrix(matrix=mat, order=1, domain=dom, codomain=cod)
     cod = basis_for(model, "forms", K, p + 1)
-    rows, cols, vals = [], [], []
     if model.kind == geo.TORUS:
-        for j0, lab in enumerate(dom.labels):
-            _, k, comp = lab
-            kappa = _dual(model, k)
-            for j in range(n):
-                if j in comp:
-                    continue
-                target = tuple(sorted(comp + (j,)))
-                sign = _perm_sign((j,) + comp)
-                rows.append(cod.index[("w", k, target)])
-                cols.append(j0)
-                vals.append(1j * kappa[j] * sign)
+        # d(e^{ik.x} dx_I) = sum_{j not in I} i kappa_j dx_j ^ dx_I
+        target, sign = _wedge_table(n, p)
+        comp = dom.components
+        cols, j = np.nonzero(target[comp] >= 0)
+        rows = _locate(cod, dom.modes[cols], target[comp[cols], j])
+        vals = 1j * _dual(model, dom.modes)[cols, j] * sign[comp[cols], j]
     else:
-        for j0, lab in enumerate(dom.labels):
-            fam, (l, m) = lab
-            if p == 0 and l >= 1:
-                rows.append(cod.index[("ex", (l, m))])
-                cols.append(j0)
-                vals.append(np.sqrt(l * (l + 1.0)))
-            elif p == 1 and fam == "co":
-                rows.append(cod.index[("v", (l, m))])
-                cols.append(j0)
-                vals.append(-np.sqrt(l * (l + 1.0)))
-    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(cod.dim, dom.dim),
-                                  dtype=complex)
-    return OperatorMatrix(matrix=mat, order=1, domain=dom, codomain=cod)
+        l = dom.modes[:, 0]
+        if p == 0:      # d Y_lm = sqrt(l (l + 1)) ex_lm for l >= 1
+            cols, fam, sign = np.flatnonzero(l >= 1), "ex", 1.0
+        else:           # d co_lm = -sqrt(l (l + 1)) v_lm; d ex_lm = 0
+            co = _SPHERE_FAMILIES[1][0].index("co")
+            cols, fam, sign = np.flatnonzero(dom.components == co), "v", -1.0
+        rows = _locate(cod, dom.modes[cols], _SPHERE_FAMILIES[p + 1][0].index(fam))
+        vals = sign * np.sqrt(l[cols] * (l[cols] + 1.0))
+    return OperatorMatrix(matrix=_sparse(rows, cols, vals, (cod.dim, dom.dim)), order=1,
+                          domain=dom, codomain=cod)
 
 
 def _empty_model(model, p, K):
     return SpectralModel(model=model, bundle="forms", form_degree=p, cutoff=K,
-                         labels=(), lam=np.zeros(0), fiber_dim=0, index={})
+                         labels=(), lam=np.zeros(0), fiber_dim=0, index={},
+                         modes=np.zeros((0, model.dim), dtype=int),
+                         components=np.zeros(0, dtype=int),
+                         position=np.zeros(0, dtype=int))
 
 
 def codifferential(model, p, K):
@@ -328,29 +421,36 @@ def codifferential(model, p, K):
                           domain=d.codomain, codomain=d.domain)
 
 
+_SPHERE_STAR = {"f": ("v", 1.0), "v": ("f", 1.0), "ex": ("co", 1.0), "co": ("ex", -1.0)}
+
+
+@lru_cache(maxsize=None)
+def _star_table(kind, n, p):
+    """Hodge star of each p-form fiber component: the index of its image
+    component among the (n-p)-forms and the sign."""
+    if kind == geo.TORUS:
+        comps = list(itertools.combinations(range(n), p))
+        images = {c: i for i, c in enumerate(itertools.combinations(range(n), n - p))}
+        pairs = []
+        for comp in comps:
+            comp_c = tuple(i for i in range(n) if i not in comp)
+            pairs.append((images[comp_c], float(_perm_sign(comp + comp_c))))
+    else:
+        images = _SPHERE_FAMILIES[n - p][0]
+        pairs = [(images.index(_SPHERE_STAR[fam][0]), _SPHERE_STAR[fam][1])
+                 for fam in _SPHERE_FAMILIES[p][0]]
+    target, sign = zip(*pairs)
+    return _frozen(np.array(target)), _frozen(np.array(sign))
+
+
 def hodge_star(model, p, K):
     """Hodge star from p-forms to (n-p)-forms on the truncated basis."""
     dom = basis_for(model, "forms", K, p)
     n = model.dim
     cod = basis_for(model, "forms", K, n - p)
-    rows, cols, vals = [], [], []
-    if model.kind == geo.TORUS:
-        for j0, lab in enumerate(dom.labels):
-            _, k, comp = lab
-            comp_c = tuple(i for i in range(n) if i not in comp)
-            rows.append(cod.index[("w", k, comp_c)])
-            cols.append(j0)
-            vals.append(float(_perm_sign(comp + comp_c)))
-    else:
-        star_map = {"f": ("v", 1.0), "v": ("f", 1.0), "ex": ("co", 1.0),
-                    "co": ("ex", -1.0)}
-        for j0, (fam, lm) in enumerate(dom.labels):
-            fam2, sign = star_map[fam]
-            rows.append(cod.index[(fam2, lm)])
-            cols.append(j0)
-            vals.append(sign)
-    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(cod.dim, dom.dim),
-                                  dtype=complex)
+    target, sign = _star_table(model.kind, n, p)
+    rows = _locate(cod, dom.modes, target[dom.components])
+    mat = _sparse(rows, np.arange(dom.dim), sign[dom.components], (cod.dim, dom.dim))
     return OperatorMatrix(matrix=mat, order=0, domain=dom, codomain=cod)
 
 
@@ -466,23 +566,12 @@ def build_dirac(model, K):
     sm = basis_for(model, "spinors", K)
     cl = alg.build_clifford(model.dim)
     d = sm.fiber_dim
-    rows, cols, vals = [], [], []
-    seen = set()
-    for i, lab in enumerate(sm.labels):
-        _, k, a = lab
-        if k in seen:
-            continue
-        seen.add(k)
-        block = alg.clifford_mult(cl, _dual(model, k))
-        idx = [sm.index[("s", k, b)] for b in range(d)]
-        for r in range(d):
-            for c in range(d):
-                if block[r, c] != 0:
-                    rows.append(idx[r])
-                    cols.append(idx[c])
-                    vals.append(block[r, c])
-    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(sm.dim, sm.dim),
-                                  dtype=complex)
+    # row a of the block gamma . kappa of each element's mode, a its spinor index
+    block_rows = np.einsum("ij,jib->ib", _dual(model, sm.modes),
+                           np.asarray(cl.gammas)[:, sm.components, :])
+    rows, b = np.nonzero(block_rows)
+    cols = _locate(sm, sm.modes[rows], b)
+    mat = _sparse(rows, cols, block_rows[rows, b], (sm.dim, sm.dim))
     sym = SymbolField(evaluator=lambda x, xi: alg.clifford_mult(cl, xi), fiber_dim=d)
     return sm, OperatorMatrix(matrix=mat, order=1, domain=sm, symbol=sym)
 
@@ -538,12 +627,29 @@ class TrigSymbol:
 
     def pushed(self, t):
         """Composition with the reversed geodesic flow: x -> x - t xi."""
-        def shift(nu, c):
-            nu_arr = np.array(nu, dtype=float)
-            return lambda xi: c(xi) * np.exp(-1j * t * (nu_arr @ np.asarray(xi)))
+        return TrigSymbol(terms={nu: _Shifted(c, np.array(nu, dtype=float), t)
+                                 for nu, c in self.terms.items()}, dim=self.dim)
 
-        return TrigSymbol(terms={nu: shift(nu, c) for nu, c in self.terms.items()},
-                          dim=self.dim)
+
+@dataclass(frozen=True, eq=False)
+class _Shifted:
+    """Coefficient c(xi) exp(-i t nu . xi) of a pushed symbol.
+
+    It takes one covector like any coefficient; `quantize` calls only `base`
+    per label and takes the phases of all covectors in one array operation.
+    """
+
+    base: callable
+    nu: np.ndarray
+    t: float
+
+    def __call__(self, xi):
+        return self.base(xi) * np.exp(-1j * self.t * (self.nu @ np.asarray(xi)))
+
+    def phase(self, xis):
+        """exp(-i t nu . xi) for covectors xis (N, n); the stacked matmul runs
+        the dot kernel of a single call, so the phases agree bit for bit."""
+        return np.exp(-1j * self.t * (xis[:, None, :] @ self.nu[:, None])[:, 0, 0])
 
 
 def cosine_symbol(axis=0, dim=2):
@@ -572,25 +678,26 @@ def quantize(model, symbol, K):
     if symbol.dim != model.dim:
         raise ValueError("symbol dimension does not match the model")
     sm = basis_for(model, "functions", K)
-    rows, cols, vals = [], [], []
-    zero = (0,) * model.dim
+    # unit covector of each mode: kappa / |kappa| with |kappa|^2 = lam, as
+    # np.linalg.norm computes it; the zero mode has none and is skipped
+    live = sm.modes.any(axis=1)
+    xi = _dual(model, sm.modes)
+    xi[live] /= np.sqrt(sm.lam[live])[:, None]
+    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
     for nu, coeff in symbol.terms.items():
-        for lab in sm.labels:
-            _, k = lab
-            if k == zero:
-                continue
-            k2 = tuple(a + b for a, b in zip(k, nu))
-            if k2 == zero or ("f", k2) not in sm.index:
-                continue
-            kappa = _dual(model, k)
-            xi = kappa / np.linalg.norm(kappa)
-            c = coeff(xi)
-            if c != 0:
-                rows.append(sm.index[("f", k2)])
-                cols.append(sm.index[("f", k)])
-                vals.append(complex(c))
-    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(sm.dim, sm.dim),
-                                  dtype=complex)
+        k2 = sm.modes + np.asarray(nu, dtype=int)
+        target = _locate(sm, k2, 0)
+        col = np.flatnonzero(live & (target >= 0) & k2.any(axis=1))
+        base = coeff.base if isinstance(coeff, _Shifted) else coeff
+        val = np.fromiter(map(base, xi[col]), dtype=complex, count=col.size)
+        if base is not coeff:
+            val *= coeff.phase(xi[col])
+        keep = val != 0
+        rows.append(target[col[keep]])
+        cols.append(col[keep])
+        vals.append(val[keep])
+    mat = _sparse(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                  (sm.dim, sm.dim))
     return OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=symbol.field())
 
 

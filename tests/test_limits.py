@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from framelab import algebra as alg
 from framelab import flows as fl
@@ -116,3 +117,72 @@ def test_liouville_frames_orthonormal_and_oriented(model):
         g = geo.metric_at(model, point)
         assert np.abs(frame.T @ g @ frame - np.eye(model.dim)).max() < 1e-14
         assert np.linalg.det(frame) > 0
+
+
+# ---------------------------------------------------------------------------
+# eigensections and quantum variance
+
+
+def _coexact_sections(K):
+    P, _, _ = sp.hodge_projections(T3, 1, K)
+    return P, lm.subspace_eigensections(P.domain, P)
+
+
+def _dense(sm, section):
+    _, idx, coef = section
+    vec = np.zeros(sm.dim, dtype=complex)
+    vec[idx] = coef
+    return vec
+
+
+def test_coexact_eigensections_t3():
+    P, sections = _coexact_sections(3)
+    sm = P.domain
+    vecs = np.array([_dense(sm, s) for s in sections]).T
+    assert len(sections) == round(np.real(P.matrix.diagonal().sum()))
+    assert np.abs(vecs.conj().T @ vecs - np.eye(len(sections))).max() <= 1e-12
+    assert np.abs(P.matrix @ vecs - vecs).max() <= 1e-12
+    lams = [lam for lam, _, _ in sections]
+    assert np.all(np.diff(lams) >= 0)
+    for lam, idx, _ in sections:
+        assert np.all(sm.lam[idx] == lam)
+
+
+def test_quantum_variance_deviations_match_dense_expectations():
+    P, sections = _coexact_sections(3)
+    sm = P.domain
+    R = sp.helicity_R(T3, 3)
+    mix = scipy.sparse.random(sm.dim, sm.dim, density=0.01, random_state=7, format="csr")
+    a_op = sp.OperatorMatrix(matrix=(R.matrix + mix + mix.T).tocsr(), order=0, domain=sm)
+    n = len(sections) - 5
+    report = lm.quantum_variance(sm, a_op, P, n, limit_value=0.25)
+    dense = a_op.matrix.toarray()
+    want = [np.vdot(v, dense @ v) - 0.25 for v in (_dense(sm, s) for s in sections[:n])]
+    assert report.n == n
+    assert np.abs(np.array(report.deviations) - want).max() <= 1e-13
+    assert abs(report.variance - np.mean(np.abs(want) ** 2)) <= 1e-13
+    with pytest.raises(ValueError):
+        lm.quantum_variance(sm, a_op, P, len(sections) + 1, limit_value=0.25)
+
+
+# ---------------------------------------------------------------------------
+# Egorov residual
+
+
+def test_egorov_residual_decay_pinned():
+    # cos x at t = 1, K = 12: roughly 1/shell
+    sym = sp.cosine_symbol()
+    assert abs(lm.egorov_residual(T2, sym, 1.0, 2, 12) - 0.17651518163812) <= 1e-12
+    assert abs(lm.egorov_residual(T2, sym, 1.0, 4, 12) - 0.10224863168056) <= 1e-12
+
+
+def test_egorov_shell_norm_matches_dense_svd():
+    # the K = 20 shell [8, 16) is 600 x 600: large enough for the sparse SVD
+    sym, t, K = sp.cosine_symbol(), 1.0, 20
+    a_op = sp.quantize(T2, sym, K)
+    idx = sp.shell_indices(a_op.domain, 8, 16)
+    assert idx.size > sp._DENSE_SIDE
+    diff = lm.evolve_observable(a_op, t).matrix - sp.quantize(T2, sym.pushed(t), K).matrix
+    want = np.linalg.norm(diff.toarray()[np.ix_(idx, idx)], 2)
+    got = lm.egorov_residual(T2, sym, t, 8, K)
+    assert abs(got - want) <= 1e-12 * want

@@ -423,3 +423,190 @@ def test_compose_cutoff_mismatch():
         sp.compose(d5, d4)
     ok = sp.compose(sp.exterior_d(T2, 1, 4), d4)
     assert sp.frob(ok.matrix) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# array-first assembly against per-label reference loops
+
+
+def _perm_sign(seq):
+    return (-1) ** sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+
+
+def _kappa(model, k):
+    return 2.0 * np.pi * np.asarray(k, dtype=float) / np.asarray(model.periods)
+
+
+def _ref_exterior_d(model, p, K):
+    dom = sp.basis_for(model, "forms", K, p)
+    cod = sp.basis_for(model, "forms", K, p + 1)
+    out = {}
+    for col, lab in enumerate(dom.labels):
+        if model.kind == geo.TORUS:
+            _, k, comp = lab
+            for j in range(model.dim):
+                if j not in comp:
+                    row = cod.index[("w", k, tuple(sorted(comp + (j,))))]
+                    out[row, col] = 1j * _kappa(model, k)[j] * _perm_sign((j,) + comp)
+        else:
+            fam, (l, m) = lab
+            if p == 0 and l >= 1:
+                out[cod.index[("ex", (l, m))], col] = np.sqrt(l * (l + 1.0))
+            elif p == 1 and fam == "co":
+                out[cod.index[("v", (l, m))], col] = -np.sqrt(l * (l + 1.0))
+    return out
+
+
+def _ref_hodge_star(model, p, K):
+    n = model.dim
+    dom = sp.basis_for(model, "forms", K, p)
+    cod = sp.basis_for(model, "forms", K, n - p)
+    star = {"f": ("v", 1.0), "v": ("f", 1.0), "ex": ("co", 1.0), "co": ("ex", -1.0)}
+    out = {}
+    for col, lab in enumerate(dom.labels):
+        if model.kind == geo.TORUS:
+            _, k, comp = lab
+            comp_c = tuple(i for i in range(n) if i not in comp)
+            out[cod.index[("w", k, comp_c)], col] = float(_perm_sign(comp + comp_c))
+        else:
+            fam, lm = lab
+            out[cod.index[(star[fam][0], lm)], col] = star[fam][1]
+    return out
+
+
+def _ref_dirac(model, K):
+    sm = sp.basis_for(model, "spinors", K)
+    cl = alg.build_clifford(model.dim)
+    out = {}
+    for row, (_, k, a) in enumerate(sm.labels):
+        block = alg.clifford_mult(cl, _kappa(model, k))
+        for b in range(sm.fiber_dim):
+            if block[a, b] != 0:
+                out[row, sm.index[("s", k, b)]] = block[a, b]
+    return out
+
+
+def _ref_quantize(model, symbol, K):
+    sm = sp.basis_for(model, "functions", K)
+    out = {}
+    for nu, coeff in symbol.terms.items():
+        for col, (_, k) in enumerate(sm.labels):
+            k2 = tuple(a + b for a, b in zip(k, nu))
+            if any(k) and any(k2) and ("f", k2) in sm.index:
+                kappa = _kappa(model, k)
+                c = coeff(kappa / np.linalg.norm(kappa))
+                if c != 0:
+                    out[sm.index[("f", k2)], col] = complex(c)
+    return out
+
+
+def _assert_same_entries(mat, ref):
+    coo = mat.tocoo()
+    got = {(r, c): v for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data)}
+    assert mat.nnz == len(ref)
+    assert got.keys() == ref.keys()
+    assert max((abs(got[key] - val) for key, val in ref.items()), default=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("model,K", [(T2, 3), (T3, 2), (S2, 4),
+                                     (geo.flat_torus(3, periods=(1.0, 2.5, 7.0)), 2)])
+def test_exterior_calculus_matches_per_label_reference(model, K):
+    for p in range(model.dim):
+        _assert_same_entries(sp.exterior_d(model, p, K).matrix,
+                             _ref_exterior_d(model, p, K))
+    for p in range(model.dim + 1):
+        _assert_same_entries(sp.hodge_star(model, p, K).matrix,
+                             _ref_hodge_star(model, p, K))
+
+
+@pytest.mark.parametrize("model,K", [(T2, 3), (T3, 2)])
+def test_dirac_matches_per_label_reference(model, K):
+    _, D = sp.build_dirac(model, K)
+    _assert_same_entries(D.matrix, _ref_dirac(model, K))
+
+
+@pytest.mark.parametrize("symbol", [
+    sp.cosine_symbol(axis=0, dim=2), sp.cosine_symbol(axis=1, dim=2),
+    sp.direction_symbol(lambda xi: xi[0] ** 2 + 0.5j * xi[1], dim=2),
+    sp.TrigSymbol(terms={(2, 1): lambda xi: xi[1] - 0.5, (0, 0): lambda xi: 0.0,
+                         (-1, 0): lambda xi: 0.3 * xi[0]}, dim=2),
+], ids=["cos0", "cos1", "direction", "mixed"])
+def test_quantize_matches_per_label_reference(symbol):
+    for K in (2, 5):
+        _assert_same_entries(sp.quantize(T2, symbol, K).matrix,
+                             _ref_quantize(T2, symbol, K))
+        pushed = symbol.pushed(0.7)
+        _assert_same_entries(sp.quantize(T2, pushed, K).matrix,
+                             _ref_quantize(T2, pushed, K))
+
+
+@pytest.mark.parametrize("model,bundle,p", [(T3, "forms", 1), (T2, "spinors", None),
+                                            (T2, "functions", None), (S2, "forms", 1)])
+def test_label_arrays_match_labels(model, bundle, p):
+    sm = sp.basis_for(model, bundle, 2, p)
+    assert [tuple(k) for k in sm.modes.tolist()] == [lab[1] for lab in sm.labels]
+    assert sorted(sm.position.tolist()) == list(range(sm.dim))
+    if bundle == "spinors":
+        assert sm.components.tolist() == [lab[2] for lab in sm.labels]
+    # every (mode, component) pair finds its own canonical position
+    assert (sp._locate(sm, sm.modes, sm.components) == np.arange(sm.dim)).all()
+
+
+def test_mode_block_rows_are_the_mode():
+    _, D = sp.build_dirac(T3, 2)
+    block, rows = sp.mode_block(D, (1, -2, 0))
+    assert [D.domain.labels[i][1] for i in rows] == [(1, -2, 0)] * 2
+    assert block.shape == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# degeneracy blocks and the spectral norm
+
+
+def _ref_blocks(lam, tol):
+    blocks = [[0]]
+    for i in range(1, len(lam)):
+        if lam[i] - lam[blocks[-1][0]] <= tol * (1.0 + lam[i]):
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    return blocks
+
+
+def test_degeneracy_blocks_anchor_at_first_element():
+    # 1, 1 + 1.5e-9, 1 + 3e-9: each step is within tol (1 + lam) of the one
+    # before, but the third is not within it of the block's first element
+    base = sp.basis_for(T2, "functions", 1)
+    lam = np.array([0.0, 1.0, 1.0, 1.0 + 1.5e-9, 1.0 + 3e-9, 2.0, 2.0, 2.0, 2.0 + 1e-12])
+    sm = sp.SpectralModel(model=T2, bundle="functions", form_degree=None, cutoff=1,
+                          labels=base.labels, lam=lam, fiber_dim=1, index=base.index)
+    assert sm.degeneracy_blocks() == _ref_blocks(lam, 1e-9)
+    assert sm.degeneracy_blocks() == [[0], [1, 2, 3], [4], [5, 6, 7, 8]]
+    assert sm.degeneracy_blocks(0.5) == _ref_blocks(lam, 0.5)
+    for model, K, p in ((T3, 3, 1), (S2, 5, 1), (geo.flat_torus(2, periods=(3.0, 1.3)), 4, 0)):
+        real = sp.basis_for(model, "forms", K, p)
+        assert real.degeneracy_blocks() == _ref_blocks(real.lam, 1e-9)
+
+
+def test_degeneracy_blocks_of_empty_basis():
+    empty = sp.exterior_d(T3, 3, 2).codomain
+    assert empty.dim == 0
+    assert empty.degeneracy_blocks() == []
+
+
+@pytest.mark.parametrize("shape", [(1, 700), (700, 1), (2, 700), (150, 120), (40, 40)])
+def test_spectral_norm_matches_dense_svd(shape):
+    m = scipy.sparse.random(*shape, density=0.5, random_state=3, format="csr")
+    m = m + 1j * scipy.sparse.random(*shape, density=0.5, random_state=4, format="csr")
+    want = np.linalg.norm(m.toarray(), 2)
+    assert abs(sp.spectral_norm(m) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("n", [150, 700])
+def test_spectral_norm_when_ones_is_in_the_kernel(n):
+    # cycle-graph Laplacian: the all-ones vector spans its kernel, and the top
+    # singular value is 4 (n even); an all-ones ARPACK start stops at once
+    shift = scipy.sparse.csr_matrix((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)),
+                                    shape=(n, n))
+    lap = 2 * scipy.sparse.identity(n, format="csr") - shift - shift.T
+    assert abs(sp.spectral_norm(lap) - 4.0) <= 1e-13 * 4.0
