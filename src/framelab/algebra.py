@@ -1,4 +1,9 @@
-"""Clifford algebras, SO(n)/SO(n-1) representation tables, invariant projections.
+"""Clifford and exterior algebras, SO(n)/SO(n-1) representation tables,
+invariant projections.
+
+Clifford and exterior multiplication by a covector contract it with a stacked
+table: the gamma matrices, or `wedge_table`, the one place that works out an
+exterior-multiplication sign (`spectral`'s torus symbols read it too).
 
 A representation table is a group map, its Lie-algebra map and a seeded
 spot-check sample of generic rotations.  Invariant projections are exact: the
@@ -34,10 +39,10 @@ _NULL_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class CliffordModel:
-    """Hermitian gamma matrices generating Cl(R^n) on C^(2^floor(n/2))."""
+    """Hermitian gammas (n, dim, dim) generating Cl(R^n) on C^dim, dim = 2^floor(n/2)."""
 
     n: int
-    gammas: tuple
+    gammas: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +94,7 @@ def build_clifford(n):
             gammas.append(_kron_chain(pre + [_PAULI2] + post))
     if n % 2 == 1:
         gammas.append(_kron_chain([_PAULI3] * (n // 2)))
-    return CliffordModel(n=n, gammas=tuple(gammas))
+    return CliffordModel(n=n, gammas=np.array(gammas))
 
 
 def _kron_chain(mats):
@@ -104,11 +109,41 @@ def clifford_mult(cl, xi):
     xi = np.asarray(xi)
     if xi.shape != (cl.n,):
         raise ValueError(f"expected a vector of length {cl.n}")
-    dim = cl.gammas[0].shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    for c, g in zip(xi, cl.gammas):
-        out = out + c * g
-    return out
+    dim = cl.gammas.shape[1]
+    return (xi @ cl.gammas.reshape(cl.n, -1)).reshape(dim, dim)
+
+
+# ---------------------------------------------------------------------------
+# Exterior algebra
+
+
+def permutation_sign(seq):
+    """Sign of the permutation that sorts the distinct integers in `seq`."""
+    return (-1) ** sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+
+
+@lru_cache(maxsize=None)
+def wedge_table(n, p):
+    """eps_j = e_j ^ . : Lambda^p R^n -> Lambda^(p+1) R^n on the lexicographic
+    wedge bases, stacked over j as a read-only 0/+-1 array (n, C(n, p+1),
+    C(n, p)); the transposes are the interior multiplications.  p = -1 gives
+    a table without columns, so Lambda^0 needs no special case."""
+    cols = list(itertools.combinations(range(n), p)) if p >= 0 else []
+    rows = {c: i for i, c in enumerate(itertools.combinations(range(n), p + 1))}
+    eps = np.zeros((n, len(rows), len(cols)))
+    for col, comp in enumerate(cols):
+        for j in range(n):
+            if j not in comp:
+                eps[j, rows[tuple(sorted(comp + (j,)))], col] = permutation_sign((j,) + comp)
+    eps.flags.writeable = False
+    return eps
+
+
+def exterior_mult(xi, p):
+    """The matrix of xi ^ . = sum_j xi_j eps_j from p-forms to (p+1)-forms."""
+    xi = np.asarray(xi)
+    eps = wedge_table(len(xi), p)
+    return (xi @ eps.reshape(len(xi), -1)).reshape(eps.shape[1:])
 
 
 def so_log(r):
@@ -298,26 +333,25 @@ def exterior_power_matrix(g, p):
 def exterior_rep(n, p):
     """SO(n) acting on the p-th exterior power of C^n.
 
-    The Lie map is the derivation action: d rho(A) e_J sums A[r, j] e_J' over
-    j in J and r not in J, where J' is J with j replaced by r, re-sorted with
-    the sign of that permutation (A has zero diagonal).
+    The Lie map is the derivation action d rho(A) = sum_{r != j} A[r, j]
+    eps_r eps_j^T (A has zero diagonal).  These eps_r eps_j^T are 0/+-1 with
+    disjoint supports, so a call scatters signed entries of A.
     """
-    basis = list(itertools.combinations(range(n), p))
-    index = {s: i for i, s in enumerate(basis)}
-    terms = [(index[tuple(sorted(set(s) - {j} | {r}))], col, r, j,
-              (-1) ** sum(min(j, r) < x < max(j, r) for x in s))
-             for col, s in enumerate(basis) for j in s for r in range(n) if r not in s]
-    rows, cols, rs, js, signs = np.array(terms, dtype=int).reshape(-1, 5).T
+    eps = wedge_table(n, p - 1)
+    ops = np.einsum("rac,jbc->rjab", eps, eps)
+    ops[np.arange(n), np.arange(n)] = 0.0
+    rs, js, rows, cols = np.nonzero(ops)
+    signs = ops[rs, js, rows, cols]
 
     def apply(g):
         return exterior_power_matrix(g, p)
 
     def lie(a):
-        out = np.zeros((len(basis), len(basis)), dtype=np.result_type(a, float))
+        out = np.zeros((comb(n, p),) * 2, dtype=np.result_type(a, float))
         out[rows, cols] = signs * np.asarray(a)[rs, js]
         return out
 
-    return _table(n, len(basis), False, apply, lie)
+    return _table(n, comb(n, p), False, apply, lie)
 
 
 def _table(m, degree, projective, apply, lie):

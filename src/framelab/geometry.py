@@ -4,14 +4,15 @@ Three models are provided, each with exact (closed-form) flow and transport:
 
 - flat tori T^n (n = 2, 3) with configurable periods,
 - the round unit 2-sphere in spherical coordinates (poles excluded from the
-  chart; flow and transport are computed in the ambient embedding),
+  chart; the flow is computed in the ambient embedding),
 - the regular genus-2 hyperbolic octagon in the Poincare disk, with the
   standard opposite-side pairings.
 
 The package's one quadrature rule on the unit tangent bundle
-(`unit_bundle_nodes`) and its one oriented frame completion
-(`frame_completion`) live here; the Liouville-Haar averages of `flows` and the
-tracial states of `limits` both integrate with them.
+(`unit_bundle_nodes`), its one sphere rule (`_sphere_rule`, also used by
+`spectral`) and its one oriented frame completion (`frame_completion`) live
+here; the Liouville-Haar averages of `flows` and the tracial states of
+`limits` both integrate with them.
 
 A generic 4th-order integrator of the geodesic/transport equations is kept
 only as a cross-check oracle (`parallel_transport_rk4`).
@@ -162,8 +163,8 @@ def _oct_apply_pairing(k, z, v):
     den = np.conj(b) * z + a
     z2 = (a * z + b) / den
     v2 = v / (den * den)
-    # renormalize to unit speed; kills accumulated rounding at each crossing
-    v2 *= 0.5 * (1.0 - np.abs(z2) ** 2) / np.abs(v2)
+    # renormalize to the incoming speed; kills accumulated rounding at each crossing
+    v2 *= np.abs(v) / (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(z2) ** 2) / np.abs(v2)
     return z2, v2
 
 
@@ -186,21 +187,24 @@ def _oct_normalize(z, v):
 
 
 def _oct_geodesic_step(z, v, t):
-    """Advance (z, v) by time t along the disk geodesic; no domain reduction."""
-    phase = v / np.abs(v)
-    w = np.tanh(0.5 * t) * phase
+    """Advance (z, v) by time t along the disk geodesic at the speed of v;
+    no domain reduction."""
+    size = np.abs(v)
+    phase = v / size
+    conf = 1.0 - np.abs(z) ** 2
+    half_speed = size / conf  # the conformal factor is 2 / conf
+    w = np.tanh(half_speed * t) * phase
     den = 1.0 + np.conj(z) * w
     z2 = (w + z) / den
-    dT = (1.0 - np.abs(z) ** 2) / (den * den)
-    v2 = dT * phase
-    v2 *= 0.5 * (1.0 - np.abs(z2) ** 2) / np.abs(v2)
+    v2 = conf / (den * den) * phase
+    v2 *= half_speed * (1.0 - np.abs(z2) ** 2) / np.abs(v2)
     return z2, v2
 
 
 def _oct_advance(z, v, t):
-    """Advance disk states (1-D arrays) by their own times t, in substeps of at
-    most `_MAX_SUBSTEP` with re-entry after each; every row takes at least one
-    (possibly zero-length) substep."""
+    """Advance disk states (1-D arrays) by their own times t at their own
+    speeds, in time substeps of at most `_MAX_SUBSTEP` with re-entry after
+    each; every row takes at least one (possibly zero-length) substep."""
     if not np.isfinite(t).all():
         raise ValueError("octagon flow times must be finite")
     remaining = t.copy()
@@ -330,11 +334,12 @@ def geodesic_advance(model, state, t):
     the result has the broadcast batch shape.  A single state and a scalar t
     are a batch of one and give arrays of shape (n,).
 
-    Torus geodesics are straight lines modulo the periods; sphere geodesics
+    Every state moves its own speed times t and keeps its speed.  Torus
+    geodesics are straight lines modulo the periods; sphere geodesics
     are great circles, exact for any t (a zero-speed state stays where it is,
     also on a pole; `ValueError` when a moving state's result lies within
     1e-13 of a pole, where the chart has no velocity components); octagon
-    geodesics are hyperbolic translations in substeps of at most 0.5 with
+    geodesics are hyperbolic translations in time substeps of at most 0.5 with
     side-pairing re-entry into the fundamental domain after each.
     """
     t = np.asarray(t, dtype=float)
@@ -374,32 +379,18 @@ def parallel_transport(model, state, t, w):
     """Levi-Civita transport of tangent vector w along the geodesic of `state`.
 
     Returns the transported vector in chart components at the endpoint.
-    Closed form per model: tori are flat; the sphere is transported in the
-    ambient embedding; the octagon uses conformal angle preservation relative
-    to the geodesic tangent.
+    Tori are flat.  On the curved surfaces w keeps its components in the
+    completed frame (`frame_completion`) of the unit velocity, which is
+    parallel along the geodesic.
     """
     w = np.asarray(w, dtype=float)
     if model.kind == TORUS:
         return w.copy()
-    if model.kind == SPHERE:
-        p = np.asarray(state.point, dtype=float)
-        x, u = _sph_to_ambient(p, np.asarray(state.velocity, dtype=float))
-        s = np.linalg.norm(u)
-        uh = u / s
-        b = np.cross(x, uh)
-        wa = _sph_to_ambient(p, w)[1]
-        cu, cb, cx = wa @ uh, wa @ b, wa @ x
-        ang = s * t
-        x2 = x * np.cos(ang) + uh * np.sin(ang)
-        uh2 = -x * np.sin(ang) + uh * np.cos(ang)
-        return _sph_to_chart(x2, cu * uh2 + cb * b + cx * x2)[1]
-    vz = complex(state.velocity[0], state.velocity[1])
-    wz = complex(w[0], w[1])
-    ratio = wz / vz
+    p, s = np.asarray(state.point, dtype=float), speed(model, state)
     end = geodesic_advance(model, state, t)
-    v2 = complex(end.velocity[0], end.velocity[1])
-    w2 = v2 * ratio
-    return np.array([w2.real, w2.imag])
+    start = frame_completion(model, p, np.asarray(state.velocity, dtype=float) / s)
+    coeffs = start.T @ metric_at(model, p) @ w
+    return frame_completion(model, end.point, end.velocity / s) @ coeffs
 
 
 def parallel_transport_rk4(model, state, t, w, steps=400):
@@ -641,12 +632,13 @@ def frame_completion(model, point, e1):
 # Unit-bundle quadrature
 
 
-def _sphere_rule(res):
-    """Gauss-Legendre in cos(theta) times 2 res equispaced azimuths on S^2:
-    flat arrays (cos theta, phi, weight), cos theta outermost."""
-    cs, ws = np.polynomial.legendre.leggauss(res)
-    phis = np.arange(2 * res) * (np.pi / res)
-    return np.repeat(cs, 2 * res), np.tile(phis, res), np.repeat(ws, 2 * res)
+def _sphere_rule(n_theta, n_phi):
+    """Gauss-Legendre in cos(theta) (n_theta nodes) times n_phi equispaced
+    azimuths on S^2: flat arrays (cos theta, phi, Gauss weight), cos theta
+    outermost; the weights leave out the azimuth spacing 2 pi / n_phi."""
+    cs, ws = np.polynomial.legendre.leggauss(n_theta)
+    phis = np.arange(n_phi) * (2 * np.pi / n_phi)
+    return np.repeat(cs, n_phi), np.tile(phis, n_theta), np.repeat(ws, n_phi)
 
 
 def unit_bundle_nodes(model, resolution):
@@ -669,7 +661,7 @@ def unit_bundle_nodes(model, resolution):
         base_w = np.ones(len(points))
         root_g = np.ones_like(points)
     elif model.kind == SPHERE:
-        c, ph, base_w = _sphere_rule(res)
+        c, ph, base_w = _sphere_rule(res, 2 * res)
         th = np.arccos(c)
         points = np.column_stack([th, ph])
         root_g = np.column_stack([np.ones_like(th), np.sin(th)])
@@ -686,7 +678,7 @@ def unit_bundle_nodes(model, resolution):
         a = np.arange(res) * (2 * np.pi / res)
         fibre, fibre_w = np.column_stack([np.cos(a), np.sin(a)]), np.ones(res)
     else:
-        c, ph, fibre_w = _sphere_rule(res)
+        c, ph, fibre_w = _sphere_rule(res, 2 * res)
         s = np.sqrt(1.0 - c * c)
         fibre = np.column_stack([s * np.cos(ph), s * np.sin(ph), c])
     # the metric is diagonal in every chart: divide by its square root

@@ -12,6 +12,10 @@ position of each element in enumeration order, so an operator's rows,
 columns and values come from numpy over the whole basis and a small table per
 (fiber component, direction).  Only a user's coefficient function in
 `quantize` is still called once per label.
+
+On tori d, the Hodge and helicity symbols and the Dirac symbol all come from
+`algebra`'s exterior table and gamma matrices; sphere multipliers integrate
+with `geometry._sphere_rule`.
 """
 
 import dataclasses
@@ -336,16 +340,6 @@ def laplacian_diagonal(op):
 # Exterior calculus
 
 
-def _perm_sign(seq):
-    s = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                s = -s
-    return s
-
-
 def _sparse(rows, cols, vals, shape):
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape, dtype=complex)
 
@@ -354,22 +348,6 @@ def _frozen(a):
     """Read-only array: the cached tables are shared by every caller."""
     a.flags.writeable = False
     return a
-
-
-@lru_cache(maxsize=None)
-def _wedge_table(n, p):
-    """dx_j ^ dx_I for each p-form component I and direction j: the index of
-    the (p+1)-form component and the sign, or -1 and 0 where j is in I."""
-    comps = list(itertools.combinations(range(n), p))
-    targets = {c: i for i, c in enumerate(itertools.combinations(range(n), p + 1))}
-    target = np.full((len(comps), n), -1)
-    sign = np.zeros((len(comps), n))
-    for a, comp in enumerate(comps):
-        for j in range(n):
-            if j not in comp:
-                target[a, j] = targets[tuple(sorted(comp + (j,)))]
-                sign[a, j] = _perm_sign((j,) + comp)
-    return _frozen(target), _frozen(sign)
 
 
 def exterior_d(model, p, K):
@@ -382,12 +360,11 @@ def exterior_d(model, p, K):
         return OperatorMatrix(matrix=mat, order=1, domain=dom, codomain=cod)
     cod = basis_for(model, "forms", K, p + 1)
     if model.kind == geo.TORUS:
-        # d(e^{ik.x} dx_I) = sum_{j not in I} i kappa_j dx_j ^ dx_I
-        target, sign = _wedge_table(n, p)
-        comp = dom.components
-        cols, j = np.nonzero(target[comp] >= 0)
-        rows = _locate(cod, dom.modes[cols], target[comp[cols], j])
-        vals = 1j * _dual(model, dom.modes)[cols, j] * sign[comp[cols], j]
+        # d(e^{ik.x} dx_I) = sum_j i kappa_j dx_j ^ dx_I: the mode block is i kappa ^ .
+        eps = alg.wedge_table(n, p)
+        cols, j, target = np.nonzero(eps.transpose(2, 0, 1)[dom.components])
+        rows = _locate(cod, dom.modes[cols], target)
+        vals = 1j * _dual(model, dom.modes)[cols, j] * eps[j, target, dom.components[cols]]
     else:
         l = dom.modes[:, 0]
         if p == 0:      # d Y_lm = sqrt(l (l + 1)) ex_lm for l >= 1
@@ -434,7 +411,7 @@ def _star_table(kind, n, p):
         pairs = []
         for comp in comps:
             comp_c = tuple(i for i in range(n) if i not in comp)
-            pairs.append((images[comp_c], float(_perm_sign(comp + comp_c))))
+            pairs.append((images[comp_c], float(alg.permutation_sign(comp + comp_c))))
     else:
         images = _SPHERE_FAMILIES[n - p][0]
         pairs = [(images.index(_SPHERE_STAR[fam][0]), _SPHERE_STAR[fam][1])
@@ -487,51 +464,30 @@ def hodge_projections(model, p, K):
     hmat = (scipy.sparse.identity(sm.dim, dtype=complex) - pmat - qmat).tocsr()
     mk = lambda mat, sym: OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=sym)
     if model.kind == geo.TORUS:
-        n = model.dim
-        comps = list(itertools.combinations(range(n), p))
-        psym = SymbolField(lambda x, xi: _form_coexact_symbol(xi, comps),
-                           fiber_dim=len(comps))
-        qsym = SymbolField(lambda x, xi: _form_exact_symbol(xi, comps),
-                           fiber_dim=len(comps))
+        def exact(x, xi):  # (xi ^ .)(xi ^ .)^T, the projection onto xi ^ Lambda^(p-1)
+            e = alg.exterior_mult(np.asarray(xi, dtype=float), p - 1)
+            return e @ e.T
+
+        psym = SymbolField(lambda x, xi: np.eye(sm.fiber_dim) - exact(x, xi), sm.fiber_dim)
+        qsym = SymbolField(exact, sm.fiber_dim)
     else:
         psym = qsym = None
     return mk(pmat, psym), mk(qmat, qsym), mk(hmat, None)
 
 
-def _wedge_basis_matrix(xi, comps):
-    """Matrix of (interior product with xi) composed with (xi wedge .)."""
-    # entries of the symbol of Q = projection onto xi ^ Lambda^{p-1}
-    out = np.zeros((len(comps), len(comps)), dtype=complex)
-    for a, ca in enumerate(comps):
-        for b, cb in enumerate(comps):
-            acc = 0.0
-            for i in ca:
-                for j in cb:
-                    rest_a = tuple(x for x in ca if x != i)
-                    rest_b = tuple(x for x in cb if x != j)
-                    if rest_a == rest_b:
-                        sa = _perm_sign((i,) + rest_a)
-                        sb = _perm_sign((j,) + rest_b)
-                        acc += sa * sb * xi[i] * xi[j]
-            out[a, b] = acc
-    return out
-
-
-def _form_exact_symbol(xi, comps):
-    return _wedge_basis_matrix(np.asarray(xi, float), comps)
-
-
-def _form_coexact_symbol(xi, comps):
-    return np.eye(len(comps), dtype=complex) - _wedge_basis_matrix(np.asarray(xi, float), comps)
+@lru_cache(maxsize=None)
+def _helicity_table():
+    """i star eps_j on the 1-forms of T^3, stacked over j and flattened."""
+    target, sign = _star_table(geo.TORUS, 3, 2)
+    table = np.empty((3, 3, 3), dtype=complex)
+    table[:, target] = 1j * sign[:, None] * alg.wedge_table(3, 1)
+    return _frozen(table.reshape(3, 9))
 
 
 def helicity_symbol(point, xi):
-    """Polarization symbol on 1-forms over T^3: i times the cross product."""
-    xi = np.asarray(xi, dtype=float)
-    cross = np.array([[0.0, -xi[2], xi[1]],
-                      [xi[2], 0.0, -xi[0]],
-                      [-xi[1], xi[0], 0.0]])
-    return 1j * cross
+    """Polarization symbol on 1-forms over T^3: i star(xi ^ .), i times the
+    cross product with xi."""
+    return (np.asarray(xi, dtype=float) @ _helicity_table()).reshape(3, 3)
 
 
 def helicity_R(model, K):
@@ -568,7 +524,7 @@ def build_dirac(model, K):
     d = sm.fiber_dim
     # row a of the block gamma . kappa of each element's mode, a its spinor index
     block_rows = np.einsum("ij,jib->ib", _dual(model, sm.modes),
-                           np.asarray(cl.gammas)[:, sm.components, :])
+                           cl.gammas[:, sm.components, :])
     rows, b = np.nonzero(block_rows)
     cols = _locate(sm, sm.modes[rows], b)
     mat = _sparse(rows, cols, block_rows[rows, b], (sm.dim, sm.dim))
@@ -713,25 +669,19 @@ def resolvent_sqrt_inverse(sm):
 
 @lru_cache(maxsize=8)
 def _sphere_grid(L):
-    n_th = L + 8
+    """Nodes (theta, phi) and weights of `geometry._sphere_rule` with L + 8
+    polar and 2 L + 8 azimuthal nodes, exact for band-limited multipliers."""
     n_ph = 2 * L + 8
-    cs, ws = np.polynomial.legendre.leggauss(n_th)
-    theta = np.arccos(cs)
-    phi = np.arange(n_ph) * (2 * np.pi / n_ph)
-    th_g, ph_g = np.meshgrid(theta, phi, indexing="ij")
-    w_g = np.repeat(ws[:, None], n_ph, axis=1) * (2 * np.pi / n_ph)
-    return th_g.ravel(), ph_g.ravel(), w_g.ravel()
+    cs, phi, w = geo._sphere_rule(L + 8, n_ph)
+    return np.arccos(cs), phi, w * (2 * np.pi / n_ph)
 
 
 @lru_cache(maxsize=8)
 def _sphere_harmonics(L):
     from scipy.special import sph_harm_y
-    th, ph, w = _sphere_grid(L)
+    th, ph, _ = _sphere_grid(L)
     sm = basis_for(geo.round_sphere(), "functions", L)
-    y = np.empty((sm.dim, th.size), dtype=complex)
-    for i, (_, (l, m)) in enumerate(sm.labels):
-        y[i] = sph_harm_y(l, m, th, ph)
-    return y
+    return sph_harm_y(sm.modes[:, :1], sm.modes[:, 1:], th, ph)
 
 
 def sphere_multiplication(L, fn, symbol_fn=None):
@@ -800,29 +750,3 @@ def heat_state_trace(a_op, delta_op, t):
     value, estimate = _gibbs_ratio(lam, a_op.matrix.diagonal(), t)
     return HeatValue(value=value, truncation_estimate=estimate,
                      reliable=t >= _heat_floor(lam))
-
-
-# ---------------------------------------------------------------------------
-# Export helpers
-
-
-def spectrum_rows(sm):
-    """(index, eigenvalue, label) rows in canonical order."""
-    shift = sm.potential + sm.mass * sm.mass
-    return [(i, sm.lam[i] + shift, repr(sm.labels[i])) for i in range(sm.dim)]
-
-
-def operator_header(op, name):
-    """JSON-ready description of an operator for export."""
-    sm = op.domain
-    return {
-        "name": name,
-        "model": sm.model.kind,
-        "dim": sm.model.dim,
-        "bundle": sm.bundle,
-        "form_degree": sm.form_degree,
-        "cutoff": sm.cutoff,
-        "basis_size": sm.dim,
-        "order": op.order,
-        "ordering": "ascending eigenvalue, then lexicographic label",
-    }

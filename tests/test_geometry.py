@@ -108,6 +108,19 @@ def test_unit_speed_preserved(model):
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
+def test_speed_scales_time(model):
+    # a speed-2 state advanced 0.4 lands where the unit-speed state lands at 0.8
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        s = random_state(model, rng)
+        fast = geo.geodesic_advance(model, geo.PointState(s.point, 2.0 * s.velocity), 0.4)
+        slow = geo.geodesic_advance(model, s, 0.8)
+        assert np.abs(fast.point - slow.point).max() <= 1e-12
+        assert np.abs(fast.velocity - 2.0 * slow.velocity).max() <= 1e-12
+        assert abs(geo.speed(model, fast) - 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
 def test_flow_property(model):
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -249,6 +262,18 @@ def test_transport_preserves_inner_products(model):
         u2 = geo.parallel_transport(model, s, t, w2)
         g1 = geo.metric_at(model, geo.geodesic_advance(model, s, t).point)
         assert abs(u1 @ g1 @ u2 - w1 @ g0 @ w2) < 1e-10
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
+def test_transport_depends_on_the_path_not_the_speed(model):
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        s = random_state(model, rng)
+        w = rng.normal(size=model.dim)
+        t = rng.uniform(0.2, 1.5)
+        fast = geo.parallel_transport(model, geo.PointState(s.point, 2.0 * s.velocity), t, w)
+        slow = geo.parallel_transport(model, s, 2.0 * t, w)
+        assert np.abs(fast - slow).max() <= 1e-12 * max(1.0, np.abs(slow).max())
 
 
 @pytest.mark.parametrize("model,t", [(SPHERE, 1.0), (OCT, 1.0)])

@@ -305,6 +305,52 @@ def test_half_projections_balance_per_shell():
 
 
 # ---------------------------------------------------------------------------
+# mode blocks against principal symbols: an order-0 operator's block at mode k
+# is its symbol at kappa / |kappa|, and the Dirac block is |kappa| times it
+
+TORI = [T2, T3, geo.flat_torus(3, periods=(1.0, 2.5, 7.0))]
+SYMBOL_MODES = {2: [(1, 0), (2, -1), (-3, 1)], 3: [(1, 0, 0), (1, -2, 1), (0, 3, -1)]}
+
+
+def _torus_id(model):
+    return f"T{model.dim}" + ("" if len(set(model.periods)) == 1 else "-stretched")
+
+
+def _unit_directions(model):
+    for k in SYMBOL_MODES[model.dim]:
+        kappa = _kappa(model, k)
+        yield k, np.linalg.norm(kappa), kappa / np.linalg.norm(kappa)
+
+
+@pytest.mark.parametrize("model", TORI, ids=_torus_id)
+def test_hodge_mode_blocks_are_their_symbols(model):
+    for p in range(model.dim + 1):
+        coexact, exact, _ = sp.hodge_projections(model, p, 3)
+        for k, _, xi in _unit_directions(model):
+            for op in (coexact, exact):
+                block, _ = sp.mode_block(op, k)
+                assert np.abs(block - op.symbol(None, xi)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("model", TORI[1:], ids=_torus_id)
+def test_helicity_mode_blocks_are_its_symbol(model):
+    R = sp.helicity_R(model, 3)
+    for k, _, xi in _unit_directions(model):
+        block, _ = sp.mode_block(R, k)
+        assert np.abs(block - R.symbol(None, xi)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("model", TORI, ids=_torus_id)
+def test_dirac_mode_blocks_are_clifford_multiplication(model):
+    cl = alg.build_clifford(model.dim)
+    _, D = sp.build_dirac(model, 3)
+    for k, size, xi in _unit_directions(model):
+        block, _ = sp.mode_block(D, k)
+        assert np.abs(block / size - alg.clifford_mult(cl, xi)).max() <= 1e-14
+        assert np.array_equal(D.symbol(None, xi), alg.clifford_mult(cl, xi))
+
+
+# ---------------------------------------------------------------------------
 # quantization
 
 
