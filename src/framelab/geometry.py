@@ -204,11 +204,15 @@ def _oct_geodesic_step(z, v, t):
 def _oct_advance(z, v, t):
     """Advance disk states (1-D arrays) by their own times t at their own
     speeds, in time substeps of at most `_MAX_SUBSTEP` with re-entry after
-    each; every row takes at least one (possibly zero-length) substep."""
+    each; every moving row takes at least one (possibly zero-length) substep,
+    and a resting row (v = 0) stays as it is."""
     if not np.isfinite(t).all():
         raise ValueError("octagon flow times must be finite")
     remaining = t.copy()
     rows = slice(None)
+    if not v.all():  # the substep divides by the speed
+        remaining[v == 0] = 0.0
+        rows = np.flatnonzero(v)
     while True:
         h = np.sign(remaining[rows]) * np.minimum(_MAX_SUBSTEP, np.abs(remaining[rows]))
         z[rows], v[rows] = _oct_normalize(*_oct_geodesic_step(z[rows], v[rows], h))
@@ -340,7 +344,8 @@ def geodesic_advance(model, state, t):
     also on a pole; `ValueError` when a moving state's result lies within
     1e-13 of a pole, where the chart has no velocity components); octagon
     geodesics are hyperbolic translations in time substeps of at most 0.5 with
-    side-pairing re-entry into the fundamental domain after each.
+    side-pairing re-entry into the fundamental domain after each (a resting
+    state stays where it is).
     """
     t = np.asarray(t, dtype=float)
     p = np.asarray(state.point, dtype=float)
@@ -381,12 +386,15 @@ def parallel_transport(model, state, t, w):
     Returns the transported vector in chart components at the endpoint.
     Tori are flat.  On the curved surfaces w keeps its components in the
     completed frame (`frame_completion`) of the unit velocity, which is
-    parallel along the geodesic.
+    parallel along the geodesic.  Along a zero displacement (a resting state
+    or t = 0) w comes back unchanged.
     """
     w = np.asarray(w, dtype=float)
     if model.kind == TORUS:
         return w.copy()
     p, s = np.asarray(state.point, dtype=float), speed(model, state)
+    if s * t == 0.0:
+        return w.copy()
     end = geodesic_advance(model, state, t)
     start = frame_completion(model, p, np.asarray(state.velocity, dtype=float) / s)
     coeffs = start.T @ metric_at(model, p) @ w

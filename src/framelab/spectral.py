@@ -14,8 +14,9 @@ columns and values come from numpy over the whole basis and a small table per
 `quantize` is still called once per label.
 
 On tori d, the Hodge and helicity symbols and the Dirac symbol all come from
-`algebra`'s exterior table and gamma matrices; sphere multipliers integrate
-with `geometry._sphere_rule`.
+`algebra`'s exterior table and gamma matrices.  Sphere multipliers integrate
+with `geometry._sphere_rule`, which separates: an FFT in phi at each polar
+node, then one real matmul over the polar nodes per order m.
 """
 
 import dataclasses
@@ -677,26 +678,47 @@ def _sphere_grid(L):
 
 
 @lru_cache(maxsize=8)
-def _sphere_harmonics(L):
+def _sphere_polar(L):
+    """Polar factors Theta_lm(theta_t) = Y_lm(theta_t, 0), real, of the
+    canonical basis at the L + 8 polar nodes of `_sphere_grid`: (basis, n_theta)."""
     from scipy.special import sph_harm_y
-    th, ph, _ = _sphere_grid(L)
+    th, _, _ = _sphere_grid(L)
     sm = basis_for(geo.round_sphere(), "functions", L)
-    return sph_harm_y(sm.modes[:, :1], sm.modes[:, 1:], th, ph)
+    theta = th[:: 2 * L + 8]
+    return _frozen(np.ascontiguousarray(sph_harm_y(sm.modes[:, :1], sm.modes[:, 1:],
+                                                   theta, 0.0).real))
 
 
 def sphere_multiplication(L, fn, symbol_fn=None):
     """Multiplication operator by fn(theta, phi) on the spherical-harmonic basis.
 
     Assembled by a quadrature that is exact for band-limited multipliers; the
-    principal symbol is the multiplier itself (direction independent).
+    principal symbol is the multiplier itself (direction independent).  Since
+    Y_lm = Theta_lm(theta) e^{i m phi}, entry (i, j) is
+    sum_t Theta_i(t) Theta_j(t) G[t, (m_i - m_j) mod n_phi], where G is the
+    weighted FFT of fn along phi: one real matmul per order m_i.
     """
     sm = basis_for(geo.round_sphere(), "functions", L)
     th, ph, w = _sphere_grid(L)
-    y = _sphere_harmonics(L)
+    theta = _sphere_polar(L)
+    n_th = theta.shape[1]
+    n_ph = ph.size // n_th
     f = np.asarray([fn(t, p) for t, p in zip(th, ph)], dtype=complex)
-    mat = (y.conj() * (w * f)) @ y.T
+    g = np.fft.fft(f.reshape(n_th, n_ph), axis=1) * w[::n_ph, None]
+    m = sm.modes[:, 1]
+    n = sm.dim
+    mat = np.empty((n, n), dtype=complex)
+    for order in range(-L, L + 1):
+        rows = np.flatnonzero(m == order)
+        cols = np.take(g, (order - m) % n_ph, axis=1)
+        cols *= theta.T
+        # interleaved real/imaginary columns: a real matmul gives the complex rows
+        mat[rows] = (theta[rows] @ cols.view(float)).view(complex)
+    # every entry is stored: a scan for exact zeros costs more than it saves
+    full = scipy.sparse.csr_matrix((mat.ravel(), np.tile(np.arange(n), n),
+                                    np.arange(0, n * n + 1, n)), shape=(n, n))
     sym_fn = symbol_fn or (lambda point, xi: fn(point[0], point[1]))
-    return OperatorMatrix(matrix=scipy.sparse.csr_matrix(mat), order=0, domain=sm,
+    return OperatorMatrix(matrix=full, order=0, domain=sm,
                           symbol=SymbolField(evaluator=sym_fn, fiber_dim=1))
 
 

@@ -227,6 +227,24 @@ def test_sphere_zero_speed_state_unchanged():
         assert np.array_equal(alone.velocity, s.velocity[row])
 
 
+def test_octagon_resting_state_unchanged():
+    rest = geo.PointState(np.array([0.1, 0.2]), np.array([0.0, 0.0]))
+    for t in (1.0, -3.0, 0.0):
+        out = geo.geodesic_advance(OCT, rest, t)
+        assert np.array_equal(out.point, rest.point)
+        assert np.array_equal(out.velocity, rest.velocity)
+    # a resting row beside a moving one leaves the moving row as it is alone
+    move = random_state(OCT, np.random.default_rng(31))
+    batch = geo.PointState(np.stack([rest.point, move.point]),
+                           np.stack([rest.velocity, move.velocity]))
+    out = geo.geodesic_advance(OCT, batch, np.array([1.7, 1.7]))
+    alone = geo.geodesic_advance(OCT, move, 1.7)
+    assert np.array_equal(out.point[0], rest.point)
+    assert np.array_equal(out.velocity[0], rest.velocity)
+    assert np.array_equal(out.point[1], alone.point)
+    assert np.array_equal(out.velocity[1], alone.velocity)
+
+
 # ---------------------------------------------------------------------------
 # parallel transport
 
@@ -290,6 +308,17 @@ def test_transport_matches_rk4_oracle(model, t):
         assert np.allclose(p_rk, end.point, atol=1e-8)
         assert np.allclose(v_rk, end.velocity, atol=1e-8)
         assert np.allclose(w_rk, closed, atol=1e-8)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
+def test_transport_along_zero_displacement_keeps_w(model):
+    rng = np.random.default_rng(37)
+    s = random_state(model, rng)
+    w = rng.normal(size=model.dim)
+    rest = geo.PointState(s.point, np.zeros(model.dim))
+    for t in (0.0, 1.3, -2.0):
+        assert np.array_equal(geo.parallel_transport(model, rest, t, w), w)
+    assert np.array_equal(geo.parallel_transport(model, s, 0.0, w), w)
 
 
 # ---------------------------------------------------------------------------

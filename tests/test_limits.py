@@ -186,3 +186,23 @@ def test_egorov_shell_norm_matches_dense_svd():
     want = np.linalg.norm(diff.toarray()[np.ix_(idx, idx)], 2)
     got = lm.egorov_residual(T2, sym, t, 8, K)
     assert abs(got - want) <= 1e-12 * want
+
+
+# ---------------------------------------------------------------------------
+# compare_states
+
+
+def test_compare_states_rows_equal_full_operator_states():
+    sphere = sp.sphere_multiplication(6, lambda th, ph: np.cos(th) ** 2 + np.sin(th) * np.sin(ph))
+    torus = sp.quantize(T2, sp.cosine_symbol(axis=0, dim=2), 6)
+    for a_op in (sphere, torus):
+        sm = a_op.domain
+        report = lm.compare_states(sm, a_op, resolution=4)
+        assert report.cesaro_rows and report.heat_rows
+        for n, val, _ in report.cesaro_rows:
+            assert val == lm.evaluate(lm.cesaro_state(sm, n), a_op).value
+        for t, val, _, _ in report.heat_rows:
+            assert val == lm.evaluate(lm.heat_state(sm, t), a_op).value
+    # the rungs keep the basis check
+    with pytest.raises(ValueError):
+        lm.compare_states(sp.basis_for(S2, "functions", 5), sphere, resolution=4)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.special import sph_harm_y
 
 from framelab import CapabilityError
 from framelab import algebra as alg
@@ -546,6 +549,15 @@ def _ref_quantize(model, symbol, K):
     return out
 
 
+def _ref_sphere_multiplication(L, fn):
+    """The dense product of harmonics and multiplier over every grid node."""
+    sm = sp.basis_for(S2, "functions", L)
+    th, ph, w = sp._sphere_grid(L)
+    y = sph_harm_y(sm.modes[:, :1], sm.modes[:, 1:], th, ph)
+    f = np.asarray([fn(t, p) for t, p in zip(th, ph)], dtype=complex)
+    return (y.conj() * (w * f)) @ y.T
+
+
 def _assert_same_entries(mat, ref):
     coo = mat.tocoo()
     got = {(r, c): v for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data)}
@@ -584,6 +596,48 @@ def test_quantize_matches_per_label_reference(symbol):
         pushed = symbol.pushed(0.7)
         _assert_same_entries(sp.quantize(T2, pushed, K).matrix,
                              _ref_quantize(T2, pushed, K))
+
+
+_SPHERE_MULTIPLIERS = {
+    "real": lambda th, ph: 0.3 - 0.7 * np.cos(th) + 1.1 * np.cos(th) ** 2
+    + 0.45 * np.sin(th) * np.cos(ph),
+    "complex": lambda th, ph: np.exp(np.sin(3 * ph) * np.cos(th)) + 1j * np.cos(5 * th + ph),
+}
+
+
+@pytest.mark.parametrize("L", [0, 4, 6, 16, 24])
+def test_sphere_multiplication_matches_dense_grid_product(L):
+    for fn in _SPHERE_MULTIPLIERS.values():
+        got = sp.sphere_multiplication(L, fn).matrix
+        assert got.shape == ((L + 1) ** 2, (L + 1) ** 2)
+        assert np.abs(got.toarray() - _ref_sphere_multiplication(L, fn)).max() <= 1e-13
+    # the quadrature's own orthonormality defect: 1.6e-14 at L = 16 (dense product too)
+    one = sp.sphere_multiplication(L, lambda th, ph: 1.0).matrix
+    assert np.abs(one.toarray() - np.eye((L + 1) ** 2)).max() <= 2e-14
+
+
+def test_sphere_multiplication_gaunt_oracle():
+    # <Y_1^{+-1}, sin(theta) cos(phi) Y_0^0> = -+1/sqrt(6) in scipy's phase convention
+    op = sp.sphere_multiplication(4, lambda th, ph: np.sin(th) * np.cos(ph))
+    col = op.domain.index[("f", (0, 0))]
+    for m, want in ((1, -1.0), (-1, 1.0)):
+        got = op.matrix[op.domain.index[("f", (1, m))], col]
+        assert abs(got - want / np.sqrt(6.0)) <= 1e-14
+
+
+def test_sphere_multiplication_memory_peak():
+    fn = _SPHERE_MULTIPLIERS["real"]
+    sp.sphere_multiplication(24, fn)
+    polar = sp._sphere_polar(24)
+    assert polar.dtype == np.float64 and polar.shape == (625, 32)
+    tracemalloc.start()
+    try:
+        sp.sphere_multiplication(24, fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a basis-by-grid temporary (625 x 1,792 complex) alone takes 18 MB
+    assert peak <= 16e6
 
 
 @pytest.mark.parametrize("model,bundle,p", [(T3, "forms", 1), (T2, "spinors", None),
