@@ -309,7 +309,8 @@ def generic_rotations(m, count=24, seed=0):
 def exterior_power_matrix(g, p):
     """p-th exterior power on the lexicographic wedge basis.
 
-    Accepts a single matrix or a stacked array of matrices.
+    Accepts a single matrix or a stacked array of matrices.  A p-minor is the
+    Laplace expansion along its first row: products and sums only.
     """
     g = np.asarray(g)
     n = g.shape[-1]
@@ -319,15 +320,19 @@ def exterior_power_matrix(g, p):
         return np.ones(g.shape[:-2] + (1, 1), dtype=g.dtype)
     if p == 1:
         return g.copy()
-    rows = np.array(list(itertools.combinations(range(n), p)))
-    if p >= 3:
-        # subnormal entries make LAPACK's LU divide by zero inside det
+    if p >= 3:  # a rotation within subnormal ulps of I maps to I exactly
         g = np.where(np.abs(g) < np.finfo(float).tiny, 0, g)
-    minors = g[..., rows[:, None, :, None], rows[None, :, None, :]]
-    if p == 2:
-        return (minors[..., 0, 0] * minors[..., 1, 1]
-                - minors[..., 0, 1] * minors[..., 1, 0])
-    return np.linalg.det(minors)
+    rows, drop, signs = _laplace_indices(n, p)
+    tails = exterior_power_matrix(g, p - 1)[..., drop[:, :1, None], drop[None, :, :]]
+    return (g[..., rows[:, :1, None], rows[None, :, :]] * tails * signs).sum(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _laplace_indices(n, p):
+    """p-subsets, (p-1)-subset indices of each without its k-th element, signs (-1)^k."""
+    rows = np.array(list(itertools.combinations(range(n), p)))
+    cof = wedge_table(n, p - 1)[rows, np.arange(len(rows))[:, None]]
+    return rows, np.abs(cof).argmax(axis=-1), cof.sum(axis=-1)
 
 
 def exterior_rep(n, p):

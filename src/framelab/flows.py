@@ -239,14 +239,14 @@ def liouville_nodes(model, resolution):
 
 
 def liouville_haar_average(model, obs, resolution=12):
-    """Liouville x Haar quadrature average of the observable (normalized so
-    the average of the constant 1 is exactly 1)."""
-    out = np.zeros((obs.fiber_dim, obs.fiber_dim), dtype=complex)
-    total = 0.0
-    for point, frame, w in zip(*liouville_nodes(model, resolution)):
-        out += w * _eval(obs, geo.FramePoint(point=point, frame=frame))
-        total += w
-    return out / total
+    """Liouville x Haar quadrature average of the observable (one call per node;
+    the constant 1 averages to 1 up to rounding)."""
+    points, frames, weights = liouville_nodes(model, resolution)
+    table = np.ones((len(weights), obs.fiber_dim ** 2 + 1), dtype=complex)
+    for i, (point, frame) in enumerate(zip(points, frames)):
+        table[i, :-1] = _eval(obs, geo.FramePoint(point=point, frame=frame)).ravel()
+    sums = weights @ table  # numerator and normalization from one reduction
+    return (sums[:-1] / sums[-1]).reshape(obs.fiber_dim, obs.fiber_dim)
 
 
 # ---------------------------------------------------------------------------

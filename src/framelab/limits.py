@@ -4,11 +4,14 @@ negative-order decay, the time-evolution (Egorov) residual, quantum variance,
 and ergodic decomposition of the tracial state.
 
 Every state evaluation returns a value together with an error estimate
-(truncation or quadrature), never a bare number.
+(truncation or quadrature), never a bare number.  A tracial state calls its
+symbol once per quadrature node into one table and contracts it with the
+weights (and with the invariant section's table on an ergodic component).
 """
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse
@@ -34,8 +37,10 @@ class StateFunctional:
 
     Kinds: "eigen" (diagonal matrix element j), "cesaro" (average of the first
     N eigenstates, N on a degeneracy-block boundary), "heat" (Gibbs trace
-    ratio at time t), "tracial" (normalized Liouville average of the symbol,
-    optionally weighted by an invariant section).
+    ratio at time t), "tracial" (normalized Liouville average of the symbol;
+    on an ergodic component weighted by an invariant section: `weight` maps a
+    resolution r to the section's (N, k, k) table at the nodes of
+    `geometry.unit_bundle_nodes(context, r)`, of normalized trace `weight_trace`).
     """
 
     kind: str
@@ -72,32 +77,28 @@ def heat_state(sm, t):
     return StateFunctional(kind="heat", context=sm, t=float(t))
 
 
-def tracial_state_functional(model, fiber_dim=1, resolution=8, weight=None):
-    """Normalized Liouville trace state on symbols, optionally weighted by an
-    invariant section (used by the ergodic decomposition)."""
-    wt = None
-    if weight is not None:
-        wt = _symbol_average(model, weight, fiber_dim, resolution)
+def tracial_state_functional(model, fiber_dim=1, resolution=8):
+    """Normalized Liouville trace state on symbols."""
     return StateFunctional(kind="tracial", context=model, fiber_dim=fiber_dim,
-                           resolution=resolution, weight=weight, weight_trace=wt)
+                           resolution=resolution)
 
 
 # ---------------------------------------------------------------------------
 # Unit-bundle quadrature for symbols
 
 
-def _symbol_average(model, symbol, fiber_dim, res, other=None):
-    """Normalized quadrature of tr(symbol [other]) over the unit bundle, with
-    xi the metric-unit direction of each node of `geometry.unit_bundle_nodes`."""
-    points, dirs, weights = geo.unit_bundle_nodes(model, res)
-    acc = 0.0 + 0.0j
-    for point, xi, w in zip(points, dirs, weights):
-        m = np.asarray(symbol(point, xi), dtype=complex).reshape(fiber_dim, fiber_dim)
-        if other is not None:
-            m = m @ np.asarray(other(point, xi), dtype=complex).reshape(fiber_dim,
-                                                                        fiber_dim)
-        acc += w * np.trace(m)
-    return acc / weights.sum()
+def _node_table(fn, k, *nodes):
+    """fn at each node (a row of every array in `nodes`) as an (N, k, k) table."""
+    table = np.empty((len(nodes[0]), k, k), dtype=complex)
+    for i, args in enumerate(zip(*nodes)):
+        table[i] = np.reshape(fn(*args), (k, k))
+    return table
+
+
+def _trace_average(weights, *tables):
+    """Normalized quadrature sum_n w_n tr(a_n [b_n]) / sum_n w_n of node tables a [, b]."""
+    spec = ("n,nii->", "n,nij,nji->")[len(tables) - 1]
+    return np.einsum(spec, weights, *tables) / weights.sum()
 
 
 def tracial_state(model, symbol, fiber_dim=1, resolution=8):
@@ -141,15 +142,18 @@ def _evaluate_tracial(state, a_op):
     if not callable(sym):
         raise ValueError("tracial evaluation needs an attached symbol")
     model, k, res = state.context, state.fiber_dim, state.resolution
-    if state.weight is None:
-        weight, other, norm = sym, None, k
-    else:
-        weight, other, norm = state.weight, sym, state.weight_trace
-    fine = _symbol_average(model, weight, k, res, other)
+
+    def average(r):  # xi is the metric-unit direction of each node
+        points, dirs, weights = geo.unit_bundle_nodes(model, r)
+        sections = () if state.weight is None else (state.weight(r),)
+        return _trace_average(weights, *sections, _node_table(sym, k, points, dirs))
+
+    norm = k if state.weight is None else state.weight_trace
+    fine = average(res)
     coarse_res = max(4, res // 2)
     if coarse_res == res:  # the coarsest rule has nothing to compare with
         return StateValue(value=fine / norm, error=float("nan"))
-    coarse = _symbol_average(model, weight, k, coarse_res, other)
+    coarse = average(coarse_res)
     return StateValue(value=fine / norm, error=float(abs(fine - coarse) / abs(norm)))
 
 
@@ -396,10 +400,11 @@ def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
             raise ValueError("need symbols (or an explicit limit) for the "
                              "component value")
         k = proj_op.symbol.fiber_dim
-        num = _symbol_average(sm.model, proj_op.symbol.evaluator, k, resolution,
-                              other=a_op.symbol.evaluator)
-        den = _symbol_average(sm.model, proj_op.symbol.evaluator, k, resolution)
-        limit_value = num / den
+        points, dirs, weights = geo.unit_bundle_nodes(sm.model, resolution)
+        p_table = _node_table(proj_op.symbol.evaluator, k, points, dirs)
+        a_table = _node_table(a_op.symbol.evaluator, k, points, dirs)
+        limit_value = (_trace_average(weights, p_table, a_table)
+                       / _trace_average(weights, p_table))
     a_mat = scipy.sparse.csr_matrix(a_op.matrix)
     devs, block, a_block = [], None, None
     for _, idx, coef in sections:
@@ -416,29 +421,26 @@ def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
 # ergodic decomposition of the tracial state
 
 
+def _fiber_reps(model, apply_fn, k, points, dirs):
+    """apply_fn of the flat-torus completions to SO(n) of metric-unit chart
+    directions (N, n) in orthonormal components (sqrt of the diagonal metric)."""
+    xi = np.sqrt(geo._metric_diagonal(model, points)) * dirs
+    return _node_table(apply_fn, k, geo.frame_completion(geo.flat_torus(model.dim), points, xi))
+
+
 def invariant_section(apply_fn, proj, fiber_dim):
     """Symbol of a stabilizer-invariant fiber matrix: at a unit covector xi
     in orthonormal components the matrix is conjugated by the representation
-    of the completion of xi to an SO(n) matrix (`geometry.frame_completion`
-    on the flat torus, whose chart components are orthonormal)."""
+    of the completion of xi to an SO(n) matrix; a batch of one of the node
+    tables of `ergodic_decomposition`."""
     proj = np.asarray(proj, dtype=complex)
 
     def ev(point, xi):
-        frame = geo.frame_completion(geo.flat_torus(len(xi)), point, xi)
-        u = np.asarray(apply_fn(frame), dtype=complex)
+        u = _fiber_reps(geo.flat_torus(len(xi)), apply_fn, fiber_dim,
+                        np.asarray(point, dtype=float)[None], np.asarray(xi, dtype=float)[None])[0]
         return u @ proj @ u.conj().T
 
     return sp.SymbolField(evaluator=ev, fiber_dim=fiber_dim)
-
-
-def _in_chart(model, section):
-    """A section of orthonormal components read at the chart directions of the
-    unit-bundle quadrature: sqrt(G) maps a metric-unit chart vector to them."""
-
-    def ev(point, xi):
-        return section(point, np.sqrt(np.diag(geo.metric_at(model, point))) * xi)
-
-    return ev
 
 
 def ergodic_decomposition(tracial, projections, apply_fn):
@@ -446,24 +448,27 @@ def ergodic_decomposition(tracial, projections, apply_fn):
 
     Returns [(weight, component state)]: weight = omega(p_i) and component
     omega_i(A) = omega(p_i A) / omega(p_i).  The identity decomposition
-    returns the state itself with weight 1.
+    returns the state itself with weight 1.  The components share the apply_fn
+    table u of the node frames, built once per resolution; p_i's section is u p_i u^H.
     """
     if tracial.kind != "tracial" or tracial.weight is not None:
         raise ValueError("decomposition starts from the plain tracial state")
     model, k, res = tracial.context, tracial.fiber_dim, tracial.resolution
     mats = [p.projector if hasattr(p, "projector") else np.asarray(p)
             for p in projections]
-    total = sum(mats)
-    if np.abs(total - np.eye(k)).max() > 1e-10:
+    if np.abs(sum(mats) - np.eye(k)).max() > 1e-10:
         raise ValueError("projections do not sum to the identity")
+    if any(np.trace(mat).real < 0.5 for mat in mats):
+        raise ValueError("a zero-rank projection has no component state")
+    rep_table = lru_cache(maxsize=None)(
+        lambda r: _fiber_reps(model, apply_fn, k, *geo.unit_bundle_nodes(model, r)[:2]))
+    weights = geo.unit_bundle_nodes(model, res)[2]
     out = []
     for mat in mats:
-        section = _in_chart(model, invariant_section(apply_fn, mat, k).evaluator)
-        weight_trace = _symbol_average(model, section, k, res)
-        weight = float(np.real(weight_trace)) / k
+        section = lambda r, p=mat: rep_table(r) @ p @ rep_table(r).conj().swapaxes(-1, -2)
+        weight_trace = _trace_average(weights, section(res))
         comp = StateFunctional(kind="tracial", context=model, fiber_dim=k,
                                resolution=res, weight=section,
                                weight_trace=weight_trace)
-        out.append((weight, comp))
+        out.append((float(np.real(weight_trace)) / k, comp))
     return out
-

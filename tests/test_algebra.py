@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -173,6 +174,38 @@ def test_exterior_power_of_subnormal_rotation_is_quiet(n):
             warnings.simplefilter("error")
             out = alg.exterior_power_matrix(np.eye(n) + x - x.T, 3)
         assert np.array_equal(out, np.eye(len(out)))
+
+
+def test_exterior_power_of_singular_minor_is_quiet():
+    # a normal-range 3 x 3 block with a zero row: LU-based det divided by zero
+    g = np.eye(5)
+    g[np.ix_([0, 2, 4], [1, 3, 4])] = [
+        [0.0, 0.0, 0.0],
+        [-1.1953917922306849e-01, 3.0830474539209124e-292, -4.7815671689227396e-01],
+        [-3.0564363971772639e-02, 7.8828870280298078e-293, 8.7774254411290942e-01]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = alg.exterior_power_matrix(g, 3)
+    rows = [list(s) for s in itertools.combinations(range(5), 3)]
+    want = np.array([[_leibniz(g[np.ix_(r, c)]) for c in rows] for r in rows])
+    assert np.abs(out - want).max() < 1e-15
+
+
+def _leibniz(m):
+    """Determinant as the signed sum over permutations: products and sums only."""
+    return sum(alg.permutation_sign(perm) * np.prod(m[np.arange(len(m)), perm])
+               for perm in itertools.permutations(range(len(m))))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_exterior_power_matches_determinant_minors(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        g, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        for p in range(2, n + 1):
+            rows = np.array(list(itertools.combinations(range(n), p)))
+            want = np.linalg.det(g[rows[:, None, :, None], rows[None, :, None, :]])
+            assert np.abs(alg.exterior_power_matrix(g, p) - want).max() < 1e-15
 
 
 def test_restriction_embeds_stabilizer():

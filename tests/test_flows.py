@@ -232,6 +232,33 @@ def test_liouville_normalization_exact(model):
     assert abs(avg[0, 0] - 1.0) < 1e-14
 
 
+def _ref_liouville(model, obs, resolution):
+    """Liouville x Haar average accumulated one node at a time."""
+    out = np.zeros((obs.fiber_dim, obs.fiber_dim), dtype=complex)
+    total = 0.0
+    for point, frame, w in zip(*fl.liouville_nodes(model, resolution)):
+        out += w * fl._eval(obs, geo.FramePoint(point=point, frame=frame))
+        total += w
+    return out / total
+
+
+def _frame_matrix(fp):
+    p, f = fp.point, fp.frame
+    return np.array([[np.cos(p[0]) + f[0, 0] ** 2, f[1, 0] * f[0, -1]],
+                     [1j * np.sin(p[1]), f[-1, -1] + np.exp(-p[0] ** 2)]])
+
+
+@pytest.mark.parametrize("model, res", [(TORUS2, 8), (TORUS3, 4), (SPHERE, 8), (OCT, 24)],
+                         ids=["torus2", "torus3", "sphere2", "octagon2"])
+def test_liouville_matches_per_node_reference(model, res):
+    for obs in (fl.FlowObservable(evaluator=_frame_matrix, fiber_dim=2),
+                fl.scalar_observable(lambda p, f: np.cos(p[1]) * f[0, 0] - f[1, 0] ** 2)):
+        got = fl.liouville_haar_average(model, obs, res)
+        want = _ref_liouville(model, obs, res)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
 def test_liouville_torus_cosine_vanishes():
     f = fl.position_observable(lambda p: np.cos(p[0]))
     avg = fl.liouville_haar_average(TORUS2, f, resolution=8)

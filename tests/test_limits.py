@@ -99,6 +99,147 @@ def test_ergodic_decomposition_frames_are_orthonormal(model):
         assert abs(weight - 0.5) < 1e-12
 
 
+def test_ergodic_decomposition_rejects_zero_rank_projection():
+    state = lm.tracial_state_functional(T2, 2, 8)
+    with pytest.raises(ValueError, match="zero-rank"):
+        lm.ergodic_decomposition(state, [np.eye(2), np.zeros((2, 2))], lambda g: g)
+
+
+# ---------------------------------------------------------------------------
+# node-table quadratures against the per-node loops they replace
+
+
+def _ref_symbol_average(model, symbol, fiber_dim, res, other=None):
+    """Normalized quadrature of tr(symbol [other]) over the unit bundle, one
+    node at a time."""
+    points, dirs, weights = geo.unit_bundle_nodes(model, res)
+    acc = 0.0 + 0.0j
+    for point, xi, w in zip(points, dirs, weights):
+        m = np.asarray(symbol(point, xi), dtype=complex).reshape(fiber_dim, fiber_dim)
+        if other is not None:
+            m = m @ np.asarray(other(point, xi), dtype=complex).reshape(fiber_dim,
+                                                                        fiber_dim)
+        acc += w * np.trace(m)
+    return acc / weights.sum()
+
+
+def _ref_section(model, apply_fn, proj):
+    """u P u^H at a chart direction, u = apply_fn of the flat-torus completion
+    of the direction's orthonormal components, one node at a time."""
+
+    def ev(point, xi):
+        xi = np.sqrt(np.diag(geo.metric_at(model, point))) * xi
+        frame = geo.frame_completion(geo.flat_torus(len(xi)), point, xi)
+        u = np.asarray(apply_fn(frame), dtype=complex)
+        return u @ proj @ u.conj().T
+
+    return ev
+
+
+def _ref_tracial(model, symbol, k, res, section=None):
+    """(value, error) of the tracial state, or of the component weighted by
+    the section, from the per-node averages."""
+    if section is None:
+        weight, other, norm = symbol, None, k
+    else:
+        weight, other = section, symbol
+        norm = _ref_symbol_average(model, section, k, res)
+    fine = _ref_symbol_average(model, weight, k, res, other) / norm
+    coarse_res = max(4, res // 2)
+    if coarse_res == res:
+        return fine, float("nan")
+    coarse = _ref_symbol_average(model, weight, k, coarse_res, other) / norm
+    return fine, abs(fine - coarse)
+
+
+def _assert_close(got, want):
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _hodge_mix(x, xi):
+    xi = np.asarray(xi)
+    return (np.outer(xi, xi) * (1 + 0.5 * np.cos(x[0] + 2 * x[2]))
+            + 0.3j * np.sin(x[1]) * sp.helicity_symbol(x, xi))
+
+
+@pytest.mark.parametrize("res", [4, 8])
+def test_tracial_matches_per_node_reference(res):
+    got = lm.tracial_state(T3, _hodge_mix, 3, res)
+    value, error = _ref_tracial(T3, _hodge_mix, 3, res)
+    _assert_close(got.value, value)
+    if res == 4:
+        assert np.isnan(got.error)
+    else:
+        _assert_close(got.error, error)
+
+
+def _plane_mix(x, xi):
+    return np.array([[xi[0] ** 2 + np.cos(x[0]), xi[0] * xi[1]],
+                     [0.3j, xi[1] + np.sin(x[1])]])
+
+
+_LINE = np.array([np.cos(0.3), 1j * np.sin(0.3)])
+_COMPLEX_LINES = [np.outer(_LINE, _LINE.conj()), np.eye(2) - np.outer(_LINE, _LINE.conj())]
+
+# the sphere's complex lines give non-symmetric sections, so tr(p A) is told
+# apart from sum_ij p_ij A_ij
+_ERGODIC_CASES = {
+    "torus3": (T3, 4, alg.branching_projections(3, 1),
+               lambda g: alg.exterior_power_matrix(g, 1), _hodge_mix),
+    "sphere2": (S2, 8, _COMPLEX_LINES, lambda g: g, _plane_mix),
+    "octagon2": (OCT, 16, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], lambda g: g,
+                 _plane_mix),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ERGODIC_CASES))
+def test_ergodic_decomposition_matches_per_node_reference(case):
+    model, res, projections, apply_fn, symbol = _ERGODIC_CASES[case]
+    k = model.dim
+    state = lm.tracial_state_functional(model, k, res)
+    parts = lm.ergodic_decomposition(state, projections, apply_fn)
+    for (weight, comp), p in zip(parts, projections):
+        proj = np.asarray(getattr(p, "projector", p), dtype=complex)
+        section = _ref_section(model, apply_fn, proj)
+        _assert_close(weight, np.real(_ref_symbol_average(model, section, k, res)) / k)
+        value, error = _ref_tracial(model, symbol, k, res, section)
+        got = lm.evaluate(comp, symbol)
+        _assert_close(got.value, value)
+        if np.isnan(error):
+            assert np.isnan(got.error)
+        else:
+            _assert_close(got.error, error)
+
+
+def test_invariant_section_is_the_per_node_section():
+    apply_fn = lambda g: alg.exterior_power_matrix(g, 1)
+    points, dirs, _ = geo.unit_bundle_nodes(T3, 4)
+    for p in alg.branching_projections(3, 1):
+        section = lm.invariant_section(apply_fn, p.projector, 3)
+        ref = _ref_section(T3, apply_fn, p.projector)
+        for point, xi in zip(points[::97], dirs[::97]):
+            assert np.abs(section(point, xi) - ref(point, xi)).max() <= 1e-15
+
+
+def test_ergodic_component_calls_each_callback_once_per_node():
+    calls = {"apply": 0, "symbol": 0}
+
+    def apply_fn(g):
+        calls["apply"] += 1
+        return alg.exterior_power_matrix(g, 1)
+
+    def symbol(x, xi):
+        calls["symbol"] += 1
+        return _hodge_mix(x, xi)
+
+    nodes = len(geo.unit_bundle_nodes(T3, 4)[2])
+    state = lm.tracial_state_functional(T3, 3, 4)
+    parts = lm.ergodic_decomposition(state, alg.branching_projections(3, 1), apply_fn)
+    lm.evaluate(parts[1][1], symbol)
+    assert nodes == 2048
+    assert calls == {"apply": nodes, "symbol": nodes}
+
+
 def test_egorov_residual_zero_at_t0():
     res = lm.egorov_residual(T2, sp.cosine_symbol(axis=0, dim=2), 0.0, 2, 8)
     assert res == 0.0
@@ -163,6 +304,18 @@ def test_quantum_variance_deviations_match_dense_expectations():
     assert abs(report.variance - np.mean(np.abs(want) ** 2)) <= 1e-13
     with pytest.raises(ValueError):
         lm.quantum_variance(sm, a_op, P, len(sections) + 1, limit_value=0.25)
+
+
+def test_quantum_variance_component_value_from_symbols():
+    # tr(P R) = 0 and tr(P P) = tr(P) on the symbols: omega_P(R + s P) = s
+    P, sections = _coexact_sections(3)
+    R = sp.helicity_R(T3, 3)
+    s = 0.3
+    sym = sp.SymbolField(lambda x, xi: R.symbol(x, xi) + s * P.symbol(x, xi), 3)
+    a_op = sp.OperatorMatrix(matrix=(R.matrix + s * P.matrix).tocsr(), order=0,
+                             domain=P.domain, symbol=sym)
+    report = lm.quantum_variance(P.domain, a_op, P, 10, resolution=4)
+    assert abs(report.limit_value - s) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
