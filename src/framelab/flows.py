@@ -10,16 +10,18 @@ the space average.
 `frame_flow` is array-first: frame points (..., n) / (..., n, n) advance by
 times that broadcast against the batch, and a single frame point is a batch of
 one.  Birkhoff averages and `sample_trajectory` advance all trajectories
-through blocks of sample times k dt with one `frame_flow` call per block,
-each sample taken from the block's anchor by the closed-form flow.  A block
-holds at most `_BLOCK_POINTS` frame points and, on the octagon, spans at most
-one geodesic substep (0.5); the observable is still evaluated once per sample
-and trajectory.
+through blocks of sample times k dt.  A block holds at most `_BLOCK_POINTS`
+frame points (samples x trajectories, at least one sample).  Its geodesic
+states come from one `geometry.geodesic_samples` call, which on the octagon
+advances each sample from an anchor at most one geodesic substep back.  Its
+frames come from one pass of the frame step that `frame_flow` uses.  The
+observable is still evaluated once per sample and trajectory.
 
 Space averages use the package's one unit-bundle quadrature,
 `geometry.unit_bundle_nodes`, with each direction completed to a frame by
 `geometry.frame_completion` and, on T^3, turned through equispaced angles of
-the SO(2) fibre (Haar measure).
+the SO(2) fibre (Haar measure).  Node tables are filled and contracted
+`geometry._NODE_CHUNK` nodes at a time.
 """
 
 from dataclasses import dataclass
@@ -28,8 +30,7 @@ import numpy as np
 
 from . import geometry as geo
 
-_ORTHO_FIX = 1e-12
-_BLOCK_POINTS = 4096  # frame points per frame_flow call in _sample_blocks
+_BLOCK_POINTS = 4096  # frame points per block in _sample_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +62,11 @@ class BirkhoffEstimate:
         return float(np.abs(self.time_average - self.space_average).max())
 
 
-def _eval(obs, fp):
-    out = np.asarray(obs.evaluator(fp), dtype=complex)
-    if obs.fiber_dim == 1:
-        return out.reshape(1, 1)
+def _fill_values(obs, points, frames, out):
+    """Write the observable at each frame point (rows of points (N, n) and
+    frames (N, n, n)) into the table out (N, m, m); one call per node."""
+    for i, (point, frame) in enumerate(zip(points, frames)):
+        out[i] = obs.evaluator(geo.FramePoint(point=point, frame=frame))
     return out
 
 
@@ -94,8 +96,24 @@ def frame_flow(model, fp, t):
     determinant.  A frame whose orthonormality residual exceeds 1e-12 is
     re-orthonormalized by Gram-Schmidt.
     """
-    state = geo.PointState(point=fp.point, velocity=fp.frame[..., 0])
-    end = geo.geodesic_advance(model, state, t)
+    end = geo.geodesic_advance(model, _flow_state(fp), t)
+    return geo.FramePoint(point=end.point, frame=_flowed_frames(model, fp, end))
+
+
+def _flow_state(fp):
+    """The geodesic state of frame point(s): base point and e_1."""
+    return geo.PointState(point=fp.point, velocity=fp.frame[..., 0])
+
+
+def _flowed_frames(model, fp, end):
+    """The frame step of the frame flow: frames (..., n, n) at the geodesic
+    states `end` flowed from the frame point(s) fp, whose batch broadcasts
+    against end's.
+
+    Tori carry the whole frame along; the curved surfaces complete the new
+    e_1 and keep the side of fp's frame.  Frames with an orthonormality
+    residual above 1e-12 are re-orthonormalized by Gram-Schmidt.
+    """
     n = model.dim
     if model.kind == geo.TORUS:  # flat: the whole frame is parallel
         frame = np.broadcast_to(fp.frame, end.point.shape + (n,)).copy()
@@ -104,13 +122,8 @@ def frame_flow(model, fp, t):
         negative = np.logical_not(geo.is_oriented(model, fp))
         if negative.any():
             frame[..., 1] *= np.where(negative, -1.0, 1.0)[..., None]
-    residual = geo.orthonormality_residual(model, geo.FramePoint(point=end.point, frame=frame))
-    drifted = np.flatnonzero(residual > _ORTHO_FIX)
-    if len(drifted):
-        points, frames = end.point.reshape(-1, n), frame.reshape(-1, n, n)
-        for i in drifted:
-            frames[i] = geo.gram_orthonormalize(model, points[i], frames[i])
-    return geo.FramePoint(point=end.point, frame=frame)
+    geo._orthonormalize_drifted(model, end.point, frame)
+    return frame
 
 
 def _turns(a):
@@ -167,14 +180,18 @@ def equivariance_residual(model, obs, rng=None, samples=20):
         raise ValueError("observable carries no equivariance table")
     rng = rng or np.random.default_rng(0)
     rep = obs.equivariance_rep
-    worst = 0.0
+    fps, us = [], []
     for _ in range(samples):
         fp = random_frame_point(model, rng)
         g, u, _ = rep.sample[rng.integers(len(rep.sample))]
-        lhs = _eval(obs, right_action(fp, g))
-        rhs = u.conj().T @ _eval(obs, fp) @ u
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+        fps += [right_action(fp, g), fp]
+        us.append(u)
+    m = obs.fiber_dim
+    table = _fill_values(obs, [fp.point for fp in fps], [fp.frame for fp in fps],
+                         np.empty((len(fps), m, m), dtype=complex))
+    us = np.array(us)
+    rhs = us.conj().swapaxes(-1, -2) @ table[1::2] @ us
+    return float(np.abs(table[::2] - rhs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +257,21 @@ def liouville_nodes(model, resolution):
 
 def liouville_haar_average(model, obs, resolution=12):
     """Liouville x Haar quadrature average of the observable (one call per node;
-    the constant 1 averages to 1 up to rounding)."""
+    the constant 1 averages to 1 up to rounding).
+
+    The node table is filled and contracted `geometry._NODE_CHUNK` nodes at a
+    time."""
     points, frames, weights = liouville_nodes(model, resolution)
-    table = np.ones((len(weights), obs.fiber_dim ** 2 + 1), dtype=complex)
-    for i, (point, frame) in enumerate(zip(points, frames)):
-        table[i, :-1] = _eval(obs, geo.FramePoint(point=point, frame=frame)).ravel()
-    sums = weights @ table  # numerator and normalization from one reduction
-    return (sums[:-1] / sums[-1]).reshape(obs.fiber_dim, obs.fiber_dim)
+    m = obs.fiber_dim
+    # numerator and normalization from one reduction: a ones column after the values
+    table = np.ones((min(len(weights), geo._NODE_CHUNK), m * m + 1), dtype=complex)
+    values = table[:, :-1].reshape(-1, m, m)
+    sums = 0.0
+    for nodes in geo._node_chunks(len(weights)):
+        rows = len(weights[nodes])
+        _fill_values(obs, points[nodes], frames[nodes], values[:rows])
+        sums = sums + weights[nodes] @ table[:rows]
+    return (sums[:-1] / sums[-1]).reshape(m, m)
 
 
 # ---------------------------------------------------------------------------
@@ -257,55 +282,58 @@ def _sample_blocks(model, fps, steps, dt):
     """Frame points of the trajectories from `fps` at the sample times k dt,
     k = 0 .. steps - 1, as FramePoint blocks of shape (samples, len(fps), ...).
 
-    One `frame_flow` call gives a whole block, each sample advanced from the
-    block's anchor, the last sample of the block before (the starting points
-    for the first).  A block holds at most `_BLOCK_POINTS` frame points (at
-    least one sample) and spans at most `geometry._advance_span` (on the
-    octagon one geodesic substep, floor(0.5 / dt) samples), so every sample
-    takes a single closed-form advance.
+    A block holds at most `_BLOCK_POINTS` frame points (at least one sample).
+    Its geodesic states come from one `geometry.geodesic_samples` run from
+    the block's anchor, the last sample of the block before (the starting
+    points for the first block); a run may stop short of the block size.  Its
+    frames come from one pass of the frame step of `frame_flow`.
     """
     anchor = geo.FramePoint(point=np.stack([fp.point for fp in fps]),
                             frame=np.stack([fp.frame for fp in fps]))
     size = max(1, _BLOCK_POINTS // len(fps))
-    span = geo._advance_span(model)
-    if np.isfinite(span):
-        size = min(size, max(1, int(span / dt)))
     first = 0
     while first < steps:
-        count = min(size, steps - first)
-        offsets = np.arange(count) if first == 0 else np.arange(1, count + 1)
-        block = frame_flow(model, anchor, (offsets * dt)[:, None])
+        end = geo.geodesic_samples(model, _flow_state(anchor), dt,
+                                   min(size, steps - first), first=min(first, 1))
+        block = geo.FramePoint(point=end.point, frame=_flowed_frames(model, anchor, end))
         yield block
         anchor = geo.FramePoint(point=block.point[-1], frame=block.frame[-1])
-        first += count
+        first += len(block.point)
 
 
 def _block_values(obs, block):
-    """Observable values (samples, trajectories, m, m) on a block."""
-    n = block.point.shape[-1]
-    values = [_eval(obs, geo.FramePoint(point=p, frame=f))
-              for p, f in zip(block.point.reshape(-1, n), block.frame.reshape(-1, n, n))]
-    return np.array(values).reshape(block.point.shape[:2] + values[0].shape)
+    """Observable values (samples, trajectories, m, m) on a block, in one table."""
+    n, m = block.point.shape[-1], obs.fiber_dim
+    table = np.empty(block.point.shape[:-1] + (m, m), dtype=complex)
+    _fill_values(obs, block.point.reshape(-1, n), block.frame.reshape(-1, n, n),
+                 table.reshape(-1, m, m))
+    return table
+
+
+def _sample_count(horizon, dt):
+    """round(horizon / dt) samples; ValueError unless horizon >= dt > 0 are finite."""
+    if not (np.isfinite(horizon) and np.isfinite(dt) and horizon >= dt > 0):
+        raise ValueError("need finite horizon >= dt > 0")
+    return int(round(horizon / dt))
 
 
 def birkhoff_average(model, obs, fps, horizon, dt=0.01,
                      space_resolution=12, space_average=None):
     """Trajectory time average versus Liouville-Haar space average.
 
-    `fps` is one FramePoint or a list (the time average is then the ensemble
-    mean over trajectories).  The observable is sampled at the times k dt,
-    k = 0 .. round(horizon / dt) - 1.  All trajectories advance together, one
-    `frame_flow` call per block of sample times: a block holds at most 4,096
-    frame points (samples x trajectories, at least one sample) and, on the
-    octagon, at most floor(0.5 / dt) samples, so memory stays flat in the
-    horizon.  The space average can be passed in to avoid recomputation
-    across calls.
+    `fps` is one FramePoint or a non-empty list (the time average is then
+    the ensemble mean over trajectories).  The observable is sampled at the
+    times k dt, k = 0 .. round(horizon / dt) - 1, for finite horizon >= dt > 0.
+    All trajectories advance together through blocks of sample times: a block
+    holds at most 4,096 frame points (samples x trajectories, at least one
+    sample), so memory stays flat in the horizon.  The space average can be
+    passed in to avoid recomputation across calls.
     """
-    if horizon < dt or dt <= 0:
-        raise ValueError("need horizon >= dt > 0")
+    steps = _sample_count(horizon, dt)
     if isinstance(fps, geo.FramePoint):
         fps = [fps]
-    steps = int(round(horizon / dt))
+    if not len(fps):
+        raise ValueError("need at least one frame point")
     traj = np.zeros((len(fps), obs.fiber_dim, obs.fiber_dim), dtype=complex)
     for block in _sample_blocks(model, fps, steps, dt):
         traj += _block_values(obs, block).sum(axis=0)
@@ -318,9 +346,10 @@ def birkhoff_average(model, obs, fps, horizon, dt=0.01,
 
 
 def sample_trajectory(model, obs, fp, horizon, dt):
-    """Trajectory samples at the times k dt, k = 0 .. round(horizon / dt) - 1:
-    arrays (times, points, frames, normalized traces of the observable)."""
-    steps = int(round(horizon / dt))
+    """Trajectory samples at the times k dt, k = 0 .. round(horizon / dt) - 1,
+    for finite horizon >= dt > 0: arrays (times, points, frames, normalized
+    traces of the observable)."""
+    steps = _sample_count(horizon, dt)
     times = np.arange(steps) * dt
     points = np.empty((steps, model.dim))
     frames = np.empty((steps, model.dim, model.dim))

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ResolutionError
+
 TORUS = "flat_torus"
 SPHERE = "sphere"
 OCTAGON = "octagon"
@@ -29,6 +31,8 @@ OCTAGON = "octagon"
 _PAIRING_DET_TOL = 1e-12
 _BOUNDARY_TOL = 1e-14
 _MAX_SUBSTEP = 0.5
+_ORTHO_FIX = 1e-12
+_NODE_CHUNK = 8192  # quadrature nodes per callback table in flows and limits
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +187,7 @@ def _oct_normalize(z, v):
             return z, v
         k = (d[outside].argmin(axis=-1) + 4) % 8
         z[rows], v[rows] = _oct_apply_pairing(k, z[rows], v[rows])
-    raise RuntimeError("octagon re-entry did not terminate")
+    raise ResolutionError("octagon re-entry did not terminate")
 
 
 def _oct_geodesic_step(z, v, t):
@@ -220,12 +224,6 @@ def _oct_advance(z, v, t):
         rows = np.flatnonzero(remaining)
         if not len(rows):
             return z, v
-
-
-def _advance_span(model):
-    """Longest time one closed-form advance covers without substepping:
-    unbounded on tori and the sphere, `_MAX_SUBSTEP` on the octagon."""
-    return _MAX_SUBSTEP if model.kind == OCTAGON else np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +340,14 @@ def geodesic_advance(model, state, t):
     geodesics are straight lines modulo the periods; sphere geodesics
     are great circles, exact for any t (a zero-speed state stays where it is,
     also on a pole; `ValueError` when a moving state's result lies within
-    1e-13 of a pole, where the chart has no velocity components); octagon
-    geodesics are hyperbolic translations in time substeps of at most 0.5 with
-    side-pairing re-entry into the fundamental domain after each (a resting
-    state stays where it is).
+    1e-13 of a pole, where the chart has no velocity components).
+
+    Octagon geodesics are hyperbolic translations, taken in time substeps of
+    at most 0.5 with side-pairing re-entry into the fundamental domain after
+    each, so an advance by |t| <= 0.5 is one closed-form step; a resting state
+    stays where it is.  Long runs of sample times go through
+    `geodesic_samples`, which advances each sample by at most one substep
+    from an anchor.
     """
     t = np.asarray(t, dtype=float)
     p = np.asarray(state.point, dtype=float)
@@ -374,6 +376,76 @@ def geodesic_advance(model, state, t):
     z, vz = _oct_advance(z.ravel().copy(), vz.ravel().copy(), t.ravel())
     return PointState(point=np.stack([z.real, z.imag], axis=-1).reshape(shape + (2,)),
                       velocity=np.stack([vz.real, vz.imag], axis=-1).reshape(shape + (2,)))
+
+
+def geodesic_samples(model, state, dt, count, first=0):
+    """Geodesic states of a batch at the sample times k dt, k = first, first + 1, ...
+
+    `state` has shape (..., n).  The result has shape (c, ..., n) and holds
+    the states at k = first .. first + c - 1.  Tori and the sphere advance
+    every sample from `state` in one broadcast `geodesic_advance`, and
+    c = count.
+
+    On the octagon the samples come in groups of h = max(1, floor(0.5 / dt))
+    sample times.  The first group advances from `state`, each later group
+    from the last sample of the group before, its anchor, which lies at most
+    h dt <= 0.5 (one substep) back.  The anchors advance one group at a time
+    over the whole batch; an anchor whose completed frame has an
+    orthonormality residual above 1e-12 is re-orthonormalized by Gram-Schmidt
+    before it seeds the next group, as `flows.frame_flow` does.  Then one pass
+    advances every sample from its anchor.  A run of more than one group stops
+    at its last whole group (c <= count), so that its last sample can anchor
+    the next run.  `dt` must be finite and positive.
+    """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("sample step dt must be finite and positive")
+    p = np.asarray(state.point, dtype=float)
+    v = np.asarray(state.velocity, dtype=float)
+    batch = p.shape[:-1]
+    if model.kind != OCTAGON:
+        times = ((first + np.arange(count)) * dt).reshape((count,) + (1,) * len(batch))
+        return geodesic_advance(model, state, times)
+    hop = max(1, int(_MAX_SUBSTEP / dt))
+    if count > hop:
+        count -= count % hop
+    groups = -(-count // hop)
+    seed_z = np.empty((max(groups, 1), int(np.prod(batch))), dtype=complex)
+    seed_v = np.empty_like(seed_z)
+    seed_z[0] = (p[..., 0] + 1j * p[..., 1]).ravel()
+    seed_v[0] = (v[..., 0] + 1j * v[..., 1]).ravel()
+    g = 1
+    while g < groups:
+        for j in range(g, groups):
+            t = np.full(seed_z.shape[1], (first + hop - 1 if j == 1 else hop) * dt)
+            seed_z[j], seed_v[j] = _oct_advance(seed_z[j - 1].copy(), seed_v[j - 1].copy(), t)
+        g = _reseed_drifted(model, seed_z, seed_v, g)
+    k = np.arange(count)
+    group = k // hop
+    offset = np.where(group == 0, first + k, k - group * hop + 1)
+    t = np.repeat(offset * dt, seed_z.shape[1])
+    z, vz = _oct_advance(seed_z[group].ravel(), seed_v[group].ravel(), t)
+    shape = (count,) + batch + (2,)
+    return PointState(point=np.stack([z.real, z.imag], axis=-1).reshape(shape),
+                      velocity=np.stack([vz.real, vz.imag], axis=-1).reshape(shape))
+
+
+def _reseed_drifted(model, seed_z, seed_v, g):
+    """Check the anchors (groups, batch) of `geodesic_samples` from group g
+    on.  In the first group that holds an anchor whose completed frame
+    drifts, replace those anchors' velocities by their Gram-Schmidt e_1 (in
+    place) and return the next group, from which the chain must be
+    recomputed; return the group count when no anchor drifts."""
+    points = np.stack([seed_z[g:].real, seed_z[g:].imag], axis=-1)
+    e1 = np.stack([seed_v[g:].real, seed_v[g:].imag], axis=-1)
+    frames = frame_completion(model, points, e1)
+    drifted = _orthonormalize_drifted(model, points, frames)
+    if not len(drifted):
+        return len(seed_z)
+    width = seed_z.shape[1]
+    row = drifted[0] // width
+    cols = drifted[drifted // width == row] % width
+    seed_v[g + row, cols] = frames[row, cols, 0, 0] + 1j * frames[row, cols, 1, 0]
+    return g + row + 1
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +663,20 @@ def is_oriented(model, fp):
     return out if out.ndim else bool(out)
 
 
+def _orthonormalize_drifted(model, points, frames):
+    """Gram-Schmidt, in place, of the frames (..., n, n) at points (..., n)
+    whose orthonormality residual exceeds 1e-12; returns their flat indices.
+    `frames` must be C-contiguous."""
+    n = model.dim
+    residual = orthonormality_residual(model, FramePoint(point=points, frame=frames))
+    drifted = np.flatnonzero(residual > _ORTHO_FIX)
+    if len(drifted):
+        flat_points, flat_frames = points.reshape(-1, n), frames.reshape(-1, n, n)
+        for i in drifted:
+            flat_frames[i] = gram_orthonormalize(model, flat_points[i], flat_frames[i])
+    return drifted
+
+
 def gram_orthonormalize(model, point, frame):
     """Metric Gram-Schmidt of the frame columns at `point`."""
     g = metric_at(model, point)
@@ -647,6 +733,13 @@ def _sphere_rule(n_theta, n_phi):
     cs, ws = np.polynomial.legendre.leggauss(n_theta)
     phis = np.arange(n_phi) * (2 * np.pi / n_phi)
     return np.repeat(cs, n_phi), np.tile(phis, n_theta), np.repeat(ws, n_phi)
+
+
+def _node_chunks(count):
+    """Slices of at most `_NODE_CHUNK` consecutive nodes that cover `count`
+    quadrature nodes: the unit in which callback tables are filled and
+    contracted."""
+    return [slice(lo, lo + _NODE_CHUNK) for lo in range(0, count, _NODE_CHUNK)]
 
 
 def unit_bundle_nodes(model, resolution):

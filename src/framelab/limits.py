@@ -5,8 +5,9 @@ and ergodic decomposition of the tracial state.
 
 Every state evaluation returns a value together with an error estimate
 (truncation or quadrature), never a bare number.  A tracial state calls its
-symbol once per quadrature node into one table and contracts it with the
-weights (and with the invariant section's table on an ergodic component).
+symbol once per quadrature node into a table and contracts it with the
+weights (and with the invariant section's table on an ergodic component),
+`geometry._NODE_CHUNK` nodes at a time.
 """
 
 import itertools
@@ -95,10 +96,20 @@ def _node_table(fn, k, *nodes):
     return table
 
 
-def _trace_average(weights, *tables):
-    """Normalized quadrature sum_n w_n tr(a_n [b_n]) / sum_n w_n of node tables a [, b]."""
+def _trace_sum(weights, *tables):
+    """Quadrature sum sum_n w_n tr(a_n [b_n]) of node tables a [, b] (N, k, k)."""
     spec = ("n,nii->", "n,nij,nji->")[len(tables) - 1]
-    return np.einsum(spec, weights, *tables) / weights.sum()
+    return np.einsum(spec, weights, *tables)
+
+
+def _node_average(weights, term, *arrays):
+    """Sum of term(weights, *arrays) over chunks of `geometry._NODE_CHUNK`
+    nodes (each array sliced to the chunk's rows), divided by sum_n w_n; the
+    tables that term fills hold one chunk."""
+    total = 0.0
+    for nodes in geo._node_chunks(len(weights)):
+        total = total + term(weights[nodes], *(a[nodes] for a in arrays))
+    return total / weights.sum()
 
 
 def tracial_state(model, symbol, fiber_dim=1, resolution=8):
@@ -143,10 +154,13 @@ def _evaluate_tracial(state, a_op):
         raise ValueError("tracial evaluation needs an attached symbol")
     model, k, res = state.context, state.fiber_dim, state.resolution
 
-    def average(r):  # xi is the metric-unit direction of each node
+    def term(weights, points, dirs, *sections):  # xi is the metric-unit direction
+        return _trace_sum(weights, *sections, _node_table(sym, k, points, dirs))
+
+    def average(r):
         points, dirs, weights = geo.unit_bundle_nodes(model, r)
         sections = () if state.weight is None else (state.weight(r),)
-        return _trace_average(weights, *sections, _node_table(sym, k, points, dirs))
+        return _node_average(weights, term, points, dirs, *sections)
 
     norm = k if state.weight is None else state.weight_trace
     fine = average(res)
@@ -400,11 +414,16 @@ def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
             raise ValueError("need symbols (or an explicit limit) for the "
                              "component value")
         k = proj_op.symbol.fiber_dim
+
+        def term(weights, points, dirs):  # omega(P A) and omega(P) from one P table
+            p_table = _node_table(proj_op.symbol.evaluator, k, points, dirs)
+            a_table = _node_table(a_op.symbol.evaluator, k, points, dirs)
+            return np.array([_trace_sum(weights, p_table, a_table),
+                             _trace_sum(weights, p_table)])
+
         points, dirs, weights = geo.unit_bundle_nodes(sm.model, resolution)
-        p_table = _node_table(proj_op.symbol.evaluator, k, points, dirs)
-        a_table = _node_table(a_op.symbol.evaluator, k, points, dirs)
-        limit_value = (_trace_average(weights, p_table, a_table)
-                       / _trace_average(weights, p_table))
+        pa, pp = _node_average(weights, term, points, dirs)
+        limit_value = pa / pp
     a_mat = scipy.sparse.csr_matrix(a_op.matrix)
     devs, block, a_block = [], None, None
     for _, idx, coef in sections:
@@ -466,7 +485,7 @@ def ergodic_decomposition(tracial, projections, apply_fn):
     out = []
     for mat in mats:
         section = lambda r, p=mat: rep_table(r) @ p @ rep_table(r).conj().swapaxes(-1, -2)
-        weight_trace = _trace_average(weights, section(res))
+        weight_trace = _node_average(weights, _trace_sum, section(res))
         comp = StateFunctional(kind="tracial", context=model, fiber_dim=k,
                                resolution=res, weight=section,
                                weight_trace=weight_trace)

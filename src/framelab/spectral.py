@@ -145,7 +145,9 @@ def spectral_norm(m):
     A sparse matrix whose smaller side exceeds `_DENSE_SIDE` gets its largest
     singular value from ARPACK (`svds`), which needs only matrix-vector
     products; anything smaller, and every dense matrix, takes the dense SVD,
-    which is the faster of the two below that size.
+    which is the faster of the two below that size.  A top singular value
+    that ARPACK does not resolve (a tight cluster can stall it) also takes
+    the dense SVD.
     """
     if scipy.sparse.issparse(m):
         if min(m.shape) == 0 or m.nnz == 0:
@@ -156,8 +158,11 @@ def spectral_norm(m):
         # kernel (ARPACK then stops on a zero starting vector) or in an
         # invariant subspace that misses the top singular vector
         v0 = np.random.default_rng(0).standard_normal(min(m.shape))
-        s = scipy.sparse.linalg.svds(m.tocsc().astype(complex), k=1, v0=v0,
-                                     return_singular_vectors=False, maxiter=5000)
+        try:
+            s = scipy.sparse.linalg.svds(m.tocsc().astype(complex), k=1, v0=v0,
+                                         return_singular_vectors=False, maxiter=5000)
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            return float(np.linalg.norm(m.toarray(), 2))
         return float(s[0])
     if min(np.asarray(m).shape) == 0:
         return 0.0

@@ -232,12 +232,18 @@ def test_liouville_normalization_exact(model):
     assert abs(avg[0, 0] - 1.0) < 1e-14
 
 
+def _ref_eval(obs, fp):
+    """The observable at one frame point as an m x m complex matrix."""
+    out = np.asarray(obs.evaluator(fp), dtype=complex)
+    return out.reshape(1, 1) if obs.fiber_dim == 1 else out
+
+
 def _ref_liouville(model, obs, resolution):
     """Liouville x Haar average accumulated one node at a time."""
     out = np.zeros((obs.fiber_dim, obs.fiber_dim), dtype=complex)
     total = 0.0
     for point, frame, w in zip(*fl.liouville_nodes(model, resolution)):
-        out += w * fl._eval(obs, geo.FramePoint(point=point, frame=frame))
+        out += w * _ref_eval(obs, geo.FramePoint(point=point, frame=frame))
         total += w
     return out / total
 
@@ -257,6 +263,18 @@ def test_liouville_matches_per_node_reference(model, res):
         want = _ref_liouville(model, obs, res)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("model, res", [(TORUS3, 4), (OCT, 24)], ids=["torus3", "octagon2"])
+def test_liouville_in_node_chunks_matches_per_node_reference(model, res, monkeypatch):
+    monkeypatch.setattr(geo, "_NODE_CHUNK", 1000)
+    obs = fl.FlowObservable(evaluator=_frame_matrix, fiber_dim=2)
+    assert len(fl.liouville_nodes(model, res)[2]) > 7 * geo._NODE_CHUNK
+    got = fl.liouville_haar_average(model, obs, res)
+    want = _ref_liouville(model, obs, res)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    one = fl.position_observable(lambda p: 1.0)
+    assert abs(fl.liouville_haar_average(model, one, res)[0, 0] - 1.0) < 1e-14
 
 
 def test_liouville_torus_cosine_vanishes():
@@ -367,6 +385,130 @@ def test_sample_trajectory_follows_the_great_circle():
     assert np.array_equal(times, np.arange(steps) * dt)
     assert np.abs(values - _sphere_z(fp, times) ** 2).max() < 1e-12
     assert np.abs(np.cos(points[:, 0]) - _sphere_z(fp, times)).max() < 1e-12
+
+
+def _ref_sample_blocks(model, fps, steps, dt):
+    """The per-hop block sampler: one `frame_flow` call per block of at most
+    `_BLOCK_POINTS` frame points and, on the octagon, at most floor(0.5 / dt)
+    samples, each block advanced from the last sample of the block before."""
+    anchor = _stacked(fps)
+    size = max(1, fl._BLOCK_POINTS // len(fps))
+    if model.kind == geo.OCTAGON:
+        size = min(size, max(1, int(0.5 / dt)))
+    first = 0
+    while first < steps:
+        count = min(size, steps - first)
+        offsets = np.arange(count) if first == 0 else np.arange(1, count + 1)
+        block = fl.frame_flow(model, anchor, (offsets * dt)[:, None])
+        yield block
+        anchor = geo.FramePoint(point=block.point[-1], frame=block.frame[-1])
+        first += count
+
+
+def _ref_samples(model, obs, fps, steps, dt):
+    """Points, frames and observable values (samples, trajectories, ...) of the
+    reference sampler, and the parent's Birkhoff time average."""
+    points, frames, values = [], [], []
+    traj = np.zeros((len(fps), obs.fiber_dim, obs.fiber_dim), dtype=complex)
+    for block in _ref_sample_blocks(model, fps, steps, dt):
+        n = model.dim
+        vals = np.array([_ref_eval(obs, geo.FramePoint(point=p, frame=f))
+                         for p, f in zip(block.point.reshape(-1, n),
+                                         block.frame.reshape(-1, n, n))])
+        vals = vals.reshape(block.point.shape[:2] + vals.shape[1:])
+        traj += vals.sum(axis=0)
+        points.append(block.point)
+        frames.append(block.frame)
+        values.append(vals)
+    time_average = (traj / steps).sum(axis=0) / len(fps)
+    return (np.concatenate(points), np.concatenate(frames), np.concatenate(values),
+            time_average)
+
+
+def _assert_birkhoff_close(got, want):
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+_MATRIX_OBS = fl.FlowObservable(evaluator=_frame_matrix, fiber_dim=2)
+_ORBIT_OBS = {geo.OCTAGON: fl.smooth_bump(),
+              geo.SPHERE: fl.position_observable(lambda p: np.cos(p[0]) ** 2),
+              geo.TORUS: fl.position_observable(lambda p: np.cos(p[0]))}
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.07, 0.8])
+@pytest.mark.parametrize("model", [TORUS2, TORUS3, SPHERE, OCT],
+                         ids=lambda m: m.kind + str(m.dim))
+def test_sample_trajectory_matches_per_hop_reference(model, dt):
+    # 0.07 does not divide the 0.5 substep, 0.8 takes two substeps per sample;
+    # at dt 0.07 the 5,714 samples fill two blocks
+    fp = fl.random_frame_point(model, np.random.default_rng(22))
+    horizon = 400.0
+    steps = int(round(horizon / dt))
+    times, points, frames, values = fl.sample_trajectory(model, _MATRIX_OBS, fp, horizon, dt)
+    ref_points, ref_frames, ref_values, _ = _ref_samples(model, _MATRIX_OBS, [fp], steps, dt)
+    assert np.array_equal(points, ref_points[:, 0])
+    assert np.array_equal(frames, ref_frames[:, 0])
+    assert np.array_equal(values, np.trace(ref_values[:, 0], axis1=-2, axis2=-1) / 2)
+    # the orbit benchmark's observables; only the order of the time sum changes
+    obs = _ORBIT_OBS[model.kind]
+    ref_avg = _ref_samples(model, obs, [fp], steps, dt)[3]
+    est = fl.birkhoff_average(model, obs, fp, horizon, dt, space_average=np.zeros((1, 1)))
+    _assert_birkhoff_close(est.time_average, ref_avg)
+
+
+def test_drifted_octagon_start_matches_per_hop_reference():
+    # Gram-Schmidt fires on every sample advanced from the start, and the
+    # re-orthonormalized anchor seeds the samples after it
+    fp = fl.random_frame_point(OCT, np.random.default_rng(23))
+    frame = fp.frame.copy()
+    frame[:, 0] *= 1.0 + 1e-9
+    start = geo.FramePoint(point=fp.point, frame=frame)
+    assert geo.orthonormality_residual(OCT, start) > 1e-9
+    steps, dt = 4000, 0.1
+    _, points, frames, values = fl.sample_trajectory(OCT, _MATRIX_OBS, start, steps * dt, dt)
+    ref_points, ref_frames, ref_values, _ = _ref_samples(OCT, _MATRIX_OBS, [start], steps, dt)
+    assert np.array_equal(points, ref_points[:, 0])
+    assert np.array_equal(frames, ref_frames[:, 0])
+    assert np.array_equal(values, np.trace(ref_values[:, 0], axis1=-2, axis2=-1) / 2)
+    assert geo.orthonormality_residual(OCT, geo.FramePoint(points[-1], frames[-1])) < 1e-14
+
+
+@pytest.mark.parametrize("count, steps", [(16, 600), (300, 40)])
+def test_octagon_ensemble_matches_per_hop_reference(count, steps):
+    rng = np.random.default_rng(24)
+    fps = [fl.random_frame_point(OCT, rng) for _ in range(count)]
+    obs = fl.smooth_bump()
+    dt = 0.1
+    blocks = list(fl._sample_blocks(OCT, fps, steps, dt))
+    assert len(blocks) >= 3
+    ref_points, ref_frames, ref_values, ref_avg = _ref_samples(OCT, obs, fps, steps, dt)
+    assert np.array_equal(np.concatenate([b.point for b in blocks]), ref_points)
+    assert np.array_equal(np.concatenate([b.frame for b in blocks]), ref_frames)
+    assert np.array_equal(np.concatenate([fl._block_values(obs, b) for b in blocks]),
+                          ref_values)
+    est = fl.birkhoff_average(OCT, obs, fps, steps * dt, dt, space_average=np.zeros((1, 1)))
+    _assert_birkhoff_close(est.time_average, ref_avg)
+
+
+_FP = fl.random_frame_point(TORUS2, np.random.default_rng(25))
+_ONE = fl.position_observable(lambda p: 1.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: fl.birkhoff_average(TORUS2, _ONE, _FP, np.inf, 0.1), "finite"),
+    (lambda: fl.birkhoff_average(TORUS2, _ONE, _FP, np.nan, 0.1), "finite"),
+    (lambda: fl.birkhoff_average(TORUS2, _ONE, _FP, 10.0, np.nan), "finite"),
+    (lambda: fl.birkhoff_average(TORUS2, _ONE, [], 10.0, 0.1), "frame point"),
+    (lambda: fl.sample_trajectory(TORUS2, _ONE, _FP, np.inf, 0.1), "finite"),
+    (lambda: fl.sample_trajectory(TORUS2, _ONE, _FP, 10.0, np.inf), "finite"),
+    (lambda: fl.sample_trajectory(TORUS2, _ONE, _FP, 10.0, 0.0), "finite"),
+    (lambda: fl.sample_trajectory(TORUS2, _ONE, _FP, 10.0, -0.1), "finite"),
+], ids=["birkhoff-inf-horizon", "birkhoff-nan-horizon", "birkhoff-nan-dt",
+        "birkhoff-no-frame-points", "trajectory-inf-horizon", "trajectory-inf-dt",
+        "trajectory-zero-dt", "trajectory-negative-dt"])
+def test_sampling_rejects_bad_inputs(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from framelab import ResolutionError
 from framelab import geometry as geo
 
 
@@ -200,6 +201,15 @@ def test_octagon_rejects_non_finite_times():
     for t in (np.nan, np.inf, np.array([0.3, -np.inf])):
         with pytest.raises(ValueError):
             geo.geodesic_advance(OCT, s, t)
+
+
+def test_octagon_reentry_failure_is_a_resolution_error(monkeypatch):
+    # a pairing that does not move the state never brings it back inside
+    monkeypatch.setattr(geo, "_oct_apply_pairing", lambda k, z, v: (z, v))
+    s = geo.unit_speed(OCT, [0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(ResolutionError, match="re-entry"):
+        geo.geodesic_advance(OCT, s, 2.0)
+    assert issubclass(ResolutionError, RuntimeError)
 
 
 def test_sphere_batch_with_pole_bound_row_raises():

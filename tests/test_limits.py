@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -173,6 +175,27 @@ def test_tracial_matches_per_node_reference(res):
         _assert_close(got.error, error)
 
 
+def test_tracial_in_node_chunks_matches_per_node_reference(monkeypatch):
+    monkeypatch.setattr(geo, "_NODE_CHUNK", 300)
+    got = lm.tracial_state(T3, _hodge_mix, 3, 4)
+    value, _ = _ref_tracial(T3, _hodge_mix, 3, 4)
+    _assert_close(got.value, value)
+
+
+def test_tracial_state_memory_peak():
+    # the whole res-8 node table (65,536 x 3 x 3 complex) alone takes 9.4 MB
+    p, _, _ = sp.hodge_projections(T3, 1, 2)
+    lm.tracial_state(T3, p.symbol, 3, 4)
+    tracemalloc.start()
+    try:
+        value = lm.tracial_state(T3, p.symbol, 3, 8).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - 2 / 3) < 1e-12
+    assert peak <= 6.4e6
+
+
 def _plane_mix(x, xi):
     return np.array([[xi[0] ** 2 + np.cos(x[0]), xi[0] * xi[1]],
                      [0.3j, xi[1] + np.sin(x[1])]])
@@ -316,6 +339,18 @@ def test_quantum_variance_component_value_from_symbols():
                              domain=P.domain, symbol=sym)
     report = lm.quantum_variance(P.domain, a_op, P, 10, resolution=4)
     assert abs(report.limit_value - s) <= 1e-12
+
+
+def test_quantum_variance_component_value_in_node_chunks(monkeypatch):
+    P, _ = _coexact_sections(3)
+    R = sp.helicity_R(T3, 3)
+    sym = sp.SymbolField(lambda x, xi: R.symbol(x, xi) + 0.3 * P.symbol(x, xi), 3)
+    a_op = sp.OperatorMatrix(matrix=(R.matrix + 0.3 * P.matrix).tocsr(), order=0,
+                             domain=P.domain, symbol=sym)
+    whole = lm.quantum_variance(P.domain, a_op, P, 10, resolution=4).limit_value
+    monkeypatch.setattr(geo, "_NODE_CHUNK", 300)
+    chunked = lm.quantum_variance(P.domain, a_op, P, 10, resolution=4).limit_value
+    _assert_close(chunked, whole)
 
 
 # ---------------------------------------------------------------------------

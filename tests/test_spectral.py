@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.special import sph_harm_y
 
 from framelab import CapabilityError
@@ -698,6 +699,20 @@ def test_degeneracy_blocks_of_empty_basis():
 def test_spectral_norm_matches_dense_svd(shape):
     m = scipy.sparse.random(*shape, density=0.5, random_state=3, format="csr")
     m = m + 1j * scipy.sparse.random(*shape, density=0.5, random_state=4, format="csr")
+    want = np.linalg.norm(m.toarray(), 2)
+    assert abs(sp.spectral_norm(m) - want) <= 1e-13 * want
+
+
+def test_spectral_norm_when_arpack_does_not_converge(monkeypatch):
+    # a tight cluster of top singular values can stall ARPACK: the T^2 Egorov
+    # shell [8, 16) at K = 20 for c = (-0.654, -0.0066, 0.860), t = 1.266
+    # (singular value 0.01903 four times, then 0.01892) raises after 5,000
+    # iterations
+    def stalled(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", stalled)
+    m = scipy.sparse.random(150, 120, density=0.5, random_state=5, format="csr")
     want = np.linalg.norm(m.toarray(), 2)
     assert abs(sp.spectral_norm(m) - want) <= 1e-13 * want
 
