@@ -11,11 +11,10 @@ Subpackage layout:
   invariant projections and branching.
 - ``spectral``: truncated eigenbasis models of Laplace- and Dirac-type
   operators, exterior calculus, Hodge and polarization projections,
-  Fourier quantization, heat traces.
+  Fourier quantization, sphere multipliers.
 - ``limits``: eigenstate / Cesaro / heat / tracial state functionals and
   their high-energy comparison, decay, time-evolution residual, variance
   and decomposition diagnostics.
-- ``cli``: reproducible experiment runner.
 """
 
 __version__ = "0.1.0"

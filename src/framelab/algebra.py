@@ -8,14 +8,7 @@ exterior-multiplication sign (`spectral`'s torus symbols read it too).
 A representation table is a group map, its Lie-algebra map and a seeded
 spot-check sample of generic rotations.  Invariant projections are exact: the
 groups are connected, so the commutant of a representation is the null space
-of the commutators with its Lie-algebra image.  The Haar quadratures on SO(m),
-m <= 4, are an independent oracle for the tests:
-
-- SO(2): trapezoid on the rotation angle (64 nodes, exact below degree 64);
-- SO(3): z-y-z Euler angles, trapezoid in alpha/gamma and Gauss-Legendre in
-  cos(beta) (16^3 nodes);
-- SO(4): product of two SU(2) Euler quadratures pushed through the quaternion
-  double cover (exact for spin content up to (2, 2)).
+of the commutators with its Lie-algebra image.
 """
 
 import itertools
@@ -187,107 +180,6 @@ def _bivector(cl, a):
     """Spin Lie algebra element 1/4 sum_ij a_ij gamma_i gamma_j of an antisymmetric a."""
     g = np.asarray(cl.gammas)
     return 0.25 * np.einsum("ij,iab,jbc->ac", a, g, g)
-
-
-# ---------------------------------------------------------------------------
-# Haar quadratures
-
-
-def _trapezoid_angles(count, period=2.0 * np.pi):
-    return np.arange(count) * (period / count)
-
-
-def haar_sample(m):
-    """Haar quadrature sample [(element, weight)] on SO(m), m in {1, 2, 3, 4}.
-
-    Exact for the trigonometric/Legendre coefficient degrees of the
-    representations used in this package; the tests use it as an oracle.
-    """
-    so2_nodes, so3_nodes, su2_nodes = 64, 16, (8, 3, 8)
-    if m == 1:
-        return [(np.eye(1), 1.0)]
-    if m == 2:
-        return [(_rot2(a), 1.0 / so2_nodes) for a in _trapezoid_angles(so2_nodes)]
-    if m == 3:
-        nodes, weights = np.polynomial.legendre.leggauss(so3_nodes)
-        out = []
-        for al in _trapezoid_angles(so3_nodes):
-            for c, wb in zip(nodes, weights):
-                for ga in _trapezoid_angles(so3_nodes):
-                    w = wb / (2.0 * so3_nodes * so3_nodes)
-                    out.append((_euler_zyz(al, np.arccos(c), ga), w))
-        return out
-    if m == 4:
-        su2 = _su2_sample(*su2_nodes)
-        out = []
-        for u, wu in su2:
-            for v, wv in su2:
-                out.append((_so4_from_quaternions(u, v), wu * wv))
-        return out
-    raise ValueError(f"no Haar quadrature for SO({m})")
-
-
-def _rot2(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s], [s, c]])
-
-
-def _euler_zyz(al, be, ga):
-    rz1 = np.eye(3)
-    rz1[:2, :2] = _rot2(al)
-    ry = np.array([[np.cos(be), 0, np.sin(be)], [0, 1, 0], [-np.sin(be), 0, np.cos(be)]])
-    rz2 = np.eye(3)
-    rz2[:2, :2] = _rot2(ga)
-    return rz1 @ ry @ rz2
-
-
-def _su2_sample(na, nb, ng):
-    nodes, weights = np.polynomial.legendre.leggauss(nb)
-    out = []
-    for al in _trapezoid_angles(na):
-        for c, wb in zip(nodes, weights):
-            be = np.arccos(c)
-            for ga in _trapezoid_angles(ng, period=4.0 * np.pi):
-                q = _su2_euler_quaternion(al, be, ga)
-                out.append((q, wb / (2.0 * na * ng)))
-    return out
-
-
-def _su2_euler_quaternion(al, be, ga):
-    # unit quaternion of exp(-i al s3/2) exp(-i be s2/2) exp(-i ga s3/2)
-    cb, sb = np.cos(be / 2), np.sin(be / 2)
-    return np.array([
-        cb * np.cos((al + ga) / 2),
-        sb * np.sin((ga - al) / 2),
-        sb * np.cos((ga - al) / 2),
-        cb * np.sin((al + ga) / 2),
-    ])
-
-
-def _quat_left(q):
-    w, x, y, z = q
-    return np.array([
-        [w, -x, -y, -z],
-        [x, w, -z, y],
-        [y, z, w, -x],
-        [z, -y, x, w],
-    ])
-
-
-def _quat_right(q):
-    w, x, y, z = q
-    return np.array([
-        [w, -x, -y, -z],
-        [x, w, z, -y],
-        [y, -z, w, x],
-        [z, y, -x, w],
-    ])
-
-
-def _so4_from_quaternions(u, v):
-    # x -> u x conj(v) on quaternions identified with R^4
-    vb = np.array([v[0], -v[1], -v[2], -v[3]])
-    return _quat_left(u) @ _quat_right(vb)
 
 
 def generic_rotations(m, count=24, seed=0):

@@ -199,7 +199,9 @@ def equivariance_residual(model, obs, rng=None, samples=20):
 
 
 def random_frame_point(model, rng):
-    """Seeded random frame point, base distributed by the Riemannian measure."""
+    """Seeded random frame point, base distributed by the Riemannian measure;
+    on the sphere that measure restricted to |cos theta| <= 0.98, away from
+    the chart's poles."""
     n = model.dim
     if model.kind == geo.TORUS:
         point = rng.uniform(0, model.periods, size=n)

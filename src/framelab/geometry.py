@@ -12,10 +12,8 @@ The package's one quadrature rule on the unit tangent bundle
 (`unit_bundle_nodes`), its one sphere rule (`_sphere_rule`, also used by
 `spectral`) and its one oriented frame completion (`frame_completion`) live
 here; the Liouville-Haar averages of `flows` and the tracial states of
-`limits` both integrate with them.
-
-A generic 4th-order integrator of the geodesic/transport equations is kept
-only as a cross-check oracle (`parallel_transport_rk4`).
+`limits` both integrate with them.  `holonomy` carries a vector around a
+polygon with `parallel_transport`.
 """
 
 from dataclasses import dataclass
@@ -249,7 +247,8 @@ def _sph_to_ambient(p, v):
 
 def _sph_to_chart(x, u):
     """Chart point(s) and vector(s) of ambient position x, tangent vector u."""
-    th = np.arccos(np.clip(x[..., 2], -1.0, 1.0))
+    # arccos(z) would lose all precision near a pole
+    th = np.arctan2(np.hypot(x[..., 0], x[..., 1]), x[..., 2])
     ph = np.arctan2(x[..., 1], x[..., 0]) % (2.0 * np.pi)
     p = np.stack([th, ph], axis=-1)
     _, e_th, e_ph = _sph_frame(p)
@@ -278,33 +277,6 @@ def metric_at(model, point):
         raise ValueError("point outside the fundamental octagon")
     lam = 2.0 / (1.0 - abs(z) ** 2)
     return lam * lam * np.eye(2)
-
-
-def christoffel_at(model, point):
-    """Christoffel symbols Gamma[k, i, j] of the Levi-Civita connection."""
-    point = np.asarray(point, dtype=float)
-    n = model.dim
-    gam = np.zeros((n, n, n))
-    if model.kind == TORUS:
-        return gam
-    if model.kind == SPHERE:
-        th = point[0]
-        cot = np.cos(th) / np.sin(th)
-        gam[0, 1, 1] = -np.sin(th) * np.cos(th)
-        gam[1, 0, 1] = gam[1, 1, 0] = cot
-        return gam
-    x, y = point
-    r2 = x * x + y * y
-    # conformal factor log-derivatives: d log(lambda) = 2 (x, y) / (1 - r^2)
-    ax = 2.0 * x / (1.0 - r2)
-    ay = 2.0 * y / (1.0 - r2)
-    gam[0, 0, 0] = ax
-    gam[0, 0, 1] = gam[0, 1, 0] = ay
-    gam[0, 1, 1] = -ax
-    gam[1, 1, 1] = ay
-    gam[1, 0, 1] = gam[1, 1, 0] = ax
-    gam[1, 0, 0] = -ay
-    return gam
 
 
 def speed(model, state):
@@ -473,158 +445,67 @@ def parallel_transport(model, state, t, w):
     return frame_completion(model, end.point, end.velocity / s) @ coeffs
 
 
-def parallel_transport_rk4(model, state, t, w, steps=400):
-    """Generic RK4 integration of the geodesic + transport equations.
-
-    Cross-check oracle only; it integrates in the chart and does not know
-    about octagon side pairings, so octagon paths must stay inside the
-    fundamental domain.
-    """
-    y = np.concatenate([np.asarray(state.point, float),
-                        np.asarray(state.velocity, float),
-                        np.asarray(w, float)])
-    n = model.dim
-
-    def rhs(y):
-        p, v, wv = y[:n], y[n:2 * n], y[2 * n:]
-        gam = christoffel_at(model, p)
-        dv = -np.einsum("kij,i,j->k", gam, v, v)
-        dw = -np.einsum("kij,i,j->k", gam, v, wv)
-        return np.concatenate([v, dv, dw])
-
-    h = float(t) / steps
-    for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y[:n], y[n:2 * n], y[2 * n:]
-
-
 # ---------------------------------------------------------------------------
-# Connecting geodesics, holonomy, polygon areas
+# Holonomy
 
 
-def _torus_connect(model, a, b):
-    per = np.asarray(model.periods)
-    d = (np.asarray(b, float) - np.asarray(a, float)) % per
-    d = np.where(d > 0.5 * per, d - per, d)
-    dist = np.linalg.norm(d)
-    if dist == 0.0:
+def _connect(model, a, b):
+    """Unit-speed chart state at vertex a heading along the geodesic edge
+    a -> b, and the edge's length."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if model.kind == TORUS:
+        per = np.asarray(model.periods)
+        d = (b - a) % per
+        d = np.where(d > 0.5 * per, d - per, d)
+        length = np.linalg.norm(d)
+    elif model.kind == SPHERE:
+        (x, e_th, e_ph), y = _sph_frame(a), _sph_frame(b)[0]
+        c = np.clip(x @ y, -1.0, 1.0)
+        length = np.arccos(c)
+        if length > np.pi - 1e-12:
+            raise ValueError("antipodal polygon edge")
+        u = y - c * x
+        # sin(theta) times the chart components of u: the same direction
+        d = np.array([np.sin(a[0]) * (u @ e_th), u @ e_ph])
+    else:
+        za, zb = complex(a[0], a[1]), complex(b[0], b[1])
+        q = (zb - za) / (1.0 - np.conj(za) * zb)  # b after the isometry taking a to 0
+        length = 2.0 * np.arctanh(abs(q))
+        d = np.array([q.real, q.imag])
+    if length < 1e-12:
         raise ValueError("degenerate polygon: repeated vertices")
-    return d / dist, dist
-
-
-def _sphere_vertex(v):
-    v = np.asarray(v, dtype=float)
-    if v.shape == (3,):
-        return v / np.linalg.norm(v)
-    return _sph_frame(v)[0]
-
-
-def _sphere_connect(a, b):
-    """Unit tangents at both ends of the arc a -> b (ambient), plus length."""
-    c = np.clip(a @ b, -1.0, 1.0)
-    psi = np.arccos(c)
-    if psi < 1e-12 or psi > np.pi - 1e-12:
-        raise ValueError("degenerate or antipodal polygon edge")
-    u_a = (b - c * a) / np.sin(psi)
-    u_b = (a * (-np.sin(psi)) + u_a * np.cos(psi))
-    return u_a, u_b, psi
-
-
-def _disk_connect(a, b):
-    """Departure/arrival unit tangents for the disk geodesic a -> b."""
-    bp = (b - a) / (1.0 - np.conj(a) * b)
-    if abs(bp) < 1e-14:
-        raise ValueError("degenerate polygon: repeated vertices")
-    eta = bp / abs(bp)
-    dep = (1.0 - abs(a) ** 2) * eta
-    arr = (1.0 - abs(a) ** 2) / (1.0 + np.conj(a) * bp) ** 2 * eta
-    dist = 2.0 * np.arctanh(abs(bp))
-    return dep, arr, dist
-
-
-def _wrap_angle(x):
-    return (x + np.pi) % (2.0 * np.pi) - np.pi
+    return unit_speed(model, a, d), length
 
 
 def holonomy(model, vertices):
     """Rotation angle of parallel transport around a closed geodesic polygon.
 
     The polygon is the list of vertices traversed in order (the closing edge
-    back to the first vertex is implied).  The angle equals
-    curvature * enclosed area, modulo 2*pi, with the sign of the traversal
-    orientation.
+    back to the first vertex is implied).  A vector leaves the first vertex
+    along the first edge, is carried along every edge by
+    `parallel_transport`, and the angle is read in the first edge's
+    completed frame.  It equals curvature * enclosed area, modulo 2*pi, with
+    the sign of the traversal orientation.
+
+    Vertices are chart points: theta in (0, pi) on the sphere and points of
+    the fundamental domain on the octagon; a vertex outside the chart (on a
+    pole, or outside the octagon) raises `ValueError`.
     """
-    if len(vertices) < 3:
+    m = len(vertices)
+    if m < 3:
         raise ValueError("polygon needs at least 3 vertices")
+    for v in vertices:
+        metric_at(model, v)  # raises outside the chart
+    edges = [_connect(model, vertices[i], vertices[(i + 1) % m]) for i in range(m)]
     if model.kind == TORUS:
-        for a, b in _edges(vertices):
-            _torus_connect(model, a, b)  # raises on repeated vertices
-        return 0.0
-    if model.kind == SPHERE:
-        pts = [_sphere_vertex(v) for v in vertices]
-        w = None
-        for a, b in _edges(pts):
-            u_a, u_b, _ = _sphere_connect(a, b)
-            if w is None:
-                w0 = u_a
-                n0 = np.cross(a, u_a)
-                w = u_a
-            n_edge = np.cross(a, u_a)
-            w = (w @ u_a) * u_b + (w @ n_edge) * n_edge
-        return float(_wrap_angle(np.arctan2(w @ n0, w @ w0)))
-    zs = [complex(v[0], v[1]) for v in vertices]
-    total = 0.0
-    for a, b in _edges(zs):
-        dep, arr, _ = _disk_connect(a, b)
-        total += np.angle(arr / dep)
-    return float(_wrap_angle(total))
-
-
-def _edges(vertices):
-    m = len(vertices)
-    return [(vertices[i], vertices[(i + 1) % m]) for i in range(m)]
-
-
-def geodesic_polygon_area(model, vertices):
-    """Signed enclosed area from the angle excess/defect (Gauss-Bonnet oracle).
-
-    Positive for counterclockwise traversal.  Torus polygons use the planar
-    shoelace formula on the unwrapped straight edges.
-    """
-    m = len(vertices)
-    if model.kind == TORUS:
-        pts = [np.asarray(vertices[0], dtype=float)]
-        for a, b in _edges(vertices)[:-1]:
-            d, dist = _torus_connect(model, a, b)
-            pts.append(pts[-1] + d * dist)
-        area = 0.0
-        for i in range(m):
-            x0, y0 = pts[i][:2]
-            x1, y1 = pts[(i + 1) % m][:2]
-            area += 0.5 * (x0 * y1 - x1 * y0)
-        return float(area)
-    turning = 0.0
-    if model.kind == SPHERE:
-        pts = [_sphere_vertex(v) for v in vertices]
-        for i in range(m):
-            a, b, c = pts[(i - 1) % m], pts[i], pts[(i + 1) % m]
-            _, incoming, _ = _sphere_connect(a, b)
-            outgoing, _, _ = _sphere_connect(b, c)
-            nb = np.cross(b, incoming)
-            turning += np.arctan2(outgoing @ nb, outgoing @ incoming)
-    else:
-        zs = [complex(v[0], v[1]) for v in vertices]
-        for i in range(m):
-            a, b, c = zs[(i - 1) % m], zs[i], zs[(i + 1) % m]
-            _, incoming, _ = _disk_connect(a, b)
-            outgoing, _, _ = _disk_connect(b, c)
-            turning += np.angle(outgoing / incoming)
-    # Gauss-Bonnet for a counterclockwise geodesic polygon
-    return float((2.0 * np.pi - turning) / model.curvature)
+        return 0.0  # flat: parallel transport is the identity
+    first = edges[0][0]
+    w = first.velocity
+    for state, length in edges:
+        w = parallel_transport(model, state, length, w)
+    frame = frame_completion(model, first.point, first.velocity)
+    c = frame.T @ metric_at(model, first.point) @ w
+    return float(np.arctan2(c[1], c[0]))
 
 
 # ---------------------------------------------------------------------------

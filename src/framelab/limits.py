@@ -71,11 +71,34 @@ def cesaro_state(sm, n):
 
 
 def heat_state(sm, t):
-    """Gibbs trace-ratio state at inverse temperature t; its error is the
-    truncation bound of `spectral.heat_state_trace`."""
+    """Gibbs trace-ratio state at inverse temperature t.  Its error bounds
+    what the modes beyond the cutoff would add; `compare_states` flags heat
+    times below `heat_time_floor(sm)` as not reliable."""
     if t <= 0:
         raise ValueError("heat time must be positive")
     return StateFunctional(kind="heat", context=sm, t=float(t))
+
+
+def heat_time_floor(sm):
+    """Smallest t at which the truncated tail, for the eigenvalues of sm, is
+    below 1e-12 of the leading term."""
+    span = sm.lam.max() - sm.lam.min()
+    if span <= 0:
+        return 0.0
+    return float((np.log(sm.lam.size) + 12 * np.log(10.0)) / span)
+
+
+def _gibbs_ratio(lam, diag, t):
+    """sum(diag exp(-t lam)) / sum(exp(-t lam)) and its truncation bound.
+
+    The bound, dim exp(-t (max lam - min lam)) (1 + max |diag|) / Z with Z the
+    shifted denominator, estimates what the modes beyond the cutoff would add.
+    """
+    gibbs = np.exp(-t * (lam - lam.min()))
+    den = gibbs.sum()
+    tail = lam.size * np.exp(-t * (lam.max() - lam.min()))
+    scale = float(np.abs(diag).max())
+    return (diag * gibbs).sum() / den, float(tail * (1.0 + scale) / den)
 
 
 def tracial_state_functional(model, fiber_dim=1, resolution=8):
@@ -141,7 +164,7 @@ def evaluate(state, a_op):
         return StateValue(value=complex(diag.sum() / state.n), error=0.0)
     if state.kind == "heat":
         # a constant potential or mass cancels in the Gibbs ratio
-        value, error = sp._gibbs_ratio(sm.lam, mat.diagonal(), state.t)
+        value, error = _gibbs_ratio(sm.lam, mat.diagonal(), state.t)
         return StateValue(value=complex(value), error=error)
     raise ValueError(f"unknown state kind {state.kind!r}")
 
@@ -247,7 +270,7 @@ def compare_states(sm, a_op, n_ladder=None, t_ladder=None, resolution=8):
         seen.add(st.n)
         val = evaluate(st, diag_op).value
         cesaro_rows.append((st.n, val, abs(val - trac.value)))
-    t0 = sp._heat_floor(sm.lam)
+    t0 = heat_time_floor(sm)
     if t_ladder is None:
         t_ladder = [8 * t0, 4 * t0, 2 * t0, t0]
     heat_rows = []

@@ -725,55 +725,3 @@ def sphere_multiplication(L, fn, symbol_fn=None):
     sym_fn = symbol_fn or (lambda point, xi: fn(point[0], point[1]))
     return OperatorMatrix(matrix=full, order=0, domain=sm,
                           symbol=SymbolField(evaluator=sym_fn, fiber_dim=1))
-
-
-# ---------------------------------------------------------------------------
-# Heat traces
-
-
-@dataclass(frozen=True)
-class HeatValue:
-    """Heat-state value with a truncation-error estimate."""
-
-    value: complex
-    truncation_estimate: float
-    reliable: bool
-
-
-def _heat_floor(lam):
-    """Smallest t at which the truncated tail, for eigenvalues lam, is below
-    1e-12 of the leading term."""
-    span = lam.max() - lam.min()
-    if span <= 0:
-        return 0.0
-    return float((np.log(lam.size) + 12 * np.log(10.0)) / span)
-
-
-def _gibbs_ratio(lam, diag, t):
-    """sum(diag exp(-t lam)) / sum(exp(-t lam)) and its truncation bound.
-
-    The bound, dim exp(-t (max lam - min lam)) (1 + max |diag|) / Z with Z the
-    shifted denominator, estimates what the modes beyond the cutoff would add.
-    """
-    gibbs = np.exp(-t * (lam - lam.min()))
-    den = gibbs.sum()
-    tail = lam.size * np.exp(-t * (lam.max() - lam.min()))
-    scale = float(np.abs(diag).max())
-    return (diag * gibbs).sum() / den, float(tail * (1.0 + scale) / den)
-
-
-def heat_time_floor(delta_op):
-    """Smallest t at which the truncated tail is below 1e-12 of the leading term."""
-    return _heat_floor(laplacian_diagonal(delta_op))
-
-
-def heat_state_trace(a_op, delta_op, t):
-    """tr(A exp(-t Delta)) / tr(exp(-t Delta)) over the truncated basis."""
-    if a_op.domain.labels != delta_op.domain.labels:
-        raise ValueError("observable and Laplacian act on different bases")
-    if t <= 0:
-        raise ValueError("heat time must be positive")
-    lam = laplacian_diagonal(delta_op)
-    value, estimate = _gibbs_ratio(lam, a_op.matrix.diagonal(), t)
-    return HeatValue(value=value, truncation_estimate=estimate,
-                     reliable=t >= _heat_floor(lam))

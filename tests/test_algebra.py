@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from framelab import ResolutionError
 from framelab import algebra as alg
 
@@ -99,7 +100,7 @@ def test_spin_lift_half_angle():
     # rotation by theta in the (e2,e3)-plane lifts to exp(-theta g2 g3 / 2)
     cl = alg.build_clifford(3)
     theta = 0.73
-    h = alg._rot2(theta)
+    h = oracles._rot2(theta)
     s = alg.spin_lift(cl, alg.embed_stabilizer(h))
     expect = (np.cos(theta / 2) * np.eye(2)
               - np.sin(theta / 2) * (cl.gammas[1] @ cl.gammas[2]))
@@ -112,7 +113,7 @@ def test_spin_lift_half_angle():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_haar_sample_is_normalized_rotations(m):
-    sample = alg.haar_sample(m)
+    sample = oracles.haar_sample(m)
     w = sum(w for _, w in sample)
     assert abs(w - 1.0) < 1e-12
     for g, _ in sample[:: max(1, len(sample) // 40)]:
@@ -123,14 +124,14 @@ def test_haar_sample_is_normalized_rotations(m):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_haar_sample_kills_defining_rep(m):
     # int_G g dg = 0 for the defining representation
-    sample = alg.haar_sample(m)
+    sample = oracles.haar_sample(m)
     avg = sum(w * g for g, w in sample)
     assert np.abs(avg).max() < 1e-12
 
 
 def test_haar_so4_kills_wedge2():
     avg = 0.0
-    for g, w in alg.haar_sample(4):
+    for g, w in oracles.haar_sample(4):
         avg = avg + w * alg.exterior_power_matrix(g, 2)
     assert np.abs(avg).max() < 1e-12
 
@@ -369,7 +370,7 @@ def test_isotypic_detects_lie_map_contradicting_apply():
 def test_exact_projections_commute_with_haar_nodes(n, p):
     # the Haar quadrature of SO(n-1) is an independent oracle for the commutant
     rep = alg.restrict_to_stabilizer(alg.exterior_rep(n, p))
-    mats = rep.apply(np.stack([h for h, _ in alg.haar_sample(n - 1)]))
+    mats = rep.apply(np.stack([h for h, _ in oracles.haar_sample(n - 1)]))
     for pr in alg.branching_projections(n, p):
         q = pr.projector
         assert np.abs(mats @ q - q @ mats).max() < 1e-12

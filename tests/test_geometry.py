@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from framelab import ResolutionError
 from framelab import geometry as geo
 
@@ -221,6 +222,15 @@ def test_sphere_batch_with_pole_bound_row_raises():
         geo.geodesic_advance(SPHERE, s, np.pi / 2)
 
 
+@pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-9])
+def test_sphere_meridian_keeps_polar_precision(theta):
+    # a meridian from the equator that stops theta short of the north pole
+    s = geo.unit_speed(SPHERE, [np.pi / 2, 0.3], [-1.0, 0.0])
+    t = np.pi / 2 - theta
+    out = geo.geodesic_advance(SPHERE, s, t)
+    assert abs(out.point[0] - (np.pi / 2 - t)) <= 1e-15
+
+
 def test_sphere_zero_speed_state_unchanged():
     # the last row rests on the pole, where the chart has no velocity components
     s = geo.PointState(point=np.array([[0.8, 1.1], [1.2, 4.0], [0.0, 0.0]]),
@@ -313,7 +323,7 @@ def test_transport_matches_rk4_oracle(model, t):
             s = geo.unit_speed(model, 0.3 * s.point, s.velocity)
         w = rng.normal(size=2)
         closed = geo.parallel_transport(model, s, t, w)
-        p_rk, v_rk, w_rk = geo.parallel_transport_rk4(model, s, t, w, steps=4000)
+        p_rk, v_rk, w_rk = oracles.parallel_transport_rk4(model, s, t, w, steps=4000)
         end = geo.geodesic_advance(model, s, t)
         assert np.allclose(p_rk, end.point, atol=1e-8)
         assert np.allclose(v_rk, end.velocity, atol=1e-8)
@@ -348,7 +358,7 @@ def test_holonomy_degenerate_polygon():
 def test_holonomy_sphere_octant():
     # north pole, (1,0,0), (0,1,0): spherical-excess oracle gives area pi/2
     tri = [[1e-9, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]]
-    area = geo.geodesic_polygon_area(SPHERE, tri)
+    area = oracles.geodesic_polygon_area(SPHERE, tri)
     assert abs(area - np.pi / 2) < 1e-6
     hol = geo.holonomy(SPHERE, tri)
     assert abs(hol - np.pi / 2) < 1e-6
@@ -360,7 +370,7 @@ def test_holonomy_sphere_matches_area():
         th = rng.uniform(0.7, 1.3, size=3)
         ph = np.sort(rng.uniform(0, 1.5, size=3))
         tri = [[th[0], ph[0]], [th[1], ph[1]], [th[2], ph[2]]]
-        area = geo.geodesic_polygon_area(SPHERE, tri)
+        area = oracles.geodesic_polygon_area(SPHERE, tri)
         hol = geo.holonomy(SPHERE, tri)
         assert abs((hol - SPHERE.curvature * area + np.pi) % (2 * np.pi) - np.pi) < 1e-6
 
@@ -368,7 +378,7 @@ def test_holonomy_sphere_matches_area():
 def test_holonomy_octagon_triangle():
     # counterclockwise hyperbolic triangle: holonomy = -area (angle-defect oracle)
     tri = [[0.3, 0.0], [0.1, 0.35], [-0.25, 0.05]]
-    area = geo.geodesic_polygon_area(OCT, tri)
+    area = oracles.geodesic_polygon_area(OCT, tri)
     assert area > 0.01
     hol = geo.holonomy(OCT, tri)
     assert abs(hol - (-area)) < 1e-6
@@ -380,9 +390,50 @@ def test_holonomy_octagon_random_polygons():
         ang = np.sort(rng.uniform(0, 2 * np.pi, size=4))
         rad = rng.uniform(0.15, 0.45, size=4)
         poly = [[r * np.cos(a), r * np.sin(a)] for r, a in zip(rad, ang)]
-        area = geo.geodesic_polygon_area(OCT, poly)
+        area = oracles.geodesic_polygon_area(OCT, poly)
         hol = geo.holonomy(OCT, poly)
         assert abs((hol - OCT.curvature * area + np.pi) % (2 * np.pi) - np.pi) < 1e-6
+
+
+def _sphere_triangle(data):
+    # one vertex within [1e-9, 1e-3] of the north pole, two at mid latitudes
+    unit = st.floats(0.0, 1.0)
+    th0 = 10.0 ** data.draw(st.floats(-9.0, -3.0))
+    ph1 = 1.5 * data.draw(unit)
+    return [[th0, 2 * np.pi * data.draw(unit)], [0.3 + 1.1 * data.draw(unit), ph1],
+            [0.3 + 1.1 * data.draw(unit), ph1 + 0.3 + 1.7 * data.draw(unit)]]
+
+
+def _octagon_quadrilateral(data):
+    # radius <= 0.6 keeps every vertex inside the octagon's inscribed circle
+    unit = st.floats(0.0, 1.0)
+    ang = 2 * np.pi * data.draw(unit) + np.cumsum([0.0] + [0.2 + 1.2 * data.draw(unit)
+                                                           for _ in range(3)])
+    rad = [0.1 + 0.5 * data.draw(unit) for _ in range(4)]
+    return [[r * np.cos(a), r * np.sin(a)] for r, a in zip(rad, ang)]
+
+
+@pytest.mark.parametrize("model,polygon", [(SPHERE, _sphere_triangle),
+                                           (OCT, _octagon_quadrilateral)],
+                         ids=["sphere", "octagon"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_holonomy_is_curvature_times_area(model, polygon, data):
+    poly = polygon(data)
+    area = oracles.geodesic_polygon_area(model, poly)
+    hol = geo.holonomy(model, poly)
+    assert abs((hol - model.curvature * area + np.pi) % (2 * np.pi) - np.pi) < 1e-6
+
+
+def test_holonomy_rejects_vertices_outside_the_chart():
+    with pytest.raises(ValueError):
+        geo.holonomy(SPHERE, [[0.0, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]])
+    with pytest.raises(ValueError):
+        geo.holonomy(SPHERE, [[np.pi / 2, 0.0], [np.pi / 2, np.pi / 2], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        geo.holonomy(OCT, [[0.3, 0.0], [0.1, 0.35], [0.75, 0.0]])
+    with pytest.raises(ValueError):
+        geo.holonomy(OCT, [[0.3, 0.0], [1.5, 0.2], [0.1, 0.35]])
 
 
 # ---------------------------------------------------------------------------

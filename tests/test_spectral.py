@@ -9,6 +9,7 @@ from scipy.special import sph_harm_y
 from framelab import CapabilityError
 from framelab import algebra as alg
 from framelab import geometry as geo
+from framelab import limits as lm
 from framelab import spectral as sp
 
 
@@ -443,27 +444,26 @@ def test_sphere_multiplication_z2_oracle():
 
 
 def test_heat_trace_identity_and_symmetry():
-    sm, delta = sp.build_laplacian(T2, "functions", 6)
+    sm = sp.basis_for(T2, "functions", 6)
     ident = sp.OperatorMatrix(matrix=scipy.sparse.identity(sm.dim, dtype=complex),
                               order=0, domain=sm)
-    out = sp.heat_state_trace(ident, delta, 0.5)
+    out = lm.evaluate(lm.heat_state(sm, 0.5), ident)
     assert out.value == pytest.approx(1.0, abs=1e-14)
     op = sp.quantize(T2, sp.cosine_symbol(axis=0, dim=2), 6)
-    out = sp.heat_state_trace(op, delta, 0.5)
+    out = lm.evaluate(lm.heat_state(sm, 0.5), op)
     assert abs(out.value) <= 1e-14
 
 
 def test_heat_trace_sphere_z2_to_liouville():
     L = 16
-    smf, delta = sp.build_laplacian(S2, "functions", L)
     op = sp.sphere_multiplication(L, lambda th, ph: np.cos(th) ** 2)
-    t0 = sp.heat_time_floor(delta)
-    vals = [sp.heat_state_trace(op, delta, t) for t in (4 * t0, 2 * t0, t0)]
-    assert all(v.reliable for v in vals)
+    sm = op.domain
+    t0 = lm.heat_time_floor(sm)
+    vals = [lm.evaluate(lm.heat_state(sm, t), op) for t in (4 * t0, 2 * t0, t0)]
     errs = [abs(v.value - 1.0 / 3.0) for v in vals]
     assert errs[-1] <= 2e-2
-    bad = sp.heat_state_trace(op, delta, 0.25 * t0)
-    assert not bad.reliable
+    report = lm.compare_states(sm, op, t_ladder=[4 * t0, 2 * t0, t0, 0.25 * t0])
+    assert [reliable for *_, reliable in report.heat_rows] == [True, True, True, False]
 
 
 def test_compose_cutoff_mismatch():

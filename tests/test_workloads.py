@@ -1,20 +1,29 @@
 """One cycle of every benchmark workload, checked by the benchmark's own checks.
 
-`perfbench/workloads.py` is imported read-only from its file; each op kind
-runs once on the inputs its first cycle draws, so a wrong output fails here
-and not only in a benchmark run.
+`perfbench/workloads.py` and `perfbench/spans.py` are imported read-only from
+their files.  Each op kind runs once on the inputs its first cycle draws, so a
+wrong output fails here and not only in a benchmark run, and every traced
+target that the library lacks is named, so no deletion zeroes a metric silently.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
-workloads = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(workloads)
+
+def _load(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+spans = _load("spans")
 
 SEED = 5
 
@@ -31,3 +40,13 @@ def test_one_cycle_passes_its_checks(name):
 
 def test_meridian_probe_reads_ok_or_known_defect():
     assert workloads.meridian_probe() in ("ok", "known-defect")
+
+
+def test_benchmark_targets_missing_from_the_library_are_named():
+    # the tracer reports a target the library lacks as absent, with value 0
+    missing = set()
+    for target in spans.SHARE_TARGETS + spans.CALL_TARGETS:
+        module, name = target.split(".")
+        if not hasattr(importlib.import_module(f"framelab.{module}"), name):
+            missing.add(target)
+    assert missing == {"algebra.haar_average_conjugation", "algebra.haar_sample"}
