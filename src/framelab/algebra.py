@@ -28,6 +28,9 @@ _PAULI3 = np.array([[1, 0], [0, -1]], dtype=complex)
 # Relative null-space cut: the other eigenvalues of the commutant's Gram
 # matrix are Casimir values of nontrivial tensor representations, all >= 1.
 _NULL_TOL = 1e-8
+# Isotypic clusters: relative eigenvalue gap, and the accepted projection defect.
+_CLUSTER_GAP = 1e-6
+_RESOLVE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,13 +305,13 @@ def conjugate_by(rep_matrix, x):
     return rep_matrix.conj().T @ x @ rep_matrix
 
 
-def table_residuals(rep, rng=None, pairs=12):
-    """Diagnostics: weight sum defect, max non-unitarity, (projective) cocycle defect."""
+def table_residuals(rep):
+    """Diagnostics: weight sum defect, max non-unitarity, (projective) cocycle
+    defect over 12 seeded pairs of sample elements."""
     wsum = sum(w for _, _, w in rep.sample)
     eye = np.eye(rep.degree)
     unit = max(np.abs(u.conj().T @ u - eye).max() for _, u, _ in rep.sample)
-    rng = rng or np.random.default_rng(0)
-    idx = rng.integers(0, len(rep.sample), size=(pairs, 2))
+    idx = np.random.default_rng(0).integers(0, len(rep.sample), size=(12, 2))
     coc = 0.0
     for i, j in idx:
         g, u, _ = rep.sample[i]
@@ -325,7 +328,7 @@ def table_residuals(rep, rng=None, pairs=12):
 # Invariant projections
 
 
-def isotypic_projections(rep, seed=0, cluster_gap=1e-6, tol=1e-10):
+def isotypic_projections(rep, seed=0):
     """Decompose C^degree into invariant subspaces of the representation.
 
     The commutant of the connected group is the null space of sum_{i<j}
@@ -354,7 +357,7 @@ def isotypic_projections(rep, seed=0, cluster_gap=1e-6, tol=1e-10):
     scale = max(np.abs(vals).max(), 1.0)
     clusters = [[0]]
     for i in range(1, k):
-        if vals[i] - vals[clusters[-1][-1]] > cluster_gap * scale:
+        if vals[i] - vals[clusters[-1][-1]] > _CLUSTER_GAP * scale:
             clusters.append([i])
         else:
             clusters[-1].append(i)
@@ -364,9 +367,9 @@ def isotypic_projections(rep, seed=0, cluster_gap=1e-6, tol=1e-10):
         projs.append(IsotypicProjection(projector=v @ v.conj().T,
                                         dimension=len(idx), label=label))
     total = sum(p.projector for p in projs)
-    if np.abs(total - eye).max() > tol:
+    if np.abs(total - eye).max() > _RESOLVE_TOL:
         raise ResolutionError("projections do not resolve the identity")
-    if commutation_residual(rep, projs) > tol:
+    if commutation_residual(rep, projs) > _RESOLVE_TOL:
         raise ResolutionError("projection fails to commute with the sampled "
                               "representation; its Lie map disagrees with its group map")
     return projs

@@ -17,6 +17,10 @@ advances each sample from an anchor at most one geodesic substep back.  Its
 frames come from one pass of the frame step that `frame_flow` uses.  The
 observable is still evaluated once per sample and trajectory.
 
+Orthonormality is an entry condition: `frame_flow` and the block sampler
+Gram-Schmidt, in one batched call, the entering frames whose residual exceeds
+1e-12.  The flow keeps frames orthonormal, so flowed frames are not re-checked.
+
 Space averages use the package's one unit-bundle quadrature,
 `geometry.unit_bundle_nodes`, with each direction completed to a frame by
 `geometry.frame_completion` and, on T^3, turned through equispaced angles of
@@ -31,6 +35,7 @@ import numpy as np
 from . import geometry as geo
 
 _BLOCK_POINTS = 4096  # frame points per block in _sample_blocks
+_ORTHO_FIX = 1e-12  # orthonormality residual above which an entering frame is repaired
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +98,24 @@ def frame_flow(model, fp, t):
     broadcasts against the batch shape; a single frame point and a scalar t
     give the shapes (n,) and (n, n).  On two-dimensional models e_2 is the
     metric normal of e_1 on the side given by the sign of the incoming frame's
-    determinant.  A frame whose orthonormality residual exceeds 1e-12 is
-    re-orthonormalized by Gram-Schmidt.
+    determinant.  Entering frames whose orthonormality residual exceeds 1e-12
+    are first re-orthonormalized, in one Gram-Schmidt call.
     """
+    fp = _orthonormalize_drifted(model, fp)
     end = geo.geodesic_advance(model, _flow_state(fp), t)
     return geo.FramePoint(point=end.point, frame=_flowed_frames(model, fp, end))
+
+
+def _orthonormalize_drifted(model, fp):
+    """Frame point(s) fp with the frames whose orthonormality residual exceeds
+    1e-12 replaced by their Gram-Schmidt frames (one call); fp when none drifts."""
+    drifted = np.asarray(geo.orthonormality_residual(model, fp)) > _ORTHO_FIX
+    if not drifted.any():
+        return fp
+    point = np.asarray(fp.point, dtype=float)
+    frame = np.array(fp.frame, dtype=float)
+    frame[drifted] = geo.gram_orthonormalize(model, point[drifted], frame[drifted])
+    return geo.FramePoint(point=point, frame=frame)
 
 
 def _flow_state(fp):
@@ -111,8 +129,8 @@ def _flowed_frames(model, fp, end):
     against end's.
 
     Tori carry the whole frame along; the curved surfaces complete the new
-    e_1 and keep the side of fp's frame.  Frames with an orthonormality
-    residual above 1e-12 are re-orthonormalized by Gram-Schmidt.
+    e_1 and keep the side of fp's frame.  fp's frames must be orthonormal;
+    the output is not re-checked.
     """
     n = model.dim
     if model.kind == geo.TORUS:  # flat: the whole frame is parallel
@@ -122,7 +140,6 @@ def _flowed_frames(model, fp, end):
         negative = np.logical_not(geo.is_oriented(model, fp))
         if negative.any():
             frame[..., 1] *= np.where(negative, -1.0, 1.0)[..., None]
-    geo._orthonormalize_drifted(model, end.point, frame)
     return frame
 
 
@@ -174,14 +191,14 @@ def obs_adjoint(f):
     return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim)
 
 
-def equivariance_residual(model, obs, rng=None, samples=20):
-    """Max defect of f(x.g) = rho(g)^{-1} f(x) rho(g) over sampled (x, g)."""
+def equivariance_residual(model, obs, rng=None):
+    """Max defect of f(x.g) = rho(g)^{-1} f(x) rho(g) over 20 sampled (x, g)."""
     if obs.equivariance_rep is None:
         raise ValueError("observable carries no equivariance table")
     rng = rng or np.random.default_rng(0)
     rep = obs.equivariance_rep
     fps, us = [], []
-    for _ in range(samples):
+    for _ in range(20):
         fp = random_frame_point(model, rng)
         g, u, _ = rep.sample[rng.integers(len(rep.sample))]
         fps += [right_action(fp, g), fp]
@@ -287,11 +304,12 @@ def _sample_blocks(model, fps, steps, dt):
     A block holds at most `_BLOCK_POINTS` frame points (at least one sample).
     Its geodesic states come from one `geometry.geodesic_samples` run from
     the block's anchor, the last sample of the block before (the starting
-    points for the first block); a run may stop short of the block size.  Its
-    frames come from one pass of the frame step of `frame_flow`.
+    points, re-orthonormalized where they drift, for the first block); a run
+    may stop short of the block size.  Its frames come from one pass of the
+    frame step of `frame_flow`.
     """
-    anchor = geo.FramePoint(point=np.stack([fp.point for fp in fps]),
-                            frame=np.stack([fp.frame for fp in fps]))
+    anchor = _orthonormalize_drifted(model, geo.FramePoint(
+        point=np.stack([fp.point for fp in fps]), frame=np.stack([fp.frame for fp in fps])))
     size = max(1, _BLOCK_POINTS // len(fps))
     first = 0
     while first < steps:

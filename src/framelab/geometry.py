@@ -29,7 +29,6 @@ OCTAGON = "octagon"
 _PAIRING_DET_TOL = 1e-12
 _BOUNDARY_TOL = 1e-14
 _MAX_SUBSTEP = 0.5
-_ORTHO_FIX = 1e-12
 _NODE_CHUNK = 8192  # quadrature nodes per callback table in flows and limits
 
 
@@ -124,8 +123,6 @@ _OCT_CENTERS = _OCT_CIRCLE_C * _OCT_DIRS
 # side k+4 onto side k, so crossing side k applies pairing k+4.
 _OCT_PAIR_A = _OCT_COSH_D
 _OCT_PAIR_B = _OCT_SINH_HALF * _OCT_DIRS
-
-OCTAGON_INRADIUS_EUCLIDEAN = _OCT_RHO_MID
 
 
 def _octagon_sl2r_pairings():
@@ -262,20 +259,28 @@ def _sph_to_chart(x, u):
 # Metric, Christoffel symbols, speeds
 
 
+def _check_chart(model, points):
+    """`ValueError` unless every chart point of the array (..., n) lies in
+    the chart: theta in (0, pi) on the sphere, the fundamental octagon (to
+    1e-9) on the octagon."""
+    if model.kind == SPHERE:
+        th = points[..., 0]
+        if not np.all((0.0 < th) & (th < np.pi)):
+            raise ValueError("sphere chart excludes the poles")
+    elif model.kind == OCTAGON:
+        if not np.all(octagon_contains(points[..., 0] + 1j * points[..., 1], tol=1e-9)):
+            raise ValueError("point outside the fundamental octagon")
+
+
 def metric_at(model, point):
     """Metric matrix G(point), symmetric positive definite, exact closed form."""
     point = np.asarray(point, dtype=float)
+    _check_chart(model, point)
     if model.kind == TORUS:
         return np.eye(model.dim)
     if model.kind == SPHERE:
-        th = point[0]
-        if not (0.0 < th < np.pi):
-            raise ValueError("sphere chart excludes the poles")
-        return np.diag([1.0, np.sin(th) ** 2])
-    z = complex(point[0], point[1])
-    if not octagon_contains(z, tol=1e-9):
-        raise ValueError("point outside the fundamental octagon")
-    lam = 2.0 / (1.0 - abs(z) ** 2)
+        return np.diag([1.0, np.sin(point[0]) ** 2])
+    lam = 2.0 / (1.0 - abs(complex(point[0], point[1])) ** 2)
     return lam * lam * np.eye(2)
 
 
@@ -362,12 +367,12 @@ def geodesic_samples(model, state, dt, count, first=0):
     sample times.  The first group advances from `state`, each later group
     from the last sample of the group before, its anchor, which lies at most
     h dt <= 0.5 (one substep) back.  The anchors advance one group at a time
-    over the whole batch; an anchor whose completed frame has an
-    orthonormality residual above 1e-12 is re-orthonormalized by Gram-Schmidt
-    before it seeds the next group, as `flows.frame_flow` does.  Then one pass
-    advances every sample from its anchor.  A run of more than one group stops
-    at its last whole group (c <= count), so that its last sample can anchor
-    the next run.  `dt` must be finite and positive.
+    over the whole batch, then one pass advances every sample from its
+    anchor.  A run of more than one group stops at its last whole group
+    (c <= count), so that its last sample can anchor the next run.
+
+    Every state keeps its own speed, as in `geodesic_advance`; no frame is
+    formed here.  `dt` must be finite and positive.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("sample step dt must be finite and positive")
@@ -385,12 +390,9 @@ def geodesic_samples(model, state, dt, count, first=0):
     seed_v = np.empty_like(seed_z)
     seed_z[0] = (p[..., 0] + 1j * p[..., 1]).ravel()
     seed_v[0] = (v[..., 0] + 1j * v[..., 1]).ravel()
-    g = 1
-    while g < groups:
-        for j in range(g, groups):
-            t = np.full(seed_z.shape[1], (first + hop - 1 if j == 1 else hop) * dt)
-            seed_z[j], seed_v[j] = _oct_advance(seed_z[j - 1].copy(), seed_v[j - 1].copy(), t)
-        g = _reseed_drifted(model, seed_z, seed_v, g)
+    for j in range(1, groups):
+        t = np.full(seed_z.shape[1], (first + hop - 1 if j == 1 else hop) * dt)
+        seed_z[j], seed_v[j] = _oct_advance(seed_z[j - 1].copy(), seed_v[j - 1].copy(), t)
     k = np.arange(count)
     group = k // hop
     offset = np.where(group == 0, first + k, k - group * hop + 1)
@@ -399,25 +401,6 @@ def geodesic_samples(model, state, dt, count, first=0):
     shape = (count,) + batch + (2,)
     return PointState(point=np.stack([z.real, z.imag], axis=-1).reshape(shape),
                       velocity=np.stack([vz.real, vz.imag], axis=-1).reshape(shape))
-
-
-def _reseed_drifted(model, seed_z, seed_v, g):
-    """Check the anchors (groups, batch) of `geodesic_samples` from group g
-    on.  In the first group that holds an anchor whose completed frame
-    drifts, replace those anchors' velocities by their Gram-Schmidt e_1 (in
-    place) and return the next group, from which the chain must be
-    recomputed; return the group count when no anchor drifts."""
-    points = np.stack([seed_z[g:].real, seed_z[g:].imag], axis=-1)
-    e1 = np.stack([seed_v[g:].real, seed_v[g:].imag], axis=-1)
-    frames = frame_completion(model, points, e1)
-    drifted = _orthonormalize_drifted(model, points, frames)
-    if not len(drifted):
-        return len(seed_z)
-    width = seed_z.shape[1]
-    row = drifted[0] // width
-    cols = drifted[drifted // width == row] % width
-    seed_v[g + row, cols] = frames[row, cols, 0, 0] + 1j * frames[row, cols, 1, 0]
-    return g + row + 1
 
 
 # ---------------------------------------------------------------------------
@@ -544,29 +527,22 @@ def is_oriented(model, fp):
     return out if out.ndim else bool(out)
 
 
-def _orthonormalize_drifted(model, points, frames):
-    """Gram-Schmidt, in place, of the frames (..., n, n) at points (..., n)
-    whose orthonormality residual exceeds 1e-12; returns their flat indices.
-    `frames` must be C-contiguous."""
-    n = model.dim
-    residual = orthonormality_residual(model, FramePoint(point=points, frame=frames))
-    drifted = np.flatnonzero(residual > _ORTHO_FIX)
-    if len(drifted):
-        flat_points, flat_frames = points.reshape(-1, n), frames.reshape(-1, n, n)
-        for i in drifted:
-            flat_frames[i] = gram_orthonormalize(model, flat_points[i], flat_frames[i])
-    return drifted
-
-
 def gram_orthonormalize(model, point, frame):
-    """Metric Gram-Schmidt of the frame columns at `point`."""
-    g = metric_at(model, point)
+    """Metric Gram-Schmidt of the frame columns at `point`.
+
+    Array-first like `orthonormality_residual`: frames (..., n, n) at points
+    (..., n), a single frame a batch of one; `ValueError` outside the chart,
+    as in `metric_at`.  The frame flow applies it only to entering frames.
+    """
+    point = np.asarray(point, dtype=float)
+    _check_chart(model, point)
+    g = _metric_diagonal(model, point)
     out = np.array(frame, dtype=float, copy=True)
-    n = out.shape[1]
-    for i in range(n):
+    for i in range(model.dim):
+        col = out[..., i]
         for j in range(i):
-            out[:, i] -= (out[:, j] @ g @ out[:, i]) * out[:, j]
-        out[:, i] /= np.sqrt(out[:, i] @ g @ out[:, i])
+            col -= (g * out[..., j] * col).sum(axis=-1)[..., None] * out[..., j]
+        col /= np.sqrt((g * col * col).sum(axis=-1))[..., None]
     return out
 
 

@@ -387,7 +387,7 @@ class VarianceReport:
                 "deviations": [_c2(d) for d in self.deviations]}
 
 
-def subspace_eigensections(sm, proj_op, tol=1e-10):
+def subspace_eigensections(sm, proj_op):
     """Orthonormal eigensections of Delta spanning the projector range,
     ordered by eigenvalue; requires [P, Delta] = 0.
 
@@ -395,16 +395,16 @@ def subspace_eigensections(sm, proj_op, tol=1e-10):
     (eigenvalue, block indices, coefficients): its entries at the block's
     indices, zero elsewhere.  The sections of a block share its index array.
     """
-    return list(_eigensections(sm, proj_op, tol))
+    return list(_eigensections(sm, proj_op))
 
 
-def _eigensections(sm, proj_op, tol):
+def _eigensections(sm, proj_op):
     """The sections of `subspace_eigensections` as a lazy iterator that
     diagonalizes one degeneracy block at a time; the commutation check runs
     at once."""
     delta = scipy.sparse.diags(sm.lam)
     comm = proj_op.matrix @ delta - delta @ proj_op.matrix
-    if sp.frob(comm) > tol * max(1.0, float(sm.lam.max())):
+    if sp.frob(comm) > 1e-10 * max(1.0, float(sm.lam.max())):
         raise ValueError("projector does not commute with the Laplacian")
     return _block_sections(sm, scipy.sparse.csr_matrix(proj_op.matrix))
 
@@ -428,7 +428,7 @@ def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
     diagonalized, and each value v^H A v is taken on its block,
     v^H A[idx, idx] v.
     """
-    sections = list(itertools.islice(_eigensections(sm, proj_op, 1e-10), n))
+    sections = list(itertools.islice(_eigensections(sm, proj_op), n))
     if n > len(sections):
         raise ValueError(f"requested {n} eigensections, subspace holds "
                          f"{len(sections)}")

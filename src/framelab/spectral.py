@@ -694,7 +694,7 @@ def _sphere_polar(L):
                                                    theta, 0.0).real))
 
 
-def sphere_multiplication(L, fn, symbol_fn=None):
+def sphere_multiplication(L, fn):
     """Multiplication operator by fn(theta, phi) on the spherical-harmonic basis.
 
     Assembled by a quadrature that is exact for band-limited multipliers; the
@@ -722,6 +722,6 @@ def sphere_multiplication(L, fn, symbol_fn=None):
     # every entry is stored: a scan for exact zeros costs more than it saves
     full = scipy.sparse.csr_matrix((mat.ravel(), np.tile(np.arange(n), n),
                                     np.arange(0, n * n + 1, n)), shape=(n, n))
-    sym_fn = symbol_fn or (lambda point, xi: fn(point[0], point[1]))
     return OperatorMatrix(matrix=full, order=0, domain=sm,
-                          symbol=SymbolField(evaluator=sym_fn, fiber_dim=1))
+                          symbol=SymbolField(evaluator=lambda point, xi: fn(point[0], point[1]),
+                                             fiber_dim=1))

@@ -457,8 +457,8 @@ def test_sample_trajectory_matches_per_hop_reference(model, dt):
 
 
 def test_drifted_octagon_start_matches_per_hop_reference():
-    # Gram-Schmidt fires on every sample advanced from the start, and the
-    # re-orthonormalized anchor seeds the samples after it
+    # Gram-Schmidt fires once, on the start, and every sample flows from the
+    # re-orthonormalized start
     fp = fl.random_frame_point(OCT, np.random.default_rng(23))
     frame = fp.frame.copy()
     frame[:, 0] *= 1.0 + 1e-9
@@ -470,7 +470,35 @@ def test_drifted_octagon_start_matches_per_hop_reference():
     assert np.array_equal(points, ref_points[:, 0])
     assert np.array_equal(frames, ref_frames[:, 0])
     assert np.array_equal(values, np.trace(ref_values[:, 0], axis1=-2, axis2=-1) / 2)
-    assert geo.orthonormality_residual(OCT, geo.FramePoint(points[-1], frames[-1])) < 1e-14
+    fixed = geo.FramePoint(point=start.point,
+                           frame=geo.gram_orthonormalize(OCT, start.point, start.frame))
+    assert geo.orthonormality_residual(OCT, fixed) < 1e-14
+    _, fixed_points, fixed_frames, fixed_values = fl.sample_trajectory(
+        OCT, _MATRIX_OBS, fixed, steps * dt, dt)
+    assert np.array_equal(points, fixed_points)
+    assert np.array_equal(frames, fixed_frames)
+    assert np.array_equal(values, fixed_values)
+
+
+def test_drifted_torus_start_is_orthonormalized_once(monkeypatch):
+    rng = np.random.default_rng(26)
+    fps = [fl.random_frame_point(TORUS3, rng) for _ in range(16)]
+    drifted = [geo.FramePoint(point=fp.point, frame=fp.frame * (1.0 + 1e-9)) for fp in fps]
+    start = _stacked(drifted)
+    assert (geo.orthonormality_residual(TORUS3, start) > 1e-12).all()
+    fixed = geo.gram_orthonormalize(TORUS3, start.point, start.frame)
+    fixed_fps = [geo.FramePoint(point=fp.point, frame=f) for fp, f in zip(drifted, fixed)]
+    obs = fl.scalar_observable(lambda p, f: np.cos(p[0] + p[2]) * f[0, 1] + f[2, 2] ** 2)
+    steps, dt = 250, 0.1
+    calls = []
+    gram = geo.gram_orthonormalize
+    monkeypatch.setattr(geo, "gram_orthonormalize", lambda *a: calls.append(a) or gram(*a))
+    est = fl.birkhoff_average(TORUS3, obs, drifted, steps * dt, dt, space_average=np.zeros((1, 1)))
+    assert len(calls) == 1
+    want = fl.birkhoff_average(TORUS3, obs, fixed_fps, steps * dt, dt,
+                               space_average=np.zeros((1, 1)))
+    assert len(calls) == 1
+    assert np.array_equal(est.time_average, want.time_average)
 
 
 @pytest.mark.parametrize("count, steps", [(16, 600), (300, 40)])

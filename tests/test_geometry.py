@@ -247,6 +247,20 @@ def test_sphere_zero_speed_state_unchanged():
         assert np.array_equal(alone.velocity, s.velocity[row])
 
 
+def test_octagon_samples_keep_a_non_unit_speed():
+    # 40 samples at dt 0.1 span eight anchor groups of five
+    unit = geo.unit_speed(OCT, [0.1, 0.05], [1.0, 0.3])
+    start = geo.PointState(point=unit.point, velocity=2.0 * unit.velocity)
+    dt, count = 0.1, 40
+    out = geo.geodesic_samples(OCT, start, dt, count)
+    assert out.point.shape == out.velocity.shape == (count, 2)
+    for k in range(count):
+        one = geo.geodesic_advance(OCT, start, k * dt)
+        assert np.abs(out.point[k] - one.point).max() <= 1e-12
+        assert np.abs(out.velocity[k] - one.velocity).max() <= 1e-12
+        assert abs(geo.speed(OCT, geo.PointState(out.point[k], out.velocity[k])) - 2.0) <= 1e-12
+
+
 def test_octagon_resting_state_unchanged():
     rest = geo.PointState(np.array([0.1, 0.2]), np.array([0.0, 0.0]))
     for t in (1.0, -3.0, 0.0):
@@ -446,6 +460,30 @@ def test_gram_orthonormalize():
     f = geo.gram_orthonormalize(OCT, p, rng.normal(size=(2, 2)))
     fp = geo.FramePoint(point=p, frame=f)
     assert geo.orthonormality_residual(OCT, fp) < 1e-12
+
+
+@pytest.mark.parametrize("model", [geo.flat_torus(3, (1.0, 2.0, 1.5)), SPHERE, OCT])
+def test_gram_orthonormalize_is_array_first(model):
+    rng = np.random.default_rng(4)
+    n = model.dim
+    points = rng.uniform(0.3, 0.4, size=(4, 3, n))
+    frames = rng.normal(size=(4, 3, n, n))
+    out = geo.gram_orthonormalize(model, points, frames)
+    assert out.shape == frames.shape
+    assert (geo.orthonormality_residual(model, geo.FramePoint(points, out)) < 1e-12).all()
+    for i in np.ndindex(4, 3):
+        assert np.array_equal(out[i], geo.gram_orthonormalize(model, points[i], frames[i]))
+    # the first column keeps its direction
+    unit = lambda v: v / np.linalg.norm(v, axis=-1, keepdims=True)
+    assert np.allclose(unit(out[..., 0]), unit(frames[..., 0]), atol=1e-12)
+
+
+def test_gram_orthonormalize_rejects_points_outside_the_chart():
+    frames = np.broadcast_to(np.eye(2), (2, 2, 2))
+    with pytest.raises(ValueError, match="poles"):
+        geo.gram_orthonormalize(SPHERE, np.array([[1.0, 0.3], [0.0, 0.3]]), frames)
+    with pytest.raises(ValueError, match="octagon"):
+        geo.gram_orthonormalize(OCT, np.array([[0.1, 0.2], [0.9, 0.0]]), frames)
 
 
 @pytest.mark.parametrize("model", [geo.flat_torus(3, (1.0, 2.0, 1.5)), SPHERE, OCT])
