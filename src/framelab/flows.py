@@ -9,13 +9,18 @@ the space average.
 
 `frame_flow` is array-first: frame points (..., n) / (..., n, n) advance by
 times that broadcast against the batch, and a single frame point is a batch of
-one.  Birkhoff averages and `sample_trajectory` advance all trajectories
-through blocks of sample times k dt.  A block holds at most `_BLOCK_POINTS`
-frame points (samples x trajectories, at least one sample).  Its geodesic
-states come from one `geometry.geodesic_samples` call, which on the octagon
-advances each sample from an anchor at most one geodesic substep back.  Its
-frames come from one pass of the frame step that `frame_flow` uses.  The
-observable is still evaluated once per sample and trajectory.
+one.  Geodesic states flow in the group form of `geometry` (SO(3) on the
+sphere, SU(1,1) on the octagon), and the chart frame is completed from the
+flowed velocity in the chart view; within 1e-13 of a sphere pole that frame
+is NaN and the point is kept.  Birkhoff averages and `sample_trajectory`
+advance all trajectories through blocks of sample times k dt.  A block holds
+at most `_BLOCK_POINTS` frame points (samples x trajectories, at least one
+sample).  Its geodesic states come from one group-form run of
+`geometry.geodesic_samples`, which on the octagon advances each sample from
+an anchor at most one geodesic substep back.  Block and octagon anchors stay
+in group form, so a block may end on a pole.  Its frames come from one pass
+of the frame step that `frame_flow` uses.  The observable is still evaluated
+once per sample and trajectory.
 
 Orthonormality is an entry condition: `frame_flow` and the block sampler
 Gram-Schmidt, in one batched call, the entering frames whose residual exceeds
@@ -99,10 +104,11 @@ def frame_flow(model, fp, t):
     give the shapes (n,) and (n, n).  On two-dimensional models e_2 is the
     metric normal of e_1 on the side given by the sign of the incoming frame's
     determinant.  Entering frames whose orthonormality residual exceeds 1e-12
-    are first re-orthonormalized, in one Gram-Schmidt call.
+    are first re-orthonormalized, in one Gram-Schmidt call.  A frame that
+    ends within 1e-13 of a sphere pole is NaN, and its point is kept.
     """
     fp = _orthonormalize_drifted(model, fp)
-    end = geo.geodesic_advance(model, _flow_state(fp), t)
+    end = geo.geodesic_advance(model, geo.PointState(fp.point, fp.frame[..., 0]), t)
     return geo.FramePoint(point=end.point, frame=_flowed_frames(model, fp, end))
 
 
@@ -116,11 +122,6 @@ def _orthonormalize_drifted(model, fp):
     frame = np.array(fp.frame, dtype=float)
     frame[drifted] = geo.gram_orthonormalize(model, point[drifted], frame[drifted])
     return geo.FramePoint(point=point, frame=frame)
-
-
-def _flow_state(fp):
-    """The geodesic state of frame point(s): base point and e_1."""
-    return geo.PointState(point=fp.point, velocity=fp.frame[..., 0])
 
 
 def _flowed_frames(model, fp, end):
@@ -302,23 +303,25 @@ def _sample_blocks(model, fps, steps, dt):
     k = 0 .. steps - 1, as FramePoint blocks of shape (samples, len(fps), ...).
 
     A block holds at most `_BLOCK_POINTS` frame points (at least one sample).
-    Its geodesic states come from one `geometry.geodesic_samples` run from
-    the block's anchor, the last sample of the block before (the starting
-    points, re-orthonormalized where they drift, for the first block); a run
-    may stop short of the block size.  Its frames come from one pass of the
-    frame step of `frame_flow`.
+    Its geodesic states are the chart view of one group-form
+    `geometry.geodesic_samples` run from the block's anchor: the group state
+    of the last sample of the block before, or the lifted starting points
+    (re-orthonormalized where they drift) for the first block.  A run may
+    stop short of the block size.  Its frames come from one pass of the frame
+    step of `frame_flow`, with the starting frames' sides.
     """
-    anchor = _orthonormalize_drifted(model, geo.FramePoint(
+    start = _orthonormalize_drifted(model, geo.FramePoint(
         point=np.stack([fp.point for fp in fps]), frame=np.stack([fp.frame for fp in fps])))
+    anchor = geo._lift(model, start.point, start.frame[..., 0])
     size = max(1, _BLOCK_POINTS // len(fps))
     first = 0
     while first < steps:
-        end = geo.geodesic_samples(model, _flow_state(anchor), dt,
-                                   min(size, steps - first), first=min(first, 1))
-        block = geo.FramePoint(point=end.point, frame=_flowed_frames(model, anchor, end))
-        yield block
-        anchor = geo.FramePoint(point=block.point[-1], frame=block.frame[-1])
-        first += len(block.point)
+        states = geo._group_samples(model, anchor, dt, min(size, steps - first),
+                                    first=min(first, 1))
+        end = geo._view(model, states)
+        yield geo.FramePoint(point=end.point, frame=_flowed_frames(model, start, end))
+        anchor = tuple(c[-1] for c in states)
+        first += len(end.point)
 
 
 def _block_values(obs, block):

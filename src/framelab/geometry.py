@@ -4,9 +4,18 @@ Three models are provided, each with exact (closed-form) flow and transport:
 
 - flat tori T^n (n = 2, 3) with configurable periods,
 - the round unit 2-sphere in spherical coordinates (poles excluded from the
-  chart; the flow is computed in the ambient embedding),
+  chart),
 - the regular genus-2 hyperbolic octagon in the Poincare disk, with the
   standard opposite-side pairings.
+
+Geodesic states flow in group form, and the chart `PointState` is a view of
+it.  A sphere state is the ambient pair (x, u), a point of SO(3) = S^2's
+frame bundle, which the flow rotates in its plane.  An octagon state is the
+first row (a, b) of g in SU(1,1) with its speed s: the flow multiplies g on
+the right by a one-parameter subgroup, re-entry into the fundamental domain
+on the left by a side pairing, and the view is z = b / conj(a),
+v = s / (2 conj(a)^2).  Within 1e-13 of a sphere pole the view keeps the
+point and gives NaN velocity components: the chart has none there.
 
 The package's one quadrature rule on the unit tangent bundle
 (`unit_bundle_nodes`), its one sphere rule (`_sphere_rule`, also used by
@@ -26,7 +35,6 @@ TORUS = "flat_torus"
 SPHERE = "sphere"
 OCTAGON = "octagon"
 
-_PAIRING_DET_TOL = 1e-12
 _BOUNDARY_TOL = 1e-14
 _MAX_SUBSTEP = 0.5
 _NODE_CHUNK = 8192  # quadrature nodes per callback table in flows and limits
@@ -42,15 +50,17 @@ class ManifoldModel:
     dim : chart dimension n
     periods : tuple of n positive reals (tori only)
     curvature : constant sectional curvature (0, +1, -1)
-    side_pairings : tuple of 8 real 2x2 unit-determinant matrices acting on
-        the upper half-plane (octagon only)
+    side_pairings : (8, 2, 2) complex array of SU(1,1) matrices
+        [[a, b], [conj b, conj a]] acting on the Poincare disk by
+        z -> (a z + b) / (conj(b) z + conj(a)); P_k maps side k+4 onto side k
+        (octagon only)
     """
 
     kind: str
     dim: int
     periods: tuple | None = None
     curvature: float = 0.0
-    side_pairings: tuple | None = None
+    side_pairings: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind == TORUS:
@@ -63,10 +73,6 @@ class ManifoldModel:
                 raise ValueError(f"{self.kind} is two-dimensional")
         else:
             raise ValueError(f"unknown manifold kind {self.kind!r}")
-        if self.kind == OCTAGON:
-            for m in self.side_pairings:
-                if abs(np.linalg.det(m) - 1.0) > _PAIRING_DET_TOL:
-                    raise ValueError("side pairing matrix is not unit determinant")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,32 +125,17 @@ _OCT_CIRCLE_R = 0.5 * (1.0 / _OCT_RHO_MID - _OCT_RHO_MID)
 _OCT_DIRS = np.exp(1j * np.pi / 4.0 * np.arange(8))
 _OCT_CENTERS = _OCT_CIRCLE_C * _OCT_DIRS
 
-# SU(1,1) pairing for side k: translation by 2d along exp(i k pi/4); it maps
-# side k+4 onto side k, so crossing side k applies pairing k+4.
-_OCT_PAIR_A = _OCT_COSH_D
-_OCT_PAIR_B = _OCT_SINH_HALF * _OCT_DIRS
-
-
-def _octagon_sl2r_pairings():
-    w = np.array([[1.0, -1.0j], [1.0, 1.0j]])
-    winv = np.linalg.inv(w)
-    out = []
-    for k in range(8):
-        g = np.array([[_OCT_PAIR_A, _OCT_PAIR_B[k]],
-                      [np.conj(_OCT_PAIR_B[k]), _OCT_PAIR_A]])
-        m = winv @ g @ w
-        if np.abs(m.imag).max() > 1e-12:
-            raise AssertionError("octagon pairing failed to conjugate to SL(2,R)")
-        m = m.real
-        m = m / np.sqrt(np.linalg.det(m))
-        out.append(m)
-    return tuple(out)
+# SU(1,1) pairing P_k = [[cosh d, sinh d e^{ik pi/4}], [sinh d e^{-ik pi/4}, cosh d]]:
+# the translation by 2d along exp(i k pi/4).  It maps side k+4 onto side k,
+# so crossing side k applies P_{k+4}.
+_OCT_PAIRINGS = np.array([[[_OCT_COSH_D, _OCT_SINH_HALF * w],
+                           [_OCT_SINH_HALF * np.conj(w), _OCT_COSH_D]] for w in _OCT_DIRS])
+_OCT_PAIRINGS.setflags(write=False)
 
 
 def hyperbolic_octagon():
     """Regular genus-2 octagon quotient of the Poincare disk (curvature -1)."""
-    return ManifoldModel(kind=OCTAGON, dim=2, curvature=-1.0,
-                         side_pairings=_octagon_sl2r_pairings())
+    return ManifoldModel(kind=OCTAGON, dim=2, curvature=-1.0, side_pairings=_OCT_PAIRINGS)
 
 
 def octagon_contains(z, tol=_BOUNDARY_TOL):
@@ -156,103 +147,133 @@ def octagon_contains(z, tol=_BOUNDARY_TOL):
     return out if out.ndim else bool(out)
 
 
-def _oct_apply_pairing(k, z, v):
-    a = _OCT_PAIR_A
-    b = _OCT_PAIR_B[k]
-    den = np.conj(b) * z + a
-    z2 = (a * z + b) / den
-    v2 = v / (den * den)
-    # renormalize to the incoming speed; kills accumulated rounding at each crossing
-    v2 *= np.abs(v) / (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(z2) ** 2) / np.abs(v2)
-    return z2, v2
+def _oct_flow(pairings, a, b, s, t):
+    """Octagon group states (1-D arrays a, b, changed in place; speeds s)
+    advanced by their own times t.
 
-
-def _oct_normalize(z, v):
-    """Map disk states (1-D arrays, changed in place) back into the octagon.
-
-    Each pass applies the pairing of the most violated side to the rows still
-    outside, and only to those rows.
+    Each time substep h (|h| <= `_MAX_SUBSTEP`) multiplies g on the right by
+    [[cosh(s h / 2), sinh(s h / 2)], [sinh(s h / 2), cosh(s h / 2)]].  Then,
+    while the point b / conj(a) lies outside the octagon, it multiplies g on
+    the left by the pairing of the most violated side, and it renormalizes
+    to |a|^2 - |b|^2 = 1.  Every moving row takes at least one (possibly
+    zero-length) substep, and a resting row (s = 0) stays as it is.
     """
-    rows = np.arange(len(z))
-    for _ in range(32):
-        d = np.abs(z[rows, None] - _OCT_CENTERS)
-        outside = _OCT_CIRCLE_R - d.min(axis=-1) > _BOUNDARY_TOL
-        rows = rows[outside]
-        if not len(rows):
-            return z, v
-        k = (d[outside].argmin(axis=-1) + 4) % 8
-        z[rows], v[rows] = _oct_apply_pairing(k, z[rows], v[rows])
-    raise ResolutionError("octagon re-entry did not terminate")
-
-
-def _oct_geodesic_step(z, v, t):
-    """Advance (z, v) by time t along the disk geodesic at the speed of v;
-    no domain reduction."""
-    size = np.abs(v)
-    phase = v / size
-    conf = 1.0 - np.abs(z) ** 2
-    half_speed = size / conf  # the conformal factor is 2 / conf
-    w = np.tanh(half_speed * t) * phase
-    den = 1.0 + np.conj(z) * w
-    z2 = (w + z) / den
-    v2 = conf / (den * den) * phase
-    v2 *= half_speed * (1.0 - np.abs(z2) ** 2) / np.abs(v2)
-    return z2, v2
-
-
-def _oct_advance(z, v, t):
-    """Advance disk states (1-D arrays) by their own times t at their own
-    speeds, in time substeps of at most `_MAX_SUBSTEP` with re-entry after
-    each; every moving row takes at least one (possibly zero-length) substep,
-    and a resting row (v = 0) stays as it is."""
     if not np.isfinite(t).all():
         raise ValueError("octagon flow times must be finite")
     remaining = t.copy()
     rows = slice(None)
-    if not v.all():  # the substep divides by the speed
-        remaining[v == 0] = 0.0
-        rows = np.flatnonzero(v)
+    if not s.all():
+        remaining[s == 0] = 0.0
+        rows = np.flatnonzero(s)
     while True:
         h = np.sign(remaining[rows]) * np.minimum(_MAX_SUBSTEP, np.abs(remaining[rows]))
-        z[rows], v[rows] = _oct_normalize(*_oct_geodesic_step(z[rows], v[rows], h))
+        half = 0.5 * s[rows] * h
+        c, sh = np.cosh(half), np.sinh(half)
+        ar, br = a[rows], b[rows]
+        ar, br = ar * c + br * sh, ar * sh + br * c
+        out = np.arange(len(ar))  # the rows still outside
+        for _ in range(32):
+            d = np.abs((br[out] / np.conj(ar[out]))[:, None] - _OCT_CENTERS)
+            outside = _OCT_CIRCLE_R - d.min(axis=-1) > _BOUNDARY_TOL
+            out = out[outside]
+            if not len(out):
+                break
+            p = pairings[(d[outside].argmin(axis=-1) + 4) % 8]
+            ar[out], br[out] = (p[:, 0, 0] * ar[out] + p[:, 0, 1] * np.conj(br[out]),
+                                p[:, 0, 0] * br[out] + p[:, 0, 1] * np.conj(ar[out]))
+        else:
+            raise ResolutionError("octagon re-entry did not terminate")
+        norm = np.sqrt(np.abs(ar) ** 2 - np.abs(br) ** 2)
+        a[rows], b[rows] = ar / norm, br / norm
         remaining[rows] -= h
         rows = np.flatnonzero(remaining)
         if not len(rows):
-            return z, v
+            return a, b
 
 
 # ---------------------------------------------------------------------------
-# Sphere chart <-> ambient conversion (arrays (..., 2) <-> (..., 3))
+# Group form of geodesic states
+#
+# A batch of geodesic states is a tuple of arrays (..., k), batch shape first:
+# (p, v) on tori, (x, u) on the sphere, (a, b, s) on the octagon, where the
+# direction of g is g_*(1/2), the unit vector 1/2 at 0 pushed forward.  The
+# octagon's arrays are (..., 1): that trailing axis keeps complex arithmetic
+# on arrays (numpy's complex scalars can round differently).
 
 
-def _sph_frame(p):
-    """Ambient position x and the unit directions e_theta, e_phi of the chart's
-    coordinate lines at chart points p."""
-    th, ph = p[..., 0], p[..., 1]
-    st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
-    x = np.stack([st * cp, st * sp, ct], axis=-1)
-    e_th = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    e_ph = np.stack([-sp, cp, np.zeros_like(ph)], axis=-1)
-    return x, e_th, e_ph
+def _lift(model, p, v):
+    """Group form of the chart states (p, v), arrays (..., n)."""
+    p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
+    if model.kind == TORUS:
+        return p, v
+    if model.kind == SPHERE:
+        st, ct = np.sin(p[..., 0]), np.cos(p[..., 0])
+        sp, cp = np.sin(p[..., 1]), np.cos(p[..., 1])
+        vt, vs = v[..., 0], v[..., 1] * st  # components along e_theta and e_phi
+        return (np.stack([st * cp, st * sp, ct], axis=-1),
+                np.stack([vt * (ct * cp) - vs * sp, vt * (ct * sp) + vs * cp, -vt * st], axis=-1))
+    x, y = p[..., :1], p[..., 1:]
+    conf = 1.0 - (x * x + y * y)  # 2 / lambda
+    vz = np.ascontiguousarray(v).view(complex)
+    size = np.abs(vz)
+    rest = size == 0.0  # a resting state takes the direction 1
+    a = np.sqrt((vz + rest) / (conf * (size + rest)))  # a^2 = (v / |v|) / (1 - |z|^2)
+    return a, np.ascontiguousarray(p).view(complex) * np.conj(a), 2.0 * size / conf
 
 
-def _sph_to_ambient(p, v):
-    """Ambient position and tangent vector of chart point(s) p, vector(s) v."""
-    x, e_th, e_ph = _sph_frame(p)
-    return x, v[..., :1] * e_th + (v[..., 1] * np.sin(p[..., 0]))[..., None] * e_ph
+def _flow(model, g, t):
+    """Group states g advanced by times t that broadcast against their batch."""
+    t = np.asarray(t, dtype=float)
+    if model.kind == TORUS:
+        p, v = g
+        p = (p + t[..., None] * v) % np.asarray(model.periods)
+        return p, np.broadcast_to(v, p.shape).copy()
+    if model.kind == SPHERE:  # rotation in the plane of (x, u)
+        x, u = g
+        s = np.linalg.norm(u, axis=-1, keepdims=True)
+        uh = u / np.where(s > 0.0, s, 1.0)
+        ang = s * t[..., None]
+        c, sn = np.cos(ang), np.sin(ang)
+        return x * c + uh * sn, s * (uh * c - x * sn)
+    a, b, s, t = np.broadcast_arrays(*g, t[..., None])
+    shape = a.shape
+    a, b = _oct_flow(model.side_pairings, a.flatten(), b.flatten(), s.ravel(), t.ravel())
+    return a.reshape(shape), b.reshape(shape), s.copy()
 
 
-def _sph_to_chart(x, u):
-    """Chart point(s) and vector(s) of ambient position x, tangent vector u."""
-    # arccos(z) would lose all precision near a pole
-    th = np.arctan2(np.hypot(x[..., 0], x[..., 1]), x[..., 2])
-    ph = np.arctan2(x[..., 1], x[..., 0]) % (2.0 * np.pi)
-    p = np.stack([th, ph], axis=-1)
-    _, e_th, e_ph = _sph_frame(p)
-    s = np.sin(th)
-    if np.any(s < 1e-13):
-        raise ValueError("tangent chart components undefined at the poles")
-    return p, np.stack([(u * e_th).sum(axis=-1), (u * e_ph).sum(axis=-1) / s], axis=-1)
+def _view(model, g):
+    """The chart states of group states g.
+
+    Within 1e-13 of a sphere pole the point is kept and the velocity
+    components are NaN: the chart has none there.
+    """
+    if model.kind == TORUS:
+        return PointState(*g)
+    if model.kind == SPHERE:
+        x, (u0, u1, u2) = g[0], np.moveaxis(g[1], -1, 0)
+        # arccos(x_3) would lose all precision near a pole
+        th = np.arctan2(np.hypot(x[..., 0], x[..., 1]), x[..., 2])
+        ph = np.arctan2(x[..., 1], x[..., 0]) % (2.0 * np.pi)
+        st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+        st = np.where(st < 1e-13, np.nan, st)
+        # u . e_theta and u . e_phi / sin(theta)
+        return PointState(np.stack([th, ph], axis=-1),
+                          np.stack([u0 * (ct * cp) + u1 * (ct * sp) - u2 * st,
+                                    (u1 * cp - u0 * sp) / st], axis=-1))
+    a, b, s = g
+    ca = np.conj(a)
+    return PointState((b / ca).view(float), (0.5 * s / (ca * ca)).view(float))
+
+
+def _chart(model, g, p, v):
+    """`_view` of group states g flowed from the chart states (p, v), except
+    that on the curved models a resting state keeps its chart point and zero
+    velocity (also on a sphere pole)."""
+    out = _view(model, g)
+    if model.kind == TORUS or v.all():
+        return out
+    rest = ~v.any(axis=-1, keepdims=True)
+    return PointState(np.where(rest, p, out.point), np.where(rest, v, out.velocity))
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +294,11 @@ def _check_chart(model, points):
 
 
 def metric_at(model, point):
-    """Metric matrix G(point), symmetric positive definite, exact closed form."""
+    """Metric matrix G(point), symmetric positive definite, exact closed form:
+    the diagonal of `_metric_diagonal`; `ValueError` outside the chart."""
     point = np.asarray(point, dtype=float)
     _check_chart(model, point)
-    if model.kind == TORUS:
-        return np.eye(model.dim)
-    if model.kind == SPHERE:
-        return np.diag([1.0, np.sin(point[0]) ** 2])
-    lam = 2.0 / (1.0 - abs(complex(point[0], point[1])) ** 2)
-    return lam * lam * np.eye(2)
+    return np.diag(_metric_diagonal(model, point))
 
 
 def speed(model, state):
@@ -313,55 +330,30 @@ def geodesic_advance(model, state, t):
     the result has the broadcast batch shape.  A single state and a scalar t
     are a batch of one and give arrays of shape (n,).
 
-    Every state moves its own speed times t and keeps its speed.  Torus
-    geodesics are straight lines modulo the periods; sphere geodesics
-    are great circles, exact for any t (a zero-speed state stays where it is,
-    also on a pole; `ValueError` when a moving state's result lies within
-    1e-13 of a pole, where the chart has no velocity components).
+    The states are lifted to group form, flowed, and read back in the chart.
+    Every state moves its own speed times t and keeps its speed; a zero-speed
+    state keeps its chart point, also on a sphere pole.  Torus geodesics are
+    straight lines modulo the periods.  Sphere geodesics are great circles,
+    exact for any t; a moving state that ends within 1e-13 of a pole has NaN
+    velocity components there (the chart has none), and its point is kept.
 
-    Octagon geodesics are hyperbolic translations, taken in time substeps of
-    at most 0.5 with side-pairing re-entry into the fundamental domain after
-    each, so an advance by |t| <= 0.5 is one closed-form step; a resting state
-    stays where it is.  Long runs of sample times go through
-    `geodesic_samples`, which advances each sample by at most one substep
-    from an anchor.
+    Octagon geodesics are right multiplications in SU(1,1), taken in time
+    substeps of at most 0.5, each followed by side-pairing re-entry into the
+    fundamental domain, so an advance by |t| <= 0.5 is one closed-form step.
+    Long runs of sample times go through `geodesic_samples`, which advances
+    each sample by at most one substep from an anchor.
     """
-    t = np.asarray(t, dtype=float)
     p = np.asarray(state.point, dtype=float)
     v = np.asarray(state.velocity, dtype=float)
-    if model.kind == TORUS:
-        point = (p + t[..., None] * v) % np.asarray(model.periods)
-        return PointState(point=point, velocity=np.broadcast_to(v, point.shape).copy())
-    if model.kind == SPHERE:
-        x, u = _sph_to_ambient(p, v)
-        s = np.linalg.norm(u, axis=-1, keepdims=True)
-        moving = s > 0.0
-        uh = u / np.where(moving, s, 1.0)
-        ang = s * t[..., None]
-        x2 = x * np.cos(ang) + uh * np.sin(ang)
-        u2 = s * (-x * np.sin(ang) + uh * np.cos(ang))
-        if moving.all():
-            return PointState(*_sph_to_chart(x2, u2))
-        # only the moving rows are converted, so a resting state may sit at a pole
-        go = np.broadcast_to(moving[..., 0], x2.shape[:-1])
-        p2 = np.broadcast_to(p, go.shape + (2,)).copy()
-        v2 = np.broadcast_to(v, go.shape + (2,)).copy()
-        p2[go], v2[go] = _sph_to_chart(x2[go], u2[go])
-        return PointState(point=p2, velocity=v2)
-    z, vz, t = np.broadcast_arrays(p[..., 0] + 1j * p[..., 1], v[..., 0] + 1j * v[..., 1], t)
-    shape = z.shape
-    z, vz = _oct_advance(z.ravel().copy(), vz.ravel().copy(), t.ravel())
-    return PointState(point=np.stack([z.real, z.imag], axis=-1).reshape(shape + (2,)),
-                      velocity=np.stack([vz.real, vz.imag], axis=-1).reshape(shape + (2,)))
+    return _chart(model, _flow(model, _lift(model, p, v), t), p, v)
 
 
 def geodesic_samples(model, state, dt, count, first=0):
     """Geodesic states of a batch at the sample times k dt, k = first, first + 1, ...
 
     `state` has shape (..., n).  The result has shape (c, ..., n) and holds
-    the states at k = first .. first + c - 1.  Tori and the sphere advance
-    every sample from `state` in one broadcast `geodesic_advance`, and
-    c = count.
+    the states at k = first .. first + c - 1.  Tori and the sphere flow
+    every sample from `state` in one broadcast step, and c = count.
 
     On the octagon the samples come in groups of h = max(1, floor(0.5 / dt))
     sample times.  The first group advances from `state`, each later group
@@ -371,36 +363,40 @@ def geodesic_samples(model, state, dt, count, first=0):
     anchor.  A run of more than one group stops at its last whole group
     (c <= count), so that its last sample can anchor the next run.
 
-    Every state keeps its own speed, as in `geodesic_advance`; no frame is
+    The anchors stay in group form.  Every state keeps its own speed, and a
+    resting state its chart point, as in `geodesic_advance`; no frame is
     formed here.  `dt` must be finite and positive.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError("sample step dt must be finite and positive")
     p = np.asarray(state.point, dtype=float)
     v = np.asarray(state.velocity, dtype=float)
-    batch = p.shape[:-1]
+    return _chart(model, _group_samples(model, _lift(model, p, v), dt, count, first), p, v)
+
+
+def _group_samples(model, g, dt, count, first=0):
+    """`geodesic_samples` from the group states g, as group states."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("sample step dt must be finite and positive")
     if model.kind != OCTAGON:
-        times = ((first + np.arange(count)) * dt).reshape((count,) + (1,) * len(batch))
-        return geodesic_advance(model, state, times)
+        lead = g[0].ndim - 1
+        return _flow(model, g, ((first + np.arange(count)) * dt).reshape((count,) + (1,) * lead))
     hop = max(1, int(_MAX_SUBSTEP / dt))
     if count > hop:
         count -= count % hop
     groups = -(-count // hop)
-    seed_z = np.empty((max(groups, 1), int(np.prod(batch))), dtype=complex)
-    seed_v = np.empty_like(seed_z)
-    seed_z[0] = (p[..., 0] + 1j * p[..., 1]).ravel()
-    seed_v[0] = (v[..., 0] + 1j * v[..., 1]).ravel()
+    shape = (count,) + g[0].shape
+    s = g[2].ravel()
+    seed = np.empty((2, max(groups, 1), len(s)), dtype=complex)
+    seed[0, 0], seed[1, 0] = g[0].ravel(), g[1].ravel()
     for j in range(1, groups):
-        t = np.full(seed_z.shape[1], (first + hop - 1 if j == 1 else hop) * dt)
-        seed_z[j], seed_v[j] = _oct_advance(seed_z[j - 1].copy(), seed_v[j - 1].copy(), t)
+        t = np.full(len(s), (first + hop - 1 if j == 1 else hop) * dt)
+        seed[:, j] = _oct_flow(model.side_pairings, *seed[:, j - 1].copy(), s, t)
     k = np.arange(count)
     group = k // hop
     offset = np.where(group == 0, first + k, k - group * hop + 1)
-    t = np.repeat(offset * dt, seed_z.shape[1])
-    z, vz = _oct_advance(seed_z[group].ravel(), seed_v[group].ravel(), t)
-    shape = (count,) + batch + (2,)
-    return PointState(point=np.stack([z.real, z.imag], axis=-1).reshape(shape),
-                      velocity=np.stack([vz.real, vz.imag], axis=-1).reshape(shape))
+    t = np.repeat(offset * dt, len(s))
+    s = np.tile(s, count)
+    a, b = _oct_flow(model.side_pairings, seed[0, group].ravel(), seed[1, group].ravel(), s, t)
+    return a.reshape(shape), b.reshape(shape), s.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +410,8 @@ def parallel_transport(model, state, t, w):
     Tori are flat.  On the curved surfaces w keeps its components in the
     completed frame (`frame_completion`) of the unit velocity, which is
     parallel along the geodesic.  Along a zero displacement (a resting state
-    or t = 0) w comes back unchanged.
+    or t = 0) w comes back unchanged; at an endpoint within 1e-13 of a sphere
+    pole its components are NaN, as the chart has none there.
     """
     w = np.asarray(w, dtype=float)
     if model.kind == TORUS:
@@ -442,14 +439,12 @@ def _connect(model, a, b):
         d = np.where(d > 0.5 * per, d - per, d)
         length = np.linalg.norm(d)
     elif model.kind == SPHERE:
-        (x, e_th, e_ph), y = _sph_frame(a), _sph_frame(b)[0]
+        x, y = _lift(model, np.stack([a, b]), np.zeros((2, 2)))[0]
         c = np.clip(x @ y, -1.0, 1.0)
         length = np.arccos(c)
         if length > np.pi - 1e-12:
             raise ValueError("antipodal polygon edge")
-        u = y - c * x
-        # sin(theta) times the chart components of u: the same direction
-        d = np.array([np.sin(a[0]) * (u @ e_th), u @ e_ph])
+        d = _view(model, (x, y - c * x)).velocity  # the edge direction at a
     else:
         za, zb = complex(a[0], a[1]), complex(b[0], b[1])
         q = (zb - za) / (1.0 - np.conj(za) * zb)  # b after the isometry taking a to 0
@@ -497,7 +492,7 @@ def holonomy(model, vertices):
 
 def _metric_diagonal(model, points):
     """Diagonals (..., n) of the chart metrics at points (..., n), unchecked;
-    every chart metric here is diagonal (`metric_at` is the checked scalar)."""
+    every chart metric here is diagonal (`metric_at` is the checked matrix)."""
     if model.kind == TORUS:
         return np.ones(points.shape)
     if model.kind == SPHERE:

@@ -12,6 +12,9 @@
   of `geometry.parallel_transport`.
 - `geodesic_polygon_area`: the signed enclosed area from the angle excess or
   defect (Gauss-Bonnet), against `geometry.holonomy`.
+- `octagon_chart_advance`: the octagon geodesic flow in the disk chart, a
+  Mobius step per substep with the speed renormalized at every step and
+  every side crossing, against the SU(1,1) flow of `geometry`.
 
 None of them imports a private helper of the code it checks.
 """
@@ -234,3 +237,62 @@ def geodesic_polygon_area(model, vertices):
             turning += np.angle(outgoing / incoming)
     # Gauss-Bonnet for a counterclockwise geodesic polygon
     return float((2.0 * np.pi - turning) / model.curvature)
+
+
+# ---------------------------------------------------------------------------
+# Octagon chart flow
+
+_OCT_COSH_D = 1.0 + np.sqrt(2.0)  # cosh of the inradius d
+_OCT_SINH_D = np.sqrt(_OCT_COSH_D ** 2 - 1.0)
+_OCT_RHO_MID = np.sqrt(np.sqrt(2.0) - 1.0)  # euclidean radius of the side midpoints
+_OCT_DIRS = np.exp(1j * np.pi / 4.0 * np.arange(8))
+_OCT_CENTERS = 0.5 * (_OCT_RHO_MID + 1.0 / _OCT_RHO_MID) * _OCT_DIRS
+_OCT_CIRCLE_R = 0.5 * (1.0 / _OCT_RHO_MID - _OCT_RHO_MID)
+
+
+def _oct_apply_pairing(k, z, v):
+    # the translation by 2d along exp(i k pi/4), which maps side k+4 onto side k
+    a, b = _OCT_COSH_D, _OCT_SINH_D * _OCT_DIRS[k]
+    den = np.conj(b) * z + a
+    z2 = (a * z + b) / den
+    v2 = v / (den * den)
+    # renormalize to the incoming speed
+    v2 *= abs(v) / (1.0 - abs(z) ** 2) * (1.0 - abs(z2) ** 2) / abs(v2)
+    return z2, v2
+
+
+def _oct_geodesic_step(z, v, t):
+    # the disk geodesic of (z, v) for time t at the speed of v, no re-entry
+    size = abs(v)
+    phase = v / size
+    conf = 1.0 - abs(z) ** 2
+    half_speed = size / conf  # the conformal factor is 2 / conf
+    w = np.tanh(half_speed * t) * phase
+    den = 1.0 + np.conj(z) * w
+    z2 = (w + z) / den
+    v2 = conf / (den * den) * phase
+    v2 *= half_speed * (1.0 - abs(z2) ** 2) / abs(v2)
+    return z2, v2
+
+
+def octagon_chart_advance(z, v, t):
+    """The disk state (z, v), complex scalars with v != 0, advanced by time t.
+
+    Substeps of at most 0.5 in time, each followed by re-entry through the
+    pairing of the most violated side until the point lies in the octagon
+    (to 1e-14).
+    """
+    remaining = float(t)
+    while True:
+        h = np.sign(remaining) * min(0.5, abs(remaining))
+        z, v = _oct_geodesic_step(z, v, h)
+        for _ in range(32):
+            d = np.abs(z - _OCT_CENTERS)
+            if _OCT_CIRCLE_R - d.min() <= 1e-14:
+                break
+            z, v = _oct_apply_pairing((int(d.argmin()) + 4) % 8, z, v)
+        else:
+            raise RuntimeError("octagon re-entry did not terminate")
+        remaining -= h
+        if remaining == 0.0:
+            return z, v

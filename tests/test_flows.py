@@ -388,10 +388,12 @@ def test_sample_trajectory_follows_the_great_circle():
 
 
 def _ref_sample_blocks(model, fps, steps, dt):
-    """The per-hop block sampler: one `frame_flow` call per block of at most
+    """The per-hop block sampler: one group-form flow per block of at most
     `_BLOCK_POINTS` frame points and, on the octagon, at most floor(0.5 / dt)
-    samples, each block advanced from the last sample of the block before."""
-    anchor = _stacked(fps)
+    samples, each block advanced from the group state of the last sample of
+    the block before and read in the chart as `frame_flow` reads it."""
+    start = fl._orthonormalize_drifted(model, _stacked(fps))
+    anchor = geo._lift(model, start.point, start.frame[..., 0])
     size = max(1, fl._BLOCK_POINTS // len(fps))
     if model.kind == geo.OCTAGON:
         size = min(size, max(1, int(0.5 / dt)))
@@ -399,10 +401,36 @@ def _ref_sample_blocks(model, fps, steps, dt):
     while first < steps:
         count = min(size, steps - first)
         offsets = np.arange(count) if first == 0 else np.arange(1, count + 1)
-        block = fl.frame_flow(model, anchor, (offsets * dt)[:, None])
-        yield block
-        anchor = geo.FramePoint(point=block.point[-1], frame=block.frame[-1])
+        states = geo._flow(model, anchor, (offsets * dt)[:, None])
+        end = geo._view(model, states)
+        yield geo.FramePoint(point=end.point, frame=fl._flowed_frames(model, start, end))
+        anchor = tuple(c[-1] for c in states)
         first += count
+
+
+def _meridian(dt, steps):
+    # start on the equator heading north; cos^2(theta) averages to 1/2 over
+    # whole half-periods
+    fp = geo.FramePoint(point=np.array([np.pi / 2, 0.3]), frame=-np.eye(2))
+    obs = fl.position_observable(lambda p: np.cos(p[0]) ** 2)
+    est = fl.birkhoff_average(SPHERE, obs, fp, steps * dt, dt, space_average=np.zeros((1, 1)))
+    return fp, obs, est
+
+
+def test_sphere_meridian_through_the_poles():
+    # the samples k = 100, 300, ... lie on a pole
+    _, _, est = _meridian(np.pi / 200, 4000)
+    assert abs(est.time_average[0, 0] - 0.5) <= 1e-12
+
+
+def test_sphere_meridian_block_ending_on_a_pole():
+    # the first 4,096-sample block ends on the north pole at t = 2.5 pi
+    dt, steps = np.pi / 1638, 6552
+    assert steps > fl._BLOCK_POINTS and (fl._BLOCK_POINTS - 1) * dt == 2.5 * np.pi
+    fp, obs, est = _meridian(dt, steps)
+    assert abs(est.time_average[0, 0] - 0.5) <= 1e-12
+    _, points, _, _ = fl.sample_trajectory(SPHERE, obs, fp, steps * dt, dt)
+    assert len(points) == steps and np.isfinite(points).all()
 
 
 def _ref_samples(model, obs, fps, steps, dt):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from framelab import ResolutionError
+from framelab import flows as fl
 from framelab import geometry as geo
 
 
@@ -59,6 +62,14 @@ def test_metric_octagon_closed_form():
     assert np.allclose(g, lam2 * np.eye(2), rtol=1e-14)
 
 
+def test_metric_at_is_the_diagonal_bitwise():
+    # one conformal factor for the checked matrix and the batched diagonal
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        p = fl.random_frame_point(OCT, rng).point
+        assert np.array_equal(geo.metric_at(OCT, p), np.diag(geo._metric_diagonal(OCT, p)))
+
+
 def test_metric_domain_errors():
     with pytest.raises(ValueError):
         geo.metric_at(SPHERE, [0.0, 0.3])
@@ -67,8 +78,16 @@ def test_metric_domain_errors():
 
 
 def test_octagon_pairings_unit_det():
-    for m in OCT.side_pairings:
+    # SU(1,1) matrices; P_{k+4} inverts P_k, and P_k maps the midpoint of
+    # side k+4 to the midpoint of side k
+    pairs = OCT.side_pairings
+    mid = geo._OCT_RHO_MID * geo._OCT_DIRS
+    for k, m in enumerate(pairs):
         assert abs(np.linalg.det(m) - 1.0) <= 1e-12
+        assert m[1, 1] == np.conj(m[0, 0]) and m[1, 0] == np.conj(m[0, 1])
+        assert np.abs(pairs[(k + 4) % 8] @ m - np.eye(2)).max() <= 1e-12
+        w = mid[(k + 4) % 8]
+        assert abs((m[0, 0] * w + m[0, 1]) / (m[1, 0] * w + m[1, 1]) - mid[k]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +224,49 @@ def test_octagon_rejects_non_finite_times():
 
 
 def test_octagon_reentry_failure_is_a_resolution_error(monkeypatch):
-    # a pairing that does not move the state never brings it back inside
-    monkeypatch.setattr(geo, "_oct_apply_pairing", lambda k, z, v: (z, v))
-    s = geo.unit_speed(OCT, [0.0, 0.0], [1.0, 0.0])
+    # identity pairings never bring the state back inside
+    monkeypatch.setattr(geo, "_OCT_PAIRINGS", np.broadcast_to(np.eye(2, dtype=complex), (8, 2, 2)))
+    stuck = geo.hyperbolic_octagon()
+    s = geo.unit_speed(stuck, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ResolutionError, match="re-entry"):
-        geo.geodesic_advance(OCT, s, 2.0)
+        geo.geodesic_advance(stuck, s, 2.0)
     assert issubclass(ResolutionError, RuntimeError)
 
 
-def test_sphere_batch_with_pole_bound_row_raises():
+def _octagon_unit_states(rng, count):
+    # uniform base points in the whole fundamental domain, uniform directions
+    rv = geo._OCT_RHO_VERTEX
+    z = rng.uniform(-rv, rv, size=(8 * count, 2))
+    z = z[geo.octagon_contains(z[:, 0] + 1j * z[:, 1])][:count]
+    a = rng.uniform(0, 2 * np.pi, size=count)
+    states = [geo.unit_speed(OCT, p, [np.cos(t), np.sin(t)]) for p, t in zip(z, a)]
+    return geo.PointState(point=np.stack([s.point for s in states]),
+                          velocity=np.stack([s.velocity for s in states]))
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0, 5.0])
+def test_octagon_advance_matches_the_chart_step_oracle(t):
+    states = _octagon_unit_states(np.random.default_rng(41), 200)
+    out = geo.geodesic_advance(OCT, states, t)
+    for j in range(200):
+        z, v = oracles.octagon_chart_advance(complex(*states.point[j]),
+                                             complex(*states.velocity[j]), t)
+        assert np.abs(out.point[j] - [z.real, z.imag]).max() <= 1e-12
+        assert np.abs(out.velocity[j] - [v.real, v.imag]).max() <= 1e-12
+
+
+def test_sphere_batch_with_pole_bound_row_views_nan_velocity():
     # the second row heads north from the equator and reaches the pole at t = pi/2
     s = geo.PointState(point=np.array([[np.pi / 2, 0.3], [np.pi / 2, 0.3]]),
                        velocity=np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    geo.geodesic_advance(SPHERE, s, 0.5)
-    with pytest.raises(ValueError):
-        geo.geodesic_advance(SPHERE, s, np.pi / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = geo.geodesic_advance(SPHERE, s, np.pi / 2)
+        alone = geo.geodesic_advance(SPHERE, geo.PointState(s.point[0], s.velocity[0]), np.pi / 2)
+    assert np.isnan(out.velocity[1]).all()
+    assert 0.0 <= out.point[1, 0] < 1e-15
+    assert np.array_equal(out.point[0], alone.point)
+    assert np.array_equal(out.velocity[0], alone.velocity)
 
 
 @pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-9])

@@ -38,8 +38,8 @@ def test_one_cycle_passes_its_checks(name):
         assert kind.check(ctx, inputs, out) == [], (kind.name, inputs)
 
 
-def test_meridian_probe_reads_ok_or_known_defect():
-    assert workloads.meridian_probe() in ("ok", "known-defect")
+def test_meridian_probe_reads_ok():
+    assert workloads.meridian_probe() == "ok"
 
 
 def test_benchmark_targets_missing_from_the_library_are_named():
