@@ -160,11 +160,8 @@ def _oct_flow(pairings, a, b, s, t):
     """
     if not np.isfinite(t).all():
         raise ValueError("octagon flow times must be finite")
-    remaining = t.copy()
-    rows = slice(None)
-    if not s.all():
-        remaining[s == 0] = 0.0
-        rows = np.flatnonzero(s)
+    remaining = np.where(s == 0, 0.0, t)
+    rows = slice(None) if s.all() else np.flatnonzero(s)
     while True:
         h = np.sign(remaining[rows]) * np.minimum(_MAX_SUBSTEP, np.abs(remaining[rows]))
         half = 0.5 * s[rows] * h
@@ -265,15 +262,16 @@ def _view(model, g):
     return PointState((b / ca).view(float), (0.5 * s / (ca * ca)).view(float))
 
 
-def _chart(model, g, p, v):
-    """`_view` of group states g flowed from the chart states (p, v), except
-    that on the curved models a resting state keeps its chart point and zero
-    velocity (also on a sphere pole)."""
+def _chart(model, g, state):
+    """`_view` of group states g flowed from the chart `state`, except that on
+    the curved models a resting state keeps its chart point and zero velocity
+    (also on a sphere pole)."""
     out = _view(model, g)
+    v = np.asarray(state.velocity, dtype=float)
     if model.kind == TORUS or v.all():
         return out
     rest = ~v.any(axis=-1, keepdims=True)
-    return PointState(np.where(rest, p, out.point), np.where(rest, v, out.velocity))
+    return PointState(np.where(rest, state.point, out.point), np.where(rest, v, out.velocity))
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +341,7 @@ def geodesic_advance(model, state, t):
     Long runs of sample times go through `geodesic_samples`, which advances
     each sample by at most one substep from an anchor.
     """
-    p = np.asarray(state.point, dtype=float)
-    v = np.asarray(state.velocity, dtype=float)
-    return _chart(model, _flow(model, _lift(model, p, v), t), p, v)
+    return _chart(model, _flow(model, _lift(model, state.point, state.velocity), t), state)
 
 
 def geodesic_samples(model, state, dt, count, first=0):
@@ -367,9 +363,8 @@ def geodesic_samples(model, state, dt, count, first=0):
     resting state its chart point, as in `geodesic_advance`; no frame is
     formed here.  `dt` must be finite and positive.
     """
-    p = np.asarray(state.point, dtype=float)
-    v = np.asarray(state.velocity, dtype=float)
-    return _chart(model, _group_samples(model, _lift(model, p, v), dt, count, first), p, v)
+    g = _lift(model, state.point, state.velocity)
+    return _chart(model, _group_samples(model, g, dt, count, first), state)
 
 
 def _group_samples(model, g, dt, count, first=0):
@@ -445,6 +440,8 @@ def _connect(model, a, b):
         if length > np.pi - 1e-12:
             raise ValueError("antipodal polygon edge")
         d = _view(model, (x, y - c * x)).velocity  # the edge direction at a
+        if not np.isfinite(d).all():
+            raise ValueError("polygon vertex within 1e-13 of a pole")
     else:
         za, zb = complex(a[0], a[1]), complex(b[0], b[1])
         q = (zb - za) / (1.0 - np.conj(za) * zb)  # b after the isometry taking a to 0
@@ -467,7 +464,8 @@ def holonomy(model, vertices):
 
     Vertices are chart points: theta in (0, pi) on the sphere and points of
     the fundamental domain on the octagon; a vertex outside the chart (on a
-    pole, or outside the octagon) raises `ValueError`.
+    pole, or outside the octagon) raises `ValueError`, and so does a sphere
+    vertex within 1e-13 of a pole, where the chart has no directions.
     """
     m = len(vertices)
     if m < 3:

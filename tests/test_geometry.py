@@ -491,6 +491,8 @@ def test_holonomy_rejects_vertices_outside_the_chart():
         geo.holonomy(SPHERE, [[0.0, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]])
     with pytest.raises(ValueError):
         geo.holonomy(SPHERE, [[np.pi / 2, 0.0], [np.pi / 2, np.pi / 2], [0.0, 0.0]])
+    with pytest.raises(ValueError):  # in the chart, but without directions
+        geo.holonomy(SPHERE, [[1e-14, 0.0], [np.pi / 2, 0.0], [np.pi / 2, np.pi / 2]])
     with pytest.raises(ValueError):
         geo.holonomy(OCT, [[0.3, 0.0], [0.1, 0.35], [0.75, 0.0]])
     with pytest.raises(ValueError):
