@@ -15,11 +15,11 @@ flowed velocity in the chart view; within 1e-13 of a sphere pole that frame
 is NaN and the point is kept.  Birkhoff averages and `sample_trajectory`
 advance all trajectories through blocks of sample times k dt.  A block holds
 at most `_BLOCK_POINTS` frame points (samples x trajectories, at least one
-sample).  Its geodesic states come from one group-form run of
-`geometry.geodesic_samples`, which on the octagon advances each sample from
-an anchor at most one geodesic substep back.  Block and octagon anchors stay
-in group form, so a block may end on a pole.  Its frames come from one pass
-of the frame step that `frame_flow` uses.  The observable is still evaluated
+sample).  Its geodesic states are one block of `geometry.geodesic_samples`,
+which keeps block and octagon anchors in group form (so a block may end on
+a pole) and on the octagon advances each sample from an anchor at most one
+geodesic substep back.  Its frames come from one pass of the frame step
+that `frame_flow` uses.  The observable is still evaluated
 once per sample and trajectory.
 
 Orthonormality is an entry condition: `frame_flow` and the block sampler
@@ -303,25 +303,17 @@ def _sample_blocks(model, fps, steps, dt):
     k = 0 .. steps - 1, as FramePoint blocks of shape (samples, len(fps), ...).
 
     A block holds at most `_BLOCK_POINTS` frame points (at least one sample).
-    Its geodesic states are the chart view of one group-form
-    `geometry.geodesic_samples` run from the block's anchor: the group state
-    of the last sample of the block before, or the lifted starting points
-    (re-orthonormalized where they drift) for the first block.  A run may
-    stop short of the block size.  Its frames come from one pass of the frame
-    step of `frame_flow`, with the starting frames' sides.
+    Its geodesic states are one block of `geometry.geodesic_samples` from the
+    starting points, re-orthonormalized where they drift.  Its frames come
+    from one pass of the frame step of `frame_flow`, with the starting
+    frames' sides.
     """
     start = _orthonormalize_drifted(model, geo.FramePoint(
         point=np.stack([fp.point for fp in fps]), frame=np.stack([fp.frame for fp in fps])))
-    anchor = geo._lift(model, start.point, start.frame[..., 0])
     size = max(1, _BLOCK_POINTS // len(fps))
-    first = 0
-    while first < steps:
-        states = geo._group_samples(model, anchor, dt, min(size, steps - first),
-                                    first=min(first, 1))
-        end = geo._view(model, states)
+    for end in geo.geodesic_samples(model, geo.PointState(start.point, start.frame[..., 0]),
+                                    dt, steps, size):
         yield geo.FramePoint(point=end.point, frame=_flowed_frames(model, start, end))
-        anchor = tuple(c[-1] for c in states)
-        first += len(end.point)
 
 
 def _block_values(obs, block):

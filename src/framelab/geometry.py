@@ -53,7 +53,8 @@ class ManifoldModel:
     side_pairings : (8, 2, 2) complex array of SU(1,1) matrices
         [[a, b], [conj b, conj a]] acting on the Poincare disk by
         z -> (a z + b) / (conj(b) z + conj(a)); P_k maps side k+4 onto side k
-        (octagon only)
+        (octagon only; for reading: the octagon flow uses the regular
+        octagon's own table)
     """
 
     kind: str
@@ -147,7 +148,7 @@ def octagon_contains(z, tol=_BOUNDARY_TOL):
     return out if out.ndim else bool(out)
 
 
-def _oct_flow(pairings, a, b, s, t):
+def _oct_flow(a, b, s, t):
     """Octagon group states (1-D arrays a, b, changed in place; speeds s)
     advanced by their own times t.
 
@@ -175,7 +176,7 @@ def _oct_flow(pairings, a, b, s, t):
             out = out[outside]
             if not len(out):
                 break
-            p = pairings[(d[outside].argmin(axis=-1) + 4) % 8]
+            p = _OCT_PAIRINGS[(d[outside].argmin(axis=-1) + 4) % 8]
             ar[out], br[out] = (p[:, 0, 0] * ar[out] + p[:, 0, 1] * np.conj(br[out]),
                                 p[:, 0, 0] * br[out] + p[:, 0, 1] * np.conj(ar[out]))
         else:
@@ -234,7 +235,7 @@ def _flow(model, g, t):
         return x * c + uh * sn, s * (uh * c - x * sn)
     a, b, s, t = np.broadcast_arrays(*g, t[..., None])
     shape = a.shape
-    a, b = _oct_flow(model.side_pairings, a.flatten(), b.flatten(), s.ravel(), t.ravel())
+    a, b = _oct_flow(a.flatten(), b.flatten(), s.ravel(), t.ravel())
     return a.reshape(shape), b.reshape(shape), s.copy()
 
 
@@ -344,33 +345,37 @@ def geodesic_advance(model, state, t):
     return _chart(model, _flow(model, _lift(model, state.point, state.velocity), t), state)
 
 
-def geodesic_samples(model, state, dt, count, first=0):
-    """Geodesic states of a batch at the sample times k dt, k = first, first + 1, ...
+def geodesic_samples(model, state, dt, count, size):
+    """Geodesic states of a batch at the sample times k dt, k = 0 .. count - 1,
+    in blocks of at most `size` samples (at least one).
 
-    `state` has shape (..., n).  The result has shape (c, ..., n) and holds
-    the states at k = first .. first + c - 1.  Tori and the sphere flow
-    every sample from `state` in one broadcast step, and c = count.
+    `state` has shape (..., n); each block is a PointState (c, ..., n) of
+    the next c samples, flowed from its anchor: `state`, then the last sample
+    of the block before, kept in group form (a block may end on a pole).
 
     On the octagon the samples come in groups of h = max(1, floor(0.5 / dt))
-    sample times.  The first group advances from `state`, each later group
-    from the last sample of the group before, its anchor, which lies at most
-    h dt <= 0.5 (one substep) back.  The anchors advance one group at a time
-    over the whole batch, then one pass advances every sample from its
-    anchor.  A run of more than one group stops at its last whole group
-    (c <= count), so that its last sample can anchor the next run.
+    sample times, each group flowed from the last sample of the group before,
+    at most h dt <= 0.5 (one substep) back: the group anchors advance over
+    the whole batch one group at a time, then one pass advances every sample.
+    A block of more than one group stops at its last whole group.
 
-    The anchors stay in group form.  Every state keeps its own speed, and a
-    resting state its chart point, as in `geodesic_advance`; no frame is
-    formed here.  `dt` must be finite and positive.
+    Every state keeps its own speed, and a resting state its chart point, as
+    in `geodesic_advance`.  `dt` must be finite and positive.
     """
-    g = _lift(model, state.point, state.velocity)
-    return _chart(model, _group_samples(model, g, dt, count, first), state)
-
-
-def _group_samples(model, g, dt, count, first=0):
-    """`geodesic_samples` from the group states g, as group states."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("sample step dt must be finite and positive")
+    g = _lift(model, state.point, state.velocity)
+    done = 0
+    while done < count:
+        g = _group_samples(model, g, dt, min(size, count - done), min(done, 1))
+        yield _chart(model, g, state)
+        done += len(g[0])
+        g = tuple(c[-1] for c in g)
+
+
+def _group_samples(model, g, dt, count, first):
+    """Group states at the sample times k dt, k = first, first + 1, ...
+    (first = 0 or 1) from the group states g: one block of `geodesic_samples`."""
     if model.kind != OCTAGON:
         lead = g[0].ndim - 1
         return _flow(model, g, ((first + np.arange(count)) * dt).reshape((count,) + (1,) * lead))
@@ -384,13 +389,13 @@ def _group_samples(model, g, dt, count, first=0):
     seed[0, 0], seed[1, 0] = g[0].ravel(), g[1].ravel()
     for j in range(1, groups):
         t = np.full(len(s), (first + hop - 1 if j == 1 else hop) * dt)
-        seed[:, j] = _oct_flow(model.side_pairings, *seed[:, j - 1].copy(), s, t)
+        seed[:, j] = _oct_flow(*seed[:, j - 1].copy(), s, t)
     k = np.arange(count)
     group = k // hop
     offset = np.where(group == 0, first + k, k - group * hop + 1)
     t = np.repeat(offset * dt, len(s))
     s = np.tile(s, count)
-    a, b = _oct_flow(model.side_pairings, seed[0, group].ravel(), seed[1, group].ravel(), s, t)
+    a, b = _oct_flow(seed[0, group].ravel(), seed[1, group].ravel(), s, t)
     return a.reshape(shape), b.reshape(shape), s.reshape(shape)
 
 

@@ -226,10 +226,9 @@ def test_octagon_rejects_non_finite_times():
 def test_octagon_reentry_failure_is_a_resolution_error(monkeypatch):
     # identity pairings never bring the state back inside
     monkeypatch.setattr(geo, "_OCT_PAIRINGS", np.broadcast_to(np.eye(2, dtype=complex), (8, 2, 2)))
-    stuck = geo.hyperbolic_octagon()
-    s = geo.unit_speed(stuck, [0.0, 0.0], [1.0, 0.0])
+    s = geo.unit_speed(OCT, [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ResolutionError, match="re-entry"):
-        geo.geodesic_advance(stuck, s, 2.0)
+        geo.geodesic_advance(OCT, s, 2.0)
     assert issubclass(ResolutionError, RuntimeError)
 
 
@@ -295,11 +294,15 @@ def test_sphere_zero_speed_state_unchanged():
 
 
 def test_octagon_samples_keep_a_non_unit_speed():
-    # 40 samples at dt 0.1 span eight anchor groups of five
+    # 40 samples at dt 0.1 span eight anchor groups of five; a block of at most
+    # 12 samples stops at its last whole group
     unit = geo.unit_speed(OCT, [0.1, 0.05], [1.0, 0.3])
     start = geo.PointState(point=unit.point, velocity=2.0 * unit.velocity)
     dt, count = 0.1, 40
-    out = geo.geodesic_samples(OCT, start, dt, count)
+    blocks = list(geo.geodesic_samples(OCT, start, dt, count, 12))
+    assert [len(b.point) for b in blocks] == [10, 10, 10, 10]
+    out = geo.PointState(np.concatenate([b.point for b in blocks]),
+                         np.concatenate([b.velocity for b in blocks]))
     assert out.point.shape == out.velocity.shape == (count, 2)
     for k in range(count):
         one = geo.geodesic_advance(OCT, start, k * dt)
