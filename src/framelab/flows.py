@@ -235,10 +235,9 @@ def random_frame_point(model, rng):
         lam_max = 2.0 / (1.0 - geo._OCT_RHO_VERTEX ** 2)
         while True:
             xy = rng.uniform(-geo._OCT_RHO_VERTEX, geo._OCT_RHO_VERTEX, size=2)
-            z = complex(xy[0], xy[1])
-            if not geo.octagon_contains(z):
+            if not geo.octagon_contains(complex(xy[0], xy[1])):
                 continue
-            lam = 2.0 / (1.0 - abs(z) ** 2)
+            lam = np.sqrt(geo._metric_diagonal(model, xy)[0])
             if rng.uniform() < (lam / lam_max) ** 2:
                 point = xy
                 break

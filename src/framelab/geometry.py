@@ -148,45 +148,71 @@ def octagon_contains(z, tol=_BOUNDARY_TOL):
     return out if out.ndim else bool(out)
 
 
-def _oct_flow(a, b, s, t):
-    """Octagon group states (1-D arrays a, b, changed in place; speeds s)
-    advanced by their own times t.
+def _oct_flow(a, b, s, t, k):
+    """Octagon group states (1-D arrays a, b, not changed; speeds s) advanced
+    k times in succession by their own times t: an array (2, k, len(a)) of
+    (a, b) after each advance.
 
-    Each time substep h (|h| <= `_MAX_SUBSTEP`) multiplies g on the right by
-    [[cosh(s h / 2), sinh(s h / 2)], [sinh(s h / 2), cosh(s h / 2)]].  Then,
-    while the point b / conj(a) lies outside the octagon, it multiplies g on
-    the left by the pairing of the most violated side, and it renormalizes
-    to |a|^2 - |b|^2 = 1.  Every moving row takes at least one (possibly
-    zero-length) substep, and a resting row (s = 0) stays as it is.
+    The times are cut into substeps h (|h| <= `_MAX_SUBSTEP`) once, by
+    `_oct_plan`, and every advance applies the same substeps with
+    `_oct_substep`, so k advances are bit-identical to k calls of one.
+    """
+    plan = _oct_plan(s, t)
+    out = np.empty((2, k, len(a)), dtype=complex)
+    for j in range(k):
+        out[0, j], out[1, j] = a, b
+        a, b = out[0, j], out[1, j]
+        for rows, c, sh in plan:
+            a[rows], b[rows] = _oct_substep(a[rows], b[rows], c, sh)
+    return out
+
+
+def _oct_plan(s, t):
+    """The substeps of an octagon advance of speeds s by times t: a list of
+    (rows, cosh(s h / 2), sinh(s h / 2)) over the rows each substep moves.
+
+    Every moving row takes at least one (possibly zero-length) substep, and
+    a resting row (s = 0) takes none.
     """
     if not np.isfinite(t).all():
         raise ValueError("octagon flow times must be finite")
     remaining = np.where(s == 0, 0.0, t)
     rows = slice(None) if s.all() else np.flatnonzero(s)
+    plan = []
     while True:
         h = np.sign(remaining[rows]) * np.minimum(_MAX_SUBSTEP, np.abs(remaining[rows]))
         half = 0.5 * s[rows] * h
-        c, sh = np.cosh(half), np.sinh(half)
-        ar, br = a[rows], b[rows]
-        ar, br = ar * c + br * sh, ar * sh + br * c
-        out = np.arange(len(ar))  # the rows still outside
+        plan.append((rows, np.cosh(half), np.sinh(half)))
+        remaining[rows] -= h
+        rows = np.flatnonzero(remaining)
+        if not len(rows):
+            return plan
+
+
+def _oct_substep(a, b, c, sh):
+    """One substep of the rows (a, b), new arrays: g times
+    [[c, sh], [sh, c]] on the right; then, while the point b / conj(a) lies
+    outside the octagon, the pairing of the most violated side on the left;
+    then renormalized to |a|^2 - |b|^2 = 1."""
+    a, b = a * c + b * sh, a * sh + b * c
+    d = np.abs((b / np.conj(a))[:, None] - _OCT_CENTERS)
+    # rounding is monotone, so the least distance over all rows tells
+    # whether any row lies outside
+    if _OCT_CIRCLE_R - d.min(initial=np.inf) > _BOUNDARY_TOL:
+        out = np.arange(len(a))  # the rows still outside
         for _ in range(32):
-            d = np.abs((br[out] / np.conj(ar[out]))[:, None] - _OCT_CENTERS)
             outside = _OCT_CIRCLE_R - d.min(axis=-1) > _BOUNDARY_TOL
             out = out[outside]
             if not len(out):
                 break
             p = _OCT_PAIRINGS[(d[outside].argmin(axis=-1) + 4) % 8]
-            ar[out], br[out] = (p[:, 0, 0] * ar[out] + p[:, 0, 1] * np.conj(br[out]),
-                                p[:, 0, 0] * br[out] + p[:, 0, 1] * np.conj(ar[out]))
+            a[out], b[out] = (p[:, 0, 0] * a[out] + p[:, 0, 1] * np.conj(b[out]),
+                              p[:, 0, 0] * b[out] + p[:, 0, 1] * np.conj(a[out]))
+            d = np.abs((b[out] / np.conj(a[out]))[:, None] - _OCT_CENTERS)
         else:
             raise ResolutionError("octagon re-entry did not terminate")
-        norm = np.sqrt(np.abs(ar) ** 2 - np.abs(br) ** 2)
-        a[rows], b[rows] = ar / norm, br / norm
-        remaining[rows] -= h
-        rows = np.flatnonzero(remaining)
-        if not len(rows):
-            return a, b
+    norm = np.sqrt(np.abs(a) ** 2 - np.abs(b) ** 2)
+    return a / norm, b / norm
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +261,7 @@ def _flow(model, g, t):
         return x * c + uh * sn, s * (uh * c - x * sn)
     a, b, s, t = np.broadcast_arrays(*g, t[..., None])
     shape = a.shape
-    a, b = _oct_flow(a.flatten(), b.flatten(), s.ravel(), t.ravel())
+    a, b = _oct_flow(a.ravel(), b.ravel(), s.ravel(), t.ravel(), 1)[:, 0]
     return a.reshape(shape), b.reshape(shape), s.copy()
 
 
@@ -355,9 +381,11 @@ def geodesic_samples(model, state, dt, count, size):
 
     On the octagon the samples come in groups of h = max(1, floor(0.5 / dt))
     sample times, each group flowed from the last sample of the group before,
-    at most h dt <= 0.5 (one substep) back: the group anchors advance over
-    the whole batch one group at a time, then one pass advances every sample.
-    A block of more than one group stops at its last whole group.
+    at most h dt <= 0.5 (one substep) back.  The chain of group anchors is
+    two flows of the whole batch, one over the first group and one that
+    repeats a hop of h dt over the rest, and one more flow advances every
+    sample from its anchor.  A block of more than one group stops at its
+    last whole group.
 
     Every state keeps its own speed, and a resting state its chart point, as
     in `geodesic_advance`.  `dt` must be finite and positive.
@@ -375,7 +403,14 @@ def geodesic_samples(model, state, dt, count, size):
 
 def _group_samples(model, g, dt, count, first):
     """Group states at the sample times k dt, k = first, first + 1, ...
-    (first = 0 or 1) from the group states g: one block of `geodesic_samples`."""
+    (first = 0 or 1) from the group states g: one block of `geodesic_samples`.
+
+    On the octagon the samples of group j flow from anchor j, the last
+    sample of group j - 1: anchor 0 is g, anchor 1 is g flowed by
+    (first + hop - 1) dt, and each further anchor is the one before flowed
+    by hop dt, all in one `_oct_flow` call that applies its substep plan
+    groups - 2 times.
+    """
     if model.kind != OCTAGON:
         lead = g[0].ndim - 1
         return _flow(model, g, ((first + np.arange(count)) * dt).reshape((count,) + (1,) * lead))
@@ -387,15 +422,16 @@ def _group_samples(model, g, dt, count, first):
     s = g[2].ravel()
     seed = np.empty((2, max(groups, 1), len(s)), dtype=complex)
     seed[0, 0], seed[1, 0] = g[0].ravel(), g[1].ravel()
-    for j in range(1, groups):
-        t = np.full(len(s), (first + hop - 1 if j == 1 else hop) * dt)
-        seed[:, j] = _oct_flow(*seed[:, j - 1].copy(), s, t)
+    if groups > 1:
+        seed[:, 1:2] = _oct_flow(*seed[:, 0], s, np.full(len(s), (first + hop - 1) * dt), 1)
+    if groups > 2:
+        seed[:, 2:] = _oct_flow(*seed[:, 1], s, np.full(len(s), hop * dt), groups - 2)
     k = np.arange(count)
     group = k // hop
     offset = np.where(group == 0, first + k, k - group * hop + 1)
     t = np.repeat(offset * dt, len(s))
     s = np.tile(s, count)
-    a, b = _oct_flow(seed[0, group].ravel(), seed[1, group].ravel(), s, t)
+    a, b = _oct_flow(seed[0, group].ravel(), seed[1, group].ravel(), s, t, 1)[:, 0]
     return a.reshape(shape), b.reshape(shape), s.reshape(shape)
 
 
@@ -626,10 +662,9 @@ def unit_bundle_nodes(model, resolution):
         grid = -rv + (2.0 * rv / res) * (np.arange(res) + 0.5)
         z = (grid[:, None] + 1j * grid[None, :]).ravel()
         z = z[octagon_contains(z)]
-        lam = 2.0 / (1.0 - np.abs(z) ** 2)
         points = np.column_stack([z.real, z.imag])
-        base_w = lam * lam
-        root_g = np.column_stack([lam, lam])
+        g = _metric_diagonal(model, points)  # lambda^2, twice
+        base_w, root_g = g[:, 0], np.sqrt(g)
     if model.dim == 2:
         a = np.arange(res) * (2 * np.pi / res)
         fibre, fibre_w = np.column_stack([np.cos(a), np.sin(a)]), np.ones(res)

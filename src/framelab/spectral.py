@@ -36,6 +36,10 @@ _KERNEL_RELATIVE = 1e-10
 # Largest smaller side for which `spectral_norm` takes the dense SVD of a
 # sparse matrix (the two methods cost about the same at 100 x 100).
 _DENSE_SIDE = 100
+# ARPACK iterations `spectral_norm` waits for before it takes the dense SVD: the
+# operator shells of the lab converge within about 20, and a stalled one
+# would otherwise spend seconds before the same fallback.
+_ARPACK_MAXITER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +150,8 @@ def spectral_norm(m):
     singular value from ARPACK (`svds`), which needs only matrix-vector
     products; anything smaller, and every dense matrix, takes the dense SVD,
     which is the faster of the two below that size.  A top singular value
-    that ARPACK does not resolve (a tight cluster can stall it) also takes
-    the dense SVD.
+    that ARPACK does not resolve within `_ARPACK_MAXITER` iterations (a tight
+    cluster can stall it) also takes the dense SVD.
     """
     if scipy.sparse.issparse(m):
         if min(m.shape) == 0 or m.nnz == 0:
@@ -160,7 +164,8 @@ def spectral_norm(m):
         v0 = np.random.default_rng(0).standard_normal(min(m.shape))
         try:
             s = scipy.sparse.linalg.svds(m.tocsc().astype(complex), k=1, v0=v0,
-                                         return_singular_vectors=False, maxiter=5000)
+                                         return_singular_vectors=False,
+                                         maxiter=_ARPACK_MAXITER)
         except scipy.sparse.linalg.ArpackNoConvergence:
             return float(np.linalg.norm(m.toarray(), 2))
         return float(s[0])

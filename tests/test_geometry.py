@@ -70,6 +70,17 @@ def test_metric_at_is_the_diagonal_bitwise():
         assert np.array_equal(geo.metric_at(OCT, p), np.diag(geo._metric_diagonal(OCT, p)))
 
 
+@pytest.mark.parametrize("res", [24, 80])
+def test_octagon_nodes_use_the_metric_diagonal_bitwise(res):
+    # base weights lambda^2 and direction scales lambda from the one conformal factor
+    points, dirs, weights = geo.unit_bundle_nodes(OCT, res)
+    g = geo._metric_diagonal(OCT, points)
+    assert np.array_equal(weights, g[:, 0])
+    a = np.arange(res) * (2 * np.pi / res)
+    fibre = np.tile(np.column_stack([np.cos(a), np.sin(a)]), (len(points) // res, 1))
+    assert np.array_equal(dirs, fibre / np.sqrt(g))
+
+
 def test_metric_domain_errors():
     with pytest.raises(ValueError):
         geo.metric_at(SPHERE, [0.0, 0.3])
@@ -327,6 +338,51 @@ def test_octagon_resting_state_unchanged():
     assert np.array_equal(out.velocity[0], rest.velocity)
     assert np.array_equal(out.point[1], alone.point)
     assert np.array_equal(out.velocity[1], alone.velocity)
+
+
+def _per_hop_samples(model, state, dt, count):
+    # one `_flow` call per anchor group of h = max(1, floor(0.5 / dt)) samples,
+    # each from the group state of the last sample of the group before
+    hop = max(1, int(geo._MAX_SUBSTEP / dt))
+    anchor = geo._lift(model, state.point, state.velocity)
+    points, velocities = [], []
+    for first in range(0, count, hop):
+        n = min(hop, count - first)
+        offsets = np.arange(n) if first == 0 else np.arange(1, n + 1)
+        g = geo._flow(model, anchor, (offsets * dt)[:, None])
+        out = geo._chart(model, g, state)
+        points.append(out.point)
+        velocities.append(out.velocity)
+        anchor = tuple(c[-1] for c in g)
+    return np.concatenate(points), np.concatenate(velocities)
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.07, 0.8])
+def test_octagon_sample_chain_of_mixed_speeds_matches_per_hop_flows(dt):
+    # speeds 1, 2 and 0.5 and a resting row; at dt 0.8 a hop takes two substeps
+    rng = np.random.default_rng(42)
+    unit = [random_state(OCT, rng) for _ in range(4)]
+    state = geo.PointState(np.stack([s.point for s in unit]),
+                           np.stack([k * s.velocity for k, s in zip([1.0, 2.0, 0.5, 0.0], unit)]))
+    count = 1500
+    blocks = list(geo.geodesic_samples(OCT, state, dt, count, 400))
+    assert len(blocks) >= 4
+    points, velocities = _per_hop_samples(OCT, state, dt, count)
+    assert np.array_equal(np.concatenate([b.point for b in blocks]), points)
+    assert np.array_equal(np.concatenate([b.velocity for b in blocks]), velocities)
+    assert np.array_equal(points[:, 3], np.broadcast_to(state.point[3], (count, 2)))
+
+
+def test_octagon_sample_block_chains_anchors_in_two_flow_calls(monkeypatch):
+    # one block of 4,000 samples at dt 0.1 is 800 anchor groups: the chain takes
+    # two `_oct_flow` calls (the first hop, then the rest) and the samples one
+    calls = []
+    flow = geo._oct_flow
+    monkeypatch.setattr(geo, "_oct_flow", lambda *a: calls.append(a) or flow(*a))
+    state = random_state(OCT, np.random.default_rng(43))
+    blocks = list(geo.geodesic_samples(OCT, state, 0.1, 4000, 4096))
+    assert [len(b.point) for b in blocks] == [4000]
+    assert len(calls) <= 3
 
 
 # ---------------------------------------------------------------------------

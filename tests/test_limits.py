@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from framelab import algebra as alg
 from framelab import flows as fl
@@ -374,6 +375,29 @@ def test_egorov_shell_norm_matches_dense_svd():
     want = np.linalg.norm(diff.toarray()[np.ix_(idx, idx)], 2)
     got = lm.egorov_residual(T2, sym, t, 8, K)
     assert abs(got - want) <= 1e-12 * want
+
+
+def test_egorov_shell_norm_past_a_stalled_arpack_matches_dense_svd():
+    # the T^2 Egorov shell [8, 16) at K = 20 of a quantize_egorov benchmark
+    # op: its top singular value 0.01903 has multiplicity 4 and the next
+    # cluster lies 0.6 % below, so ARPACK stalls and the dense SVD decides
+    c = (-0.6537359343827138, -0.006570511794595113, 0.8598794015845592)
+    t, K = 1.2657932713299114, 20
+    sym = sp.TrigSymbol(terms={(1, 0): lambda xi: c[0] * xi[0] ** 2,
+                               (-1, 0): lambda xi: c[0] * xi[0] ** 2,
+                               (0, 1): lambda xi: c[1], (0, -1): lambda xi: c[1],
+                               (0, 0): lambda xi: c[2] * xi[1] ** 2}, dim=2)
+    a_op = sp.quantize(T2, sym, K)
+    idx = sp.shell_indices(a_op.domain, 8, 16)
+    diff = lm.evolve_observable(a_op, t).matrix - sp.quantize(T2, sym.pushed(t), K).matrix
+    sub = diff.tocsr()[np.ix_(idx, idx)]
+    with pytest.raises(scipy.sparse.linalg.ArpackNoConvergence):
+        scipy.sparse.linalg.svds(sub.tocsc().astype(complex), k=1, return_singular_vectors=False,
+                                 v0=np.random.default_rng(0).standard_normal(len(idx)),
+                                 maxiter=sp._ARPACK_MAXITER)
+    want = np.linalg.norm(sub.toarray(), 2)
+    assert abs(sp.spectral_norm(sub) - want) <= 1e-12 * want
+    assert abs(lm.egorov_residual(T2, sym, t, 8, K) - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------------------
