@@ -101,12 +101,13 @@ def _kron_chain(mats):
 
 
 def clifford_mult(cl, xi):
-    """Clifford multiplication sum_i xi_i gamma_i."""
+    """Clifford multiplication sum_i xi_i gamma_i of a covector (n,) or a
+    stack of covectors (..., n): (..., d, d)."""
     xi = np.asarray(xi)
-    if xi.shape != (cl.n,):
-        raise ValueError(f"expected a vector of length {cl.n}")
+    if xi.shape[-1:] != (cl.n,):
+        raise ValueError(f"expected vectors of length {cl.n}")
     dim = cl.gammas.shape[1]
-    return (xi @ cl.gammas.reshape(cl.n, -1)).reshape(dim, dim)
+    return (xi @ cl.gammas.reshape(cl.n, -1)).reshape(xi.shape[:-1] + (dim, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ sample).  Its geodesic states are one block of `geometry.geodesic_samples`,
 which keeps block and octagon anchors in group form (so a block may end on
 a pole) and on the octagon advances each sample from an anchor at most one
 geodesic substep back.  Its frames come from one pass of the frame step
-that `frame_flow` uses.  The observable is still evaluated
-once per sample and trajectory.
+that `frame_flow` uses.  The block's observable table comes from
+`FlowObservable.table`: one call for a batched observable, one call per
+sample and trajectory for a per-point one.
 
 Orthonormality is an entry condition: `frame_flow` and the block sampler
 Gram-Schmidt, in one batched call, the entering frames whose residual exceeds
@@ -29,8 +30,8 @@ Gram-Schmidt, in one batched call, the entering frames whose residual exceeds
 Space averages use the package's one unit-bundle quadrature,
 `geometry.unit_bundle_nodes`, with each direction completed to a frame by
 `geometry.frame_completion` and, on T^3, turned through equispaced angles of
-the SO(2) fibre (Haar measure).  Node tables are filled and contracted
-`geometry._NODE_CHUNK` nodes at a time.
+the SO(2) fibre (Haar measure).  Node tables are filled by
+`FlowObservable.table` and contracted `geometry._NODE_CHUNK` nodes at a time.
 """
 
 from dataclasses import dataclass
@@ -50,11 +51,28 @@ class FlowObservable:
     `equivariance_rep`, when present, is an SO(n-1) RepresentationTable whose
     conjugation action the observable must intertwine under the right action
     on fibers; `equivariance_residual` checks this on the table's sample.
+
+    A `batched` evaluator takes a FramePoint of points (..., n) and frames
+    (..., n, n) and returns (...) or (..., m, m), one frame point being a
+    batch of one; `table` calls any other once per frame point.
     """
 
     evaluator: callable
     fiber_dim: int = 1
     equivariance_rep: object = None
+    batched: bool = False
+
+    def table(self, points, frames):
+        """The observable at the frame points (points (..., n), frames
+        (..., n, n)): (..., m, m) complex, one evaluator call when batched."""
+        m = self.fiber_dim
+        shape = points.shape[:-1] + (m, m)
+        if self.batched:
+            values = self.evaluator(geo.FramePoint(point=points, frame=frames))
+            return np.asarray(values, dtype=complex).reshape(shape)
+        n = points.shape[-1]
+        return geo._per_node_table(self.evaluator, shape, map(
+            geo.FramePoint, points.reshape(-1, n), frames.reshape(-1, n, n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,14 +88,6 @@ class BirkhoffEstimate:
     @property
     def gap(self):
         return float(np.abs(self.time_average - self.space_average).max())
-
-
-def _fill_values(obs, points, frames, out):
-    """Write the observable at each frame point (rows of points (N, n) and
-    frames (N, n, n)) into the table out (N, m, m); one call per node."""
-    for i, (point, frame) in enumerate(zip(points, frames)):
-        out[i] = obs.evaluator(geo.FramePoint(point=point, frame=frame))
-    return out
 
 
 def scalar_observable(fn):
@@ -164,32 +174,37 @@ def right_action(fp, g):
 
 
 def beta_flow(model, obs, t):
-    """Pull-back flow on observables: (beta_t f)(x) = f(gamma_{-t} x)."""
+    """Pull-back flow on observables: (beta_t f)(x) = f(gamma_{-t} x).
+
+    Keeps obs's calling convention: batched, a whole table of frame points
+    flows in one `frame_flow` call."""
     return FlowObservable(
         evaluator=lambda fp: obs.evaluator(frame_flow(model, fp, -t)),
         fiber_dim=obs.fiber_dim,
         equivariance_rep=obs.equivariance_rep,
+        batched=obs.batched,
     )
 
 
 def obs_product(f, h):
-    """Pointwise product observable."""
+    """Pointwise product observable, batched when both factors are."""
     if f.fiber_dim != h.fiber_dim:
         raise ValueError("fiber dimensions differ")
     if f.fiber_dim == 1:
         ev = lambda fp: f.evaluator(fp) * h.evaluator(fp)
     else:
         ev = lambda fp: f.evaluator(fp) @ h.evaluator(fp)
-    return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim)
+    return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim,
+                          batched=f.batched and h.batched)
 
 
 def obs_adjoint(f):
-    """Pointwise adjoint observable."""
+    """Pointwise adjoint observable, with f's calling convention."""
     if f.fiber_dim == 1:
         ev = lambda fp: np.conj(f.evaluator(fp))
     else:
-        ev = lambda fp: np.asarray(f.evaluator(fp)).conj().T
-    return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim)
+        ev = lambda fp: np.asarray(f.evaluator(fp)).conj().mT
+    return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim, batched=f.batched)
 
 
 def equivariance_residual(model, obs, rng=None):
@@ -204,9 +219,7 @@ def equivariance_residual(model, obs, rng=None):
         g, u, _ = rep.sample[rng.integers(len(rep.sample))]
         fps += [right_action(fp, g), fp]
         us.append(u)
-    m = obs.fiber_dim
-    table = _fill_values(obs, [fp.point for fp in fps], [fp.frame for fp in fps],
-                         np.empty((len(fps), m, m), dtype=complex))
+    table = obs.table(np.array([fp.point for fp in fps]), np.array([fp.frame for fp in fps]))
     us = np.array(us)
     rhs = us.conj().swapaxes(-1, -2) @ table[1::2] @ us
     return float(np.abs(table[::2] - rhs).max())
@@ -275,20 +288,19 @@ def liouville_nodes(model, resolution):
 
 
 def liouville_haar_average(model, obs, resolution=12):
-    """Liouville x Haar quadrature average of the observable (one call per node;
-    the constant 1 averages to 1 up to rounding).
+    """Liouville x Haar quadrature average of the observable (the constant 1
+    averages to 1 up to rounding).
 
-    The node table is filled and contracted `geometry._NODE_CHUNK` nodes at a
-    time."""
+    The node table is filled by `FlowObservable.table` and contracted
+    `geometry._NODE_CHUNK` nodes at a time."""
     points, frames, weights = liouville_nodes(model, resolution)
     m = obs.fiber_dim
     # numerator and normalization from one reduction: a ones column after the values
     table = np.ones((min(len(weights), geo._NODE_CHUNK), m * m + 1), dtype=complex)
-    values = table[:, :-1].reshape(-1, m, m)
     sums = 0.0
     for nodes in geo._node_chunks(len(weights)):
         rows = len(weights[nodes])
-        _fill_values(obs, points[nodes], frames[nodes], values[:rows])
+        table[:rows, :-1] = obs.table(points[nodes], frames[nodes]).reshape(rows, -1)
         sums = sums + weights[nodes] @ table[:rows]
     return (sums[:-1] / sums[-1]).reshape(m, m)
 
@@ -313,15 +325,6 @@ def _sample_blocks(model, fps, steps, dt):
     for end in geo.geodesic_samples(model, geo.PointState(start.point, start.frame[..., 0]),
                                     dt, steps, size):
         yield geo.FramePoint(point=end.point, frame=_flowed_frames(model, start, end))
-
-
-def _block_values(obs, block):
-    """Observable values (samples, trajectories, m, m) on a block, in one table."""
-    n, m = block.point.shape[-1], obs.fiber_dim
-    table = np.empty(block.point.shape[:-1] + (m, m), dtype=complex)
-    _fill_values(obs, block.point.reshape(-1, n), block.frame.reshape(-1, n, n),
-                 table.reshape(-1, m, m))
-    return table
 
 
 def _sample_count(horizon, dt):
@@ -350,7 +353,7 @@ def birkhoff_average(model, obs, fps, horizon, dt=0.01,
         raise ValueError("need at least one frame point")
     traj = np.zeros((len(fps), obs.fiber_dim, obs.fiber_dim), dtype=complex)
     for block in _sample_blocks(model, fps, steps, dt):
-        traj += _block_values(obs, block).sum(axis=0)
+        traj += obs.table(block.point, block.frame).sum(axis=0)
     acc = (traj / steps).sum(axis=0) / len(fps)
     if space_average is None:
         space_average = liouville_haar_average(model, obs, space_resolution)
@@ -372,13 +375,18 @@ def sample_trajectory(model, obs, fp, horizon, dt):
     for block in _sample_blocks(model, [fp], steps, dt):
         rows = slice(first, first + len(block.point))
         points[rows], frames[rows] = block.point[:, 0], block.frame[:, 0]
-        values[rows] = np.trace(_block_values(obs, block)[:, 0], axis1=-2, axis2=-1) / obs.fiber_dim
+        values[rows] = np.trace(obs.table(block.point, block.frame)[:, 0],
+                                axis1=-2, axis2=-1) / obs.fiber_dim
         first = rows.stop
     return times, points, frames, values
 
 
 def smooth_bump(radius=0.55):
-    """Compactly supported mollifier of the euclidean radius (octagon base)."""
+    """Compactly supported mollifier of the euclidean radius (octagon base).
+
+    Per point, not batched: `perfbench`'s `ensemble` and `orbit` ops call its
+    evaluator 4,000 times each, one frame point per call, and array code on
+    one row costs several microseconds more per call than this arithmetic."""
 
     def fn(point):
         r2 = (point[0] ** 2 + point[1] ** 2) / (radius * radius)

@@ -633,6 +633,14 @@ def _node_chunks(count):
     return [slice(lo, lo + _NODE_CHUNK) for lo in range(0, count, _NODE_CHUNK)]
 
 
+def _per_node_table(fn, shape, *columns):
+    """The table of a per-point callback: fn(*row) for each row of the zipped
+    `columns`, as one complex array of the given shape (rows first, then
+    m x m).  The package's one adapter for callbacks that take one point; a
+    value of the wrong size raises instead of broadcasting."""
+    return np.asarray([fn(*row) for row in zip(*columns)], dtype=complex).reshape(shape)
+
+
 def unit_bundle_nodes(model, resolution):
     """Product quadrature for the Liouville measure on the unit tangent bundle.
 

@@ -4,10 +4,12 @@ negative-order decay, the time-evolution (Egorov) residual, quantum variance,
 and ergodic decomposition of the tracial state.
 
 Every state evaluation returns a value together with an error estimate
-(truncation or quadrature), never a bare number.  A tracial state calls its
-symbol once per quadrature node into a table and contracts it with the
+(truncation or quadrature), never a bare number.  A tracial state fills its
+symbol's node table with `SymbolField.table` and contracts it with the
 weights (and with the invariant section's table on an ergodic component),
-`geometry._NODE_CHUNK` nodes at a time.
+`geometry._NODE_CHUNK` nodes at a time.  The library's own symbols are
+batched, so a chunk's table is one evaluator call; a per-point symbol is
+called once per node.
 """
 
 import itertools
@@ -111,14 +113,6 @@ def tracial_state_functional(model, fiber_dim=1, resolution=8):
 # Unit-bundle quadrature for symbols
 
 
-def _node_table(fn, k, *nodes):
-    """fn at each node (a row of every array in `nodes`) as an (N, k, k) table."""
-    table = np.empty((len(nodes[0]), k, k), dtype=complex)
-    for i, args in enumerate(zip(*nodes)):
-        table[i] = np.reshape(fn(*args), (k, k))
-    return table
-
-
 def _trace_sum(weights, *tables):
     """Quadrature sum sum_n w_n tr(a_n [b_n]) of node tables a [, b] (N, k, k)."""
     spec = ("n,nii->", "n,nij,nji->")[len(tables) - 1]
@@ -171,14 +165,16 @@ def evaluate(state, a_op):
 
 def _evaluate_tracial(state, a_op):
     sym = a_op.symbol if isinstance(a_op, sp.OperatorMatrix) else a_op
-    if isinstance(sym, sp.SymbolField):
-        sym = sym.evaluator
+    model, k, res = state.context, state.fiber_dim, state.resolution
     if not callable(sym):
         raise ValueError("tracial evaluation needs an attached symbol")
-    model, k, res = state.context, state.fiber_dim, state.resolution
+    if not isinstance(sym, sp.SymbolField):  # a bare per-point function
+        sym = sp.SymbolField(evaluator=sym, fiber_dim=k)
+    if sym.fiber_dim != k:
+        raise ValueError(f"symbol of fiber rank {sym.fiber_dim} on a rank-{k} state")
 
     def term(weights, points, dirs, *sections):  # xi is the metric-unit direction
-        return _trace_sum(weights, *sections, _node_table(sym, k, points, dirs))
+        return _trace_sum(weights, *sections, sym.table(points, dirs))
 
     def average(r):
         points, dirs, weights = geo.unit_bundle_nodes(model, r)
@@ -436,11 +432,9 @@ def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
         if a_op.symbol is None or proj_op.symbol is None:
             raise ValueError("need symbols (or an explicit limit) for the "
                              "component value")
-        k = proj_op.symbol.fiber_dim
-
         def term(weights, points, dirs):  # omega(P A) and omega(P) from one P table
-            p_table = _node_table(proj_op.symbol.evaluator, k, points, dirs)
-            a_table = _node_table(a_op.symbol.evaluator, k, points, dirs)
+            p_table = proj_op.symbol.table(points, dirs)
+            a_table = a_op.symbol.table(points, dirs)
             return np.array([_trace_sum(weights, p_table, a_table),
                              _trace_sum(weights, p_table)])
 
@@ -465,24 +459,28 @@ def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
 
 def _fiber_reps(model, apply_fn, k, points, dirs):
     """apply_fn of the flat-torus completions to SO(n) of metric-unit chart
-    directions (N, n) in orthonormal components (sqrt of the diagonal metric)."""
+    directions (..., n) in orthonormal components (sqrt of the diagonal
+    metric): (..., k, k), apply_fn called once per direction."""
     xi = np.sqrt(geo._metric_diagonal(model, points)) * dirs
-    return _node_table(apply_fn, k, geo.frame_completion(geo.flat_torus(model.dim), points, xi))
+    frames = geo.frame_completion(geo.flat_torus(model.dim), points, xi)
+    return geo._per_node_table(apply_fn, frames.shape[:-2] + (k, k),
+                               frames.reshape((-1,) + frames.shape[-2:]))
 
 
 def invariant_section(apply_fn, proj, fiber_dim):
     """Symbol of a stabilizer-invariant fiber matrix: at a unit covector xi
     in orthonormal components the matrix is conjugated by the representation
-    of the completion of xi to an SO(n) matrix; a batch of one of the node
-    tables of `ergodic_decomposition`."""
+    of the completion of xi to an SO(n) matrix.  Batched: covectors (..., n)
+    give (..., k, k), the node tables of `ergodic_decomposition`."""
     proj = np.asarray(proj, dtype=complex)
 
-    def ev(point, xi):
-        u = _fiber_reps(geo.flat_torus(len(xi)), apply_fn, fiber_dim,
-                        np.asarray(point, dtype=float)[None], np.asarray(xi, dtype=float)[None])[0]
-        return u @ proj @ u.conj().T
+    def ev(points, xi):
+        xi = np.asarray(xi, dtype=float)
+        u = _fiber_reps(geo.flat_torus(xi.shape[-1]), apply_fn, fiber_dim,
+                        np.asarray(points, dtype=float), xi)
+        return u @ proj @ u.conj().mT
 
-    return sp.SymbolField(evaluator=ev, fiber_dim=fiber_dim)
+    return sp.SymbolField(evaluator=ev, fiber_dim=fiber_dim, batched=True)
 
 
 def ergodic_decomposition(tracial, projections, apply_fn):
@@ -492,6 +490,7 @@ def ergodic_decomposition(tracial, projections, apply_fn):
     omega_i(A) = omega(p_i A) / omega(p_i).  The identity decomposition
     returns the state itself with weight 1.  The components share the apply_fn
     table u of the node frames, built once per resolution; p_i's section is u p_i u^H.
+    apply_fn is a user callback on one SO(n) matrix, called once per node.
     """
     if tracial.kind != "tracial" or tracial.weight is not None:
         raise ValueError("decomposition starts from the plain tracial state")

@@ -105,14 +105,31 @@ class SpectralModel:
 
 @dataclass(frozen=True, eq=False)
 class SymbolField:
-    """Principal symbol: map (point, unit covector) -> m x m matrix."""
+    """Principal symbol: map (point, unit covector) -> m x m matrix.
+
+    A `batched` evaluator takes points and covectors (..., n) and returns
+    (..., m, m), one point being a batch of one; `table` calls any other
+    once per node.
+    """
 
     evaluator: callable
     fiber_dim: int = 1
+    batched: bool = False
 
     def __call__(self, point, xi):
         out = np.asarray(self.evaluator(point, xi), dtype=complex)
         return out.reshape(self.fiber_dim, self.fiber_dim)
+
+    def table(self, points, dirs):
+        """The symbol at the nodes (points, covectors (..., n)): (..., m, m)
+        complex, one evaluator call when batched."""
+        m = self.fiber_dim
+        shape = dirs.shape[:-1] + (m, m)
+        if self.batched:
+            return np.asarray(self.evaluator(points, dirs), dtype=complex).reshape(shape)
+        n = dirs.shape[-1]
+        return geo._per_node_table(self.evaluator, shape, points.reshape(-1, n),
+                                   dirs.reshape(-1, n))
 
 
 @dataclass(eq=False)
@@ -332,8 +349,9 @@ def build_laplacian(model, bundle, K, potential=0.0, mass=0.0, p=None):
                              mass=float(mass))
     shift = potential + mass * mass
     mat = scipy.sparse.diags(sm.lam + shift).tocsr().astype(complex)
-    m = sm.fiber_dim
-    sym = SymbolField(evaluator=lambda x, xi: np.eye(m, dtype=complex), fiber_dim=m)
+    eye = np.eye(sm.fiber_dim, dtype=complex)
+    sym = SymbolField(lambda x, xi: np.broadcast_to(eye, np.shape(xi)[:-1] + eye.shape).copy(),
+                      sm.fiber_dim, batched=True)
     return sm, OperatorMatrix(matrix=mat, order=2, domain=sm, symbol=sym)
 
 
@@ -475,12 +493,16 @@ def hodge_projections(model, p, K):
     hmat = (scipy.sparse.identity(sm.dim, dtype=complex) - pmat - qmat).tocsr()
     mk = lambda mat, sym: OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=sym)
     if model.kind == geo.TORUS:
-        def exact(x, xi):  # (xi ^ .)(xi ^ .)^T, the projection onto xi ^ Lambda^(p-1)
-            e = alg.exterior_mult(np.asarray(xi, dtype=float), p - 1)
-            return e @ e.T
+        eps = alg.wedge_table(model.dim, p - 1)
+        flat, eye = eps.reshape(model.dim, -1), np.eye(sm.fiber_dim)
 
-        psym = SymbolField(lambda x, xi: np.eye(sm.fiber_dim) - exact(x, xi), sm.fiber_dim)
-        qsym = SymbolField(exact, sm.fiber_dim)
+        def exact(x, xi):  # E E^T, E = xi ^ . : the projection onto xi ^ Lambda^(p-1)
+            xi = np.asarray(xi, dtype=float)
+            e = (xi @ flat).reshape(xi.shape[:-1] + eps.shape[1:])
+            return e @ e.mT
+
+        psym = SymbolField(lambda x, xi: eye - exact(x, xi), sm.fiber_dim, batched=True)
+        qsym = SymbolField(exact, sm.fiber_dim, batched=True)
     else:
         psym = qsym = None
     return mk(pmat, psym), mk(qmat, qsym), mk(hmat, None)
@@ -497,8 +519,9 @@ def _helicity_table():
 
 def helicity_symbol(point, xi):
     """Polarization symbol on 1-forms over T^3: i star(xi ^ .), i times the
-    cross product with xi."""
-    return (np.asarray(xi, dtype=float) @ _helicity_table()).reshape(3, 3)
+    cross product with xi, for covectors (..., 3): (..., 3, 3)."""
+    xi = np.asarray(xi, dtype=float)
+    return (xi @ _helicity_table()).reshape(xi.shape[:-1] + (3, 3))
 
 
 def helicity_R(model, K):
@@ -515,7 +538,7 @@ def helicity_R(model, K):
     star2 = hodge_star(model, 2, K)
     dinv_sqrt, _ = _pinv_diag(sm.lam, power=-0.5)
     mat = (scipy.sparse.diags(dinv_sqrt) @ (star2.matrix @ d1.matrix)).tocsr()
-    sym = SymbolField(evaluator=helicity_symbol, fiber_dim=3)
+    sym = SymbolField(evaluator=helicity_symbol, fiber_dim=3, batched=True)
     return OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=sym)
 
 
@@ -539,7 +562,8 @@ def build_dirac(model, K):
     rows, b = np.nonzero(block_rows)
     cols = _locate(sm, sm.modes[rows], b)
     mat = _sparse(rows, cols, block_rows[rows, b], (sm.dim, sm.dim))
-    sym = SymbolField(evaluator=lambda x, xi: alg.clifford_mult(cl, xi), fiber_dim=d)
+    sym = SymbolField(evaluator=lambda x, xi: alg.clifford_mult(cl, xi), fiber_dim=d,
+                      batched=True)
     return sm, OperatorMatrix(matrix=mat, order=1, domain=sm, symbol=sym)
 
 
@@ -559,10 +583,11 @@ def sign_and_halves(d_op):
     sym = d_op.symbol
     sm = d_op.domain
     mk = lambda mat, s: OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=s)
-    if sym is not None:
-        m = sym.fiber_dim
-        plus_sym = SymbolField(lambda x, xi: 0.5 * (np.eye(m) + sym(x, xi)), m)
-        minus_sym = SymbolField(lambda x, xi: 0.5 * (np.eye(m) - sym(x, xi)), m)
+    if sym is not None:  # the halves take the calling convention of sym
+        m, eye = sym.fiber_dim, np.eye(sym.fiber_dim)
+        ev = sym.evaluator if sym.batched else sym
+        plus_sym = SymbolField(lambda x, xi: 0.5 * (eye + ev(x, xi)), m, sym.batched)
+        minus_sym = SymbolField(lambda x, xi: 0.5 * (eye - ev(x, xi)), m, sym.batched)
     else:
         plus_sym = minus_sym = None
     return mk(sign, sym), mk(p_plus, plus_sym), mk(p_minus, minus_sym)
@@ -578,7 +603,8 @@ class TrigSymbol:
     with direction-dependent coefficients.
 
     `terms` maps integer frequency tuples nu to coefficient functions of the
-    unit covector.
+    unit covector.  They are user callbacks on one covector, so `field` is a
+    per-point symbol.
     """
 
     terms: dict
@@ -706,7 +732,9 @@ def sphere_multiplication(L, fn):
     principal symbol is the multiplier itself (direction independent).  Since
     Y_lm = Theta_lm(theta) e^{i m phi}, entry (i, j) is
     sum_t Theta_i(t) Theta_j(t) G[t, (m_i - m_j) mod n_phi], where G is the
-    weighted FFT of fn along phi: one real matmul per order m_i.
+    weighted FFT of fn along phi: one real matmul per order m_i.  fn is a
+    user callback on one (theta, phi), called once per node, and the attached
+    symbol is per-point.
     """
     sm = basis_for(geo.round_sphere(), "functions", L)
     th, ph, w = _sphere_grid(L)

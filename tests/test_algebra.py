@@ -57,6 +57,19 @@ def test_clifford_mult_basics():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_clifford_mult_on_a_stack_is_each_single_call(n):
+    cl = alg.build_clifford(n)
+    xis = np.random.default_rng(2).normal(size=(4, 5, n))
+    dim = 2 ** (n // 2)
+    stack = alg.clifford_mult(cl, xis)
+    assert stack.shape == (4, 5, dim, dim)
+    for idx in np.ndindex(4, 5):
+        assert np.abs(stack[idx] - alg.clifford_mult(cl, xis[idx])).max() <= 1e-15
+    with pytest.raises(ValueError):
+        alg.clifford_mult(cl, np.ones((3, n + 1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_clifford_mult_unit_spectrum(n):
     # dense eigensolve oracle: |xi| = 1 gives eigenvalues +-1 with equal counts
     cl = alg.build_clifford(n)

@@ -245,6 +245,35 @@ def test_invariant_section_is_the_per_node_section():
             assert np.abs(section(point, xi) - ref(point, xi)).max() <= 1e-15
 
 
+def test_invariant_section_call_is_a_row_of_its_table():
+    apply_fn = lambda g: alg.exterior_power_matrix(g, 1)
+    points, dirs, _ = geo.unit_bundle_nodes(T3, 4)
+    for p in alg.branching_projections(3, 1):
+        section = lm.invariant_section(apply_fn, p.projector, 3)
+        assert section.batched
+        table = section.table(points, dirs)
+        for i in range(0, len(dirs), 37):
+            assert np.abs(section(points[i], dirs[i]) - table[i]).max() <= 1e-15
+
+
+def test_dirac_half_tracial_state_is_one_symbol_call(monkeypatch):
+    _, D = sp.build_dirac(T3, 2)
+    _, plus, _ = sp.sign_and_halves(D)
+    calls = []
+    clifford = alg.clifford_mult
+    monkeypatch.setattr(alg, "clifford_mult", lambda *a: calls.append(a) or clifford(*a))
+    value = lm.tracial_state(T3, plus.symbol, plus.symbol.fiber_dim, 4)
+    assert len(geo.unit_bundle_nodes(T3, 4)[2]) == 2048
+    assert len(calls) == 1
+    assert abs(value.value - 0.5) <= 1e-12
+
+
+def test_tracial_rejects_a_symbol_of_another_fiber_rank():
+    p, _, _ = sp.hodge_projections(T3, 1, 2)
+    with pytest.raises(ValueError, match="fiber rank"):
+        lm.tracial_state(T3, p.symbol, 1, 4)
+
+
 def test_ergodic_component_calls_each_callback_once_per_node():
     calls = {"apply": 0, "symbol": 0}
 
@@ -352,6 +381,51 @@ def test_quantum_variance_component_value_in_node_chunks(monkeypatch):
     monkeypatch.setattr(geo, "_NODE_CHUNK", 300)
     chunked = lm.quantum_variance(P.domain, a_op, P, 10, resolution=4).limit_value
     _assert_close(chunked, whole)
+
+
+def test_quantum_variance_component_value_matches_per_node_reference():
+    # omega(P A) / omega(P) from the batched Hodge P symbol and a per-point A
+    P, _ = _coexact_sections(3)
+    a_sym = sp.SymbolField(lambda x, xi: np.diag([1 + 0.5 * np.cos(x[0]), 2.0, 0.3 + np.sin(x[1])])
+                           + 0.2j * np.outer(xi, xi[::-1]), 3)
+    a_op = sp.OperatorMatrix(matrix=P.matrix, order=0, domain=P.domain, symbol=a_sym)
+    got = lm.quantum_variance(P.domain, a_op, P, 10, resolution=6).limit_value
+    want = (_ref_symbol_average(T3, P.symbol, 3, 6, a_sym)
+            / _ref_symbol_average(T3, P.symbol, 3, 6))
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert abs(want) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# eigen states
+
+
+def test_eigen_state_reads_the_diagonal_entry():
+    sm = sp.basis_for(T2, "functions", 3)
+    mat = scipy.sparse.random(sm.dim, sm.dim, density=0.2, random_state=3, format="csr")
+    mat = (mat + 1j * scipy.sparse.identity(sm.dim)).tocsr()
+    dense = mat.toarray()
+    for j in range(sm.dim):
+        got = lm.evaluate(lm.eigen_state(sm, j), mat)
+        assert got.value == dense[j, j] and got.error == 0.0
+
+
+@pytest.mark.parametrize("j", [-1, 49, 50])
+def test_eigen_state_index_outside_the_basis_raises(j):
+    sm = sp.basis_for(T2, "functions", 3)
+    assert sm.dim == 49
+    with pytest.raises(ValueError):
+        lm.eigen_state(sm, j)
+
+
+def test_eigen_states_average_to_the_cesaro_state():
+    sm, D = sp.build_dirac(T3, 3)
+    _, plus, _ = sp.sign_and_halves(D)
+    n = sm._block_bounds()[3]
+    mean = np.mean([lm.evaluate(lm.eigen_state(sm, j), plus).value for j in range(n)])
+    cesaro = lm.evaluate(lm.cesaro_state(sm, n), plus).value
+    assert lm.cesaro_state(sm, n).n == n
+    assert abs(mean - cesaro) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -355,6 +355,48 @@ def test_dirac_mode_blocks_are_clifford_multiplication(model):
         assert np.array_equal(D.symbol(None, xi), alg.clifford_mult(cl, xi))
 
 
+def _library_symbols(model):
+    """(name, symbol) of every symbol the library attaches on a torus."""
+    _, D = sp.build_dirac(model, 2)
+    _, plus, minus = sp.sign_and_halves(D)
+    out = [("D", D.symbol), ("P+", plus.symbol), ("P-", minus.symbol)]
+    for p in range(model.dim + 1):
+        coexact, exact, _ = sp.hodge_projections(model, p, 2)
+        out += [(f"P{p}", coexact.symbol), (f"Q{p}", exact.symbol)]
+    for bundle, p in (("functions", None), ("forms", 1), ("spinors", None)):
+        out.append((f"laplacian-{bundle}", sp.build_laplacian(model, bundle, 2, p=p)[1].symbol))
+    if model.dim == 3:
+        out.append(("helicity", sp.helicity_R(model, 2).symbol))
+    return out
+
+
+@pytest.mark.parametrize("model", TORI[:2], ids=_torus_id)
+def test_library_symbol_call_is_a_row_of_its_table(model):
+    points, dirs, _ = geo.unit_bundle_nodes(model, 4)
+    for name, sym in _library_symbols(model):
+        assert sym.batched, name
+        table = sym.table(points, dirs)
+        m = sym.fiber_dim
+        assert table.shape == (len(dirs), m, m) and table.dtype == complex, name
+        for i in range(0, len(dirs), 37):
+            assert np.abs(sym(points[i], dirs[i]) - table[i]).max() <= 1e-15, name
+        # any batch shape (..., n)
+        half = len(dirs) // 2
+        stacked = sym.table(points.reshape(2, half, -1), dirs.reshape(2, half, -1))
+        assert np.abs(stacked.reshape(table.shape) - table).max() <= 1e-15, name
+
+
+def test_per_point_symbol_table_rejects_a_wrong_sized_value():
+    points, dirs, _ = geo.unit_bundle_nodes(T2, 4)
+    good = sp.SymbolField(lambda x, xi: np.outer(xi, xi), 2)
+    table = good.table(points, dirs)
+    assert np.array_equal(table, [good(x, xi) for x, xi in zip(points, dirs)])
+    with pytest.raises(ValueError):
+        sp.SymbolField(lambda x, xi: xi[0], 2).table(points, dirs)
+    with pytest.raises(ValueError):
+        sp.SymbolField(lambda x, xi: np.eye(3), 2).table(points, dirs)
+
+
 # ---------------------------------------------------------------------------
 # quantization
 
