@@ -137,10 +137,11 @@ def wedge_table(n, p):
 
 
 def exterior_mult(xi, p):
-    """The matrix of xi ^ . = sum_j xi_j eps_j from p-forms to (p+1)-forms."""
+    """The matrix of xi ^ . = sum_j xi_j eps_j from p-forms to (p+1)-forms,
+    for a covector (n,) or a stack of covectors (..., n)."""
     xi = np.asarray(xi)
-    eps = wedge_table(len(xi), p)
-    return (xi @ eps.reshape(len(xi), -1)).reshape(eps.shape[1:])
+    eps = wedge_table(xi.shape[-1], p)
+    return (xi @ eps.reshape(len(eps), -1)).reshape(xi.shape[:-1] + eps.shape[1:])
 
 
 def so_log(r):

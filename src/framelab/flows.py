@@ -20,8 +20,7 @@ which keeps block and octagon anchors in group form (so a block may end on
 a pole) and on the octagon advances each sample from an anchor at most one
 geodesic substep back.  Its frames come from one pass of the frame step
 that `frame_flow` uses.  The block's observable table comes from
-`FlowObservable.table`: one call for a batched observable, one call per
-sample and trajectory for a per-point one.
+`FlowObservable.table`, one evaluator call per sample and trajectory.
 
 Orthonormality is an entry condition: `frame_flow` and the block sampler
 Gram-Schmidt, in one batched call, the entering frames whose residual exceeds
@@ -52,26 +51,19 @@ class FlowObservable:
     conjugation action the observable must intertwine under the right action
     on fibers; `equivariance_residual` checks this on the table's sample.
 
-    A `batched` evaluator takes a FramePoint of points (..., n) and frames
-    (..., n, n) and returns (...) or (..., m, m), one frame point being a
-    batch of one; `table` calls any other once per frame point.
+    The evaluator takes one frame point; `table` is the one entry through
+    which the library's quadratures call it, once per frame point.
     """
 
     evaluator: callable
     fiber_dim: int = 1
     equivariance_rep: object = None
-    batched: bool = False
 
     def table(self, points, frames):
         """The observable at the frame points (points (..., n), frames
-        (..., n, n)): (..., m, m) complex, one evaluator call when batched."""
-        m = self.fiber_dim
-        shape = points.shape[:-1] + (m, m)
-        if self.batched:
-            values = self.evaluator(geo.FramePoint(point=points, frame=frames))
-            return np.asarray(values, dtype=complex).reshape(shape)
-        n = points.shape[-1]
-        return geo._per_node_table(self.evaluator, shape, map(
+        (..., n, n)): (..., m, m) complex."""
+        n, m = points.shape[-1], self.fiber_dim
+        return geo._per_node_table(self.evaluator, points.shape[:-1] + (m, m), map(
             geo.FramePoint, points.reshape(-1, n), frames.reshape(-1, n, n)))
 
 
@@ -174,37 +166,32 @@ def right_action(fp, g):
 
 
 def beta_flow(model, obs, t):
-    """Pull-back flow on observables: (beta_t f)(x) = f(gamma_{-t} x).
-
-    Keeps obs's calling convention: batched, a whole table of frame points
-    flows in one `frame_flow` call."""
+    """Pull-back flow on observables: (beta_t f)(x) = f(gamma_{-t} x)."""
     return FlowObservable(
         evaluator=lambda fp: obs.evaluator(frame_flow(model, fp, -t)),
         fiber_dim=obs.fiber_dim,
         equivariance_rep=obs.equivariance_rep,
-        batched=obs.batched,
     )
 
 
 def obs_product(f, h):
-    """Pointwise product observable, batched when both factors are."""
+    """Pointwise product observable."""
     if f.fiber_dim != h.fiber_dim:
         raise ValueError("fiber dimensions differ")
     if f.fiber_dim == 1:
         ev = lambda fp: f.evaluator(fp) * h.evaluator(fp)
     else:
         ev = lambda fp: f.evaluator(fp) @ h.evaluator(fp)
-    return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim,
-                          batched=f.batched and h.batched)
+    return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim)
 
 
 def obs_adjoint(f):
-    """Pointwise adjoint observable, with f's calling convention."""
+    """Pointwise adjoint observable."""
     if f.fiber_dim == 1:
         ev = lambda fp: np.conj(f.evaluator(fp))
     else:
-        ev = lambda fp: np.asarray(f.evaluator(fp)).conj().mT
-    return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim, batched=f.batched)
+        ev = lambda fp: np.asarray(f.evaluator(fp)).conj().T
+    return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim)
 
 
 def equivariance_residual(model, obs, rng=None):
@@ -384,7 +371,7 @@ def sample_trajectory(model, obs, fp, horizon, dt):
 def smooth_bump(radius=0.55):
     """Compactly supported mollifier of the euclidean radius (octagon base).
 
-    Per point, not batched: `perfbench`'s `ensemble` and `orbit` ops call its
+    Written per point: `perfbench`'s `ensemble` and `orbit` ops call its
     evaluator 4,000 times each, one frame point per call, and array code on
     one row costs several microseconds more per call than this arithmetic."""
 

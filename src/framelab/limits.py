@@ -478,7 +478,7 @@ def invariant_section(apply_fn, proj, fiber_dim):
         xi = np.asarray(xi, dtype=float)
         u = _fiber_reps(geo.flat_torus(xi.shape[-1]), apply_fn, fiber_dim,
                         np.asarray(points, dtype=float), xi)
-        return u @ proj @ u.conj().mT
+        return u @ proj @ u.conj().swapaxes(-1, -2)
 
     return sp.SymbolField(evaluator=ev, fiber_dim=fiber_dim, batched=True)
 

@@ -493,13 +493,11 @@ def hodge_projections(model, p, K):
     hmat = (scipy.sparse.identity(sm.dim, dtype=complex) - pmat - qmat).tocsr()
     mk = lambda mat, sym: OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=sym)
     if model.kind == geo.TORUS:
-        eps = alg.wedge_table(model.dim, p - 1)
-        flat, eye = eps.reshape(model.dim, -1), np.eye(sm.fiber_dim)
+        eye = np.eye(sm.fiber_dim)
 
         def exact(x, xi):  # E E^T, E = xi ^ . : the projection onto xi ^ Lambda^(p-1)
-            xi = np.asarray(xi, dtype=float)
-            e = (xi @ flat).reshape(xi.shape[:-1] + eps.shape[1:])
-            return e @ e.mT
+            e = alg.exterior_mult(xi, p - 1)
+            return e @ e.swapaxes(-1, -2)
 
         psym = SymbolField(lambda x, xi: eye - exact(x, xi), sm.fiber_dim, batched=True)
         qsym = SymbolField(exact, sm.fiber_dim, batched=True)

@@ -69,6 +69,18 @@ def test_clifford_mult_on_a_stack_is_each_single_call(n):
         alg.clifford_mult(cl, np.ones((3, n + 1)))
 
 
+@pytest.mark.parametrize("n,p", [(2, -1), (2, 0), (3, 0), (3, 1), (4, 1), (4, 2)])
+def test_exterior_mult_on_a_stack_is_each_single_call(n, p):
+    xis = np.random.default_rng(3).normal(size=(4, 5, n))
+    eps = alg.wedge_table(n, p)
+    stack = alg.exterior_mult(xis, p)
+    assert stack.shape == (4, 5) + eps.shape[1:]
+    for idx in np.ndindex(4, 5):
+        single = alg.exterior_mult(xis[idx], p)
+        assert np.all(np.abs(stack[idx] - single) <= 1e-15)
+        assert np.all(np.abs(single - np.einsum("j,jab->ab", xis[idx], eps)) <= 1e-15)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_clifford_mult_unit_spectrum(n):
     # dense eigensolve oracle: |xi| = 1 gives eigenvalues +-1 with equal counts

@@ -303,77 +303,23 @@ def test_octagon_bump_average_converges():
 
 
 # ---------------------------------------------------------------------------
-# batched observables against their per-point form
+# node tables of per-point observables
 
 
-def _haar_product(fp):  # written on frame points (..., n) / (..., n, n)
-    return fp.frame[..., 0, 1] * fp.frame[..., 2, 2] * np.cos(fp.point[..., 0])
-
-
-def _haar_product_batched():
-    return fl.FlowObservable(evaluator=_haar_product, batched=True)
-
-
-def _assert_rel(got, want, tol=1e-12):
-    assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
-
-
-def test_batched_liouville_matches_the_per_point_observable():
-    assert fl.liouville_nodes(TORUS3, 6)[2].size > 11 * geo._NODE_CHUNK
-    # the product averages to 0 under Haar measure; its square does not
-    square = lambda fp: _haar_product(fp) ** 2 + fp.frame[..., 0, 0] ** 2
-    for fn in (_haar_product, square):
-        got = fl.liouville_haar_average(TORUS3, fl.FlowObservable(evaluator=fn, batched=True), 6)
-        want = fl.liouville_haar_average(TORUS3, fl.FlowObservable(evaluator=fn), 6)
-        _assert_rel(got, want)
-    assert abs(want[0, 0]) > 0.1
-
-
-def test_beta_flow_of_a_batched_observable_flows_each_chunk_once(monkeypatch):
-    t = 0.7
-    batched = fl.beta_flow(TORUS3, _haar_product_batched(), t)
-    per_point = fl.beta_flow(TORUS3, fl.FlowObservable(evaluator=_haar_product), t)
-    assert batched.batched and not per_point.batched
-    want = fl.liouville_haar_average(TORUS3, per_point, 4)
-    calls = []
-    flow = fl.frame_flow
-    monkeypatch.setattr(fl, "frame_flow", lambda *a: calls.append(a) or flow(*a))
-    got = fl.liouville_haar_average(TORUS3, batched, 4)
-    assert fl.liouville_nodes(TORUS3, 4)[2].size == geo._NODE_CHUNK
-    assert len(calls) == 1
-    _assert_rel(got, want)
-
-
-def test_product_and_adjoint_keep_the_calling_convention():
-    f = fl.FlowObservable(evaluator=lambda fp: fp.frame[..., :2, :2] + 1j * fp.frame[..., 1:, :2],
-                          fiber_dim=2, batched=True)
+def test_product_and_adjoint_tables_are_their_evaluator_rows():
+    f = fl.FlowObservable(evaluator=lambda fp: fp.frame[:2, :2] + 1j * fp.frame[1:, :2],
+                          fiber_dim=2)
     h = fl.FlowObservable(evaluator=lambda fp: fp.frame[:2, 1:] * np.cos(fp.point[0]),
                           fiber_dim=2)
-    assert fl.obs_product(f, f).batched and fl.obs_adjoint(f).batched
-    assert not fl.obs_product(f, h).batched and not fl.obs_adjoint(h).batched
     rng = np.random.default_rng(30)
     fps = [fl.random_frame_point(TORUS3, rng) for _ in range(6)]
     block = _stacked(fps)
-    for obs in (fl.obs_product(f, f), fl.obs_adjoint(f), fl.obs_product(f, h)):
+    for obs in (fl.obs_product(f, h), fl.obs_adjoint(f)):
         table = obs.table(block.point, block.frame)
+        assert table.shape == (6, 2, 2)
         for fp, row in zip(fps, table):
-            assert np.abs(obs.evaluator(fp) - row).max() <= 1e-15
-
-
-@pytest.mark.parametrize("model", [TORUS3, SPHERE, OCT], ids=lambda m: m.kind + str(m.dim))
-def test_batched_birkhoff_matches_the_per_point_observable(model):
-    rng = np.random.default_rng(31)
-    fps = [fl.random_frame_point(model, rng) for _ in range(5)]
-    batched = fl.FlowObservable(evaluator=lambda fp: np.cos(fp.point[..., 0]) * fp.frame[..., 0, 0],
-                                batched=True)
-    per_point = fl.scalar_observable(lambda p, f: np.cos(p[0]) * f[0, 0])
-    zero = np.zeros((1, 1))
-    got = fl.birkhoff_average(model, batched, fps, 100.0, 0.1, space_average=zero)
-    want = fl.birkhoff_average(model, per_point, fps, 100.0, 0.1, space_average=zero)
-    _assert_rel(got.time_average, want.time_average)
-    _, _, _, values = fl.sample_trajectory(model, batched, fps[0], 50.0, 0.1)
-    _, _, _, ref = fl.sample_trajectory(model, per_point, fps[0], 50.0, 0.1)
-    _assert_rel(values, ref)
+            assert np.array_equal(obs.evaluator(fp), row)
+    assert np.array_equal(fl.obs_adjoint(f).evaluator(fps[0]), f.evaluator(fps[0]).conj().T)
 
 
 def test_per_point_observable_table_rejects_a_wrong_sized_value():
