@@ -17,6 +17,10 @@ on the left by a side pairing, and the view is z = b / conj(a),
 v = s / (2 conj(a)^2).  Within 1e-13 of a sphere pole the view keeps the
 point and gives NaN velocity components: the chart has none there.
 
+The octagon flow runs a batch on numpy arrays and a single state (one
+trajectory's anchor chain) on Python complex values, bit for bit alike
+(`_oct_flow`).  Octagon states and times must be finite (`ValueError`).
+
 The package's one quadrature rule on the unit tangent bundle
 (`unit_bundle_nodes`), its one sphere rule (`_sphere_rule`, also used by
 `spectral`) and its one oriented frame completion (`frame_completion`) live
@@ -25,6 +29,7 @@ here; the Liouville-Haar averages of `flows` and the tracial states of
 polygon with `parallel_transport`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,7 @@ OCTAGON = "octagon"
 
 _BOUNDARY_TOL = 1e-14
 _MAX_SUBSTEP = 0.5
+_OCT_MAX_PAIRINGS = 32  # per substep, before re-entry counts as failed
 _NODE_CHUNK = 8192  # quadrature nodes per callback table in flows and limits
 
 
@@ -154,16 +160,37 @@ def _oct_flow(a, b, s, t, k):
     (a, b) after each advance.
 
     The times are cut into substeps h (|h| <= `_MAX_SUBSTEP`) once, by
-    `_oct_plan`, and every advance applies the same substeps with
-    `_oct_substep`, so k advances are bit-identical to k calls of one.
+    `_oct_plan`, and every advance applies the same substeps, so k advances
+    are bit-identical to k calls of one.  A substep is `_oct_boost`, then
+    `_oct_reenter`, on arrays for a batch.  One row (len(a) == 1), where
+    numpy's per-call cost would dominate, runs `_oct_row_substep` on Python
+    complex values with the same bits.  Python boosts (a complex times a real
+    rounds once per component, as in numpy) and decides inside or outside,
+    and the side, from squared distances to the side circles, with a
+    relative margin of 1e-9 on the test against `_OCT_CIRCLE_R -
+    _BOUNDARY_TOL` and on the argmin.  numpy, whose rounding Python's differs
+    from, does the pairing product (it fuses the complex multiply-add) and
+    the norm's complex abs (not libm's hypot) on the array (a, b); the state
+    is multiplied by the norm's reciprocal, as numpy divides by a real.  A
+    state in the margin, at an argmin tie or not finite goes to
+    `_oct_reenter` as a one-row array, which decides as in a batch.
     """
     plan = _oct_plan(s, t)
+    if len(a) == 1:
+        steps = [(float(c[0]), float(sh[0])) for _, c, sh in plan if len(c)]
+        a, b = complex(a[0]), complex(b[0])
+        out = []
+        for _ in range(k):
+            for c, sh in steps:
+                a, b = _oct_row_substep(a, b, c, sh)
+            out.append((a, b))
+        return np.array(out, dtype=complex).T.reshape(2, k, 1)
     out = np.empty((2, k, len(a)), dtype=complex)
     for j in range(k):
         out[0, j], out[1, j] = a, b
         a, b = out[0, j], out[1, j]
         for rows, c, sh in plan:
-            a[rows], b[rows] = _oct_substep(a[rows], b[rows], c, sh)
+            a[rows], b[rows] = _oct_reenter(*_oct_boost(a[rows], b[rows], c, sh))
     return out
 
 
@@ -189,18 +216,21 @@ def _oct_plan(s, t):
             return plan
 
 
-def _oct_substep(a, b, c, sh):
-    """One substep of the rows (a, b), new arrays: g times
-    [[c, sh], [sh, c]] on the right; then, while the point b / conj(a) lies
-    outside the octagon, the pairing of the most violated side on the left;
-    then renormalized to |a|^2 - |b|^2 = 1."""
-    a, b = a * c + b * sh, a * sh + b * c
+def _oct_boost(a, b, c, sh):
+    """g times [[c, sh], [sh, c]] on the right: arrays or Python values."""
+    return a * c + b * sh, a * sh + b * c
+
+
+def _oct_reenter(a, b):
+    """The rows (a, b), new arrays: while the point b / conj(a) lies outside
+    the octagon, the pairing of the most violated side on the left; then
+    renormalized to |a|^2 - |b|^2 = 1."""
     d = np.abs((b / np.conj(a))[:, None] - _OCT_CENTERS)
     # rounding is monotone, so the least distance over all rows tells
     # whether any row lies outside
     if _OCT_CIRCLE_R - d.min(initial=np.inf) > _BOUNDARY_TOL:
         out = np.arange(len(a))  # the rows still outside
-        for _ in range(32):
+        for _ in range(_OCT_MAX_PAIRINGS):
             outside = _OCT_CIRCLE_R - d.min(axis=-1) > _BOUNDARY_TOL
             out = out[outside]
             if not len(out):
@@ -213,6 +243,45 @@ def _oct_substep(a, b, c, sh):
             raise ResolutionError("octagon re-entry did not terminate")
     norm = np.sqrt(np.abs(a) ** 2 - np.abs(b) ** 2)
     return a / norm, b / norm
+
+
+_OCT_ROW_MARGIN = 1e-9
+_OCT_ROW_INNER2 = (_OCT_RHO_MID * (1.0 - _OCT_ROW_MARGIN)) ** 2  # in the inscribed disk
+_OCT_ROW_EDGE2 = (_OCT_CIRCLE_R - _BOUNDARY_TOL) ** 2
+_OCT_ROW_CENTERS = [(w.real, w.imag) for w in _OCT_CENTERS.tolist()]
+
+
+def _oct_row_substep(a, b, c, sh):
+    """One substep of a single state (Python complex a, b; floats c, sh),
+    bit-identical to `_oct_reenter(*_oct_boost(...))` on one-row arrays:
+    the decisions and numpy's share are set out in `_oct_flow`."""
+    a, b = _oct_boost(a, b, c, sh)
+    for _ in range(_OCT_MAX_PAIRINGS):
+        z = b / a.conjugate()
+        x, y = z.real, z.imag
+        if x * x + y * y >= _OCT_ROW_INNER2:
+            d2 = [(x - cx) * (x - cx) + (y - cy) * (y - cy) for cx, cy in _OCT_ROW_CENTERS]
+            least, second = sorted(d2)[:2]
+            if (least < _OCT_ROW_EDGE2 * (1.0 - _OCT_ROW_MARGIN)
+                    and second > least * (1.0 + _OCT_ROW_MARGIN)):
+                p = _OCT_PAIRINGS[(d2.index(least) + 4) % 8]
+                g = np.array([a, b])
+                a, b = (p[0, 0] * g + p[0, 1] * g[::-1].conj()).tolist()
+                continue
+            if not least > _OCT_ROW_EDGE2 * (1.0 + _OCT_ROW_MARGIN):
+                break
+        na, nb = np.abs([a, b]).tolist()
+        norm2 = na * na - nb * nb
+        if not 0.0 < norm2 < math.inf:
+            break
+        r = 1.0 / math.sqrt(norm2)  # numpy's complex / real, signed zeros included
+        return (complex((a.real + a.imag * 0.0) * r, (a.imag - a.real * 0.0) * r),
+                complex((b.real + b.imag * 0.0) * r, (b.imag - b.real * 0.0) * r))
+    else:
+        raise ResolutionError("octagon re-entry did not terminate")
+    # undecided, or no SU(1,1) state (numpy's NaN and warnings): the array code
+    a, b = _oct_reenter(np.array([a]), np.array([b]))
+    return complex(a[0]), complex(b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +305,8 @@ def _lift(model, p, v):
         vt, vs = v[..., 0], v[..., 1] * st  # components along e_theta and e_phi
         return (np.stack([st * cp, st * sp, ct], axis=-1),
                 np.stack([vt * (ct * cp) - vs * sp, vt * (ct * sp) + vs * cp, -vt * st], axis=-1))
+    if not (np.isfinite(p).all() and np.isfinite(v).all()):
+        raise ValueError("octagon states must be finite")
     x, y = p[..., :1], p[..., 1:]
     conf = 1.0 - (x * x + y * y)  # 2 / lambda
     vz = np.ascontiguousarray(v).view(complex)

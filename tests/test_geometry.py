@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -234,13 +235,84 @@ def test_octagon_rejects_non_finite_times():
             geo.geodesic_advance(OCT, s, t)
 
 
+def test_octagon_rejects_non_finite_states():
+    # for one row and for a batch, before any arithmetic (no RuntimeWarning)
+    good = geo.unit_speed(OCT, [0.1, -0.2], [0.3, 1.0])
+    for bad in ([np.nan, 0.1], [0.1, np.nan], [np.inf, 0.2]):
+        for state in (geo.PointState(np.array(bad), good.velocity),
+                      geo.PointState(good.point, np.array(bad)),
+                      geo.PointState(np.stack([good.point, bad, good.point]),
+                                     np.stack([good.velocity] * 3))):
+            with pytest.raises(ValueError, match="finite"):
+                geo.geodesic_advance(OCT, state, 0.3)
+            with pytest.raises(ValueError, match="finite"):
+                next(geo.geodesic_samples(OCT, state, 0.1, 20, 20))
+
+
 def test_octagon_reentry_failure_is_a_resolution_error(monkeypatch):
-    # identity pairings never bring the state back inside
+    # identity pairings never bring the state back inside, on the one-row
+    # kernel and on the array kernel
     monkeypatch.setattr(geo, "_OCT_PAIRINGS", np.broadcast_to(np.eye(2, dtype=complex), (8, 2, 2)))
     s = geo.unit_speed(OCT, [0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ResolutionError, match="re-entry"):
-        geo.geodesic_advance(OCT, s, 2.0)
+    for state in (s, geo.PointState(np.stack([s.point] * 2), np.stack([s.velocity, -s.velocity]))):
+        with pytest.raises(ResolutionError, match="re-entry"):
+            geo.geodesic_advance(OCT, state, 2.0)
     assert issubclass(ResolutionError, RuntimeError)
+
+
+def _octagon_edge_point(rng):
+    # within 1e-10 of a side circle (on its arc in the disk), of a vertex, or
+    # anywhere in the fundamental domain
+    kind, side = rng.integers(3), rng.integers(8)
+    if kind == 0:
+        w = geo._OCT_DIRS[side] * np.exp(1j * rng.uniform(-0.3, 0.3))
+        return geo._OCT_CENTERS[side] - geo._OCT_CIRCLE_R * w * (1.0 + rng.uniform(-1e-10, 1e-10))
+    if kind == 1:
+        return (geo._OCT_RHO_VERTEX * geo._OCT_DIRS[side] * np.exp(1j * np.pi / 8)
+                + complex(*rng.uniform(-1e-10, 1e-10, 2)))
+    rv = geo._OCT_RHO_VERTEX
+    while not geo.octagon_contains(z := complex(*rng.uniform(-rv, rv, 2))):
+        pass
+    return z
+
+
+def test_octagon_one_row_kernel_is_the_array_kernel_bitwise(monkeypatch):
+    # one row of `_oct_flow` against the same row inside a batch of 3; the
+    # points near a side or a vertex reach the undecided band
+    calls, fallbacks = [], 0
+    reenter = geo._oct_reenter
+    monkeypatch.setattr(geo, "_oct_reenter", lambda a, b: calls.append(a) or reenter(a, b))
+    rng = np.random.default_rng(44)
+    for _ in range(150):
+        z = np.array([_octagon_edge_point(rng) for _ in range(3)])
+        speed = rng.choice([1.0, 2.0, 0.5, 1e-3, 0.0], size=3)
+        turn = rng.choice([1.0, 1j, -1j, np.exp(1j * rng.uniform(0, 2 * np.pi))], size=3)
+        v = turn * speed * (1.0 - np.abs(z) ** 2) / 2
+        a, b, s = (c.ravel() for c in geo._lift(OCT, np.column_stack([z.real, z.imag]),
+                                                    np.column_stack([v.real, v.imag])))
+        t = rng.choice([0.0, 0.5, -1.5, 3.0, rng.uniform(-3.0, 3.0)], size=3)
+        k = int(rng.integers(1, 41))
+        batch = geo._oct_flow(a, b, s, t, k)
+        j = rng.integers(3)
+        before = len(calls)
+        one = geo._oct_flow(a[j:j + 1], b[j:j + 1], s[j:j + 1], t[j:j + 1], k)
+        fallbacks += len(calls) - before
+        assert one.shape == (2, k, 1)
+        assert one.tobytes() == batch[:, :, j:j + 1].tobytes()
+    assert fallbacks
+
+
+def test_octagon_one_row_kernel_keeps_signed_zeros():
+    # states on the real axis heading along it have exact zero components,
+    # whose signs numpy's complex-by-real division decides
+    for x, y, vx, vy in itertools.product([0.0, -0.0, 0.3, -0.3], [0.0, -0.0],
+                                          [0.3, -0.3], [0.0, -0.0]):
+        a, b, s = (c.ravel() for c in geo._lift(OCT, np.array([[x, y], [0.1, 0.2]]),
+                                                    np.array([[vx, vy], [0.2, 0.1]])))
+        for t in (0.0, 0.5, -0.5):
+            batch = geo._oct_flow(a, b, s, np.full(2, t), 2)
+            one = geo._oct_flow(a[:1], b[:1], s[:1], np.full(1, t), 2)
+            assert one.tobytes() == batch[:, :, :1].tobytes()
 
 
 def _octagon_unit_states(rng, count):
@@ -383,6 +455,17 @@ def test_octagon_sample_block_chains_anchors_in_two_flow_calls(monkeypatch):
     blocks = list(geo.geodesic_samples(OCT, state, 0.1, 4000, 4096))
     assert [len(b.point) for b in blocks] == [4000]
     assert len(calls) <= 3
+
+
+def test_octagon_sample_chain_runs_off_the_array_reentry(monkeypatch):
+    # the 4,000-sample block at dt 0.1 chains 800 one-row substeps: fewer than
+    # 5 % of them may fall back to the array re-entry
+    rows = []
+    reenter = geo._oct_reenter
+    monkeypatch.setattr(geo, "_oct_reenter", lambda a, b: rows.append(len(a)) or reenter(a, b))
+    state = random_state(OCT, np.random.default_rng(43))
+    assert len(next(geo.geodesic_samples(OCT, state, 0.1, 4000, 4096)).point) == 4000
+    assert rows.count(1) < 0.05 * 800
 
 
 # ---------------------------------------------------------------------------
