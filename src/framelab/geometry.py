@@ -19,7 +19,8 @@ point and gives NaN velocity components: the chart has none there.
 
 The octagon flow runs a batch on numpy arrays and a single state (one
 trajectory's anchor chain) on Python complex values, bit for bit alike
-(`_oct_flow`).  Octagon states and times must be finite (`ValueError`).
+(`_oct_flow`).  Octagon states and times must be finite and points inside
+the unit disk (`ValueError`).
 
 The package's one quadrature rule on the unit tangent bundle
 (`unit_bundle_nodes`), its one sphere rule (`_sphere_rule`, also used by
@@ -309,6 +310,8 @@ def _lift(model, p, v):
         raise ValueError("octagon states must be finite")
     x, y = p[..., :1], p[..., 1:]
     conf = 1.0 - (x * x + y * y)  # 2 / lambda
+    if not (conf > 0.0).all():
+        raise ValueError("octagon points must lie inside the unit disk")
     vz = np.ascontiguousarray(v).view(complex)
     size = np.abs(vz)
     rest = size == 0.0  # a resting state takes the direction 1

@@ -340,7 +340,10 @@ def egorov_residual(model, symbol, t, shell, K):
     push-forward of the symbol.
 
     Exactly zero at t = 0 and for Fourier multipliers; decays like 1/shell
-    for admissible base-dependent symbols.
+    for admissible base-dependent symbols.  The symbol is quantized once: the
+    push-forward's entry at (k + nu, k) is that of the quantization times the
+    phase exp(-i t nu . xi_k), xi_k the unit covector of mode k
+    (`spectral._quantized_push`).
     """
     a_op = sp.quantize(model, symbol, K)
     sm = a_op.domain
@@ -350,8 +353,7 @@ def egorov_residual(model, symbol, t, shell, K):
     if 2 * shell > sm.freq.max() + 1e-9:
         raise ValueError("shell exceeds the truncation; increase K")
     evolved = evolve_observable(a_op, t)
-    pushed = sp.quantize(model, symbol.pushed(t), K)
-    diff = (evolved.matrix - pushed.matrix).tocsr()
+    diff = (evolved.matrix - sp._quantized_push(a_op, t)).tocsr()
     sub = diff[np.ix_(idx, idx)]
     return sp.spectral_norm(sub)
 

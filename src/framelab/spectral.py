@@ -390,10 +390,14 @@ def exterior_d(model, p, K):
     cod = basis_for(model, "forms", K, p + 1)
     if model.kind == geo.TORUS:
         # d(e^{ik.x} dx_I) = sum_j i kappa_j dx_j ^ dx_I: the mode block is i kappa ^ .
+        # each fiber component has n - p pairs (j, target), ascending in j
         eps = alg.wedge_table(n, p)
-        cols, j, target = np.nonzero(eps.transpose(2, 0, 1)[dom.components])
-        rows = _locate(cod, dom.modes[cols], target)
-        vals = 1j * _dual(model, dom.modes)[cols, j] * eps[j, target, dom.components[cols]]
+        comp, j, target = np.nonzero(eps.transpose(2, 0, 1))
+        j, target, sign = (np.take(a.reshape(-1, n - p), dom.components, axis=0).ravel()
+                           for a in (j, target, eps[j, target, comp]))
+        cols = np.repeat(np.arange(dom.dim), n - p)
+        rows = _locate(cod, np.repeat(dom.modes, n - p, axis=0), target)
+        vals = 1j * _dual(model, dom.modes)[cols, j] * sign
     else:
         l = dom.modes[:, 0]
         if p == 0:      # d Y_lm = sqrt(l (l + 1)) ex_lm for l >= 1
@@ -416,7 +420,8 @@ def _empty_model(model, p, K):
 
 
 def codifferential(model, p, K):
-    """Codifferential from p-forms to (p-1)-forms (adjoint of d)."""
+    """Codifferential from p-forms to (p-1)-forms: the conjugate transpose of
+    d on (p-1)-forms, delta = d^H, since the canonical basis is orthonormal."""
     if p == 0:
         dom = basis_for(model, "forms", K, 0)
         mat = scipy.sparse.csr_matrix((0, dom.dim), dtype=complex)
@@ -473,23 +478,20 @@ def hodge_projections(model, p, K):
     """Spectral projections (P, Q, H) onto co-exact, exact, harmonic p-forms.
 
     P = pinv(Delta) delta d, Q = pinv(Delta) d delta, H = 1 - P - Q; the
-    pseudo-inverse vanishes on the kernel of Delta.
+    pseudo-inverse vanishes on the kernel of Delta.  Each d is assembled once
+    and each delta taken as its conjugate transpose d^H (the canonical basis
+    is orthonormal), which is the matrix `codifferential` returns.
     """
     sm = basis_for(model, "forms", K, p)
-    d_p = exterior_d(model, p, K)
-    del_p1 = codifferential(model, p + 1, K) if p < model.dim else None
     dinv, _ = _pinv_diag(sm.lam)
     dinv_m = scipy.sparse.diags(dinv)
-    if del_p1 is not None:
-        pmat = (dinv_m @ (del_p1.matrix @ d_p.matrix)).tocsr()
-    else:
-        pmat = scipy.sparse.csr_matrix((sm.dim, sm.dim), dtype=complex)
+    pmat = qmat = scipy.sparse.csr_matrix((sm.dim, sm.dim), dtype=complex)
+    if p < model.dim:
+        d = exterior_d(model, p, K).matrix
+        pmat = (dinv_m @ (d.conj().T.tocsr() @ d)).tocsr()
     if p > 0:
-        d_prev = exterior_d(model, p - 1, K)
-        del_p = codifferential(model, p, K)
-        qmat = (dinv_m @ (d_prev.matrix @ del_p.matrix)).tocsr()
-    else:
-        qmat = scipy.sparse.csr_matrix((sm.dim, sm.dim), dtype=complex)
+        d = exterior_d(model, p - 1, K).matrix
+        qmat = (dinv_m @ (d @ d.conj().T.tocsr())).tocsr()
     hmat = (scipy.sparse.identity(sm.dim, dtype=complex) - pmat - qmat).tocsr()
     mk = lambda mat, sym: OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=sym)
     if model.kind == geo.TORUS:
@@ -638,9 +640,15 @@ class _Shifted:
         return self.base(xi) * np.exp(-1j * self.t * (self.nu @ np.asarray(xi)))
 
     def phase(self, xis):
-        """exp(-i t nu . xi) for covectors xis (N, n); the stacked matmul runs
-        the dot kernel of a single call, so the phases agree bit for bit."""
-        return np.exp(-1j * self.t * (xis[:, None, :] @ self.nu[:, None])[:, 0, 0])
+        """exp(-i t nu . xi) for covectors xis (N, n)."""
+        return _flow_phase(xis, self.nu, self.t)
+
+
+def _flow_phase(xis, nu, t):
+    """exp(-i t nu . xi) for covectors xis (N, n) and a frequency nu, one (n,)
+    or one per covector (N, n); the stacked matmul runs the dot kernel of a
+    single call, so the phases agree bit for bit whichever nu is given."""
+    return np.exp(-1j * t * (xis[:, None, :] @ nu[..., None])[:, 0, 0])
 
 
 def cosine_symbol(axis=0, dim=2):
@@ -655,12 +663,22 @@ def direction_symbol(fn, dim=2):
     return TrigSymbol(terms={(0,) * dim: fn}, dim=dim)
 
 
+def _unit_covectors(sm):
+    """Unit covector kappa / |kappa| of each mode of a torus basis, (dim, n),
+    with |kappa|^2 = lam as np.linalg.norm computes it; 0 at the zero mode."""
+    live = sm.modes.any(axis=1)
+    xi = _dual(sm.model, sm.modes)
+    xi[live] /= np.sqrt(sm.lam[live])[:, None]
+    return xi
+
+
 def quantize(model, symbol, K):
     """Left quantization of an admissible symbol on the torus function basis.
 
     Matrix elements <e_{k+nu}, Op(a) e_k> are the x-Fourier coefficients of
     the symbol evaluated at the unit covector k/|k|; the zero mode is
-    annihilated (direction undefined there).
+    annihilated (direction undefined there).  Each frequency nu must be an
+    integer vector (`ValueError`).
     """
     if model.kind != geo.TORUS:
         raise CapabilityError("quantization is implemented on torus functions")
@@ -669,14 +687,14 @@ def quantize(model, symbol, K):
     if symbol.dim != model.dim:
         raise ValueError("symbol dimension does not match the model")
     sm = basis_for(model, "functions", K)
-    # unit covector of each mode: kappa / |kappa| with |kappa|^2 = lam, as
-    # np.linalg.norm computes it; the zero mode has none and is skipped
-    live = sm.modes.any(axis=1)
-    xi = _dual(model, sm.modes)
-    xi[live] /= np.sqrt(sm.lam[live])[:, None]
+    live = sm.modes.any(axis=1)  # the zero mode has no direction and is skipped
+    xi = _unit_covectors(sm)
     rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
     for nu, coeff in symbol.terms.items():
-        k2 = sm.modes + np.asarray(nu, dtype=int)
+        step = np.asarray(nu, dtype=int)
+        if (step != np.asarray(nu)).any():
+            raise ValueError(f"symbol frequency {nu} is not an integer vector")
+        k2 = sm.modes + step
         target = _locate(sm, k2, 0)
         col = np.flatnonzero(live & (target >= 0) & k2.any(axis=1))
         base = coeff.base if isinstance(coeff, _Shifted) else coeff
@@ -690,6 +708,26 @@ def quantize(model, symbol, K):
     mat = _sparse(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
                   (sm.dim, sm.dim))
     return OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=symbol.field())
+
+
+def _quantized_push(a_op, t):
+    """The matrix of quantize(model, symbol.pushed(t), K) from
+    a_op = quantize(model, symbol, K), without calling the coefficients again.
+
+    Distinct frequencies nu fill distinct entries (k + nu, k), so each entry
+    of a_op is one term's coefficient at the column's unit covector xi_k, and
+    the push-forward's entry is it times the phase exp(-i t nu . xi_k) of
+    `_Shifted`, nu the mode difference.  For plain coefficients this is
+    `quantize`'s own product, bit for bit.  Where the symbol is itself
+    pushed, `quantize` took its inner phases per point, and the entries agree
+    to rounding.
+    """
+    sm, a = a_op.domain, a_op.matrix
+    cols = a.indices
+    rows = np.repeat(np.arange(sm.dim), np.diff(a.indptr))
+    nu = (sm.modes[rows] - sm.modes[cols]).astype(float)
+    phase = _flow_phase(_unit_covectors(sm)[cols], nu, t)
+    return scipy.sparse.csr_matrix((a.data * phase, cols, a.indptr), shape=a.shape)
 
 
 def resolvent_sqrt_inverse(sm):

@@ -249,6 +249,20 @@ def test_octagon_rejects_non_finite_states():
                 next(geo.geodesic_samples(OCT, state, 0.1, 20, 20))
 
 
+def test_octagon_rejects_points_off_the_disk():
+    # on or outside the unit circle there is no SU(1,1) state: ValueError for
+    # one row and for a batch, not NaN through sqrt (no RuntimeWarning)
+    good = geo.unit_speed(OCT, [0.1, -0.2], [0.3, 1.0])
+    for bad in ([1.2, 0.0], [0.8, 0.7], [1.0, 0.0], [0.0, -1.0]):
+        for state in (geo.PointState(np.array(bad), np.array([0.1, 0.0])),
+                      geo.PointState(np.stack([good.point, bad]),
+                                     np.stack([good.velocity] * 2))):
+            with pytest.raises(ValueError, match="unit disk"):
+                geo.geodesic_advance(OCT, state, 0.3)
+            with pytest.raises(ValueError, match="unit disk"):
+                next(geo.geodesic_samples(OCT, state, 0.1, 20, 20))
+
+
 def test_octagon_reentry_failure_is_a_resolution_error(monkeypatch):
     # identity pairings never bring the state back inside, on the one-row
     # kernel and on the array kernel

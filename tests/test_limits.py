@@ -439,6 +439,61 @@ def test_egorov_residual_decay_pinned():
     assert abs(lm.egorov_residual(T2, sym, 1.0, 4, 12) - 0.10224863168056) <= 1e-12
 
 
+class _CountedCoefficient:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, xi):
+        self.calls += 1
+        return self.fn(xi)
+
+
+def _counted_symbol():
+    return sp.TrigSymbol(terms={
+        (1, 0): _CountedCoefficient(lambda xi: 0.7 * xi[0] ** 2),
+        (-1, 1): _CountedCoefficient(lambda xi: 0.2 - 0.4j * xi[1]),
+        (0, 0): _CountedCoefficient(lambda xi: xi[0] * xi[1])}, dim=2)
+
+
+def _two_quantize_residual(sym, t, shell, K):
+    """The Egorov residual from the quantizations of sym and sym.pushed(t)."""
+    a_op = sp.quantize(T2, sym, K)
+    idx = sp.shell_indices(a_op.domain, shell, 2 * shell)
+    pushed = sp.quantize(T2, sym.pushed(t), K).matrix
+    diff = (lm.evolve_observable(a_op, t).matrix - pushed).tocsr()
+    return sp.spectral_norm(diff[np.ix_(idx, idx)]), pushed
+
+
+@pytest.mark.parametrize("shell", [2, 4])  # dense SVD, then ARPACK
+def test_egorov_residual_quantizes_once(shell):
+    t, K = 0.9, 10
+    sym = _counted_symbol()
+    sp.quantize(T2, sym, K)
+    once = [c.calls for c in sym.terms.values()]
+    assert min(once) > 0
+    for c in sym.terms.values():
+        c.calls = 0
+    got = lm.egorov_residual(T2, sym, t, shell, K)
+    assert [c.calls for c in sym.terms.values()] == once
+    want, pushed = _two_quantize_residual(sym, t, shell, K)
+    assert got == want
+    fast = sp._quantized_push(sp.quantize(T2, sym, K), t)
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(fast, attr).tobytes() == getattr(pushed, attr).tobytes()
+
+
+def test_egorov_residual_of_a_pushed_symbol():
+    # quantize takes the inner phase per point, the quantized push-forward
+    # in one array operation: equal entries to rounding
+    t, K = 0.6, 10
+    sym = _counted_symbol().pushed(0.35)
+    want, pushed = _two_quantize_residual(sym, t, 4, K)
+    fast = sp._quantized_push(sp.quantize(T2, sym, K), t)
+    assert (fast.indices == pushed.indices).all() and (fast.indptr == pushed.indptr).all()
+    assert np.abs(fast.data - pushed.data).max() <= 1e-15
+    assert abs(lm.egorov_residual(T2, sym, t, 4, K) - want) <= 1e-14
+
+
 def test_egorov_shell_norm_matches_dense_svd():
     # the K = 20 shell [8, 16) is 600 x 600: large enough for the sparse SVD
     sym, t, K = sp.cosine_symbol(), 1.0, 20

@@ -161,6 +161,49 @@ def test_hodge_projection_identities(model, K, p):
     assert sp.frob(H.matrix @ delta) <= 1e-10
 
 
+@pytest.mark.parametrize("model,p,want", [(T3, 1, 2), (T3, 0, 1), (T3, 3, 1),
+                                          (T2, 1, 2), (S2, 0, 1), (S2, 2, 1)],
+                         ids=["T3-p1", "T3-p0", "T3-p3", "T2-p1", "S2-p0", "S2-p2"])
+def test_hodge_projections_assemble_each_derivative_once(monkeypatch, model, p, want):
+    calls, exterior_d = [], sp.exterior_d
+
+    def counted(model, q, K):
+        calls.append(q)
+        return exterior_d(model, q, K)
+
+    monkeypatch.setattr(sp, "exterior_d", counted)
+    sp.hodge_projections(model, p, 2)
+    assert len(calls) == want
+    assert len(set(calls)) == want
+
+
+def _codifferential_hodge_projections(model, p, K):
+    """P, Q, H composed from `exterior_d` and `codifferential`."""
+    sm = sp.basis_for(model, "forms", K, p)
+    dinv_m = scipy.sparse.diags(sp._pinv_diag(sm.lam)[0])
+    pmat = qmat = scipy.sparse.csr_matrix((sm.dim, sm.dim), dtype=complex)
+    if p < model.dim:
+        pmat = (dinv_m @ (sp.codifferential(model, p + 1, K).matrix
+                          @ sp.exterior_d(model, p, K).matrix)).tocsr()
+    if p > 0:
+        qmat = (dinv_m @ (sp.exterior_d(model, p - 1, K).matrix
+                          @ sp.codifferential(model, p, K).matrix)).tocsr()
+    hmat = (scipy.sparse.identity(sm.dim, dtype=complex) - pmat - qmat).tocsr()
+    return pmat, qmat, hmat
+
+
+@pytest.mark.parametrize("model,K", [(T2, 4), (geo.flat_torus(3, periods=(1.0, 2.5, 7.0)), 2),
+                                     (S2, 6)], ids=["T2", "T3-periods", "S2"])
+def test_hodge_projections_match_codifferential_construction_bitwise(model, K):
+    for p in range(model.dim + 1):
+        got = sp.hodge_projections(model, p, K)
+        for op, want in zip(got, _codifferential_hodge_projections(model, p, K)):
+            assert op.matrix.shape == want.shape
+            for attr in ("data", "indices", "indptr"):
+                a, b = getattr(op.matrix, attr), getattr(want, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_hodge_functions_case():
     P, Q, H = sp.hodge_projections(T2, 0, 3)
     assert sp.frob(Q.matrix) == 0.0
@@ -470,6 +513,12 @@ def test_quantize_rejects_bad_input():
         sp.quantize(T2, "not a symbol", 4)
     with pytest.raises(ValueError):
         sp.quantize(T3, sp.cosine_symbol(axis=0, dim=2), 4)
+    # a frequency that is no mode difference: int() would truncate it to 0
+    half = sp.TrigSymbol(terms={(0.5, 0): lambda xi: 1.0}, dim=2)
+    with pytest.raises(ValueError, match="integer"):
+        sp.quantize(T2, half, 4)
+    with pytest.raises(ValueError, match="integer"):
+        lm.egorov_residual(T2, half, 1.0, 1, 4)
 
 
 # ---------------------------------------------------------------------------
