@@ -30,7 +30,8 @@ Space averages use the package's one unit-bundle quadrature,
 `geometry.unit_bundle_nodes`, with each direction completed to a frame by
 `geometry.frame_completion` and, on T^3, turned through equispaced angles of
 the SO(2) fibre (Haar measure).  Node tables are filled by
-`FlowObservable.table` and contracted `geometry._NODE_CHUNK` nodes at a time.
+`FlowObservable.table` and contracted by `geometry._node_average`, as are
+the symbol tables of the tracial states of `limits`.
 """
 
 from dataclasses import dataclass
@@ -153,15 +154,17 @@ def _turns(a):
 
 
 def right_action(fp, g):
-    """Rotate the transported frame part (e_2 .. e_n) by g in SO(n-1)."""
+    """Rotate the transported frame part (e_2 .. e_n) of frames (..., n, n)
+    by g in SO(n-1), one g or a stack that broadcasts against the batch."""
     g = np.asarray(g, dtype=float)
-    m = fp.frame.shape[1] - 1
-    if g.shape != (m, m):
+    m = fp.frame.shape[-1] - 1
+    if g.shape[-2:] != (m, m):
         raise ValueError(f"expected a {m}x{m} rotation")
-    if np.abs(g.T @ g - np.eye(m)).max() > 1e-10 or np.linalg.det(g) < 0:
+    if (np.abs(g.swapaxes(-1, -2) @ g - np.eye(m)).max() > 1e-10
+            or (np.linalg.det(g) < 0).any()):
         raise ValueError("right action requires a special orthogonal matrix")
     frame = fp.frame.copy()
-    frame[:, 1:] = frame[:, 1:] @ g
+    frame[..., 1:] = frame[..., 1:] @ g
     return geo.FramePoint(point=fp.point.copy(), frame=frame)
 
 
@@ -200,16 +203,16 @@ def equivariance_residual(model, obs, rng=None):
         raise ValueError("observable carries no equivariance table")
     rng = rng or np.random.default_rng(0)
     rep = obs.equivariance_rep
-    fps, us = [], []
-    for _ in range(20):
-        fp = random_frame_point(model, rng)
-        g, u, _ = rep.sample[rng.integers(len(rep.sample))]
-        fps += [right_action(fp, g), fp]
-        us.append(u)
-    table = obs.table(np.array([fp.point for fp in fps]), np.array([fp.frame for fp in fps]))
-    us = np.array(us)
-    rhs = us.conj().swapaxes(-1, -2) @ table[1::2] @ us
-    return float(np.abs(table[::2] - rhs).max())
+    draws = [(random_frame_point(model, rng), rep.sample[rng.integers(len(rep.sample))])
+             for _ in range(20)]
+    fp = geo.FramePoint(point=np.array([f.point for f, _ in draws]),
+                        frame=np.array([f.frame for f, _ in draws]))
+    moved = right_action(fp, np.array([g for _, (g, _, _) in draws]))
+    table = obs.table(np.concatenate([moved.point, fp.point]),
+                      np.concatenate([moved.frame, fp.frame]))
+    us = np.array([u for _, (_, u, _) in draws])
+    rhs = us.conj().swapaxes(-1, -2) @ table[len(us):] @ us
+    return float(np.abs(table[:len(us)] - rhs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +281,16 @@ def liouville_haar_average(model, obs, resolution=12):
     """Liouville x Haar quadrature average of the observable (the constant 1
     averages to 1 up to rounding).
 
-    The node table is filled by `FlowObservable.table` and contracted
-    `geometry._NODE_CHUNK` nodes at a time."""
+    The node table is filled by `FlowObservable.table` and contracted by
+    `geometry._node_average`, with a ones column for the normalization."""
     points, frames, weights = liouville_nodes(model, resolution)
+
+    def rows(points, frames):
+        values = obs.table(points, frames).reshape(len(points), -1)
+        return np.column_stack([values, np.ones(len(points))])
+
     m = obs.fiber_dim
-    # numerator and normalization from one reduction: a ones column after the values
-    table = np.ones((min(len(weights), geo._NODE_CHUNK), m * m + 1), dtype=complex)
-    sums = 0.0
-    for nodes in geo._node_chunks(len(weights)):
-        rows = len(weights[nodes])
-        table[:rows, :-1] = obs.table(points[nodes], frames[nodes]).reshape(rows, -1)
-        sums = sums + weights[nodes] @ table[:rows]
-    return (sums[:-1] / sums[-1]).reshape(m, m)
+    return geo._node_average(weights, rows, points, frames).reshape(m, m)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ the unit disk (`ValueError`).
 
 The package's one quadrature rule on the unit tangent bundle
 (`unit_bundle_nodes`), its one sphere rule (`_sphere_rule`, also used by
-`spectral`) and its one oriented frame completion (`frame_completion`) live
-here; the Liouville-Haar averages of `flows` and the tracial states of
-`limits` both integrate with them.  `holonomy` carries a vector around a
-polygon with `parallel_transport`.
+`spectral`), oriented frame completion (`frame_completion`) and chunked node
+contraction (`_node_average`) live here; the Liouville-Haar averages of
+`flows` and the tracial states of `limits` integrate with them.  `holonomy`
+carries a vector around a polygon with `parallel_transport`.
 """
 
 import math
@@ -44,7 +44,7 @@ OCTAGON = "octagon"
 _BOUNDARY_TOL = 1e-14
 _MAX_SUBSTEP = 0.5
 _OCT_MAX_PAIRINGS = 32  # per substep, before re-entry counts as failed
-_NODE_CHUNK = 8192  # quadrature nodes per callback table in flows and limits
+_NODE_CHUNK = 8192  # quadrature nodes per callback table in `_node_average`
 
 
 @dataclass(frozen=True, eq=False)
@@ -700,11 +700,15 @@ def _sphere_rule(n_theta, n_phi):
     return np.repeat(cs, n_phi), np.tile(phis, n_theta), np.repeat(ws, n_phi)
 
 
-def _node_chunks(count):
-    """Slices of at most `_NODE_CHUNK` consecutive nodes that cover `count`
-    quadrature nodes: the unit in which callback tables are filled and
-    contracted."""
-    return [slice(lo, lo + _NODE_CHUNK) for lo in range(0, count, _NODE_CHUNK)]
+def _node_average(weights, rows, *arrays):
+    """sum_n w_n r_n[:-1] / sum_n w_n r_n[-1], the last column of the rows
+    r_n the normalization, from one product per chunk: rows(*arrays) is
+    called on chunks of at most `_NODE_CHUNK` consecutive nodes."""
+    sums = 0.0
+    for lo in range(0, len(weights), _NODE_CHUNK):
+        nodes = slice(lo, lo + _NODE_CHUNK)
+        sums = sums + weights[nodes] @ rows(*(a[nodes] for a in arrays))
+    return sums[:-1] / sums[-1]
 
 
 def _per_node_table(fn, shape, *columns):

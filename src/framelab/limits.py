@@ -4,17 +4,18 @@ negative-order decay, the time-evolution (Egorov) residual, quantum variance,
 and ergodic decomposition of the tracial state.
 
 Every state evaluation returns a value together with an error estimate
-(truncation or quadrature), never a bare number.  A tracial state fills its
-symbol's node table with `SymbolField.table` and contracts it with the
-weights (and with the invariant section's table on an ergodic component),
-`geometry._NODE_CHUNK` nodes at a time.  The library's own symbols are
-batched, so a chunk's table is one evaluator call; a per-point symbol is
-called once per node.
+(truncation or quadrature), never a bare number.  The one weighted average
+is omega_W(A) = omega(W A) / omega(W), the tracial state weighted by a symbol
+W (the identity for the plain state): an ergodic component is weighted by an
+invariant section, the quantum-variance limit by the projector's symbol.  Per
+chunk of nodes the symbol's and the weight's tables come from
+`SymbolField.table`, one evaluator call for the library's batched symbols
+and one per node for a per-point symbol, and one product contracts
+[tr(W A), tr(W)] (`geometry._node_average`).
 """
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -40,10 +41,10 @@ class StateFunctional:
 
     Kinds: "eigen" (diagonal matrix element j), "cesaro" (average of the first
     N eigenstates, N on a degeneracy-block boundary), "heat" (Gibbs trace
-    ratio at time t), "tracial" (normalized Liouville average of the symbol;
-    on an ergodic component weighted by an invariant section: `weight` maps a
-    resolution r to the section's (N, k, k) table at the nodes of
-    `geometry.unit_bundle_nodes(context, r)`, of normalized trace `weight_trace`).
+    ratio at time t), "tracial" (the Liouville average omega_W(A) =
+    omega(W A) / omega(W) of the symbol weighted by the SymbolField `weight`,
+    the plain normalized trace when `weight` is None; an ergodic component
+    is weighted by an invariant section).
     """
 
     kind: str
@@ -53,8 +54,7 @@ class StateFunctional:
     t: float = None
     fiber_dim: int = 1
     resolution: int = 8
-    weight: object = None
-    weight_trace: float = field(default=None, repr=False)
+    weight: sp.SymbolField = None
 
 
 def eigen_state(sm, j):
@@ -113,20 +113,22 @@ def tracial_state_functional(model, fiber_dim=1, resolution=8):
 # Unit-bundle quadrature for symbols
 
 
-def _trace_sum(weights, *tables):
-    """Quadrature sum sum_n w_n tr(a_n [b_n]) of node tables a [, b] (N, k, k)."""
-    spec = ("n,nii->", "n,nij,nji->")[len(tables) - 1]
-    return np.einsum(spec, weights, *tables)
+def _weighted_average(state, symbol, resolution):
+    """omega_W(A) = sum_n w_n tr(W_n A_n) / sum_n w_n tr(W_n) over the
+    unit-bundle nodes at the resolution, A the symbol's and W the state's
+    weight's node table (the identity when the weight is None)."""
+    k, weight = state.fiber_dim, state.weight
+    for sym in (symbol, weight):
+        if sym is not None and sym.fiber_dim != k:
+            raise ValueError(f"symbol of fiber rank {sym.fiber_dim} on a rank-{k} state")
 
+    def rows(points, dirs):  # dirs are the metric-unit directions
+        a = symbol.table(points, dirs)
+        w = np.broadcast_to(np.eye(k), a.shape) if weight is None else weight.table(points, dirs)
+        return np.column_stack([np.einsum("nij,nji->n", w, a), np.einsum("nii->n", w)])
 
-def _node_average(weights, term, *arrays):
-    """Sum of term(weights, *arrays) over chunks of `geometry._NODE_CHUNK`
-    nodes (each array sliced to the chunk's rows), divided by sum_n w_n; the
-    tables that term fills hold one chunk."""
-    total = 0.0
-    for nodes in geo._node_chunks(len(weights)):
-        total = total + term(weights[nodes], *(a[nodes] for a in arrays))
-    return total / weights.sum()
+    points, dirs, weights = geo.unit_bundle_nodes(state.context, resolution)
+    return geo._node_average(weights, rows, points, dirs)[0]
 
 
 def tracial_state(model, symbol, fiber_dim=1, resolution=8):
@@ -165,29 +167,16 @@ def evaluate(state, a_op):
 
 def _evaluate_tracial(state, a_op):
     sym = a_op.symbol if isinstance(a_op, sp.OperatorMatrix) else a_op
-    model, k, res = state.context, state.fiber_dim, state.resolution
+    res = state.resolution
     if not callable(sym):
         raise ValueError("tracial evaluation needs an attached symbol")
     if not isinstance(sym, sp.SymbolField):  # a bare per-point function
-        sym = sp.SymbolField(evaluator=sym, fiber_dim=k)
-    if sym.fiber_dim != k:
-        raise ValueError(f"symbol of fiber rank {sym.fiber_dim} on a rank-{k} state")
-
-    def term(weights, points, dirs, *sections):  # xi is the metric-unit direction
-        return _trace_sum(weights, *sections, sym.table(points, dirs))
-
-    def average(r):
-        points, dirs, weights = geo.unit_bundle_nodes(model, r)
-        sections = () if state.weight is None else (state.weight(r),)
-        return _node_average(weights, term, points, dirs, *sections)
-
-    norm = k if state.weight is None else state.weight_trace
-    fine = average(res)
-    coarse_res = max(4, res // 2)
+        sym = sp.SymbolField(evaluator=sym, fiber_dim=state.fiber_dim)
+    fine, coarse_res = _weighted_average(state, sym, res), max(4, res // 2)
     if coarse_res == res:  # the coarsest rule has nothing to compare with
-        return StateValue(value=fine / norm, error=float("nan"))
-    coarse = average(coarse_res)
-    return StateValue(value=fine / norm, error=float(abs(fine - coarse) / abs(norm)))
+        return StateValue(value=fine, error=float("nan"))
+    coarse = _weighted_average(state, sym, coarse_res)
+    return StateValue(value=fine, error=float(abs(fine - coarse)))
 
 
 def state_positivity_residual(state, ops):
@@ -422,8 +411,10 @@ def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
     """Variance of eigenstate values of A against the ergodic-component value
     within the range of the projector (first n eigensections).
 
-    Only the degeneracy blocks that hold the first n sections are
-    diagonalized, and each value v^H A v is taken on its block,
+    Without `limit_value` the component value is omega_P(A) = omega(P A) /
+    omega(P), the tracial state weighted by the projector's symbol, at
+    `resolution`.  Only the degeneracy blocks that hold the first n sections
+    are diagonalized, and each value v^H A v is taken on its block,
     v^H A[idx, idx] v.
     """
     sections = list(itertools.islice(_eigensections(sm, proj_op), n))
@@ -434,15 +425,9 @@ def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
         if a_op.symbol is None or proj_op.symbol is None:
             raise ValueError("need symbols (or an explicit limit) for the "
                              "component value")
-        def term(weights, points, dirs):  # omega(P A) and omega(P) from one P table
-            p_table = proj_op.symbol.table(points, dirs)
-            a_table = a_op.symbol.table(points, dirs)
-            return np.array([_trace_sum(weights, p_table, a_table),
-                             _trace_sum(weights, p_table)])
-
-        points, dirs, weights = geo.unit_bundle_nodes(sm.model, resolution)
-        pa, pp = _node_average(weights, term, points, dirs)
-        limit_value = pa / pp
+        weighted = StateFunctional(kind="tracial", context=sm.model, resolution=resolution,
+                                   fiber_dim=proj_op.symbol.fiber_dim, weight=proj_op.symbol)
+        limit_value = _weighted_average(weighted, a_op.symbol, resolution)
     a_mat = scipy.sparse.csr_matrix(a_op.matrix)
     devs, block, a_block = [], None, None
     for _, idx, coef in sections:
@@ -459,27 +444,18 @@ def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
 # ergodic decomposition of the tracial state
 
 
-def _fiber_reps(model, apply_fn, k, points, dirs):
-    """apply_fn of the flat-torus completions to SO(n) of metric-unit chart
-    directions (..., n) in orthonormal components (sqrt of the diagonal
-    metric): (..., k, k), apply_fn called once per direction."""
-    xi = np.sqrt(geo._metric_diagonal(model, points)) * dirs
-    frames = geo.frame_completion(geo.flat_torus(model.dim), points, xi)
-    return geo._per_node_table(apply_fn, frames.shape[:-2] + (k, k),
-                               frames.reshape((-1,) + frames.shape[-2:]))
-
-
 def invariant_section(apply_fn, proj, fiber_dim):
     """Symbol of a stabilizer-invariant fiber matrix: at a unit covector xi
     in orthonormal components the matrix is conjugated by the representation
     of the completion of xi to an SO(n) matrix.  Batched: covectors (..., n)
-    give (..., k, k), the node tables of `ergodic_decomposition`."""
+    give (..., k, k), apply_fn called once per covector."""
     proj = np.asarray(proj, dtype=complex)
 
     def ev(points, xi):
         xi = np.asarray(xi, dtype=float)
-        u = _fiber_reps(geo.flat_torus(xi.shape[-1]), apply_fn, fiber_dim,
-                        np.asarray(points, dtype=float), xi)
+        frames = geo.frame_completion(geo.flat_torus(xi.shape[-1]), points, xi)
+        u = geo._per_node_table(apply_fn, frames.shape[:-2] + (fiber_dim, fiber_dim),
+                                frames.reshape((-1,) + frames.shape[-2:]))
         return u @ proj @ u.conj().swapaxes(-1, -2)
 
     return sp.SymbolField(evaluator=ev, fiber_dim=fiber_dim, batched=True)
@@ -488,11 +464,14 @@ def invariant_section(apply_fn, proj, fiber_dim):
 def ergodic_decomposition(tracial, projections, apply_fn):
     """Split a tracial state along invariant fiber projections.
 
-    Returns [(weight, component state)]: weight = omega(p_i) and component
-    omega_i(A) = omega(p_i A) / omega(p_i).  The identity decomposition
-    returns the state itself with weight 1.  The components share the apply_fn
-    table u of the node frames, built once per resolution; p_i's section is u p_i u^H.
-    apply_fn is a user callback on one SO(n) matrix, called once per node.
+    Returns [(weight, component state)]: the component omega_i(A) =
+    omega(s_i A) / omega(s_i) is the tracial state weighted by the invariant
+    section s_i of p_i (`StateFunctional.weight`), and its weight omega(s_i)
+    is exactly tr(p_i) / k, since tr(u p_i u^H) = tr(p_i) for unitary u.  The
+    identity decomposition has weight 1 and gives the state's values to
+    rounding.  apply_fn is a user callback on one SO(n) matrix; the
+    decomposition makes no call, and each evaluation of a component calls it
+    once per node.
     """
     if tracial.kind != "tracial" or tracial.weight is not None:
         raise ValueError("decomposition starts from the plain tracial state")
@@ -503,15 +482,13 @@ def ergodic_decomposition(tracial, projections, apply_fn):
         raise ValueError("projections do not sum to the identity")
     if any(np.trace(mat).real < 0.5 for mat in mats):
         raise ValueError("a zero-rank projection has no component state")
-    rep_table = lru_cache(maxsize=None)(
-        lambda r: _fiber_reps(model, apply_fn, k, *geo.unit_bundle_nodes(model, r)[:2]))
-    weights = geo.unit_bundle_nodes(model, res)[2]
-    out = []
-    for mat in mats:
-        section = lambda r, p=mat: rep_table(r) @ p @ rep_table(r).conj().swapaxes(-1, -2)
-        weight_trace = _node_average(weights, _trace_sum, section(res))
-        comp = StateFunctional(kind="tracial", context=model, fiber_dim=k,
-                               resolution=res, weight=section,
-                               weight_trace=weight_trace)
-        out.append((float(np.real(weight_trace)) / k, comp))
-    return out
+
+    def chart_section(mat):  # at the chart's metric-unit directions
+        ev = invariant_section(apply_fn, mat, k).evaluator
+        scale = lambda x: np.sqrt(geo._metric_diagonal(model, np.asarray(x, dtype=float)))
+        return sp.SymbolField(lambda x, xi: ev(x, scale(x) * xi), k, batched=True)
+
+    return [(float(np.trace(mat).real) / k,
+             StateFunctional(kind="tracial", context=model, fiber_dim=k, resolution=res,
+                             weight=chart_section(mat)))
+            for mat in mats]

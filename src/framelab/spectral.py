@@ -10,8 +10,9 @@ Assembly is array-first.  Every basis keeps, next to its labels, the integer
 mode and fiber component of each canonical position and the canonical
 position of each element in enumeration order, so an operator's rows,
 columns and values come from numpy over the whole basis and a small table per
-(fiber component, direction).  Only a user's coefficient function in
-`quantize` is still called once per label.
+(fiber component, direction).  User callbacks are still called one point at
+a time: a coefficient function in `quantize` once per label, and the `fn` of
+`sphere_multiplication` once per quadrature node.
 
 On tori d, the Hodge and helicity symbols and the Dirac symbol all come from
 `algebra`'s exterior table and gamma matrices.  Sphere multipliers integrate
@@ -628,8 +629,9 @@ class TrigSymbol:
 class _Shifted:
     """Coefficient c(xi) exp(-i t nu . xi) of a pushed symbol.
 
-    It takes one covector like any coefficient; `quantize` calls only `base`
-    per label and takes the phases of all covectors in one array operation.
+    It takes one covector like any coefficient; `quantize` calls only the
+    innermost `base` per label and multiplies in each push's phases of all
+    covectors in one array operation, innermost push first.
     """
 
     base: callable
@@ -697,10 +699,12 @@ def quantize(model, symbol, K):
         k2 = sm.modes + step
         target = _locate(sm, k2, 0)
         col = np.flatnonzero(live & (target >= 0) & k2.any(axis=1))
-        base = coeff.base if isinstance(coeff, _Shifted) else coeff
-        val = np.fromiter(map(base, xi[col]), dtype=complex, count=col.size)
-        if base is not coeff:
-            val *= coeff.phase(xi[col])
+        pushes = []  # innermost push first
+        while isinstance(coeff, _Shifted):
+            coeff, pushes = coeff.base, [coeff] + pushes
+        val = np.fromiter(map(coeff, xi[col]), dtype=complex, count=col.size)
+        for push in pushes:
+            val *= push.phase(xi[col])
         keep = val != 0
         rows.append(target[col[keep]])
         cols.append(col[keep])
@@ -718,9 +722,8 @@ def _quantized_push(a_op, t):
     of a_op is one term's coefficient at the column's unit covector xi_k, and
     the push-forward's entry is it times the phase exp(-i t nu . xi_k) of
     `_Shifted`, nu the mode difference.  For plain coefficients this is
-    `quantize`'s own product, bit for bit.  Where the symbol is itself
-    pushed, `quantize` took its inner phases per point, and the entries agree
-    to rounding.
+    `quantize`'s own product, bit for bit, and so is it where the symbol is
+    itself pushed: `quantize` multiplies in each push's phases in turn.
     """
     sm, a = a_op.domain, a_op.matrix
     cols = a.indices

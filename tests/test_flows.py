@@ -148,6 +148,25 @@ def test_right_action_rejects_non_rotation():
         fl.right_action(fp, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("model", [TORUS2, TORUS3], ids=["torus2", "torus3"])
+def test_right_action_on_a_batch_is_the_per_frame_action(model):
+    rng = np.random.default_rng(10)
+    fps = [fl.random_frame_point(model, rng) for _ in range(12)]
+    batch = geo.FramePoint(point=np.array([fp.point for fp in fps]),
+                           frame=np.array([fp.frame for fp in fps]))
+    m = model.dim - 1
+    turn = lambda a: np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    g = turn(0.7) if m == 2 else np.eye(1)
+    gs = np.array([turn(a) if m == 2 else np.eye(1) for a in rng.uniform(0, 2 * np.pi, 12)])
+    for rot, per_frame in ((g, [g] * 12), (gs, gs)):
+        out = fl.right_action(batch, rot)
+        assert out.frame.shape == batch.frame.shape
+        for i, (fp, h) in enumerate(zip(fps, per_frame)):
+            one = fl.right_action(fp, h)
+            assert out.point[i].tobytes() == one.point.tobytes()
+            assert out.frame[i].tobytes() == one.frame.tobytes()
+
+
 def test_right_action_commutes_with_flow():
     rng = np.random.default_rng(9)
     for _ in range(10):

@@ -235,6 +235,26 @@ def test_ergodic_decomposition_matches_per_node_reference(case):
             _assert_close(got.error, error)
 
 
+_WEIGHT_CASES = {
+    "torus2": (T2, 8, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], lambda g: g),
+    "sphere2": (S2, 8, _COMPLEX_LINES, lambda g: g),
+    "octagon2": (OCT, 16, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], lambda g: g),
+    "torus3": (T3, 4, alg.branching_projections(3, 1),
+               lambda g: alg.exterior_power_matrix(g, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WEIGHT_CASES))
+def test_ergodic_weights_are_the_tracial_values_of_the_sections(case):
+    # the weights are exact, tr(p_i) / k; the tracial value of a section
+    # equals it only where the completed frames are orthonormal
+    model, res, projections, apply_fn = _WEIGHT_CASES[case]
+    k = model.dim
+    state = lm.tracial_state_functional(model, k, res)
+    for weight, comp in lm.ergodic_decomposition(state, projections, apply_fn):
+        assert abs(lm.tracial_state(model, comp.weight, k, res).value - weight) <= 1e-12
+
+
 def test_invariant_section_is_the_per_node_section():
     apply_fn = lambda g: alg.exterior_power_matrix(g, 1)
     points, dirs, _ = geo.unit_bundle_nodes(T3, 4)
@@ -396,6 +416,19 @@ def test_quantum_variance_component_value_matches_per_node_reference():
     assert abs(want) > 0.1
 
 
+@pytest.mark.parametrize("res", [4, 6])
+def test_quantum_variance_limit_is_the_projector_weighted_state(res):
+    P, _ = _coexact_sections(3)
+    a_sym = sp.SymbolField(lambda x, xi: np.diag([1 + 0.5 * np.cos(x[0]), 2.0, 0.3 + np.sin(x[1])])
+                           + 0.2j * np.outer(xi, xi[::-1]), 3)
+    a_op = sp.OperatorMatrix(matrix=P.matrix, order=0, domain=P.domain, symbol=a_sym)
+    got = lm.quantum_variance(P.domain, a_op, P, 10, resolution=res).limit_value
+    state = lm.StateFunctional(kind="tracial", context=T3, fiber_dim=3, resolution=res,
+                               weight=P.symbol)
+    want = lm.evaluate(state, a_sym).value
+    assert np.array(got).tobytes() == np.array(complex(want)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # eigen states
 
@@ -492,6 +525,16 @@ def test_egorov_residual_of_a_pushed_symbol():
     assert (fast.indices == pushed.indices).all() and (fast.indptr == pushed.indptr).all()
     assert np.abs(fast.data - pushed.data).max() <= 1e-15
     assert abs(lm.egorov_residual(T2, sym, t, 4, K) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("K", [10, 20])
+def test_quantize_of_a_twice_pushed_symbol_is_the_quantized_push(K):
+    # every push's phase is one array product, innermost first
+    sym = _counted_symbol()
+    twice = sp.quantize(T2, sym.pushed(0.35).pushed(0.6), K).matrix
+    fast = sp._quantized_push(sp.quantize(T2, sym.pushed(0.35), K), 0.6)
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(twice, attr).tobytes() == getattr(fast, attr).tobytes()
 
 
 def test_egorov_shell_norm_matches_dense_svd():
