@@ -141,7 +141,7 @@ def _flowed_frames(model, fp, end):
         frame = np.broadcast_to(fp.frame, end.point.shape + (n,)).copy()
     else:
         frame = geo.frame_completion(model, end.point, end.velocity)
-        negative = np.logical_not(geo.is_oriented(model, fp))
+        negative = np.logical_not(geo.is_oriented(fp))
         if negative.any():
             frame[..., 1] *= np.where(negative, -1.0, 1.0)[..., None]
     return frame

@@ -47,28 +47,23 @@ _OCT_MAX_PAIRINGS = 32  # per substep, before re-entry counts as failed
 _NODE_CHUNK = 8192  # quadrature nodes per callback table in `_node_average`
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ManifoldModel:
-    """A closed-form Riemannian model manifold.
+    """A closed-form Riemannian model manifold, whose value is (kind, dim,
+    periods): models compare and hash by it.
 
     Fields
     ------
     kind : one of "flat_torus", "sphere", "octagon"
     dim : chart dimension n
     periods : tuple of n positive reals (tori only)
-    curvature : constant sectional curvature (0, +1, -1)
-    side_pairings : (8, 2, 2) complex array of SU(1,1) matrices
-        [[a, b], [conj b, conj a]] acting on the Poincare disk by
-        z -> (a z + b) / (conj(b) z + conj(a)); P_k maps side k+4 onto side k
-        (octagon only; for reading: the octagon flow uses the regular
-        octagon's own table)
+
+    `curvature` and `side_pairings` are derived from the kind.
     """
 
     kind: str
     dim: int
     periods: tuple | None = None
-    curvature: float = 0.0
-    side_pairings: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind == TORUS:
@@ -81,6 +76,17 @@ class ManifoldModel:
                 raise ValueError(f"{self.kind} is two-dimensional")
         else:
             raise ValueError(f"unknown manifold kind {self.kind!r}")
+
+    @property
+    def curvature(self):
+        """Constant sectional curvature (0, +1, -1)."""
+        return {TORUS: 0.0, SPHERE: 1.0, OCTAGON: -1.0}[self.kind]
+
+    @property
+    def side_pairings(self):
+        """The octagon's (8, 2, 2) SU(1,1) side pairings, the table its flow
+        uses (`_OCT_PAIRINGS`); None on the other kinds."""
+        return _OCT_PAIRINGS if self.kind == OCTAGON else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,13 +113,12 @@ def flat_torus(dim=2, periods=None):
     """Flat torus with the given periods (default 2*pi in each coordinate)."""
     if periods is None:
         periods = (2.0 * np.pi,) * dim
-    return ManifoldModel(kind=TORUS, dim=dim, periods=tuple(float(p) for p in periods),
-                         curvature=0.0)
+    return ManifoldModel(kind=TORUS, dim=dim, periods=tuple(float(p) for p in periods))
 
 
 def round_sphere():
     """Round unit 2-sphere, chart (theta, phi) with theta in (0, pi)."""
-    return ManifoldModel(kind=SPHERE, dim=2, curvature=1.0)
+    return ManifoldModel(kind=SPHERE, dim=2)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +148,7 @@ _OCT_PAIRINGS.setflags(write=False)
 
 def hyperbolic_octagon():
     """Regular genus-2 octagon quotient of the Poincare disk (curvature -1)."""
-    return ManifoldModel(kind=OCTAGON, dim=2, curvature=-1.0, side_pairings=_OCT_PAIRINGS)
+    return ManifoldModel(kind=OCTAGON, dim=2)
 
 
 def octagon_contains(z, tol=_BOUNDARY_TOL):
@@ -628,7 +633,7 @@ def orthonormality_residual(model, fp):
     return out if out.ndim else float(out)
 
 
-def is_oriented(model, fp):
+def is_oriented(fp):
     """True where the frame is positively oriented in the orthonormal gauge;
     a bool for a single frame, a mask of the batch shape for frames (..., n, n)."""
     out = np.linalg.det(fp.frame) > 0

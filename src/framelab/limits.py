@@ -159,7 +159,7 @@ def evaluate(state, a_op):
         diag = mat.diagonal()[: state.n]
         return StateValue(value=complex(diag.sum() / state.n), error=0.0)
     if state.kind == "heat":
-        # a constant potential or mass cancels in the Gibbs ratio
+        # a constant potential cancels in the Gibbs ratio
         value, error = _gibbs_ratio(sm.lam, mat.diagonal(), state.t)
         return StateValue(value=complex(value), error=error)
     raise ValueError(f"unknown state kind {state.kind!r}")

@@ -20,7 +20,6 @@ with `geometry._sphere_rule`, which separates: an FFT in phi at each polar
 node, then one real matmul over the polar nodes per order m.
 """
 
-import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -48,7 +47,7 @@ class SpectralModel:
     """Truncated eigenbasis of a bundle Laplacian over a model manifold.
 
     `lam` holds the geometric Laplacian eigenvalue of each basis element;
-    the operator built on top may add a constant potential and mass^2.
+    the operator built on top may add a constant potential, in its matrix.
     Ordering is canonical: ascending eigenvalue, then lexicographic label.
 
     Label arrays, in canonical order: `modes` (dim, n) holds the Fourier mode
@@ -67,8 +66,6 @@ class SpectralModel:
     labels: tuple
     lam: np.ndarray
     fiber_dim: int
-    potential: float = 0.0
-    mass: float = 0.0
     index: dict = field(repr=False, default=None)
     modes: np.ndarray = field(repr=False, default=None)
     components: np.ndarray = field(repr=False, default=None)
@@ -118,8 +115,8 @@ class SymbolField:
     batched: bool = False
 
     def __call__(self, point, xi):
-        out = np.asarray(self.evaluator(point, xi), dtype=complex)
-        return out.reshape(self.fiber_dim, self.fiber_dim)
+        """The symbol at one point: `table` on a batch of one, (m, m)."""
+        return self.table(np.asarray(point), np.asarray(xi))
 
     def table(self, points, dirs):
         """The symbol at the nodes (points, covectors (..., n)): (..., m, m)
@@ -217,13 +214,6 @@ def mode_block(op, mode):
 # ---------------------------------------------------------------------------
 # Bases
 
-_BASIS_CACHE = {}
-
-
-def _cache_key(model, bundle, p, K):
-    return (model.kind, model.dim, model.periods, bundle, p, K)
-
-
 def _dual(model, k):
     """Dual covector(s) 2 pi k / period of torus mode(s) k, shape (..., n)."""
     return 2.0 * np.pi * np.asarray(k, dtype=float) / np.asarray(model.periods)
@@ -267,18 +257,19 @@ def _locate(sm, modes, components):
 
 def basis_for(model, bundle, K, p=None):
     """Truncated basis for (model, bundle); bundle in
-    {"functions", "forms", "spinors"}."""
-    key = _cache_key(model, bundle, p, K)
-    if key in _BASIS_CACHE:
-        return _BASIS_CACHE[key]
+    {"functions", "forms", "spinors"}.  One cached object per (model, bundle,
+    K, p): models compare by value, so equal models share it."""
+    # positional, so that calls with p= and with a positional p share one entry
+    return _cached_basis(model, bundle, K, p)
+
+
+@lru_cache(maxsize=None)
+def _cached_basis(model, bundle, K, p):
     if model.kind == geo.TORUS:
-        sm = _torus_basis(model, bundle, p, K)
-    elif model.kind == geo.SPHERE:
-        sm = _sphere_basis(model, bundle, p, K)
-    else:
-        raise CapabilityError("spectral models exist for tori and the sphere only")
-    _BASIS_CACHE[key] = sm
-    return sm
+        return _torus_basis(model, bundle, p, K)
+    if model.kind == geo.SPHERE:
+        return _sphere_basis(model, bundle, p, K)
+    raise CapabilityError("spectral models exist for tori and the sphere only")
 
 
 def _torus_basis(model, bundle, p, K):
@@ -338,18 +329,17 @@ def _sphere_basis(model, bundle, p, K):
 # Laplacians
 
 
-def build_laplacian(model, bundle, K, potential=0.0, mass=0.0, p=None):
-    """Laplace-type operator Delta + mass^2 + potential on the chosen bundle.
+def build_laplacian(model, bundle, K, potential=0.0, p=None):
+    """Laplace-type operator Delta + potential on the chosen bundle, for a
+    constant potential >= 0; a mass m is the potential m^2.
 
-    Diagonal in the canonical basis; the principal symbol g(xi, xi) * id
-    (identity on the unit bundle) is attached.
+    Returns the cached `basis_for` basis and the operator, diagonal in it,
+    with the principal symbol g(xi, xi) * id (identity on the unit bundle).
     """
-    if potential + mass * mass < 0:
-        raise ValueError("need mass^2 + potential >= 0 for square roots")
-    sm = dataclasses.replace(basis_for(model, bundle, K, p), potential=float(potential),
-                             mass=float(mass))
-    shift = potential + mass * mass
-    mat = scipy.sparse.diags(sm.lam + shift).tocsr().astype(complex)
+    if potential < 0:
+        raise ValueError("need potential >= 0 for square roots")
+    sm = basis_for(model, bundle, K, p)
+    mat = scipy.sparse.diags(sm.lam + potential).tocsr().astype(complex)
     eye = np.eye(sm.fiber_dim, dtype=complex)
     sym = SymbolField(lambda x, xi: np.broadcast_to(eye, np.shape(xi)[:-1] + eye.shape).copy(),
                       sm.fiber_dim, batched=True)
@@ -467,12 +457,13 @@ def hodge_star(model, p, K):
 
 
 def _pinv_diag(vals, power=-1.0):
+    """vals ** power, and 0 on the kernel (relative to max(vals.max(), 1))."""
     vals = np.asarray(vals, dtype=float)
     scale = vals.max() if vals.size else 1.0
     out = np.zeros_like(vals)
     keep = vals > _KERNEL_RELATIVE * max(scale, 1.0)
     out[keep] = vals[keep] ** power
-    return out, ~keep
+    return out
 
 
 def hodge_projections(model, p, K):
@@ -484,8 +475,7 @@ def hodge_projections(model, p, K):
     is orthonormal), which is the matrix `codifferential` returns.
     """
     sm = basis_for(model, "forms", K, p)
-    dinv, _ = _pinv_diag(sm.lam)
-    dinv_m = scipy.sparse.diags(dinv)
+    dinv_m = scipy.sparse.diags(_pinv_diag(sm.lam))
     pmat = qmat = scipy.sparse.csr_matrix((sm.dim, sm.dim), dtype=complex)
     if p < model.dim:
         d = exterior_d(model, p, K).matrix
@@ -537,8 +527,8 @@ def helicity_R(model, K):
     sm = basis_for(model, "forms", K, 1)
     d1 = exterior_d(model, 1, K)
     star2 = hodge_star(model, 2, K)
-    dinv_sqrt, _ = _pinv_diag(sm.lam, power=-0.5)
-    mat = (scipy.sparse.diags(dinv_sqrt) @ (star2.matrix @ d1.matrix)).tocsr()
+    dinv_sqrt = scipy.sparse.diags(_pinv_diag(sm.lam, power=-0.5))
+    mat = (dinv_sqrt @ (star2.matrix @ d1.matrix)).tocsr()
     sym = SymbolField(evaluator=helicity_symbol, fiber_dim=3, batched=True)
     return OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=sym)
 
@@ -576,19 +566,17 @@ def sign_and_halves(d_op):
     """
     sq = (d_op.matrix @ d_op.matrix).tocsr()
     diag = laplacian_diagonal(OperatorMatrix(matrix=sq, order=2, domain=d_op.domain))
-    inv_sqrt, _ = _pinv_diag(diag, power=-0.5)
-    sign = (d_op.matrix @ scipy.sparse.diags(inv_sqrt)).tocsr()
+    sign = (d_op.matrix @ scipy.sparse.diags(_pinv_diag(diag, power=-0.5))).tocsr()
     sgn2 = (sign @ sign).tocsr()
     p_plus = (0.5 * (sgn2 + sign)).tocsr()
     p_minus = (0.5 * (sgn2 - sign)).tocsr()
     sym = d_op.symbol
     sm = d_op.domain
     mk = lambda mat, s: OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=s)
-    if sym is not None:  # the halves take the calling convention of sym
+    if sym is not None:  # batched halves on sym's table, whatever its convention
         m, eye = sym.fiber_dim, np.eye(sym.fiber_dim)
-        ev = sym.evaluator if sym.batched else sym
-        plus_sym = SymbolField(lambda x, xi: 0.5 * (eye + ev(x, xi)), m, sym.batched)
-        minus_sym = SymbolField(lambda x, xi: 0.5 * (eye - ev(x, xi)), m, sym.batched)
+        plus_sym = SymbolField(lambda x, xi: 0.5 * (eye + sym.table(x, xi)), m, batched=True)
+        minus_sym = SymbolField(lambda x, xi: 0.5 * (eye - sym.table(x, xi)), m, batched=True)
     else:
         plus_sym = minus_sym = None
     return mk(sign, sym), mk(p_plus, plus_sym), mk(p_minus, minus_sym)

@@ -53,7 +53,7 @@ def test_frame_flow_orthonormality(model):
         fp = fl.random_frame_point(model, rng)
         out = fl.frame_flow(model, fp, rng.uniform(0.5, 5.0))
         assert geo.orthonormality_residual(model, out) < 1e-10
-        assert geo.is_oriented(model, out)
+        assert geo.is_oriented(out)
 
 
 def test_frame_flow_group_law():

@@ -102,6 +102,25 @@ def test_octagon_pairings_unit_det():
         assert abs((m[0, 0] * w + m[0, 1]) / (m[1, 0] * w + m[1, 1]) - mid[k]) <= 1e-12
 
 
+def test_model_constants_follow_from_the_kind():
+    # a model built from its kind alone has the octagon's own constants
+    bare = geo.ManifoldModel(kind=geo.OCTAGON, dim=2)
+    assert bare.curvature == -1.0
+    assert bare.side_pairings is geo.hyperbolic_octagon().side_pairings
+    assert geo.ManifoldModel(kind=geo.SPHERE, dim=2).curvature == 1.0
+    assert TORUS2.curvature == TORUS3.curvature == 0.0
+    assert TORUS2.side_pairings is SPHERE.side_pairings is None
+    with pytest.raises(TypeError):  # derived, so not settable
+        geo.ManifoldModel(kind=geo.SPHERE, dim=2, curvature=5.0)
+
+
+def test_models_compare_and_hash_by_value():
+    assert geo.flat_torus(2) == geo.flat_torus(2)
+    assert hash(geo.flat_torus(2)) == hash(geo.flat_torus(2))
+    assert geo.flat_torus(2) != geo.flat_torus(2, periods=(1.0, 2.5))
+    assert geo.hyperbolic_octagon() == OCT != SPHERE
+
+
 # ---------------------------------------------------------------------------
 # geodesic flow
 
@@ -699,7 +718,7 @@ def test_frame_residual_and_orientation_are_array_first(model):
     frames = rng.normal(size=(4, 3, n, n))
     batch = geo.FramePoint(point=points, frame=frames)
     residual = geo.orthonormality_residual(model, batch)
-    oriented = geo.is_oriented(model, batch)
+    oriented = geo.is_oriented(batch)
     assert residual.shape == oriented.shape == (4, 3)
     for i in np.ndindex(4, 3):
         one = geo.FramePoint(point=points[i], frame=frames[i])
@@ -707,4 +726,4 @@ def test_frame_residual_and_orientation_are_array_first(model):
         expect = np.abs(frames[i].T @ g @ frames[i] - np.eye(n)).max()
         assert isinstance(geo.orthonormality_residual(model, one), float)
         assert abs(residual[i] - expect) <= 1e-12 * max(1.0, expect)
-        assert geo.is_oriented(model, one) is bool(oriented[i]) is bool(np.linalg.det(frames[i]) > 0)
+        assert geo.is_oriented(one) is bool(oriented[i]) is bool(np.linalg.det(frames[i]) > 0)

@@ -516,15 +516,15 @@ def test_egorov_residual_quantizes_once(shell):
 
 
 def test_egorov_residual_of_a_pushed_symbol():
-    # quantize takes the inner phase per point, the quantized push-forward
-    # in one array operation: equal entries to rounding
-    t, K = 0.6, 10
-    sym = _counted_symbol().pushed(0.35)
-    want, pushed = _two_quantize_residual(sym, t, 4, K)
-    fast = sp._quantized_push(sp.quantize(T2, sym, K), t)
-    assert (fast.indices == pushed.indices).all() and (fast.indptr == pushed.indptr).all()
-    assert np.abs(fast.data - pushed.data).max() <= 1e-15
-    assert abs(lm.egorov_residual(T2, sym, t, 4, K) - want) <= 1e-14
+    # both routes multiply in each push's phase as one array product: the
+    # quantized push-forward and the residual are bit for bit the same
+    for K, t0, t in [(10, 0.35, 0.6), (20, 0.35, 0.6), (10, 0.2, 1.3), (20, 0.2, 1.3)]:
+        sym = _counted_symbol().pushed(t0)
+        want, pushed = _two_quantize_residual(sym, t, 4, K)
+        fast = sp._quantized_push(sp.quantize(T2, sym, K), t)
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(fast, attr).tobytes() == getattr(pushed, attr).tobytes()
+        assert lm.egorov_residual(T2, sym, t, 4, K) == want
 
 
 @pytest.mark.parametrize("K", [10, 20])

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,18 @@ def test_potential_shifts_spectrum():
     _, delta0 = sp.build_laplacian(T2, "functions", 2)
     _, deltac = sp.build_laplacian(T2, "functions", 2, potential=0.7)
     assert np.allclose(deltac.matrix.diagonal(), delta0.matrix.diagonal() + 0.7)
+
+
+def test_laplacian_returns_the_cached_basis():
+    sm, _ = sp.build_laplacian(T2, "functions", 3, potential=0.7)
+    assert sm is sp.basis_for(T2, "functions", 3)
+    # equal models, and p by keyword or by position, share one basis
+    assert sp.basis_for(geo.flat_torus(3), "forms", 2, 1) is sp.basis_for(T3, "forms", 2, p=1)
+
+
+def test_negative_potential_raises():
+    with pytest.raises(ValueError):
+        sp.build_laplacian(T2, "functions", 2, potential=-0.1)
 
 
 def test_torus_form_multiplicity():
@@ -180,7 +193,7 @@ def test_hodge_projections_assemble_each_derivative_once(monkeypatch, model, p, 
 def _codifferential_hodge_projections(model, p, K):
     """P, Q, H composed from `exterior_d` and `codifferential`."""
     sm = sp.basis_for(model, "forms", K, p)
-    dinv_m = scipy.sparse.diags(sp._pinv_diag(sm.lam)[0])
+    dinv_m = scipy.sparse.diags(sp._pinv_diag(sm.lam))
     pmat = qmat = scipy.sparse.csr_matrix((sm.dim, sm.dim), dtype=complex)
     if p < model.dim:
         pmat = (dinv_m @ (sp.codifferential(model, p + 1, K).matrix
@@ -427,6 +440,19 @@ def test_library_symbol_call_is_a_row_of_its_table(model):
         half = len(dirs) // 2
         stacked = sym.table(points.reshape(2, half, -1), dirs.reshape(2, half, -1))
         assert np.abs(stacked.reshape(table.shape) - table).max() <= 1e-15, name
+
+
+@pytest.mark.parametrize("model", TORI[:2], ids=_torus_id)
+def test_halves_of_a_per_point_dirac_symbol_are_batched(model):
+    cl = alg.build_clifford(model.dim)
+    _, D = sp.build_dirac(model, 2)
+    per_point = sp.SymbolField(lambda x, xi: alg.clifford_mult(cl, xi), D.symbol.fiber_dim)
+    halves = sp.sign_and_halves(dataclasses.replace(D, symbol=per_point))[1:]
+    points, dirs, _ = geo.unit_bundle_nodes(model, 4)
+    for half, library in zip(halves, sp.sign_and_halves(D)[1:]):
+        assert half.symbol.batched
+        want = library.symbol.table(points, dirs)
+        assert half.symbol.table(points, dirs).tobytes() == want.tobytes()
 
 
 def test_per_point_symbol_table_rejects_a_wrong_sized_value():
