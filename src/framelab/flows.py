@@ -20,7 +20,9 @@ which keeps block and octagon anchors in group form (so a block may end on
 a pole) and on the octagon advances each sample from an anchor at most one
 geodesic substep back.  Its frames come from one pass of the frame step
 that `frame_flow` uses.  The block's observable table comes from
-`FlowObservable.table`, one evaluator call per sample and trajectory.
+`FlowObservable.table`, one call per sample and trajectory: of the chart
+function of a `scalar_observable` or `position_observable` on the block's
+rows, or of any other evaluator on one frame point.
 
 Orthonormality is an entry condition: `frame_flow` and the block sampler
 Gram-Schmidt, in one batched call, the entering frames whose residual exceeds
@@ -53,7 +55,9 @@ class FlowObservable:
     on fibers; `equivariance_residual` checks this on the table's sample.
 
     The evaluator takes one frame point; `table` is the one entry through
-    which the library's quadratures call it, once per frame point.
+    which the library's quadratures call it, once per frame point.  For
+    `scalar_observable` and `position_observable`, `table` calls the chart
+    function on the point (and frame) rows and builds no `FramePoint`.
     """
 
     evaluator: callable
@@ -63,9 +67,13 @@ class FlowObservable:
     def table(self, points, frames):
         """The observable at the frame points (points (..., n), frames
         (..., n, n)): (..., m, m) complex."""
-        n, m = points.shape[-1], self.fiber_dim
-        return geo._per_node_table(self.evaluator, points.shape[:-1] + (m, m), map(
-            geo.FramePoint, points.reshape(-1, n), frames.reshape(-1, n, n)))
+        n, m, ev = points.shape[-1], self.fiber_dim, self.evaluator
+        shape = points.shape[:-1] + (m, m)
+        points, frames = points.reshape(-1, n), frames.reshape(-1, n, n)
+        if isinstance(ev, _ChartEvaluator):
+            columns = (points, frames) if ev.reads_frame else (points,)
+            return geo._per_node_table(ev.fn, shape, *columns)
+        return geo._per_node_table(ev, shape, map(geo.FramePoint, points, frames))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,14 +91,27 @@ class BirkhoffEstimate:
         return float(np.abs(self.time_average - self.space_average).max())
 
 
+@dataclass(frozen=True)
+class _ChartEvaluator:
+    """Evaluator of a chart function fn(point) or, with `reads_frame`,
+    fn(point, frame): called on one frame point, and on rows by `table`."""
+
+    fn: callable
+    reads_frame: bool
+
+    def __call__(self, fp):
+        return self.fn(fp.point, fp.frame) if self.reads_frame else self.fn(fp.point)
+
+
 def scalar_observable(fn):
-    """Observable from a function of (point, frame)."""
-    return FlowObservable(evaluator=lambda fp: fn(fp.point, fp.frame), fiber_dim=1)
+    """Observable from a function of (point, frame); tables call it on rows."""
+    return FlowObservable(evaluator=_ChartEvaluator(fn, reads_frame=True))
 
 
 def position_observable(fn):
-    """Scalar observable depending on the base point only."""
-    return FlowObservable(evaluator=lambda fp: fn(fp.point), fiber_dim=1)
+    """Scalar observable depending on the base point only; tables call it
+    on point rows."""
+    return FlowObservable(evaluator=_ChartEvaluator(fn, reads_frame=False))
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +393,9 @@ def sample_trajectory(model, obs, fp, horizon, dt):
 def smooth_bump(radius=0.55):
     """Compactly supported mollifier of the euclidean radius (octagon base).
 
-    Written per point: `perfbench`'s `ensemble` and `orbit` ops call its
-    evaluator 4,000 times each, one frame point per call, and array code on
-    one row costs several microseconds more per call than this arithmetic."""
+    Written per point: `perfbench`'s `ensemble` and `orbit` ops call it
+    4,000 times each, on one point row per call, and array code on one row
+    costs several microseconds more per call than this arithmetic."""
 
     def fn(point):
         r2 = (point[0] ** 2 + point[1] ** 2) / (radius * radius)

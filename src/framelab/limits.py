@@ -148,7 +148,7 @@ def evaluate(state, a_op):
         return _evaluate_tracial(state, a_op)
     sm = state.context
     if isinstance(a_op, sp.OperatorMatrix):
-        if a_op.domain.labels != sm.labels:
+        if not sp._same_basis(a_op.domain, sm):
             raise ValueError("observable basis does not match the state context")
         mat = a_op.matrix
     else:
@@ -298,7 +298,7 @@ def negative_order_decay(sm, a_op, shells):
     [shell, 2 shell): the largest expectation against unit states supported in
     the shell.  Plane-wave diagonal maxima are reported alongside.
     """
-    if a_op.domain.labels != sm.labels:
+    if not sp._same_basis(a_op.domain, sm):
         raise ValueError("observable basis does not match")
     rows = []
     for lo in shells:

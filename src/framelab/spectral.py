@@ -189,9 +189,16 @@ def spectral_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
+def _same_basis(a, b):
+    """Whether two spectral models carry the same labels; identity first,
+    since `basis_for` hands out one cached object per basis and comparing
+    label tuples is O(dim)."""
+    return a is b or a.labels == b.labels
+
+
 def compose(a, b):
     """Operator product a @ b with basis-compatibility checking."""
-    if a.domain.labels != b.codomain.labels:
+    if not _same_basis(a.domain, b.codomain):
         raise ValueError("operator factors act on different truncated bases")
     return OperatorMatrix(matrix=(a.matrix @ b.matrix).tocsr(),
                           order=a.order + b.order,

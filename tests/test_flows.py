@@ -341,6 +341,90 @@ def test_product_and_adjoint_tables_are_their_evaluator_rows():
     assert np.array_equal(fl.obs_adjoint(f).evaluator(fps[0]), f.evaluator(fps[0]).conj().T)
 
 
+def _frame_points_built(monkeypatch, call):
+    """call() and the number of frame points it built."""
+    built = []
+
+    class Counting(geo.FramePoint):
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(geo, "FramePoint", Counting)
+        out = call()
+    return out, len(built)
+
+
+def _rows(model, count, seed):
+    """`count` seeded random frame points as one (8, count // 8) block."""
+    rng = np.random.default_rng(seed)
+    block = _stacked([fl.random_frame_point(model, rng) for _ in range(count)])
+    n = model.dim
+    return block.point.reshape(8, -1, n), block.frame.reshape(8, -1, n, n)
+
+
+def _ref_table(obs, points, frames):
+    """The observable's table built one `FramePoint` at a time."""
+    n = points.shape[-1]
+    vals = np.array([_ref_eval(obs, geo.FramePoint(point=p, frame=f))
+                     for p, f in zip(points.reshape(-1, n), frames.reshape(-1, n, n))])
+    return vals.reshape(points.shape[:-1] + vals.shape[1:])
+
+
+_CHART_OBSERVABLES = {
+    "scalar-torus2": (TORUS2, fl.scalar_observable(
+        lambda p, f: np.cos(p[1]) * f[0, 0] - f[1, 0] ** 2)),
+    "scalar-torus3": (TORUS3, fl.scalar_observable(
+        lambda p, f: np.sin(p[2]) * f[0, 1] * f[2, 2] + 1j * f[1, 0])),
+    "position-sphere2": (SPHERE, fl.position_observable(lambda p: np.cos(p[0]) ** 2)),
+    "position-torus2": (TORUS2, fl.position_observable(lambda p: np.cos(p[0]))),
+    "bump-octagon2": (OCT, fl.smooth_bump()),
+    "bump-evaluator-octagon2": (OCT, fl.FlowObservable(evaluator=fl.smooth_bump().evaluator)),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHART_OBSERVABLES))
+def test_chart_observable_table_reads_the_rows(name, monkeypatch):
+    model, obs = _CHART_OBSERVABLES[name]
+    points, frames = _rows(model, 1000, 40)
+    want = _ref_table(obs, points, frames)
+    got, built = _frame_points_built(monkeypatch, lambda: obs.table(points, frames))
+    assert built == 0
+    assert got.shape == want.shape == (8, 125, 1, 1)
+    assert got.tobytes() == want.tobytes()
+    ev = obs.evaluator
+    opaque = fl.FlowObservable(evaluator=lambda fp: ev(fp))
+    got, built = _frame_points_built(monkeypatch, lambda: opaque.table(points, frames))
+    assert built == 1000
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model, res", [(TORUS3, 4), (SPHERE, 8), (OCT, 24)],
+                         ids=["torus3", "sphere2", "octagon2"])
+def test_chart_observable_liouville_average_builds_no_frame_point(model, res, monkeypatch):
+    if model.kind == geo.TORUS:
+        obs = fl.scalar_observable(lambda p, f: np.cos(p[1]) * f[0, 0] - f[1, 0] ** 2)
+    else:
+        obs = fl.smooth_bump(radius=0.9)
+    want = _ref_liouville(model, obs, res)
+    got, built = _frame_points_built(
+        monkeypatch, lambda: fl.liouville_haar_average(model, obs, res))
+    assert built == 0
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_chart_evaluators_take_one_frame_point():
+    fp = fl.random_frame_point(TORUS3, np.random.default_rng(41))
+    fn = lambda p, f: np.cos(p[0]) * f[1, 2]
+    assert fl.scalar_observable(fn).evaluator(fp) == fn(fp.point, fp.frame)
+    assert fl.position_observable(np.sin).evaluator(fp).tobytes() == np.sin(fp.point).tobytes()
+    bump = fl.smooth_bump()
+    oct_fp = geo.FramePoint(point=np.array([0.1, -0.2]), frame=np.eye(2))
+    assert bump.evaluator(oct_fp) == bump.table(oct_fp.point, oct_fp.frame) > 0.5
+    assert fl.obs_product(bump, bump).evaluator(oct_fp) == bump.evaluator(oct_fp) ** 2
+
+
 def test_per_point_observable_table_rejects_a_wrong_sized_value():
     rng = np.random.default_rng(32)
     block = _stacked([fl.random_frame_point(TORUS2, rng) for _ in range(8)])

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -570,6 +571,45 @@ def test_egorov_shell_norm_past_a_stalled_arpack_matches_dense_svd():
     want = np.linalg.norm(sub.toarray(), 2)
     assert abs(sp.spectral_norm(sub) - want) <= 1e-12 * want
     assert abs(lm.egorov_residual(T2, sym, t, 8, K) - want) <= 1e-12 * want
+
+
+# ---------------------------------------------------------------------------
+# negative-order decay
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_resolvent_times_cosine_decays_over_dyadic_shells(axis):
+    sm = sp.basis_for(T2, "functions", 20)
+    r = sp.compose(sp.resolvent_sqrt_inverse(sm), sp.quantize(T2, sp.cosine_symbol(axis), 20))
+    assert r.order == -1
+    report = lm.negative_order_decay(sm, r, (2, 4, 8))
+    assert [s for s, _, _ in report.rows] == [2.0, 4.0, 8.0]
+    for shell, norm, diag_max in report.rows:
+        # the shell compression is (Delta + 1)^{-1/2} <= (s^2 + 1)^{-1/2} times
+        # a compression of multiplication by cos, whose norm is at most 1
+        assert 0.0 < norm <= (shell ** 2 + 1) ** -0.5
+        assert diag_max == 0.0  # cos has no zero Fourier mode
+    assert report.ratios_in()
+    assert not lm.negative_order_decay(sm, r, (1, 2, 4, 8)).ratios_in()
+
+
+def test_basis_checks_take_equal_labels_and_reject_another_basis():
+    sm = sp.basis_for(T2, "functions", 6)
+    a_op = sp.quantize(T2, sp.cosine_symbol(0), 6)
+    twin = dataclasses.replace(sm)
+    assert twin is not sm and twin.labels == sm.labels
+    twin_op = dataclasses.replace(a_op, domain=twin, codomain=twin)
+    state = lm.cesaro_state(sm, 12)
+    assert lm.evaluate(state, twin_op) == lm.evaluate(state, a_op)
+    assert lm.negative_order_decay(sm, twin_op, (2,)) == lm.negative_order_decay(sm, a_op, (2,))
+    assert (sp.compose(twin_op, a_op).matrix != (a_op.matrix @ a_op.matrix)).nnz == 0
+    other = sp.quantize(T2, sp.cosine_symbol(0), 5)
+    with pytest.raises(ValueError):
+        lm.evaluate(state, other)
+    with pytest.raises(ValueError):
+        lm.negative_order_decay(sm, other, (2,))
+    with pytest.raises(ValueError):
+        sp.compose(other, a_op)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 their files.  Each op kind runs once on the inputs its first cycle draws, so a
 wrong output fails here and not only in a benchmark run, and every traced
 target that the library lacks is named, so no deletion zeroes a metric silently.
+The `orbit` and `ensemble` observables must fill their tables from node rows,
+building no frame point.
 """
 
 import importlib
@@ -12,6 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from framelab import flows as fl
+from framelab import geometry as geo
 
 
 def _load(name):
@@ -36,6 +41,27 @@ def test_one_cycle_passes_its_checks(name):
         inputs = kind.inputs(np.random.default_rng([SEED, op_id]))
         out = kind.run(ctx, inputs)
         assert kind.check(ctx, inputs, out) == [], (kind.name, inputs)
+
+
+@pytest.mark.parametrize("name", ["orbit", "ensemble"])
+def test_flow_observables_fill_tables_without_frame_points(name, monkeypatch):
+    # the library's chart observables read node rows; a refactor that sends
+    # them back through one FramePoint per row would fail here
+    ctx = workloads.WORKLOADS[name].setup(lambda label, fn: fn)
+    built = []
+
+    class Counting(geo.FramePoint):
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "FramePoint", Counting)
+    for kind, obs in ctx.obs.items():
+        model = ctx.models.get(kind) or ctx.models["torus2"]  # the witness runs on T^2
+        points, frames, _ = fl.liouville_nodes(model, 4)
+        table = obs.table(points, frames)
+        assert table.shape == (len(points), 1, 1)
+        assert built == [], kind
 
 
 def test_meridian_probe_reads_ok():
