@@ -20,9 +20,11 @@ which keeps block and octagon anchors in group form (so a block may end on
 a pole) and on the octagon advances each sample from an anchor at most one
 geodesic substep back.  Its frames come from one pass of the frame step
 that `frame_flow` uses.  The block's observable table comes from
-`FlowObservable.table`, one call per sample and trajectory: of the chart
-function of a `scalar_observable` or `position_observable` on the block's
-rows, or of any other evaluator on one frame point.
+`FlowObservable.table`: one call of a row observable's function (such as
+`smooth_bump`) on the whole block, and otherwise one call per sample and
+trajectory, of the chart function of a `scalar_observable` or
+`position_observable` on the block's rows, or of any other evaluator on one
+frame point.
 
 Orthonormality is an entry condition: `frame_flow` and the block sampler
 Gram-Schmidt, in one batched call, the entering frames whose residual exceeds
@@ -57,7 +59,10 @@ class FlowObservable:
     The evaluator takes one frame point; `table` is the one entry through
     which the library's quadratures call it, once per frame point.  For
     `scalar_observable` and `position_observable`, `table` calls the chart
-    function on the point (and frame) rows and builds no `FramePoint`.
+    function on the point (and frame) rows and builds no `FramePoint`.  A
+    row observable (`smooth_bump`, and products and adjoints of row
+    observables) has a function of the whole row stack, which `table` calls
+    once per block or chunk.
     """
 
     evaluator: callable
@@ -72,6 +77,8 @@ class FlowObservable:
         points, frames = points.reshape(-1, n), frames.reshape(-1, n, n)
         if isinstance(ev, _ChartEvaluator):
             columns = (points, frames) if ev.reads_frame else (points,)
+            if ev.on_rows:
+                return np.asarray(ev.fn(*columns), dtype=complex).reshape(shape)
             return geo._per_node_table(ev.fn, shape, *columns)
         return geo._per_node_table(ev, shape, map(geo.FramePoint, points, frames))
 
@@ -94,13 +101,25 @@ class BirkhoffEstimate:
 @dataclass(frozen=True)
 class _ChartEvaluator:
     """Evaluator of a chart function fn(point) or, with `reads_frame`,
-    fn(point, frame): called on one frame point, and on rows by `table`."""
+    fn(point, frame): called on one frame point, and on rows by `table`.
+
+    With `on_rows`, fn takes the whole stacks, points (N, n) (and frames
+    (N, n, n)), and returns the N values; one frame point is a batch of one.
+    """
 
     fn: callable
     reads_frame: bool
+    on_rows: bool = False
 
     def __call__(self, fp):
-        return self.fn(fp.point, fp.frame) if self.reads_frame else self.fn(fp.point)
+        columns = (fp.point, fp.frame) if self.reads_frame else (fp.point,)
+        if self.on_rows:
+            return self.fn(*(np.asarray(c)[None] for c in columns))[0]
+        return self.fn(*columns)
+
+
+def _on_rows(ev):
+    return isinstance(ev, _ChartEvaluator) and ev.on_rows
 
 
 def scalar_observable(fn):
@@ -199,22 +218,32 @@ def beta_flow(model, obs, t):
 
 
 def obs_product(f, h):
-    """Pointwise product observable."""
+    """Pointwise product observable; of two scalar row observables, the row
+    observable of the product of their tables."""
     if f.fiber_dim != h.fiber_dim:
         raise ValueError("fiber dimensions differ")
-    if f.fiber_dim == 1:
-        ev = lambda fp: f.evaluator(fp) * h.evaluator(fp)
+    fe, he = f.evaluator, h.evaluator
+    if f.fiber_dim == 1 and _on_rows(fe) and _on_rows(he):
+        ev = _ChartEvaluator(lambda *cols: fe.fn(*cols[:1 + fe.reads_frame])
+                             * he.fn(*cols[:1 + he.reads_frame]),
+                             reads_frame=fe.reads_frame or he.reads_frame, on_rows=True)
+    elif f.fiber_dim == 1:
+        ev = lambda fp: fe(fp) * he(fp)
     else:
-        ev = lambda fp: f.evaluator(fp) @ h.evaluator(fp)
+        ev = lambda fp: fe(fp) @ he(fp)
     return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim)
 
 
 def obs_adjoint(f):
-    """Pointwise adjoint observable."""
-    if f.fiber_dim == 1:
-        ev = lambda fp: np.conj(f.evaluator(fp))
+    """Pointwise adjoint observable; of a scalar row observable, the row
+    observable of the conjugate table."""
+    fe = f.evaluator
+    if f.fiber_dim == 1 and _on_rows(fe):
+        ev = _ChartEvaluator(lambda *cols: np.conj(fe.fn(*cols)), fe.reads_frame, on_rows=True)
+    elif f.fiber_dim == 1:
+        ev = lambda fp: np.conj(fe(fp))
     else:
-        ev = lambda fp: np.asarray(f.evaluator(fp)).conj().T
+        ev = lambda fp: np.asarray(fe(fp)).conj().T
     return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim)
 
 
@@ -243,7 +272,16 @@ def equivariance_residual(model, obs, rng=None):
 def random_frame_point(model, rng):
     """Seeded random frame point, base distributed by the Riemannian measure;
     on the sphere that measure restricted to |cos theta| <= 0.98, away from
-    the chart's poles."""
+    the chart's poles.
+
+    The octagon base point is a rejection draw: candidates uniform in the
+    square [-rho, rho]^2 around the octagon (rho its vertex radius), kept
+    when in the octagon, then with probability (lambda / lambda_max)^2 for
+    the conformal factor lambda.  Candidates are decided on Python floats,
+    with the draws and bits of numpy's uniform(-rho, rho, size=2) and
+    uniform(): every seed gives the frame points and generator state of
+    that loop written on numpy arrays.
+    """
     n = model.dim
     if model.kind == geo.TORUS:
         point = rng.uniform(0, model.periods, size=n)
@@ -256,14 +294,18 @@ def random_frame_point(model, rng):
         c = rng.uniform(-0.98, 0.98)
         point = np.array([np.arccos(c), rng.uniform(0, 2 * np.pi)])
     else:
-        lam_max = 2.0 / (1.0 - geo._OCT_RHO_VERTEX ** 2)
+        rho = geo._OCT_RHO_VERTEX
+        lam_max = 2.0 / (1.0 - rho ** 2)
         while True:
-            xy = rng.uniform(-geo._OCT_RHO_VERTEX, geo._OCT_RHO_VERTEX, size=2)
-            if not geo.octagon_contains(complex(xy[0], xy[1])):
+            # uniform(low, high) is low + (high - low) * random(), bit for bit
+            u, v = rng.random(2).tolist()
+            x, y = -rho + (rho - -rho) * u, -rho + (rho - -rho) * v
+            r2 = x * x + y * y
+            if not _octagon_holds(x, y, r2):
                 continue
-            lam = np.sqrt(geo._metric_diagonal(model, xy)[0])
-            if rng.uniform() < (lam / lam_max) ** 2:
-                point = xy
+            lam = 2.0 / (1.0 - r2)  # the square root of the metric's lambda^2, exactly
+            if rng.random() < (lam / lam_max) ** 2:
+                point = np.array([x, y])
                 break
     a = rng.uniform(0, 2 * np.pi)
     g = geo.metric_at(model, point)
@@ -271,6 +313,25 @@ def random_frame_point(model, rng):
     e1 = np.array([np.cos(a) * scale[0], np.sin(a) * scale[1]])
     e1 /= np.sqrt(e1 @ g @ e1)
     return geo.FramePoint(point=point, frame=geo.frame_completion(model, point, e1))
+
+
+def _octagon_holds(x, y, r2):
+    """`geometry.octagon_contains(complex(x, y))` for Python floats x, y with
+    r2 = x * x + y * y: inside the inscribed disk, outside the unit disk, or
+    by squared distances to the side circles, each with a relative margin of
+    1e-9 (as `geometry._oct_row_substep`); octagon_contains itself decides
+    in the margin."""
+    margin = geo._OCT_ROW_MARGIN
+    if r2 < geo._OCT_ROW_INNER2:
+        return True
+    if r2 > 1.0 + margin:
+        return False
+    least = min([(x - cx) * (x - cx) + (y - cy) * (y - cy) for cx, cy in geo._OCT_ROW_CENTERS])
+    if least < geo._OCT_ROW_EDGE2 * (1.0 - margin):
+        return False
+    if least > geo._OCT_ROW_EDGE2 * (1.0 + margin) and r2 < 1.0 - margin:
+        return True
+    return geo.octagon_contains(complex(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +452,18 @@ def sample_trajectory(model, obs, fp, horizon, dt):
 
 
 def smooth_bump(radius=0.55):
-    """Compactly supported mollifier of the euclidean radius (octagon base).
+    """Compactly supported mollifier of the euclidean radius (octagon base):
+    exp(1 - 1 / (1 - r^2 / radius^2)) inside the radius, 0 from it on.
 
-    Written per point: `perfbench`'s `ensemble` and `orbit` ops call it
-    4,000 times each, on one point row per call, and array code on one row
-    costs several microseconds more per call than this arithmetic."""
+    A row observable: its function takes the point rows (N, 2), so a table
+    is one array expression per block or chunk."""
 
-    def fn(point):
-        r2 = (point[0] ** 2 + point[1] ** 2) / (radius * radius)
-        if r2 >= 1.0:
-            return 0.0
-        return np.exp(1.0 - 1.0 / (1.0 - r2))
+    def fn(points):
+        x, y = points[..., 0], points[..., 1]
+        r2 = (x * x + y * y) / (radius * radius)
+        inside = r2 < 1.0
+        out = np.zeros(r2.shape)
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
+        return out
 
-    return position_observable(fn)
+    return FlowObservable(evaluator=_ChartEvaluator(fn, reads_frame=False, on_rows=True))

@@ -15,6 +15,9 @@
 - `octagon_chart_advance`: the octagon geodesic flow in the disk chart, a
   Mobius step per substep with the speed renormalized at every step and
   every side crossing, against the SU(1,1) flow of `geometry`.
+- `octagon_frame_point`: the octagon's random frame point by a rejection
+  loop on numpy arrays, against the Python-float loop of
+  `flows.random_frame_point`.
 
 None of them imports a private helper of the code it checks.
 """
@@ -296,3 +299,32 @@ def octagon_chart_advance(z, v, t):
         remaining -= h
         if remaining == 0.0:
             return z, v
+
+
+# ---------------------------------------------------------------------------
+# Octagon frame points
+
+_OCT_RHO_VERTEX = 2.0 ** (-0.25)  # euclidean radius of the vertices
+
+
+def octagon_frame_point(model, rng):
+    """A random octagon frame point (point (2,), frame (2, 2)): candidates
+    uniform in the square [-rho, rho]^2 (rho the vertex radius), kept when
+    `octagon_contains` holds, then with probability (lambda / lambda_max)^2
+    for the conformal factor lambda; e_1 at a uniform chart angle, made
+    metric-unit and completed."""
+    rv = _OCT_RHO_VERTEX
+    lam_max = 2.0 / (1.0 - rv ** 2)
+    while True:
+        xy = rng.uniform(-rv, rv, size=2)
+        if not geo.octagon_contains(complex(xy[0], xy[1])):
+            continue
+        lam = np.sqrt(geo.metric_at(model, xy)[0, 0])
+        if rng.uniform() < (lam / lam_max) ** 2:
+            break
+    a = rng.uniform(0, 2 * np.pi)
+    g = geo.metric_at(model, xy)
+    scale = 1.0 / np.sqrt(np.diag(g))
+    e1 = np.array([np.cos(a) * scale[0], np.sin(a) * scale[1]])
+    e1 /= np.sqrt(e1 @ g @ e1)
+    return xy, geo.frame_completion(model, xy, e1)

@@ -1,9 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from framelab import algebra as alg
 from framelab import flows as fl
 from framelab import geometry as geo
@@ -436,6 +440,89 @@ def test_per_point_observable_table_rejects_a_wrong_sized_value():
 
 
 # ---------------------------------------------------------------------------
+# row observables: smooth_bump, its products and adjoints
+
+
+def test_smooth_bump_vanishes_from_the_radius_on_without_warnings():
+    points = np.array([[0.5, 0.0], [0.0, -0.5], [-0.5, 0.0], [0.3, 0.5], [0.0, 2.0],
+                       [-7.0, 3.0], [0.0, 0.5 * (1 - 2.0 ** -52)], [0.0, 0.0]])
+    frames = np.broadcast_to(np.eye(2), (len(points), 2, 2))
+    bump = fl.smooth_bump(radius=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = bump.table(points, frames)[:, 0, 0]
+        one = [bump.evaluator(geo.FramePoint(point=p, frame=np.eye(2))) for p in points]
+    assert (points[0] @ points[0]) / 0.25 == 1.0  # r^2 exactly 1
+    assert np.array_equal(table[:6], np.zeros(6)) and np.array_equal(one[:6], np.zeros(6))
+    assert 0.0 <= table[6].real < 1e-300 and table[7] == 1.0
+
+
+@pytest.mark.parametrize("radius", [0.55, 0.9])
+def test_smooth_bump_is_the_closed_form(radius):
+    points = np.random.default_rng(50).uniform(-1.1 * radius, 1.1 * radius, (100_000, 2))
+    want = []
+    for x, y in points.tolist():
+        r2 = (x ** 2 + y ** 2) / radius ** 2
+        want.append(math.exp(1.0 - 1.0 / (1.0 - r2)) if r2 < 1.0 else 0.0)
+    got = fl.smooth_bump(radius).table(points, np.zeros((len(points), 2, 2)))[:, 0, 0]
+    assert np.count_nonzero(want) > 50_000
+    assert np.abs(got - np.array(want)).max() <= 4e-16
+    assert not got.imag.any()
+
+
+def test_smooth_bump_at_one_frame_point_is_its_one_row_table():
+    rng = np.random.default_rng(51)
+    bump = fl.smooth_bump()
+    fps = [fl.random_frame_point(OCT, rng) for _ in range(40)]
+    assert 0 < sum(bump.evaluator(fp) > 0 for fp in fps) < 40
+    for fp in fps:
+        row = bump.table(fp.point[None], fp.frame[None])
+        assert row.shape == (1, 1, 1)
+        assert np.complex128(bump.evaluator(fp)).tobytes() == row.tobytes()
+
+
+def test_row_observable_tables_use_no_per_point_adapter(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-point adapter called")
+
+    rng = np.random.default_rng(54)
+    fps = [fl.random_frame_point(OCT, rng) for _ in range(3)]
+    bump = fl.smooth_bump()
+    monkeypatch.setattr(geo, "_per_node_table", refuse)
+    monkeypatch.setattr(geo, "_NODE_CHUNK", 1000)
+    for obs in (bump, fl.FlowObservable(evaluator=bump.evaluator), fl.obs_adjoint(bump),
+                fl.obs_product(bump, fl.obs_product(fl.smooth_bump(0.8), bump))):
+        assert 0.0 < fl.liouville_haar_average(OCT, obs, 24)[0, 0].real < 1.0
+        est = fl.birkhoff_average(OCT, obs, fps, 5.0, 0.1, space_average=0.0)
+        assert 0.0 <= est.time_average[0, 0].real <= 1.0
+
+
+_ROW_PAIRS = {
+    "bump-bump": (fl.smooth_bump(), fl.smooth_bump(0.8)),
+    "bump-position": (fl.smooth_bump(), fl.position_observable(lambda p: 1j + p[0])),
+    "position-bump": (fl.position_observable(lambda p: np.cos(p[1])), fl.smooth_bump(0.7)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ROW_PAIRS))
+def test_products_and_adjoints_of_row_observables_are_their_row_products(name, monkeypatch):
+    f, h = _ROW_PAIRS[name]
+    f_rows, h_rows = name.startswith("bump"), name.endswith("bump")
+    points, frames = _rows(OCT, 400, 52)
+    fps = [geo.FramePoint(point=p, frame=fr)
+           for p, fr in zip(points.reshape(-1, 2), frames.reshape(-1, 2, 2))]
+    for obs, ref, rows in (
+            (fl.obs_product(f, h), lambda fp: f.evaluator(fp) * h.evaluator(fp), f_rows and h_rows),
+            (fl.obs_adjoint(f), lambda fp: np.conj(f.evaluator(fp)), f_rows)):
+        want = np.array([ref(fp) for fp in fps], dtype=complex).reshape(8, 50, 1, 1)
+        got, built = _frame_points_built(monkeypatch, lambda: obs.table(points, frames))
+        assert built == (0 if rows else 400)
+        assert got.tobytes() == want.tobytes()
+        for fp, value in zip(fps[:20], want.reshape(-1)):
+            assert np.complex128(obs.evaluator(fp)).tobytes() == value.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Birkhoff averages
 
 
@@ -698,6 +785,103 @@ _ONE = fl.position_observable(lambda p: 1.0)
 def test_sampling_rejects_bad_inputs(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# ---------------------------------------------------------------------------
+# random frame points on the octagon
+
+
+def test_octagon_frame_points_match_the_numpy_rejection_oracle():
+    for seed in range(200):
+        rng, ref_rng = np.random.default_rng([seed, 7]), np.random.default_rng([seed, 7])
+        for _ in range(10):
+            fp = fl.random_frame_point(OCT, rng)
+            point, frame = oracles.octagon_frame_point(OCT, ref_rng)
+            assert fp.point.tobytes() == point.tobytes()
+            assert fp.frame.tobytes() == frame.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_uniform_draws_are_affine_random_draws():
+    # random_frame_point's octagon loop draws random() where the numpy loop
+    # drew uniform(-rho, rho, size=2) and uniform()
+    rho = 2.0 ** (-0.25)
+    a, b = np.random.default_rng(53), np.random.default_rng(53)
+    pairs = a.uniform(-rho, rho, size=(100_000, 2))
+    same = [-rho + (rho - -rho) * u for u in b.random(200_000).tolist()]
+    assert pairs.tobytes() == np.array(same).tobytes()
+    assert a.uniform(size=100_000).tobytes() == b.random(100_000).tobytes()
+    assert [a.uniform() for _ in range(1000)] == [b.random() for _ in range(1000)]
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+class _ScriptedRng:
+    """Unit draws from scripts: random(2) serves the next candidate pair,
+    random() the next scalar; uniform(low, high, size) is
+    low + (high - low) * random(size), as numpy's."""
+
+    def __init__(self, pairs, scalars):
+        self.pairs, self.scalars = list(pairs), list(scalars)
+
+    def random(self, size=None):
+        if size is None:
+            return self.scalars.pop(0)
+        assert size == 2
+        return np.array(self.pairs.pop(0))
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + (high - low) * self.random(size)
+
+
+def _near_circle_candidates():
+    """Unit draws whose octagon candidates lie within 1e-12 of a side circle,
+    of the unit circle and of the inscribed circle, on both sides; those
+    next to a side circle also within 1e-13 of the boundary of
+    `octagon_contains`."""
+    rho = 2.0 ** (-0.25)
+    rho_mid = math.sqrt(math.sqrt(2.0) - 1.0)
+    c = 0.5 * (rho_mid + 1.0 / rho_mid)
+    r = 0.5 * (1.0 / rho_mid - rho_mid)
+    targets = []  # (point, centre, radius)
+    for eps in (-1e-13, -2e-15, 0.0, 2e-15, 1e-13):
+        for k in range(8):
+            centre = c * np.exp(1j * np.pi / 4 * k)
+            for phi in (np.pi - 0.3, np.pi, np.pi + 0.35, np.pi + 0.39):
+                # the side circle and octagon_contains' boundary 1e-14 inside it
+                for radius in (r, r - 1e-14):
+                    targets.append((centre + radius * (1 + eps)
+                                    * np.exp(1j * (np.pi / 4 * k + phi)), centre, r))
+        for ang in (0.0, np.pi / 8, 0.4, 3.0):
+            targets.append((rho_mid * (1 + eps) * np.exp(1j * ang), 0.0, rho_mid))
+        for ang in (0.75, 2.4, -0.8):
+            targets.append(((1 + eps) * np.exp(1j * ang), 0.0, 1.0))
+    out = []
+    for z, centre, radius in targets:
+        z = complex(z)
+        u = [(w + rho) / (rho - -rho) for w in (z.real, z.imag)]
+        x, y = (-rho + (rho - -rho) * w for w in u)
+        if max(abs(x), abs(y)) <= rho:
+            assert abs(abs(complex(x, y) - centre) - radius) < 1e-12
+            out.append((u, complex(x, y)))
+    return out
+
+
+def test_octagon_sampler_decides_near_circles_as_octagon_contains():
+    cases = _near_circle_candidates()
+    kept = []
+    for u, z in cases:
+        # a rejected candidate is followed by the origin; 0.0 accepts any
+        # candidate in the octagon, 0.25 is the direction's draw
+        origin = [0.5, 0.5]
+        for draw in (lambda rng: fl.random_frame_point(OCT, rng).point,
+                     lambda rng: oracles.octagon_frame_point(OCT, rng)[0]):
+            rng = _ScriptedRng([u, origin], [0.0, 0.25])
+            point = draw(rng)
+            assert not rng.scalars
+            kept.append(point.tobytes() == np.array([z.real, z.imag]).tobytes())
+            assert kept[-1] == geo.octagon_contains(z)
+            assert kept[-1] or not point.any()
+    assert len(cases) > 300 and 0 < sum(kept) < len(kept)
 
 
 # ---------------------------------------------------------------------------
