@@ -6,9 +6,11 @@ table: the gamma matrices, or `wedge_table`, the one place that works out an
 exterior-multiplication sign (`spectral`'s torus symbols read it too).
 
 A representation table is a group map, its Lie-algebra map and a seeded
-spot-check sample of generic rotations.  Invariant projections are exact: the
-groups are connected, so the commutant of a representation is the null space
-of the commutators with its Lie-algebra image.
+spot-check sample of generic rotations.  The group maps are array-first: a
+rotation (m, m) is a stack of one, and a table's sample is drawn, and its
+unitaries computed, in one stacked call each.  Invariant projections are
+exact: the groups are connected, so the commutant of a representation is the
+null space of the commutators with its Lie-algebra image.
 """
 
 import itertools
@@ -31,6 +33,8 @@ _NULL_TOL = 1e-8
 # Isotypic clusters: relative eigenvalue gap, and the accepted projection defect.
 _CLUSTER_GAP = 1e-6
 _RESOLVE_TOL = 1e-10
+# Rotations in a table's spot-check sample.
+_SAMPLE_SIZE = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,10 +49,11 @@ class CliffordModel:
 class RepresentationTable:
     """A (possibly projective) unitary representation of SO(group_dim).
 
-    `apply` maps a group element matrix to its representing unitary; `lie`
-    maps an antisymmetric A to d rho(A), with expm(d rho(A)) = apply(expm(A))
-    (up to sign if projective).  `sample` holds (generic rotation, unitary,
-    weight) spot-check triples, weights summing to 1; it is not a quadrature.
+    `apply` takes a matrix or a stack: it maps a group element (m, m), or
+    each of a stack (..., m, m), to its representing unitary; `lie` maps an
+    antisymmetric A to d rho(A), with expm(d rho(A)) = apply(expm(A)) (up to
+    sign if projective).  `sample` holds (generic rotation, unitary, weight)
+    spot-check triples, weights summing to 1; it is not a quadrature.
     """
 
     group: str
@@ -173,30 +178,44 @@ def so_log(r):
 
 
 def spin_lift(cl, r):
-    """Spin group element implementing the rotation r by conjugation.
+    """Spin group elements implementing a rotation r (n, n), or each of a
+    stack (..., n, n), by conjugation.
 
     Satisfies lift(r) gamma_xi lift(r)^{-1} = gamma_{r xi}; the branch is the
-    Clifford exponential of the principal bivector logarithm.
+    Clifford exponential of the principal bivector logarithm.  The logarithms
+    are taken one matrix at a time, the bivectors and exponentials in one
+    stacked call each.
     """
-    return scipy.linalg.expm(_bivector(cl, so_log(r)))
+    r = np.asarray(r, dtype=float)
+    logs = np.stack([so_log(x) for x in r.reshape(-1, *r.shape[-2:])])
+    return scipy.linalg.expm(_bivector(cl, logs.reshape(r.shape)))
 
 
 def _bivector(cl, a):
-    """Spin Lie algebra element 1/4 sum_ij a_ij gamma_i gamma_j of an antisymmetric a."""
+    """Spin Lie algebra element 1/4 sum_ij a_ij gamma_i gamma_j of an
+    antisymmetric a (n, n), or of each of a stack (..., n, n)."""
     g = np.asarray(cl.gammas)
-    return 0.25 * np.einsum("ij,iab,jbc->ac", a, g, g)
+    return 0.25 * np.einsum("...ij,iab,jbc->...ac", a, g, g)
 
 
-def generic_rotations(m, count=24, seed=0):
-    """Seeded generic sample of SO(m) with equal weights (not a Haar rule)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-        out.append((q, 1.0 / count))
-    return out
+def generic_rotations(m, count=_SAMPLE_SIZE, seed=0):
+    """Seeded generic sample of SO(m) with equal weights (not a Haar rule):
+    a list of `count` (rotation, 1/count) pairs.
+
+    The draws are those of `count` successive (m, m) normal draws, each
+    orthonormalized by QR with column 0 flipped where the determinant is
+    negative; one batched QR does them all.
+    """
+    return [(q, 1.0 / count) for q in _rotation_stack(m, count, seed)]
+
+
+def _rotation_stack(m, count, seed):
+    """The rotations of `generic_rotations` as one (count, m, m) array."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(count, m, m)))
+    q[np.linalg.det(q) < 0, :, 0] *= -1
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +276,10 @@ def exterior_rep(n, p):
 
 
 def _table(m, degree, projective, apply, lie):
-    """An SO(m) table with the seeded generic spot-check sample."""
-    sample = tuple((g, apply(g), w) for g, w in generic_rotations(m))
+    """An SO(m) table with the seeded generic spot-check sample, whose
+    unitaries come from one `apply` on the stack of rotations."""
+    gs = _rotation_stack(m, _SAMPLE_SIZE, 0)
+    sample = tuple((g, u, 1.0 / _SAMPLE_SIZE) for g, u in zip(gs, apply(gs)))
     return RepresentationTable(group=f"SO({m})", group_dim=m, degree=degree,
                                sample=sample, projective=projective,
                                apply=apply, lie=lie)
@@ -309,19 +330,20 @@ def conjugate_by(rep_matrix, x):
 
 def table_residuals(rep):
     """Diagnostics: weight sum defect, max non-unitarity, (projective) cocycle
-    defect over 12 seeded pairs of sample elements."""
+    defect over 12 seeded pairs of sample elements, whose products take one
+    stacked `apply`."""
     wsum = sum(w for _, _, w in rep.sample)
-    eye = np.eye(rep.degree)
-    unit = max(np.abs(u.conj().T @ u - eye).max() for _, u, _ in rep.sample)
-    idx = np.random.default_rng(0).integers(0, len(rep.sample), size=(12, 2))
-    coc = 0.0
-    for i, j in idx:
-        g, u, _ = rep.sample[i]
-        h, v, _ = rep.sample[j]
-        prod = rep.apply(g @ h)
-        phase = np.trace(prod.conj().T @ (u @ v)) / rep.degree
-        phase = phase / abs(phase) if rep.projective else 1.0
-        coc = max(coc, np.abs(u @ v - phase * prod).max())
+    gs = np.stack([g for g, _, _ in rep.sample])
+    us = np.stack([u for _, u, _ in rep.sample])
+    unit = np.abs(us.conj().swapaxes(-1, -2) @ us - np.eye(rep.degree)).max()
+    i, j = np.random.default_rng(0).integers(0, len(rep.sample), size=(12, 2)).T
+    prods, uv = rep.apply(gs[i] @ gs[j]), us[i] @ us[j]
+    phase = 1.0
+    if rep.projective:
+        phase = np.trace(prods.conj().swapaxes(-1, -2) @ uv, axis1=-2,
+                         axis2=-1) / rep.degree
+        phase = (phase / abs(phase))[:, None, None]
+    coc = np.abs(uv - phase * prods).max()
     return {"weight_sum": float(abs(wsum - 1.0)), "unitarity": float(unit),
             "cocycle": float(coc)}
 
@@ -339,6 +361,11 @@ def isotypic_projections(rep, seed=0):
     split by eigenspaces into projections; commuting with every sampled
     unitary checks the Lie map against the group map.
     """
+    return _projections(rep, seed)[0]
+
+
+def _projections(rep, seed):
+    """`isotypic_projections` and their `commutation_residual`."""
     m, k = rep.group_dim, rep.degree
     eye = np.eye(k)
     gram = np.zeros((k * k, k * k))
@@ -371,10 +398,11 @@ def isotypic_projections(rep, seed=0):
     total = sum(p.projector for p in projs)
     if np.abs(total - eye).max() > _RESOLVE_TOL:
         raise ResolutionError("projections do not resolve the identity")
-    if commutation_residual(rep, projs) > _RESOLVE_TOL:
+    residual = commutation_residual(rep, projs)
+    if residual > _RESOLVE_TOL:
         raise ResolutionError("projection fails to commute with the sampled "
                               "representation; its Lie map disagrees with its group map")
-    return projs
+    return projs, residual
 
 
 def commutation_residual(rep, projs):
@@ -401,7 +429,7 @@ def pascal_split_check(ranks, n, p):
 @lru_cache(maxsize=16)
 def _branching(n, p, seed):
     rep = restrict_to_stabilizer(exterior_rep(n, p))
-    projs = isotypic_projections(rep, seed=seed)
+    projs, residual = _projections(rep, seed)
     ranks = [pr.dimension for pr in projs]
     return {
         "n": n,
@@ -409,7 +437,7 @@ def _branching(n, p, seed):
         "components": [{"label": pr.label, "rank": pr.dimension} for pr in projs],
         "ranks": ranks,
         "pascal_split_ok": pascal_split_check(ranks, n, p),
-        "commutant_residual": commutation_residual(rep, projs),
+        "commutant_residual": residual,
         "identity_residual": float(np.abs(sum(pr.projector for pr in projs)
                                           - np.eye(rep.degree)).max()),
     }, tuple(projs)

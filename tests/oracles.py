@@ -18,6 +18,10 @@
 - `octagon_frame_point`: the octagon's random frame point by a rejection
   loop on numpy arrays, against the Python-float loop of
   `flows.random_frame_point`.
+- `generic_rotations_per_draw` and `table_residuals_per_pair`: the seeded
+  generic rotations, one draw and one QR at a time, and a table's
+  diagnostics, one cocycle pair at a time, against the stacked forms of
+  `algebra`.
 
 None of them imports a private helper of the code it checks.
 """
@@ -63,6 +67,39 @@ def haar_sample(m):
                 out.append((_so4_from_quaternions(u, v), wu * wv))
         return out
     raise ValueError(f"no Haar quadrature for SO({m})")
+
+
+def generic_rotations_per_draw(m, count, seed):
+    """`count` successive normal (m, m) draws, each orthonormalized by QR with
+    column 0 flipped where the determinant is negative, weights 1/count."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        out.append((q, 1.0 / count))
+    return out
+
+
+def table_residuals_per_pair(rep):
+    """Weight sum defect, max non-unitarity and (projective) cocycle defect of
+    a representation table, over the same 12 seeded sample pairs as
+    `algebra.table_residuals`, one `apply` per pair."""
+    wsum = sum(w for _, _, w in rep.sample)
+    eye = np.eye(rep.degree)
+    unit = max(np.abs(u.conj().T @ u - eye).max() for _, u, _ in rep.sample)
+    idx = np.random.default_rng(0).integers(0, len(rep.sample), size=(12, 2))
+    coc = 0.0
+    for i, j in idx:
+        g, u, _ = rep.sample[i]
+        h, v, _ = rep.sample[j]
+        prod = rep.apply(g @ h)
+        phase = np.trace(prod.conj().T @ (u @ v)) / rep.degree
+        phase = phase / abs(phase) if rep.projective else 1.0
+        coc = max(coc, np.abs(u @ v - phase * prod).max())
+    return {"weight_sum": float(abs(wsum - 1.0)), "unitarity": float(unit),
+            "cocycle": float(coc)}
 
 
 def _rot2(a):

@@ -132,6 +132,37 @@ def test_spin_lift_half_angle():
     assert np.abs(s - expect).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_spin_lift_of_a_stack_is_each_lift_bitwise(n):
+    cl = alg.build_clifford(n)
+    rs = np.stack([g for g, _ in alg.generic_rotations(n, count=6, seed=n)])
+    rs = rs.reshape(2, 3, n, n)
+    stack = alg.spin_lift(cl, rs)
+    assert stack.shape == (2, 3) + cl.gammas.shape[1:]
+    for idx in np.ndindex(2, 3):
+        assert stack[idx].tobytes() == alg.spin_lift(cl, rs[idx]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# generic rotations
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_generic_rotations_are_the_per_draw_loop_bitwise(m):
+    for count, seed in itertools.product((1, 5, 24), (0, 2, 7)):
+        got = alg.generic_rotations(m, count=count, seed=seed)
+        ref = oracles.generic_rotations_per_draw(m, count, seed)
+        assert len(got) == count
+        for (g, w), (q, v) in zip(got, ref):
+            assert g.shape == (m, m) and g.tobytes() == q.tobytes() and w == v
+
+
+@pytest.mark.parametrize("count", [0, -1, -24])
+def test_generic_rotations_reject_an_empty_sample(count):
+    with pytest.raises(ValueError):
+        alg.generic_rotations(3, count=count)
+
+
 # ---------------------------------------------------------------------------
 # Haar quadratures
 
@@ -257,17 +288,65 @@ def test_conjugation_rep_table():
     assert res["cocycle"] < 1e-10
 
 
-def _lie_tables():
-    for n in range(2, 6):
+def _tables(exterior_dims, conjugation_dims):
+    for n in exterior_dims:
         for p in range(n + 1):
             ext = alg.exterior_rep(n, p)
             yield pytest.param(ext, id=f"exterior-{n}-{p}")
             yield pytest.param(alg.restrict_to_stabilizer(ext), id=f"restricted-{n}-{p}")
-    for n in range(3, 7):
+    for n in conjugation_dims:
         yield pytest.param(alg.conjugation_rep(alg.build_clifford(n)), id=f"conjugation-{n}")
 
 
-@pytest.mark.parametrize("rep", _lie_tables())
+@pytest.mark.parametrize("rep", _tables(range(2, 7), range(3, 7)))
+def test_table_sample_unitaries_are_each_apply_bitwise(rep):
+    assert len(rep.sample) == 24
+    for g, u, w in rep.sample:
+        assert u.tobytes() == rep.apply(g).tobytes() and w == 1.0 / 24
+
+
+@pytest.mark.parametrize("rep", _tables(range(2, 7), range(3, 7)))
+def test_table_residuals_are_the_per_pair_loop(rep):
+    assert alg.table_residuals(rep) == oracles.table_residuals_per_pair(rep)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("build", [
+    lambda: alg.exterior_rep(5, 2),
+    lambda: alg.conjugation_rep(alg.build_clifford(5)),
+], ids=["exterior", "conjugation"])
+def test_building_a_table_takes_one_qr(monkeypatch, build):
+    calls = _counting(monkeypatch, np.linalg, "qr")
+    build()
+    assert len(calls) == 1
+
+
+def test_restricting_a_table_takes_one_qr(monkeypatch):
+    ext = alg.exterior_rep(5, 2)
+    calls = _counting(monkeypatch, np.linalg, "qr")
+    alg.restrict_to_stabilizer(ext)
+    assert len(calls) == 1
+
+
+def test_conjugation_table_takes_one_spin_lift(monkeypatch):
+    cl = alg.build_clifford(5)
+    calls = _counting(monkeypatch, alg, "spin_lift")
+    rep = alg.conjugation_rep(cl)
+    assert len(calls) == 1 and len(rep.sample) == 24
+
+
+@pytest.mark.parametrize("rep", _tables(range(2, 6), range(3, 7)))
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_lie_map_integrates_to_group_map(rep, data):
@@ -415,6 +494,14 @@ def test_branching_pascal_split(n, p):
     assert rep["commutant_residual"] < 1e-10
     from math import comb
     assert sum(rep["ranks"]) == comb(n, p)
+
+
+@pytest.mark.parametrize("n,p", [(3, 1), (4, 2), (5, 2), (6, 3)])
+def test_branching_residual_is_the_projections_commutation_residual(n, p):
+    rep = alg.restrict_to_stabilizer(alg.exterior_rep(n, p))
+    projs = alg.branching_projections(n, p, seed=5)
+    report = alg.branching_report(n, p, seed=5)
+    assert report["commutant_residual"] == alg.commutation_residual(rep, projs)
 
 
 def test_pascal_split_check_logic():
