@@ -6,18 +6,17 @@ P + Q + H = 1, sign(D)^2 = 1 - ker hold to rounding rather than to a
 discretization error.  Operators are stored as sparse matrices over the
 canonical basis ordering (ascending eigenvalue, then lexicographic label).
 
-Assembly is array-first.  Every basis keeps, next to its labels, the integer
-mode and fiber component of each canonical position and the canonical
-position of each element in enumeration order, so an operator's rows,
-columns and values come from numpy over the whole basis and a small table per
-(fiber component, direction).  User callbacks are still called one point at
-a time: a coefficient function in `quantize` once per label, and the `fn` of
-`sphere_multiplication` once per quadrature node.
-
-On tori d, the Hodge and helicity symbols and the Dirac symbol all come from
-`algebra`'s exterior table and gamma matrices.  Sphere multipliers integrate
-with `geometry._sphere_rule`, which separates: an FFT in phi at each polar
-node, then one real matmul over the polar nodes per order m.
+Assembly is array-first.  Every basis keeps the integer mode and fiber
+component of each canonical position and the canonical position of each
+element in enumeration order, so d and the Hodge star come from numpy over
+the whole basis and `algebra`'s exterior table.  The helicity operator, the
+Dirac operator and its sign and halves are each a torus `multiplier`: the
+block of mode k is |kappa_k|^order times the symbol at kappa_k / |kappa_k|,
+from one batched symbol call.  Sphere multipliers integrate with
+`geometry._sphere_rule`: an FFT in phi at each polar node, then one real
+matmul over the polar nodes per order m.  User callbacks are still called one
+point at a time: a coefficient function in `quantize` once per label, and
+the `fn` of `sphere_multiplication` once per quadrature node.
 """
 
 import itertools
@@ -353,16 +352,6 @@ def build_laplacian(model, bundle, K, potential=0.0, p=None):
     return sm, OperatorMatrix(matrix=mat, order=2, domain=sm, symbol=sym)
 
 
-def laplacian_diagonal(op):
-    """Diagonal of a diagonal operator; raises if off-diagonal mass exists."""
-    m = op.matrix.tocsr()
-    d = m.diagonal()
-    off = m - scipy.sparse.diags(d)
-    if frob(off) > 1e-12 * max(1.0, float(np.abs(d).max())):
-        raise ValueError("operator is not diagonal in the canonical basis")
-    return d.real
-
-
 # ---------------------------------------------------------------------------
 # Exterior calculus
 
@@ -463,13 +452,13 @@ def hodge_star(model, p, K):
     return OperatorMatrix(matrix=mat, order=0, domain=dom, codomain=cod)
 
 
-def _pinv_diag(vals, power=-1.0):
-    """vals ** power, and 0 on the kernel (relative to max(vals.max(), 1))."""
+def _pinv_diag(vals):
+    """1 / vals, and 0 on the kernel (relative to max(vals.max(), 1))."""
     vals = np.asarray(vals, dtype=float)
     scale = vals.max() if vals.size else 1.0
     out = np.zeros_like(vals)
     keep = vals > _KERNEL_RELATIVE * max(scale, 1.0)
-    out[keep] = vals[keep] ** power
+    out[keep] = vals[keep] ** -1.0
     return out
 
 
@@ -506,6 +495,43 @@ def hodge_projections(model, p, K):
     return mk(pmat, psym), mk(qmat, qsym), mk(hmat, None)
 
 
+# ---------------------------------------------------------------------------
+# Fourier multipliers on tori: helicity, Dirac, sign and halves
+
+
+@lru_cache(maxsize=None)
+def _multiplier_pattern(sm):
+    """Unit covectors xi_k and eigenvalues |kappa_k|^2 of the modes k != 0 of
+    a torus basis, a base point per mode, and the CSR indices and indptr of
+    their dense fiber blocks.  Canonical order sorts by eigenvalue, mode, then
+    component, so the zero mode comes first and each mode fills a run."""
+    m, dim = sm.fiber_dim, sm.dim
+    xi = _unit_covectors(sm)[m::m]
+    indices = np.repeat(np.arange(m, dim, dtype=np.int32).reshape(-1, m), m, axis=0)
+    indptr = np.maximum(np.arange(dim + 1, dtype=np.int32) - m, 0) * m
+    return tuple(map(_frozen, (xi, np.zeros_like(xi), sm.lam[m::m], indices.ravel(), indptr)))
+
+
+def multiplier(sm, symbol, order):
+    """The operator |kappa_k|^order symbol(kappa_k / |kappa_k|) on each mode
+    k != 0 of a torus basis, with the zero mode in its kernel.
+
+    `symbol` is a `SymbolField` of the basis' fiber rank that does not depend
+    on the point; one table call covers every mode, and exact zeros are not
+    stored.  Other bases raise `CapabilityError`, other ranks `ValueError`."""
+    if sm.model.kind != geo.TORUS:
+        raise CapabilityError("Fourier multipliers live on torus bases")
+    if symbol.fiber_dim != sm.fiber_dim:
+        raise ValueError("symbol fiber rank does not match the basis")
+    xi, origin, lam, indices, indptr = _multiplier_pattern(sm)
+    data = symbol.table(origin, xi) * (lam ** (order / 2))[:, None, None]
+    # own index arrays: pruning in place must not reach the shared pattern
+    mat = scipy.sparse.csr_matrix((data.ravel(), indices.copy(), indptr.copy()),
+                                  shape=(sm.dim, sm.dim))
+    mat.eliminate_zeros()
+    return OperatorMatrix(matrix=mat, order=order, domain=sm, symbol=symbol)
+
+
 @lru_cache(maxsize=None)
 def _helicity_table():
     """i star eps_j on the 1-forms of T^3, stacked over j and flattened."""
@@ -523,70 +549,42 @@ def helicity_symbol(point, xi):
 
 
 def helicity_R(model, K):
-    """Polarization operator on 1-forms over T^3.
-
-    Normalized so its square is the co-exact projection: the inverse square
-    root of Delta_1 composed with (star d).  Eigenvalues on each co-exact
-    Fourier shell are exactly +-1.
-    """
+    """Polarization operator on 1-forms over T^3, the order-0 `multiplier` of
+    `helicity_symbol`: Delta^{-1/2} star d, whose square is the co-exact
+    projection and whose eigenvalues on co-exact shells are exactly +-1."""
     if model.kind != geo.TORUS or model.dim != 3:
         raise CapabilityError("the polarization operator lives on T^3, p = 1")
-    sm = basis_for(model, "forms", K, 1)
-    d1 = exterior_d(model, 1, K)
-    star2 = hodge_star(model, 2, K)
-    dinv_sqrt = scipy.sparse.diags(_pinv_diag(sm.lam, power=-0.5))
-    mat = (dinv_sqrt @ (star2.matrix @ d1.matrix)).tocsr()
     sym = SymbolField(evaluator=helicity_symbol, fiber_dim=3, batched=True)
-    return OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=sym)
-
-
-# ---------------------------------------------------------------------------
-# Dirac operators
+    return multiplier(basis_for(model, "forms", K, 1), sym, 0)
 
 
 def build_dirac(model, K):
-    """Flat Dirac operator on the trivial spin bundle of T^2 or T^3.
-
-    Block gamma . kappa per Fourier mode; the square is the spinor Laplacian.
-    """
+    """Flat Dirac operator on the trivial spin bundle of T^2 or T^3, the
+    order-1 `multiplier` of Clifford multiplication (gamma . kappa per mode),
+    whose square is the spinor Laplacian."""
     if model.kind != geo.TORUS or model.dim not in (2, 3):
         raise CapabilityError("Dirac models exist on flat tori of dim 2, 3")
     sm = basis_for(model, "spinors", K)
     cl = alg.build_clifford(model.dim)
-    d = sm.fiber_dim
-    # row a of the block gamma . kappa of each element's mode, a its spinor index
-    block_rows = np.einsum("ij,jib->ib", _dual(model, sm.modes),
-                           cl.gammas[:, sm.components, :])
-    rows, b = np.nonzero(block_rows)
-    cols = _locate(sm, sm.modes[rows], b)
-    mat = _sparse(rows, cols, block_rows[rows, b], (sm.dim, sm.dim))
-    sym = SymbolField(evaluator=lambda x, xi: alg.clifford_mult(cl, xi), fiber_dim=d,
-                      batched=True)
-    return sm, OperatorMatrix(matrix=mat, order=1, domain=sm, symbol=sym)
+    sym = SymbolField(evaluator=lambda x, xi: alg.clifford_mult(cl, xi),
+                      fiber_dim=sm.fiber_dim, batched=True)
+    return sm, multiplier(sm, sym, 1)
 
 
 def sign_and_halves(d_op):
-    """sign(D) by spectral calculus plus the half projections (1 +- sign)/2.
-
-    Requires D^2 diagonal in the canonical basis (true for the flat Dirac
-    models); sign vanishes on ker D, so P+ + P- = 1 - kernel projection.
-    """
-    sq = (d_op.matrix @ d_op.matrix).tocsr()
-    diag = laplacian_diagonal(OperatorMatrix(matrix=sq, order=2, domain=d_op.domain))
-    sign = (d_op.matrix @ scipy.sparse.diags(_pinv_diag(diag, power=-0.5))).tocsr()
-    sgn2 = (sign @ sign).tocsr()
-    p_plus = (0.5 * (sgn2 + sign)).tocsr()
-    p_minus = (0.5 * (sgn2 - sign)).tocsr()
+    """sign(D) and the halves (1 +- sign(D))/2 of D = multiplier(sm, s, 1):
+    the order-0 multipliers of s and (1 +- s)/2, read from D's symbol s, not
+    its matrix, with s(xi)^2 = 1 (Clifford multiplication).  They vanish on
+    the zero mode, so P+ + P- = 1 - kernel projection.  A D without a symbol
+    raises `ValueError`."""
     sym = d_op.symbol
-    sm = d_op.domain
-    mk = lambda mat, s: OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=s)
-    if sym is not None:  # batched halves on sym's table, whatever its convention
-        m, eye = sym.fiber_dim, np.eye(sym.fiber_dim)
-        plus_sym = SymbolField(lambda x, xi: 0.5 * (eye + sym.table(x, xi)), m, batched=True)
-        minus_sym = SymbolField(lambda x, xi: 0.5 * (eye - sym.table(x, xi)), m, batched=True)
-    else:
-        plus_sym = minus_sym = None
-    return mk(sign, sym), mk(p_plus, plus_sym), mk(p_minus, minus_sym)
+    if sym is None:
+        raise ValueError("sign_and_halves needs the symbol of D")
+    m, eye = sym.fiber_dim, np.eye(sym.fiber_dim)
+    # batched halves on sym's table, whatever its convention
+    plus_sym = SymbolField(lambda x, xi: 0.5 * (eye + sym.table(x, xi)), m, batched=True)
+    minus_sym = SymbolField(lambda x, xi: 0.5 * (eye - sym.table(x, xi)), m, batched=True)
+    return tuple(multiplier(d_op.domain, s, 0) for s in (sym, plus_sym, minus_sym))
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,20 @@
   generic rotations, one draw and one QR at a time, and a table's
   diagnostics, one cocycle pair at a time, against the stacked forms of
   `algebra`.
+- `helicity_chain`, `dirac_einsum` and `sign_and_halves_through_square`: the
+  torus helicity operator as the sparse chain Delta^{-1/2} star d, the Dirac
+  operator from gamma . kappa rows, and its sign and halves through the
+  diagonal of D^2, against the Fourier multipliers of `spectral`.
 
 None of them imports a private helper of the code it checks.
 """
 
 import numpy as np
+import scipy.sparse
 
+from framelab import algebra as alg
 from framelab import geometry as geo
+from framelab import spectral as sp
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +372,49 @@ def octagon_frame_point(model, rng):
     e1 = np.array([np.cos(a) * scale[0], np.sin(a) * scale[1]])
     e1 /= np.sqrt(e1 @ g @ e1)
     return xy, geo.frame_completion(model, xy, e1)
+
+
+# ---------------------------------------------------------------------------
+# Torus operators as sparse product chains
+
+
+def _inverse_sqrt(vals):
+    """vals ** -0.5, and 0 on the kernel (relative to max(vals.max(), 1))."""
+    out = np.zeros_like(vals)
+    keep = vals > 1e-10 * max(vals.max(), 1.0)
+    out[keep] = vals[keep] ** -0.5
+    return out
+
+
+def helicity_chain(model, K):
+    """Delta^{-1/2} star d on the 1-forms of T^3, one sparse product after
+    another."""
+    sm = sp.basis_for(model, "forms", K, 1)
+    star_d = sp.hodge_star(model, 2, K).matrix @ sp.exterior_d(model, 1, K).matrix
+    return (scipy.sparse.diags(_inverse_sqrt(sm.lam)) @ star_d).tocsr()
+
+
+def dirac_einsum(model, K):
+    """The flat Dirac operator on T^2 or T^3: row a of each element's mode
+    block gamma . kappa, kappa = 2 pi k / period, a the element's spinor
+    index, with every nonzero entry placed by its label."""
+    sm = sp.basis_for(model, "spinors", K)
+    gammas = alg.build_clifford(model.dim).gammas
+    kappa = 2.0 * np.pi * np.asarray(sm.modes, dtype=float) / np.asarray(model.periods)
+    block_rows = np.einsum("ij,jib->ib", kappa, gammas[:, sm.components, :])
+    rows, b = np.nonzero(block_rows)
+    cols = [sm.index["s", tuple(k), c] for k, c in zip(sm.modes[rows].tolist(), b.tolist())]
+    return scipy.sparse.csr_matrix((block_rows[rows, b], (rows, cols)),
+                                   shape=(sm.dim, sm.dim), dtype=complex)
+
+
+def sign_and_halves_through_square(d):
+    """sign(D) = D |D|^{-1} from the diagonal of D^2 (`ValueError` if D^2 is
+    not diagonal), and the halves (sign^2 +- sign)/2, all sparse products."""
+    sq = (d @ d).tocsr()
+    diag = sq.diagonal()
+    if abs(sq - scipy.sparse.diags(diag)).max() > 1e-12 * max(1.0, abs(diag).max()):
+        raise ValueError("D^2 is not diagonal in the canonical basis")
+    sign = (d @ scipy.sparse.diags(_inverse_sqrt(diag.real))).tocsr()
+    sign2 = (sign @ sign).tocsr()
+    return sign, (0.5 * (sign2 + sign)).tocsr(), (0.5 * (sign2 - sign)).tocsr()

@@ -7,6 +7,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.special import sph_harm_y
 
+import oracles
 from framelab import CapabilityError
 from framelab import algebra as alg
 from framelab import geometry as geo
@@ -464,6 +465,80 @@ def test_per_point_symbol_table_rejects_a_wrong_sized_value():
         sp.SymbolField(lambda x, xi: xi[0], 2).table(points, dirs)
     with pytest.raises(ValueError):
         sp.SymbolField(lambda x, xi: np.eye(3), 2).table(points, dirs)
+
+
+# ---------------------------------------------------------------------------
+# Fourier multipliers against the product chains they replace
+
+
+def _assert_csr_bytes_equal(a, b):
+    for attr in ("data", "indices", "indptr"):
+        x, y = getattr(a, attr), getattr(b, attr)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("model", TORI, ids=_torus_id)
+def test_multipliers_match_the_product_chain_oracles(model):
+    K = 4
+    _, D = sp.build_dirac(model, K)
+    ref_d = oracles.dirac_einsum(model, K)
+    pairs = [(D, ref_d)] + list(zip(sp.sign_and_halves(D),
+                                    oracles.sign_and_halves_through_square(ref_d)))
+    if model.dim == 3:
+        pairs.append((sp.helicity_R(model, K), oracles.helicity_chain(model, K)))
+    for op, ref in pairs:
+        assert op.matrix.nnz == ref.nnz
+        assert abs(op.matrix - ref).max() <= 1e-15 * abs(ref).max()
+
+
+@pytest.mark.parametrize("model", TORI, ids=_torus_id)
+def test_hodge_projections_are_the_multipliers_of_their_symbols(model):
+    # the chains store exact zeros that the symbols round to ~1e-16, so the
+    # patterns may differ; the entries of these projections agree to 1e-15
+    for p in range(model.dim + 1):
+        for op in sp.hodge_projections(model, p, 3)[:2]:
+            got = sp.multiplier(op.domain, op.symbol, 0).matrix
+            assert abs(got - op.matrix).max() <= 1e-15
+
+
+@pytest.mark.parametrize("model", TORI, ids=_torus_id)
+def test_identity_multiplier_of_order_two_is_the_laplacian(model):
+    for bundle, p in (("functions", None), ("forms", 1), ("spinors", None)):
+        sm, lap = sp.build_laplacian(model, bundle, 3, p=p)
+        got = sp.multiplier(sm, lap.symbol, 2)
+        assert got.order == 2 and got.symbol is lap.symbol
+        want = scipy.sparse.diags(sm.lam).tocsr().astype(complex)
+        assert want.nnz == sm.dim - sm.fiber_dim
+        _assert_csr_bytes_equal(got.matrix, want)
+
+
+def test_multiplier_rejects_sphere_bases_and_other_fiber_ranks():
+    _, lap = sp.build_laplacian(S2, "functions", 3)
+    with pytest.raises(CapabilityError):
+        sp.multiplier(lap.domain, lap.symbol, 2)
+    _, D = sp.build_dirac(T3, 2)
+    with pytest.raises(ValueError, match="fiber rank"):
+        sp.multiplier(sp.basis_for(T3, "forms", 2, 1), D.symbol, 1)
+
+
+def test_sign_and_halves_without_a_symbol_raises():
+    _, D = sp.build_dirac(T2, 2)
+    with pytest.raises(ValueError, match="symbol"):
+        sp.sign_and_halves(dataclasses.replace(D, symbol=None))
+
+
+def test_a_multiplier_pruned_in_place_leaves_later_builds_intact():
+    def build():
+        _, D = sp.build_dirac(T3, 2)
+        return [D.matrix] + [op.matrix for op in sp.sign_and_halves(D)]
+
+    before = build()
+    edited = sp.build_dirac(T3, 2)[1].matrix
+    edited.data[:] = 0
+    edited.eliminate_zeros()
+    assert edited.nnz == 0
+    for old, new in zip(before, build()):
+        _assert_csr_bytes_equal(new, old)
 
 
 # ---------------------------------------------------------------------------
