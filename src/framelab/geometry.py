@@ -27,7 +27,7 @@ The package's one quadrature rule on the unit tangent bundle
 `spectral`), oriented frame completion (`frame_completion`) and chunked node
 contraction (`_node_average`) live here; the Liouville-Haar averages of
 `flows` and the tracial states of `limits` integrate with them.  `holonomy`
-carries a vector around a polygon with `parallel_transport`.
+sums turning angles after one group-form flow of every polygon edge.
 """
 
 import math
@@ -56,9 +56,10 @@ class ManifoldModel:
     ------
     kind : one of "flat_torus", "sphere", "octagon"
     dim : chart dimension n
-    periods : tuple of n positive reals (tori only)
+    periods : n finite positive reals, kept as a tuple of floats (tori only)
 
-    `curvature` and `side_pairings` are derived from the kind.
+    `curvature` and `side_pairings` are derived from the kind; invalid fields
+    raise `ValueError`.
     """
 
     kind: str
@@ -69,11 +70,13 @@ class ManifoldModel:
         if self.kind == TORUS:
             if self.dim not in (2, 3):
                 raise ValueError(f"flat torus supports dim 2 or 3, got {self.dim}")
-            if len(self.periods) != self.dim or min(self.periods) <= 0:
-                raise ValueError("torus needs one positive period per dimension")
+            per = np.asarray(() if self.periods is None else self.periods, dtype=float)
+            if per.shape != (self.dim,) or not (np.isfinite(per) & (per > 0)).all():
+                raise ValueError("torus needs one finite positive period per dimension")
+            object.__setattr__(self, "periods", tuple(per.tolist()))  # hashable, equal by value
         elif self.kind in (SPHERE, OCTAGON):
-            if self.dim != 2:
-                raise ValueError(f"{self.kind} is two-dimensional")
+            if self.dim != 2 or self.periods is not None:
+                raise ValueError(f"{self.kind} is two-dimensional and takes no periods")
         else:
             raise ValueError(f"unknown manifold kind {self.kind!r}")
 
@@ -111,9 +114,7 @@ class FramePoint:
 
 def flat_torus(dim=2, periods=None):
     """Flat torus with the given periods (default 2*pi in each coordinate)."""
-    if periods is None:
-        periods = (2.0 * np.pi,) * dim
-    return ManifoldModel(kind=TORUS, dim=dim, periods=tuple(float(p) for p in periods))
+    return ManifoldModel(TORUS, dim, (2.0 * np.pi,) * dim if periods is None else periods)
 
 
 def round_sphere():
@@ -544,64 +545,52 @@ def parallel_transport(model, state, t, w):
 # Holonomy
 
 
-def _connect(model, a, b):
-    """Unit-speed chart state at vertex a heading along the geodesic edge
-    a -> b, and the edge's length."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if model.kind == TORUS:
-        per = np.asarray(model.periods)
-        d = (b - a) % per
-        d = np.where(d > 0.5 * per, d - per, d)
-        length = np.linalg.norm(d)
-    elif model.kind == SPHERE:
-        x, y = _lift(model, np.stack([a, b]), np.zeros((2, 2)))[0]
-        c = np.clip(x @ y, -1.0, 1.0)
-        length = np.arccos(c)
-        if length > np.pi - 1e-12:
-            raise ValueError("antipodal polygon edge")
-        d = _view(model, (x, y - c * x)).velocity  # the edge direction at a
-        if not np.isfinite(d).all():
-            raise ValueError("polygon vertex within 1e-13 of a pole")
-    else:
-        za, zb = complex(a[0], a[1]), complex(b[0], b[1])
-        q = (zb - za) / (1.0 - np.conj(za) * zb)  # b after the isometry taking a to 0
-        length = 2.0 * np.arctanh(abs(q))
-        d = np.array([q.real, q.imag])
-    if length < 1e-12:
-        raise ValueError("degenerate polygon: repeated vertices")
-    return unit_speed(model, a, d), length
-
-
 def holonomy(model, vertices):
-    """Rotation angle of parallel transport around a closed geodesic polygon.
-
-    The polygon is the list of vertices traversed in order (the closing edge
-    back to the first vertex is implied).  A vector leaves the first vertex
-    along the first edge, is carried along every edge by
-    `parallel_transport`, and the angle is read in the first edge's
-    completed frame.  It equals curvature * enclosed area, modulo 2*pi, with
-    the sign of the traversal orientation.
-
-    Vertices are chart points: theta in (0, pi) on the sphere and points of
-    the fundamental domain on the octagon; a vertex outside the chart (on a
-    pole, or outside the octagon) raises `ValueError`, and so does a sphere
-    vertex within 1e-13 of a pole, where the chart has no directions.
-    """
-    m = len(vertices)
-    if m < 3:
+    """Rotation angle of parallel transport around the closed geodesic polygon
+    through the chart points `vertices` (m, n), in order: curvature * enclosed
+    area modulo 2*pi, in (-pi, pi], signed by the orientation (Gauss-Bonnet);
+    0.0 on tori.  Each edge leaves its vertex along a closed form (the tangent
+    part of the chord on the sphere, the Mobius image (b - a) / (1 - conj(a) b)
+    on the octagon) and flows by its length in group form, all edges at once
+    (an SO(3) rotation; an SU(1,1) boost in the disk, never re-entering the
+    octagon); the angle is minus the sum of the turning angles at the
+    vertices.  `ValueError`: under 3 vertices, a vertex outside the chart or
+    within 1e-13 of a sphere pole, an edge shorter than 1e-12, an antipodal
+    sphere edge."""
+    p = np.asarray(vertices, dtype=float)
+    if len(p) < 3:
         raise ValueError("polygon needs at least 3 vertices")
-    for v in vertices:
-        metric_at(model, v)  # raises outside the chart
-    edges = [_connect(model, vertices[i], vertices[(i + 1) % m]) for i in range(m)]
+    _check_chart(model, p)
+    if model.kind == TORUS:
+        d = (np.roll(p, -1, axis=0) - p) % np.asarray(model.periods)
+        length = np.linalg.norm(np.minimum(d, model.periods - d), axis=-1)
+    elif model.kind == SPHERE:
+        if (np.sin(p[:, 0]) < 1e-13).any():
+            raise ValueError("polygon vertex within 1e-13 of a pole")
+        x = _lift(model, p, np.zeros_like(p))[0]
+        c = (x * np.roll(x, -1, axis=0)).sum(axis=-1)
+        chord = np.roll(x, -1, axis=0) - c[:, None] * x  # along the edge, of size sin(length)
+        length = np.arctan2(np.linalg.norm(chord, axis=-1), c)
+        if (length > np.pi - 1e-12).any():
+            raise ValueError("antipodal polygon edge")
+    else:
+        z = p[:, 0] + 1j * p[:, 1]
+        w = np.roll(z, -1)
+        q = (w - z) / (1.0 - np.conj(z) * w)  # w after the isometry taking z to 0
+        length = 2.0 * np.arctanh(np.abs(q))
+    if (length < 1e-12).any():
+        raise ValueError("degenerate polygon: repeated vertices")
     if model.kind == TORUS:
         return 0.0  # flat: parallel transport is the identity
-    first = edges[0][0]
-    w = first.velocity
-    for state, length in edges:
-        w = parallel_transport(model, state, length, w)
-    frame = frame_completion(model, first.point, first.velocity)
-    c = frame.T @ metric_at(model, first.point) @ w
-    return float(np.arctan2(c[1], c[0]))
+    if model.kind == SPHERE:  # incoming directions flowed to each vertex, turned ambiently
+        u = np.roll(_flow(model, (x, chord / np.sin(length)[:, None]), length)[1], 1, axis=0)
+        turning = np.arctan2((x * np.cross(u, chord)).sum(axis=-1), (u * chord).sum(axis=-1))
+    else:  # the same in the disk: boosts, without `_flow`'s re-entry into the octagon
+        a, b, _ = _lift(model, p, np.column_stack([q.real, q.imag]))
+        half = 0.5 * length[:, None]  # the boost of a unit-speed edge
+        a = np.roll(_oct_boost(a, b, np.cosh(half), np.sinh(half))[0][:, 0], 1)
+        turning = np.angle(q * np.conj(a) ** 2)  # the direction of (a, b) is a^2 / |a|^4
+    return float(np.angle(np.exp(-1j * turning.sum())))
 
 
 # ---------------------------------------------------------------------------

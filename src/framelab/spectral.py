@@ -505,6 +505,8 @@ def _multiplier_pattern(sm):
     a torus basis, a base point per mode, and the CSR indices and indptr of
     their dense fiber blocks.  Canonical order sorts by eigenvalue, mode, then
     component, so the zero mode comes first and each mode fills a run."""
+    if sm.model.kind != geo.TORUS:
+        raise CapabilityError("Fourier multipliers live on torus bases")
     m, dim = sm.fiber_dim, sm.dim
     xi = _unit_covectors(sm)[m::m]
     indices = np.repeat(np.arange(m, dim, dtype=np.int32).reshape(-1, m), m, axis=0)
@@ -519,15 +521,19 @@ def multiplier(sm, symbol, order):
     `symbol` is a `SymbolField` of the basis' fiber rank that does not depend
     on the point; one table call covers every mode, and exact zeros are not
     stored.  Other bases raise `CapabilityError`, other ranks `ValueError`."""
-    if sm.model.kind != geo.TORUS:
-        raise CapabilityError("Fourier multipliers live on torus bases")
+    xi, origin = _multiplier_pattern(sm)[:2]
     if symbol.fiber_dim != sm.fiber_dim:
         raise ValueError("symbol fiber rank does not match the basis")
-    xi, origin, lam, indices, indptr = _multiplier_pattern(sm)
-    data = symbol.table(origin, xi) * (lam ** (order / 2))[:, None, None]
-    # own index arrays: pruning in place must not reach the shared pattern
-    mat = scipy.sparse.csr_matrix((data.ravel(), indices.copy(), indptr.copy()),
-                                  shape=(sm.dim, sm.dim))
+    return _place(sm, symbol.table(origin, xi), order, symbol)
+
+
+def _place(sm, blocks, order, symbol):
+    """`multiplier` from the table `blocks` of its symbol over the modes."""
+    lam, indices, indptr = _multiplier_pattern(sm)[2:]
+    if order:
+        blocks = blocks * (lam ** (order / 2))[:, None, None]
+    # copied: pruning in place must reach neither the shared pattern nor blocks
+    mat = scipy.sparse.csr_matrix((blocks.ravel(), indices, indptr), (sm.dim,) * 2, copy=True)
     mat.eliminate_zeros()
     return OperatorMatrix(matrix=mat, order=order, domain=sm, symbol=symbol)
 
@@ -573,18 +579,20 @@ def build_dirac(model, K):
 
 def sign_and_halves(d_op):
     """sign(D) and the halves (1 +- sign(D))/2 of D = multiplier(sm, s, 1):
-    the order-0 multipliers of s and (1 +- s)/2, read from D's symbol s, not
-    its matrix, with s(xi)^2 = 1 (Clifford multiplication).  They vanish on
-    the zero mode, so P+ + P- = 1 - kernel projection.  A D without a symbol
-    raises `ValueError`."""
-    sym = d_op.symbol
+    the order-0 multipliers of s and (1 +- s)/2, all from one table of D's
+    symbol s, not its matrix, with s(xi)^2 = 1 (Clifford multiplication).
+    They vanish on the zero mode, so P+ + P- = 1 - kernel projection.  A D
+    without a symbol raises `ValueError`."""
+    sym, sm = d_op.symbol, d_op.domain
     if sym is None:
         raise ValueError("sign_and_halves needs the symbol of D")
-    m, eye = sym.fiber_dim, np.eye(sym.fiber_dim)
+    xi, origin = _multiplier_pattern(sm)[:2]
+    s, m, eye = sym.table(origin, xi), sym.fiber_dim, np.eye(sym.fiber_dim)
     # batched halves on sym's table, whatever its convention
     plus_sym = SymbolField(lambda x, xi: 0.5 * (eye + sym.table(x, xi)), m, batched=True)
     minus_sym = SymbolField(lambda x, xi: 0.5 * (eye - sym.table(x, xi)), m, batched=True)
-    return tuple(multiplier(d_op.domain, s, 0) for s in (sym, plus_sym, minus_sym))
+    return (_place(sm, s, 0, sym), _place(sm, 0.5 * (eye + s), 0, plus_sym),
+            _place(sm, 0.5 * (eye - s), 0, minus_sym))
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +666,15 @@ def direction_symbol(fn, dim=2):
     return TrigSymbol(terms={(0,) * dim: fn}, dim=dim)
 
 
+@lru_cache(maxsize=None)
 def _unit_covectors(sm):
     """Unit covector kappa / |kappa| of each mode of a torus basis, (dim, n),
-    with |kappa|^2 = lam as np.linalg.norm computes it; 0 at the zero mode."""
+    with |kappa|^2 = lam as np.linalg.norm computes it; 0 at the zero mode.
+    Read-only, once per basis."""
     live = sm.modes.any(axis=1)
     xi = _dual(sm.model, sm.modes)
     xi[live] /= np.sqrt(sm.lam[live])[:, None]
-    return xi
+    return _frozen(xi)
 
 
 def quantize(model, symbol, K):

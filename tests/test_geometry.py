@@ -11,6 +11,7 @@ import oracles
 from framelab import ResolutionError
 from framelab import flows as fl
 from framelab import geometry as geo
+from framelab import spectral
 
 
 TORUS2 = geo.flat_torus(2)
@@ -119,6 +120,28 @@ def test_models_compare_and_hash_by_value():
     assert hash(geo.flat_torus(2)) == hash(geo.flat_torus(2))
     assert geo.flat_torus(2) != geo.flat_torus(2, periods=(1.0, 2.5))
     assert geo.hyperbolic_octagon() == OCT != SPHERE
+
+
+@pytest.mark.parametrize("kind,dim,periods", [
+    (geo.TORUS, 2, None), (geo.TORUS, 2, (1.0,)), (geo.TORUS, 2, (1.0, 0.0)),
+    (geo.TORUS, 2, (1.0, float("nan"))), (geo.TORUS, 3, (1.0, float("inf"), 2.0)),
+    (geo.TORUS, 2, (-1.0, 2.0)), (geo.TORUS, 2, 3.0), (geo.TORUS, 2, [[1.0], [2.0]]),
+    (geo.SPHERE, 2, (1.0, 1.0)), (geo.OCTAGON, 2, ()),
+], ids=["torus-none", "torus-short", "torus-zero", "torus-nan", "torus-inf",
+        "torus-negative", "torus-scalar", "torus-nested", "sphere-periods", "octagon-periods"])
+def test_model_rejects_bad_periods(kind, dim, periods):
+    with pytest.raises(ValueError):
+        geo.ManifoldModel(kind=kind, dim=dim, periods=periods)
+
+
+def test_model_periods_are_a_tuple_of_floats():
+    # a list or array of periods gives the same hashable model as flat_torus
+    listed = geo.ManifoldModel(kind=geo.TORUS, dim=2, periods=[1, 2.5])
+    assert listed.periods == (1.0, 2.5) and type(listed.periods[0]) is float
+    assert listed == geo.flat_torus(2, periods=np.array([1.0, 2.5]))
+    assert hash(listed) == hash(geo.flat_torus(2, periods=(1.0, 2.5)))
+    assert spectral.basis_for(listed, "functions", 2) is spectral.basis_for(
+        geo.flat_torus(2, periods=(1.0, 2.5)), "functions", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +682,67 @@ def test_holonomy_is_curvature_times_area(model, polygon, data):
     area = oracles.geodesic_polygon_area(model, poly)
     hol = geo.holonomy(model, poly)
     assert abs((hol - model.curvature * area + np.pi) % (2 * np.pi) - np.pi) < 1e-6
+
+
+def _seeded_sphere_triangle(rng):
+    # `_sphere_triangle`'s law: one vertex at theta in [1e-9, 1e-3]
+    th0, ph0, ph1 = 10.0 ** rng.uniform(-9.0, -3.0), rng.uniform(0, 2 * np.pi), rng.uniform(0, 1.5)
+    return [[th0, ph0], [rng.uniform(0.3, 1.4), ph1],
+            [rng.uniform(0.3, 1.4), ph1 + rng.uniform(0.3, 2.0)]]
+
+
+def _seeded_octagon_quadrilateral(rng):
+    # `_octagon_quadrilateral`'s law: radius <= 0.6
+    ang = rng.uniform(0, 2 * np.pi) + np.cumsum([0.0] + list(rng.uniform(0.2, 1.4, size=3)))
+    rad = rng.uniform(0.1, 0.6, size=4)
+    return [[r * np.cos(a), r * np.sin(a)] for r, a in zip(rad, ang)]
+
+
+@pytest.mark.parametrize("model,polygon", [(SPHERE, _seeded_sphere_triangle),
+                                           (OCT, _seeded_octagon_quadrilateral)],
+                         ids=["sphere-near-pole", "octagon"])
+def test_holonomy_matches_the_area_oracle_to_1e_13(model, polygon):
+    # the group-form edge flow keeps full precision a hair from a sphere pole,
+    # where a chart round trip per edge lost up to 1.2e-7
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        poly = polygon(rng)
+        area = oracles.geodesic_polygon_area(model, poly)
+        hol = geo.holonomy(model, poly)
+        assert abs((hol - model.curvature * area + np.pi) % (2 * np.pi) - np.pi) <= 1e-13
+
+
+@pytest.mark.parametrize("outside", [0.0, 1e-12, 1e-10])
+def test_holonomy_with_vertices_on_the_octagon_boundary(outside):
+    # vertices on a side, or just past it within the chart's 1e-9 margin: no
+    # edge may be re-entered through a side pairing, which turned the
+    # incoming direction and shifted the holonomy by about 0.1
+    rng = np.random.default_rng(3)
+    for side in range(8):
+        centre = geo._OCT_CENTERS[side]
+        z = centre - (geo._OCT_CIRCLE_R - outside) * centre / abs(centre) * np.exp(
+            1j * rng.uniform(-0.1, 0.1, size=2))
+        poly = [[z[0].real, z[0].imag], [0.1, 0.3], [-0.2, -0.1], [z[1].real, z[1].imag]]
+        area = oracles.geodesic_polygon_area(OCT, poly)
+        hol = geo.holonomy(OCT, poly)
+        assert abs((hol + area + np.pi) % (2 * np.pi) - np.pi) <= 1e-13
+
+
+@pytest.mark.parametrize("model,poly", [
+    (SPHERE, [[np.pi / 2, 0.0], [np.pi / 2, np.pi], [0.5, 1.0]]),
+    (SPHERE, [[0.5, 0.3], [0.5, 0.3], [1.0, 1.0]]),
+    (SPHERE, [[0.5, 0.3], [1.0, 1.0], [0.5, 0.3]]),
+    (OCT, [[0.3, 0.0], [0.3, 0.0], [0.1, 0.35]]),
+    (OCT, [[0.3, 0.0], [0.1, 0.35], [0.3, 0.0]]),
+    (TORUS2, [[0.1, 0.1], [1.0, 0.2]]),
+    (SPHERE, [[0.5, 0.3], [1.0, 1.0]]),
+    (OCT, [[0.3, 0.0], [0.1, 0.35]]),
+], ids=["sphere-antipodal-edge", "sphere-repeated", "sphere-closing-repeated",
+        "octagon-repeated", "octagon-closing-repeated", "torus-two-vertices",
+        "sphere-two-vertices", "octagon-two-vertices"])
+def test_holonomy_rejects_degenerate_polygons(model, poly):
+    with pytest.raises(ValueError):
+        geo.holonomy(model, poly)
 
 
 def test_holonomy_rejects_vertices_outside_the_chart():

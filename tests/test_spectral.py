@@ -527,6 +527,35 @@ def test_sign_and_halves_without_a_symbol_raises():
         sp.sign_and_halves(dataclasses.replace(D, symbol=None))
 
 
+@pytest.mark.parametrize("model", [T2, T3], ids=["T2", "T3"])
+def test_sign_and_halves_read_one_table_of_the_symbol(model):
+    # S and both halves from one evaluation of D's symbol; the halves keep
+    # the symbols (1 +- s)/2
+    _, D = sp.build_dirac(model, 3)
+    calls = []
+
+    def counted(x, xi):
+        calls.append(xi.shape)
+        return D.symbol.evaluator(x, xi)
+
+    sym = sp.SymbolField(counted, D.symbol.fiber_dim, batched=True)
+    S, plus, minus = sp.sign_and_halves(dataclasses.replace(D, symbol=sym))
+    assert len(calls) == 1
+    assert S.symbol is sym
+    xi = np.eye(model.dim)
+    s = D.symbol.table(np.zeros_like(xi), xi)
+    eye = np.eye(D.symbol.fiber_dim)
+    assert np.array_equal(plus.symbol.table(np.zeros_like(xi), xi), 0.5 * (eye + s))
+    assert np.array_equal(minus.symbol.table(np.zeros_like(xi), xi), 0.5 * (eye - s))
+
+
+def test_unit_covectors_are_one_read_only_table_per_basis():
+    sm = sp.basis_for(T2, "functions", 4)
+    xi = sp._unit_covectors(sm)
+    assert sp._unit_covectors(sm) is xi and not xi.flags.writeable
+    assert np.shares_memory(sp._multiplier_pattern(sm)[0], xi)
+
+
 def test_a_multiplier_pruned_in_place_leaves_later_builds_intact():
     def build():
         _, D = sp.build_dirac(T3, 2)
