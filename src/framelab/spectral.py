@@ -9,14 +9,15 @@ canonical basis ordering (ascending eigenvalue, then lexicographic label).
 Assembly is array-first.  Every basis keeps the integer mode and fiber
 component of each canonical position and the canonical position of each
 element in enumeration order, so d and the Hodge star come from numpy over
-the whole basis and `algebra`'s exterior table.  The helicity operator, the
-Dirac operator and its sign and halves are each a torus `multiplier`: the
-block of mode k is |kappa_k|^order times the symbol at kappa_k / |kappa_k|,
-from one batched symbol call.  Sphere multipliers integrate with
-`geometry._sphere_rule`: an FFT in phi at each polar node, then one real
-matmul over the polar nodes per order m.  User callbacks are still called one
-point at a time: a coefficient function in `quantize` once per label, and
-the `fn` of `sphere_multiplication` once per quadrature node.
+the whole basis and `algebra`'s exterior table.  The co-exact and exact
+Hodge projections, the helicity operator, the Dirac operator and its sign and
+halves are each a torus `multiplier`: the block of mode k is |kappa_k|^order
+times the symbol at kappa_k / |kappa_k|, from one batched symbol call.
+Sphere multipliers integrate with `geometry._sphere_rule`: an FFT in phi at
+each polar node, then one real matmul over the polar nodes per order m.
+User callbacks are still called one point at a time: a coefficient function
+in `quantize` once per label, and the `fn` of `sphere_multiplication` once
+per quadrature node.
 """
 
 import itertools
@@ -465,12 +466,29 @@ def _pinv_diag(vals):
 def hodge_projections(model, p, K):
     """Spectral projections (P, Q, H) onto co-exact, exact, harmonic p-forms.
 
-    P = pinv(Delta) delta d, Q = pinv(Delta) d delta, H = 1 - P - Q; the
-    pseudo-inverse vanishes on the kernel of Delta.  Each d is assembled once
-    and each delta taken as its conjugate transpose d^H (the canonical basis
-    is orthonormal), which is the matrix `codifferential` returns.
+    On a torus P and Q are the order-0 `multiplier`s of iota_xi xi ^ =
+    E_p^H E_p and xi ^ iota_xi = E_(p-1) E_(p-1)^H, E_q = xi ^ . on q-forms
+    (`algebra.exterior_mult`), and H is the identity on the zero mode, each
+    exact per mode.  On the sphere P = pinv(Delta) delta d, Q = pinv(Delta)
+    d delta and H = 1 - P - Q, with each d assembled once and delta = d^H
+    (the canonical basis is orthonormal); sphere projections carry no symbol.
     """
     sm = basis_for(model, "forms", K, p)
+    mk = lambda mat, sym: OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=sym)
+    if model.kind == geo.TORUS:
+        def coexact(x, xi):  # the projection onto iota_xi Lambda^(p+1)
+            e = alg.exterior_mult(xi, p)
+            return e.swapaxes(-1, -2) @ e
+
+        def exact(x, xi):  # the projection onto xi ^ Lambda^(p-1)
+            e = alg.exterior_mult(xi, p - 1)
+            return e @ e.swapaxes(-1, -2)
+
+        zero = np.flatnonzero(~sm.modes.any(axis=1))
+        hmat = _sparse(zero, zero, np.ones(zero.size), (sm.dim, sm.dim))
+        return (multiplier(sm, SymbolField(coexact, sm.fiber_dim, batched=True), 0),
+                multiplier(sm, SymbolField(exact, sm.fiber_dim, batched=True), 0),
+                mk(hmat, None))
     dinv_m = scipy.sparse.diags(_pinv_diag(sm.lam))
     pmat = qmat = scipy.sparse.csr_matrix((sm.dim, sm.dim), dtype=complex)
     if p < model.dim:
@@ -480,23 +498,11 @@ def hodge_projections(model, p, K):
         d = exterior_d(model, p - 1, K).matrix
         qmat = (dinv_m @ (d @ d.conj().T.tocsr())).tocsr()
     hmat = (scipy.sparse.identity(sm.dim, dtype=complex) - pmat - qmat).tocsr()
-    mk = lambda mat, sym: OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=sym)
-    if model.kind == geo.TORUS:
-        eye = np.eye(sm.fiber_dim)
-
-        def exact(x, xi):  # E E^T, E = xi ^ . : the projection onto xi ^ Lambda^(p-1)
-            e = alg.exterior_mult(xi, p - 1)
-            return e @ e.swapaxes(-1, -2)
-
-        psym = SymbolField(lambda x, xi: eye - exact(x, xi), sm.fiber_dim, batched=True)
-        qsym = SymbolField(exact, sm.fiber_dim, batched=True)
-    else:
-        psym = qsym = None
-    return mk(pmat, psym), mk(qmat, qsym), mk(hmat, None)
+    return mk(pmat, None), mk(qmat, None), mk(hmat, None)
 
 
 # ---------------------------------------------------------------------------
-# Fourier multipliers on tori: helicity, Dirac, sign and halves
+# Fourier multipliers on tori: Hodge, helicity, Dirac, sign and halves
 
 
 @lru_cache(maxsize=None)

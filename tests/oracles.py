@@ -22,10 +22,13 @@
   generic rotations, one draw and one QR at a time, and a table's
   diagnostics, one cocycle pair at a time, against the stacked forms of
   `algebra`.
-- `helicity_chain`, `dirac_einsum` and `sign_and_halves_through_square`: the
-  torus helicity operator as the sparse chain Delta^{-1/2} star d, the Dirac
-  operator from gamma . kappa rows, and its sign and halves through the
-  diagonal of D^2, against the Fourier multipliers of `spectral`.
+- `helicity_chain`, `hodge_chain`, `dirac_einsum` and
+  `sign_and_halves_through_square`: the torus helicity operator as the
+  sparse chain Delta^{-1/2} star d, the Hodge projections as
+  pinv(Delta) delta d and pinv(Delta) d delta, the Dirac operator from
+  gamma . kappa rows, and its sign and halves through the diagonal of D^2,
+  against the Fourier multipliers of `spectral` (and, on the sphere, the
+  Hodge projections bit for bit).
 
 None of them imports a private helper of the code it checks.
 """
@@ -375,14 +378,14 @@ def octagon_frame_point(model, rng):
 
 
 # ---------------------------------------------------------------------------
-# Torus operators as sparse product chains
+# Operators as sparse product chains
 
 
-def _inverse_sqrt(vals):
-    """vals ** -0.5, and 0 on the kernel (relative to max(vals.max(), 1))."""
+def _pseudo_power(vals, exponent):
+    """vals ** exponent, and 0 on the kernel (relative to max(vals.max(), 1))."""
     out = np.zeros_like(vals)
     keep = vals > 1e-10 * max(vals.max(), 1.0)
-    out[keep] = vals[keep] ** -0.5
+    out[keep] = vals[keep] ** exponent
     return out
 
 
@@ -391,7 +394,24 @@ def helicity_chain(model, K):
     another."""
     sm = sp.basis_for(model, "forms", K, 1)
     star_d = sp.hodge_star(model, 2, K).matrix @ sp.exterior_d(model, 1, K).matrix
-    return (scipy.sparse.diags(_inverse_sqrt(sm.lam)) @ star_d).tocsr()
+    return (scipy.sparse.diags(_pseudo_power(sm.lam, -0.5)) @ star_d).tocsr()
+
+
+def hodge_chain(model, p, K):
+    """The Hodge projections (P, Q, H) on p-forms as sparse products:
+    P = pinv(Delta) delta d, Q = pinv(Delta) d delta with delta from
+    `codifferential`, and H = 1 - P - Q."""
+    sm = sp.basis_for(model, "forms", K, p)
+    dinv = scipy.sparse.diags(_pseudo_power(sm.lam, -1.0))
+    pmat = qmat = scipy.sparse.csr_matrix((sm.dim, sm.dim), dtype=complex)
+    if p < model.dim:
+        pmat = (dinv @ (sp.codifferential(model, p + 1, K).matrix
+                        @ sp.exterior_d(model, p, K).matrix)).tocsr()
+    if p > 0:
+        qmat = (dinv @ (sp.exterior_d(model, p - 1, K).matrix
+                        @ sp.codifferential(model, p, K).matrix)).tocsr()
+    hmat = (scipy.sparse.identity(sm.dim, dtype=complex) - pmat - qmat).tocsr()
+    return pmat, qmat, hmat
 
 
 def dirac_einsum(model, K):
@@ -415,6 +435,6 @@ def sign_and_halves_through_square(d):
     diag = sq.diagonal()
     if abs(sq - scipy.sparse.diags(diag)).max() > 1e-12 * max(1.0, abs(diag).max()):
         raise ValueError("D^2 is not diagonal in the canonical basis")
-    sign = (d @ scipy.sparse.diags(_inverse_sqrt(diag.real))).tocsr()
+    sign = (d @ scipy.sparse.diags(_pseudo_power(diag.real, -0.5))).tocsr()
     sign2 = (sign @ sign).tocsr()
     return sign, (0.5 * (sign2 + sign)).tocsr(), (0.5 * (sign2 - sign)).tocsr()

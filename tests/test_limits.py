@@ -380,6 +380,19 @@ def test_quantum_variance_deviations_match_dense_expectations():
         lm.quantum_variance(sm, a_op, P, len(sections) + 1, limit_value=0.25)
 
 
+@pytest.mark.parametrize("K", [2, 3, 6])
+def test_coexact_variance_of_helicity_and_exact_projection_is_rounding(K):
+    # a guard, not a pin of the sections: inside a degenerate block the
+    # eigenvectors depend on P's last bits, and the deviations with them
+    P, Q, _ = sp.hodge_projections(T3, 1, K)
+    n = round(P.matrix.diagonal().real.sum())
+    for a_op in (sp.helicity_R(T3, K), Q):
+        report = lm.quantum_variance(P.domain, a_op, P, n, limit_value=0.0)
+        assert report.n == n
+        assert report.variance <= 1e-24
+        assert np.abs(report.deviations).max() <= 1e-12
+
+
 def test_quantum_variance_component_value_from_symbols():
     # tr(P R) = 0 and tr(P P) = tr(P) on the symbols: omega_P(R + s P) = s
     P, sections = _coexact_sections(3)

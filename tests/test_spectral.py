@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -18,6 +19,12 @@ from framelab import spectral as sp
 T2 = geo.flat_torus(2)
 T3 = geo.flat_torus(3)
 S2 = geo.round_sphere()
+T3_STRETCHED = geo.flat_torus(3, periods=(1.0, 2.5, 7.0))
+TORI = [T2, T3, T3_STRETCHED]
+
+
+def _torus_id(model):
+    return f"T{model.dim}" + ("" if len(set(model.periods)) == 1 else "-stretched")
 
 
 def eye_res(m):
@@ -159,7 +166,10 @@ def test_delta_on_functions_is_zero_map():
 
 
 @pytest.mark.parametrize("model,K,p", [(T2, 4, 0), (T2, 4, 1), (T3, 2, 1),
-                                       (S2, 8, 0), (S2, 8, 1), (S2, 8, 2)])
+                                       (S2, 8, 0), (S2, 8, 1), (S2, 8, 2),
+                                       (T3, 2, 0), (T3, 2, 2), (T3, 2, 3),
+                                       (T3_STRETCHED, 2, 0), (T3_STRETCHED, 2, 1),
+                                       (T3_STRETCHED, 2, 2), (T3_STRETCHED, 2, 3)])
 def test_hodge_projection_identities(model, K, p):
     P, Q, H = sp.hodge_projections(model, p, K)
     sm = P.domain
@@ -175,8 +185,8 @@ def test_hodge_projection_identities(model, K, p):
     assert sp.frob(H.matrix @ delta) <= 1e-10
 
 
-@pytest.mark.parametrize("model,p,want", [(T3, 1, 2), (T3, 0, 1), (T3, 3, 1),
-                                          (T2, 1, 2), (S2, 0, 1), (S2, 2, 1)],
+@pytest.mark.parametrize("model,p,want", [(T3, 1, 0), (T3, 0, 0), (T3, 3, 0),
+                                          (T2, 1, 0), (S2, 0, 1), (S2, 2, 1)],
                          ids=["T3-p1", "T3-p0", "T3-p3", "T2-p1", "S2-p0", "S2-p2"])
 def test_hodge_projections_assemble_each_derivative_once(monkeypatch, model, p, want):
     calls, exterior_d = [], sp.exterior_d
@@ -191,31 +201,63 @@ def test_hodge_projections_assemble_each_derivative_once(monkeypatch, model, p, 
     assert len(set(calls)) == want
 
 
-def _codifferential_hodge_projections(model, p, K):
-    """P, Q, H composed from `exterior_d` and `codifferential`."""
-    sm = sp.basis_for(model, "forms", K, p)
-    dinv_m = scipy.sparse.diags(sp._pinv_diag(sm.lam))
-    pmat = qmat = scipy.sparse.csr_matrix((sm.dim, sm.dim), dtype=complex)
-    if p < model.dim:
-        pmat = (dinv_m @ (sp.codifferential(model, p + 1, K).matrix
-                          @ sp.exterior_d(model, p, K).matrix)).tocsr()
-    if p > 0:
-        qmat = (dinv_m @ (sp.exterior_d(model, p - 1, K).matrix
-                          @ sp.codifferential(model, p, K).matrix)).tocsr()
-    hmat = (scipy.sparse.identity(sm.dim, dtype=complex) - pmat - qmat).tocsr()
-    return pmat, qmat, hmat
+def _zero_mode_identity(sm):
+    """The projection onto the zero mode of a torus basis, as CSR."""
+    mat = scipy.sparse.diags((~sm.modes.any(axis=1)).astype(complex)).tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
-@pytest.mark.parametrize("model,K", [(T2, 4), (geo.flat_torus(3, periods=(1.0, 2.5, 7.0)), 2),
-                                     (S2, 6)], ids=["T2", "T3-periods", "S2"])
+def _assert_csr_bytes_equal(a, b):
+    for attr in ("data", "indices", "indptr"):
+        x, y = getattr(a, attr), getattr(b, attr)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("model,K", [(T2, 4), (T3_STRETCHED, 2), (S2, 6)],
+                         ids=["T2", "T3-periods", "S2"])
 def test_hodge_projections_match_codifferential_construction_bitwise(model, K):
+    # the sphere keeps the chain bit for bit; on tori P and Q are multipliers
+    # with the chain's pattern, and H is the exact zero-mode projection
     for p in range(model.dim + 1):
         got = sp.hodge_projections(model, p, K)
-        for op, want in zip(got, _codifferential_hodge_projections(model, p, K)):
-            assert op.matrix.shape == want.shape
-            for attr in ("data", "indices", "indptr"):
-                a, b = getattr(op.matrix, attr), getattr(want, attr)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        want = oracles.hodge_chain(model, p, K)
+        if model.kind != geo.TORUS:
+            for op, ref in zip(got, want):
+                assert op.matrix.shape == ref.shape
+                _assert_csr_bytes_equal(op.matrix, ref)
+            continue
+        for op, ref in zip(got[:2], want[:2]):
+            assert op.matrix.nnz == ref.nnz
+            if ref.nnz:
+                assert abs(op.matrix - ref).max() <= 1e-15 * abs(ref).max()
+        _assert_csr_bytes_equal(got[2].matrix, _zero_mode_identity(got[2].domain))
+
+
+@pytest.mark.parametrize("model", TORI, ids=_torus_id)
+def test_torus_harmonic_projection_is_the_zero_mode_identity(model):
+    for K in (3, 8):
+        for p in range(model.dim + 1):
+            H = sp.hodge_projections(model, p, K)[2].matrix
+            assert H.nnz == comb(model.dim, p)
+            _assert_csr_bytes_equal(H, _zero_mode_identity(sp.basis_for(model, "forms", K, p)))
+            assert (H @ H != H).nnz == 0
+
+
+@pytest.mark.parametrize("model", TORI, ids=_torus_id)
+def test_torus_hodge_symbols_are_exact_projections(model):
+    n = model.dim
+    dirs = np.random.default_rng(11).normal(size=(64, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    points = np.zeros_like(dirs)
+    for p in range(n + 1):
+        coexact, exact, _ = sp.hodge_projections(model, p, 2)
+        ptab, qtab = coexact.symbol.table(points, dirs), exact.symbol.table(points, dirs)
+        assert np.abs(ptab + qtab - np.eye(comb(n, p))).max() <= 1e-15
+        if p == n:
+            assert not ptab.any()
+        if p == 0:
+            assert not qtab.any()
 
 
 def test_hodge_functions_case():
@@ -370,12 +412,7 @@ def test_half_projections_balance_per_shell():
 # mode blocks against principal symbols: an order-0 operator's block at mode k
 # is its symbol at kappa / |kappa|, and the Dirac block is |kappa| times it
 
-TORI = [T2, T3, geo.flat_torus(3, periods=(1.0, 2.5, 7.0))]
 SYMBOL_MODES = {2: [(1, 0), (2, -1), (-3, 1)], 3: [(1, 0, 0), (1, -2, 1), (0, 3, -1)]}
-
-
-def _torus_id(model):
-    return f"T{model.dim}" + ("" if len(set(model.periods)) == 1 else "-stretched")
 
 
 def _unit_directions(model):
@@ -471,12 +508,6 @@ def test_per_point_symbol_table_rejects_a_wrong_sized_value():
 # Fourier multipliers against the product chains they replace
 
 
-def _assert_csr_bytes_equal(a, b):
-    for attr in ("data", "indices", "indptr"):
-        x, y = getattr(a, attr), getattr(b, attr)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-
-
 @pytest.mark.parametrize("model", TORI, ids=_torus_id)
 def test_multipliers_match_the_product_chain_oracles(model):
     K = 4
@@ -493,12 +524,9 @@ def test_multipliers_match_the_product_chain_oracles(model):
 
 @pytest.mark.parametrize("model", TORI, ids=_torus_id)
 def test_hodge_projections_are_the_multipliers_of_their_symbols(model):
-    # the chains store exact zeros that the symbols round to ~1e-16, so the
-    # patterns may differ; the entries of these projections agree to 1e-15
     for p in range(model.dim + 1):
         for op in sp.hodge_projections(model, p, 3)[:2]:
-            got = sp.multiplier(op.domain, op.symbol, 0).matrix
-            assert abs(got - op.matrix).max() <= 1e-15
+            _assert_csr_bytes_equal(sp.multiplier(op.domain, op.symbol, 0).matrix, op.matrix)
 
 
 @pytest.mark.parametrize("model", TORI, ids=_torus_id)
