@@ -875,19 +875,96 @@ def test_sphere_multiplication_gaunt_oracle():
         assert abs(got - want / np.sqrt(6.0)) <= 1e-14
 
 
-def test_sphere_multiplication_memory_peak():
-    fn = _SPHERE_MULTIPLIERS["real"]
-    sp.sphere_multiplication(24, fn)
-    polar = sp._sphere_polar(24)
-    assert polar.dtype == np.float64 and polar.shape == (625, 32)
+def _sphere_peak(L, fn):
+    """tracemalloc's peak over one `sphere_multiplication` after a warm-up call."""
+    sp.sphere_multiplication(L, fn)
     tracemalloc.start()
     try:
-        sp.sphere_multiplication(24, fn)
-        peak = tracemalloc.get_traced_memory()[1]
+        sp.sphere_multiplication(L, fn)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sphere_multiplication_memory_peak():
+    peak = _sphere_peak(24, _SPHERE_BANDS["indicator"][0])
+    polar = sp._sphere_polar(24)
+    assert polar.dtype == np.float64 and polar.shape == (625, 32)
     # a basis-by-grid temporary (625 x 1,792 complex) alone takes 18 MB
     assert peak <= 16e6
+
+
+def test_sphere_multiplication_band_limited_memory_peak():
+    # phi-degree 1 at L = 24: 31,225 stored entries, against 390,625 (11.3 MB) when all were
+    assert _sphere_peak(24, _SPHERE_MULTIPLIERS["real"]) <= 3e6
+
+
+def _ring_nearest_pole(L):
+    return sp._sphere_grid(L)[0][0]
+
+
+def _band_on_polar_ring(th, ph):
+    """1 off the ring nearest the south pole at L = 4 and 24, and
+    32 eps cos(phi) on it: phi-band 1 carries 16 eps there, and the Gauss
+    weight of that ring is 0.19 (L = 4) and 0.07 (L = 24) of the largest."""
+    if th in (_ring_nearest_pole(4), _ring_nearest_pole(24)):
+        return 32 * np.finfo(float).eps * np.cos(ph)
+    return 1.0
+
+
+# Multipliers by name: fn and the largest |m - m'| of their live phi-bands
+# (None: no band is live).  "faint" carries its phi-band at 1e-13 of its
+# largest value.  An indicator of phi < 1 covers 3 of 16 and 9 of 56
+# azimuths, so no phi-band of it vanishes at L = 4 or 24.
+_SPHERE_BANDS = {
+    "degree-1": (_SPHERE_MULTIPLIERS["real"], 1),
+    "faint": (lambda th, ph: 1.0 + 1e-13 * np.sin(th) * np.cos(ph), 1),
+    "polar": (_band_on_polar_ring, 1),
+    "one": (lambda th, ph: 1.0, 0),
+    "zero": (lambda th, ph: 0.0, None),
+    "indicator": (lambda th, ph: float(ph < 1.0) + 0.3 * np.cos(th), 48),
+}
+
+
+def _band_nnz(L, k):
+    """Entries of the orders |m - m'| <= k in the (L + 1)^2 harmonics."""
+    if k is None:
+        return 0
+    orders = np.arange(-L, L + 1)
+    count = L + 1 - np.abs(orders)
+    return int(count @ (np.abs(np.subtract.outer(orders, orders)) <= k) @ count)
+
+
+@pytest.mark.parametrize("name", list(_SPHERE_BANDS))
+@pytest.mark.parametrize("L", [4, 24])
+def test_sphere_multiplication_stores_only_live_bands(L, name):
+    fn, k = _SPHERE_BANDS[name]
+    ref = _ref_sphere_multiplication(L, fn)
+    got = sp.sphere_multiplication(L, fn).matrix
+    assert got.nnz == _band_nnz(L, k)
+    assert np.abs(got.toarray() - ref).max() <= 1e-13
+    for scale in (1e-200, 1e200):
+        scaled = sp.sphere_multiplication(L, lambda th, ph: scale * fn(th, ph)).matrix
+        assert np.array_equal(scaled.indptr, got.indptr)
+        assert np.array_equal(scaled.indices, got.indices)
+        assert np.abs(scaled.toarray() / scale - ref).max() <= 1e-13
+
+
+def _nan_at_one_node(th, ph):
+    return np.nan if th == _ring_nearest_pole(3) and ph == 0.0 else 1.0
+
+
+@pytest.mark.parametrize("L,fn,match", [
+    (-1, _SPHERE_MULTIPLIERS["real"], "non-negative integer"),
+    (2.5, _SPHERE_MULTIPLIERS["real"], "non-negative integer"),
+    (True, _SPHERE_MULTIPLIERS["real"], "non-negative integer"),
+    (3, _nan_at_one_node, "finite"),
+    (3, lambda th, ph: np.inf if ph == 0.0 else 1.0, "finite"),
+    (3, lambda th, ph: (np.cos(th), np.sin(ph)), "one scalar"),
+], ids=["negative", "float", "bool", "nan", "inf", "vector"])
+def test_sphere_multiplication_rejects_bad_input(L, fn, match):
+    with pytest.raises(ValueError, match=match):
+        sp.sphere_multiplication(L, fn)
 
 
 @pytest.mark.parametrize("model,bundle,p", [(T3, "forms", 1), (T2, "spinors", None),
