@@ -291,20 +291,31 @@ class DecayReport:
                 "ratios": list(self.ratios)}
 
 
+def _shell(sm, lo):
+    """Indices of the frequency shell [lo, 2 lo), which must be nonempty and
+    inside the truncation (`ValueError`)."""
+    idx = sp.shell_indices(sm, lo, 2 * lo)
+    if idx.size == 0:
+        raise ValueError(f"empty frequency shell [{lo}, {2 * lo})")
+    if 2 * lo > sm.freq.max() + 1e-9:
+        raise ValueError("shell exceeds the truncation; increase K")
+    return idx
+
+
 def negative_order_decay(sm, a_op, shells):
     """Shell maxima of a negative-order observable over dyadic frequency shells.
 
     The shell value is the operator norm of the compression to frequencies in
     [shell, 2 shell): the largest expectation against unit states supported in
-    the shell.  Plane-wave diagonal maxima are reported alongside.
+    the shell.  Plane-wave diagonal maxima are reported alongside.  A shell
+    that is empty or reaches past the truncation raises `ValueError`: its
+    norm would be that of a partial shell.
     """
     if not sp._same_basis(a_op.domain, sm):
         raise ValueError("observable basis does not match")
     rows = []
     for lo in shells:
-        idx = sp.shell_indices(sm, lo, 2 * lo)
-        if idx.size == 0:
-            raise ValueError(f"empty frequency shell [{lo}, {2 * lo})")
+        idx = _shell(sm, lo)
         sub = a_op.matrix[np.ix_(idx, idx)]
         diag_max = float(np.abs(a_op.matrix.diagonal()[idx]).max())
         rows.append((float(lo), sp.spectral_norm(sub), diag_max))
@@ -329,22 +340,26 @@ def egorov_residual(model, symbol, t, shell, K):
     push-forward of the symbol.
 
     Exactly zero at t = 0 and for Fourier multipliers; decays like 1/shell
-    for admissible base-dependent symbols.  The symbol is quantized once: the
-    push-forward's entry at (k + nu, k) is that of the quantization times the
-    phase exp(-i t nu . xi_k), xi_k the unit covector of mode k
-    (`spectral._quantized_push`).
+    for admissible base-dependent symbols.  Both the evolution and the
+    push-forward keep the modes of each entry, so the compression needs only
+    the entries whose row and column lie in the shell: the symbol is quantized
+    there alone, each coefficient called once per such entry
+    (`spectral._quantized`).  The push-forward's entry at (k + nu, k) is that
+    of the quantization times the phase exp(-i t nu . xi_k), xi_k the unit
+    covector of mode k (`spectral._quantized_push`).  A non-finite t, an
+    empty shell and a shell past the truncation raise `ValueError`; the model
+    and symbol meet `quantize`'s checks.
     """
-    a_op = sp.quantize(model, symbol, K)
-    sm = a_op.domain
-    idx = sp.shell_indices(sm, shell, 2 * shell)
-    if idx.size == 0:
-        raise ValueError(f"empty frequency shell [{shell}, {2 * shell})")
-    if 2 * shell > sm.freq.max() + 1e-9:
-        raise ValueError("shell exceeds the truncation; increase K")
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time {t} is not finite")
+    sm = sp.basis_for(model, "functions", K)
+    idx = _shell(sm, shell)
+    keep = np.zeros(sm.dim, dtype=bool)
+    keep[idx] = True
+    a_op = sp._quantized(model, symbol, K, keep)
     evolved = evolve_observable(a_op, t)
     diff = (evolved.matrix - sp._quantized_push(a_op, t)).tocsr()
-    sub = diff[np.ix_(idx, idx)]
-    return sp.spectral_norm(sub)
+    return sp.spectral_norm(diff[np.ix_(idx, idx)])
 
 
 # ---------------------------------------------------------------------------

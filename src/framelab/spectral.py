@@ -38,11 +38,13 @@ from . import geometry as geo
 
 _KERNEL_RELATIVE = 1e-10
 # Largest smaller side for which `spectral_norm` takes the dense SVD of a
-# sparse matrix (the two methods cost about the same at 100 x 100).
+# sparse matrix: at 100 x 100 it is about twice as fast as the Gram matrix's
+# Lanczos, which catches up near 150 x 150 on real data.
 _DENSE_SIDE = 100
-# ARPACK iterations `spectral_norm` waits for before it takes the dense SVD: the
-# operator shells of the lab converge within about 20, and a stalled one
-# would otherwise spend seconds before the same fallback.
+# ARPACK iterations `spectral_norm` waits for in each of its two attempts
+# before it takes the dense SVD: the operator shells of the lab converge within
+# about 20, and a stalled one would otherwise spend seconds before the same
+# fallback.
 _ARPACK_MAXITER = 100
 
 
@@ -163,34 +165,53 @@ def frob(m):
 
 
 def spectral_norm(m):
-    """Operator 2-norm.
+    """Operator 2-norm: 0.0 when no entry is nonzero, `ValueError` for a
+    non-finite entry.
 
-    A sparse matrix whose smaller side exceeds `_DENSE_SIDE` gets its largest
-    singular value from ARPACK (`svds`), which needs only matrix-vector
-    products; anything smaller, and every dense matrix, takes the dense SVD,
-    which is the faster of the two below that size.  A top singular value
-    that ARPACK does not resolve within `_ARPACK_MAXITER` iterations (a tight
-    cluster can stall it) also takes the dense SVD.
+    A sparse matrix A whose smaller side exceeds `_DENSE_SIDE` gets its norm
+    as the square root of the top eigenvalue of a real symmetric Gram matrix,
+    from ARPACK's symmetric Lanczos (`eigsh`), which needs only matrix-vector
+    products.  Real data, a complex dtype with no imaginary part included,
+    takes A^T A over the smaller side.  Complex data takes the Gram matrix of
+    the real form [[Re A, -Im A], [Im A, Re A]], which holds each singular
+    value of A twice; it is built as the real form of A^H A.  Anything
+    smaller, and every dense matrix, takes the dense SVD, which is the faster
+    of the two below that size.  A top eigenvalue that ARPACK does not
+    resolve within `_ARPACK_MAXITER` iterations (a tight cluster can stall
+    it) is sought once more with 40 Lanczos vectors, twice ARPACK's default,
+    and only then from the dense SVD.
     """
-    if scipy.sparse.issparse(m):
-        if min(m.shape) == 0 or m.nnz == 0:
-            return 0.0
-        if min(m.shape) <= _DENSE_SIDE:
-            return float(np.linalg.norm(m.toarray(), 2))
-        # a generic start: a structured one such as all-ones can lie in the
-        # kernel (ARPACK then stops on a zero starting vector) or in an
-        # invariant subspace that misses the top singular vector
-        v0 = np.random.default_rng(0).standard_normal(min(m.shape))
-        try:
-            s = scipy.sparse.linalg.svds(m.tocsc().astype(complex), k=1, v0=v0,
-                                         return_singular_vectors=False,
-                                         maxiter=_ARPACK_MAXITER)
-        except scipy.sparse.linalg.ArpackNoConvergence:
-            return float(np.linalg.norm(m.toarray(), 2))
-        return float(s[0])
-    if min(np.asarray(m).shape) == 0:
+    sparse = scipy.sparse.issparse(m)
+    m = m.tocsr() if sparse else np.asarray(m)
+    vals = m.data if sparse else m
+    if not np.isfinite(vals).all():
+        raise ValueError("spectral_norm needs finite entries")
+    if min(m.shape) == 0 or not vals.any():
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    if not sparse:
+        return float(np.linalg.norm(m, 2))
+    if min(m.shape) <= _DENSE_SIDE:
+        return float(np.linalg.norm(m.toarray(), 2))
+    a = m if m.shape[0] >= m.shape[1] else m.T
+    if np.iscomplexobj(a.data) and not a.data.imag.any():
+        a = a.real
+    gram = (a.T.conj() @ a).tocsr()
+    if np.iscomplexobj(gram.data):
+        gram = scipy.sparse.bmat([[gram.real, -gram.imag], [gram.imag, gram.real]],
+                                 format="csr")
+    # a generic start: a structured one such as all-ones can lie in the
+    # kernel (ARPACK then stops on a zero starting vector) or in an
+    # invariant subspace that misses the top singular vector
+    v0 = np.random.default_rng(0).standard_normal(gram.shape[0])
+    for ncv in (None, 40):
+        try:
+            top = scipy.sparse.linalg.eigsh(gram, k=1, which="LA", v0=v0, ncv=ncv,
+                                            maxiter=_ARPACK_MAXITER,
+                                            return_eigenvectors=False)[0]
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            continue
+        return float(np.sqrt(max(top, 0.0)))
+    return float(np.linalg.norm(m.toarray(), 2))
 
 
 def _same_basis(a, b):
@@ -695,6 +716,21 @@ def quantize(model, symbol, K):
     annihilated (direction undefined there).  Each frequency nu must be an
     integer vector (`ValueError`).
     """
+    return _quantized(model, symbol, K)
+
+
+def _quantized(model, symbol, K, keep=None):
+    """The entries of quantize(model, symbol, K) whose row and column modes
+    are both kept, as an operator on the whole basis.
+
+    `keep` masks the canonical positions of basis_for(model, "functions", K);
+    None keeps every nonzero mode, and the zero mode is never kept.  Each
+    coefficient is called once per candidate entry, a kept (k + nu, k) inside
+    the truncation, and every kept entry is bit for bit `quantize`'s.  The
+    checks are `quantize`'s: `CapabilityError` off tori, `ValueError` for a
+    symbol that is no `TrigSymbol`, has the wrong dimension or a non-integer
+    frequency.
+    """
     if model.kind != geo.TORUS:
         raise CapabilityError("quantization is implemented on torus functions")
     if not isinstance(symbol, TrigSymbol):
@@ -703,25 +739,26 @@ def quantize(model, symbol, K):
         raise ValueError("symbol dimension does not match the model")
     sm = basis_for(model, "functions", K)
     live = sm.modes.any(axis=1)  # the zero mode has no direction and is skipped
+    keep = live if keep is None else keep & live
     xi = _unit_covectors(sm)
     rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
     for nu, coeff in symbol.terms.items():
         step = np.asarray(nu, dtype=int)
         if (step != np.asarray(nu)).any():
             raise ValueError(f"symbol frequency {nu} is not an integer vector")
-        k2 = sm.modes + step
-        target = _locate(sm, k2, 0)
-        col = np.flatnonzero(live & (target >= 0) & k2.any(axis=1))
+        target = _locate(sm, sm.modes + step, 0)
+        col = np.flatnonzero(keep & (target >= 0))
+        col = col[keep[target[col]]]
         pushes = []  # innermost push first
         while isinstance(coeff, _Shifted):
             coeff, pushes = coeff.base, [coeff] + pushes
         val = np.fromiter(map(coeff, xi[col]), dtype=complex, count=col.size)
         for push in pushes:
             val *= push.phase(xi[col])
-        keep = val != 0
-        rows.append(target[col[keep]])
-        cols.append(col[keep])
-        vals.append(val[keep])
+        nonzero = val != 0
+        rows.append(target[col[nonzero]])
+        cols.append(col[nonzero])
+        vals.append(val[nonzero])
     mat = _sparse(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
                   (sm.dim, sm.dim))
     return OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=symbol.field())

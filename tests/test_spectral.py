@@ -677,6 +677,13 @@ def test_quantize_rejects_bad_input():
         sp.quantize(T2, half, 4)
     with pytest.raises(ValueError, match="integer"):
         lm.egorov_residual(T2, half, 1.0, 1, 4)
+    # the Egorov residual's shell-only quantization makes the same checks
+    with pytest.raises(CapabilityError):
+        lm.egorov_residual(S2, sp.cosine_symbol(), 1.0, 2, 4)
+    with pytest.raises(ValueError, match="TrigSymbol"):
+        lm.egorov_residual(T2, "not a symbol", 1.0, 1, 4)
+    with pytest.raises(ValueError, match="dimension"):
+        lm.egorov_residual(T3, sp.cosine_symbol(axis=0, dim=2), 1.0, 1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,17 +1037,76 @@ def test_spectral_norm_matches_dense_svd(shape):
 
 
 def test_spectral_norm_when_arpack_does_not_converge(monkeypatch):
-    # a tight cluster of top singular values can stall ARPACK: the T^2 Egorov
-    # shell [8, 16) at K = 20 for c = (-0.654, -0.0066, 0.860), t = 1.266
-    # (singular value 0.01903 four times, then 0.01892) raises after 5,000
-    # iterations
+    # a tight cluster of top singular values can stall ARPACK: both attempts,
+    # with ARPACK's default 20 Lanczos vectors and then with 40, fail here,
+    # and the dense SVD decides
+    attempts = []
+
     def stalled(*args, **kwargs):
+        attempts.append(kwargs["ncv"])
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
-    monkeypatch.setattr(scipy.sparse.linalg, "svds", stalled)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
     m = scipy.sparse.random(150, 120, density=0.5, random_state=5, format="csr")
     want = np.linalg.norm(m.toarray(), 2)
     assert abs(sp.spectral_norm(m) - want) <= 1e-13 * want
+    assert attempts == [None, 40]
+
+
+def _gram_case(kind, shape):
+    m = scipy.sparse.random(*shape, density=0.05, random_state=6, format="csr")
+    if kind == "real":
+        return m
+    if kind == "complex-dtype":
+        return m.astype(complex)
+    return m + 1j * scipy.sparse.random(*shape, density=0.05, random_state=7, format="csr")
+
+
+@pytest.mark.parametrize("shape", [(700, 150), (150, 700)])
+@pytest.mark.parametrize("kind", ["real", "complex-dtype", "complex"])
+def test_spectral_norm_from_the_real_gram_matrix(monkeypatch, kind, shape):
+    # the top eigenvalue of one real symmetric Gram matrix over the smaller
+    # side, twice that side for the real form of complex data; no dense SVD
+    m = _gram_case(kind, shape)
+    want = np.linalg.norm(m.toarray(), 2)
+    grams = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def recorded(a, *args, **kwargs):
+        grams.append(a)
+        return eigsh(a, *args, **kwargs)
+
+    def no_dense_svd(*args, **kwargs):
+        raise AssertionError("dense SVD taken")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+    monkeypatch.setattr(np.linalg, "norm", no_dense_svd)
+    got = sp.spectral_norm(m)
+    assert abs(got - want) <= 1e-13 * want
+    side = 150 * (2 if kind == "complex" else 1)
+    assert len(grams) == 1 and grams[0].shape == (side, side)
+    assert grams[0].dtype == np.float64 and (grams[0] != grams[0].T).nnz == 0
+
+
+def test_spectral_norm_of_stored_zeros_is_zero():
+    # every stored entry zero: ARPACK would stop on a zero Krylov vector
+    zeros = scipy.sparse.csr_matrix((np.zeros(300), (np.arange(300), np.arange(300))),
+                                    shape=(300, 300))
+    assert zeros.nnz == 300
+    assert sp.spectral_norm(zeros) == 0.0
+    assert sp.spectral_norm(zeros.astype(complex)) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+@pytest.mark.parametrize("side", [300, 40])  # the Gram path, then the dense SVD
+def test_spectral_norm_rejects_non_finite_entries(bad, side):
+    m = scipy.sparse.random(side, side, density=0.05, random_state=8, format="lil",
+                            dtype=complex)
+    m[3, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sp.spectral_norm(m.tocsr())
+    with pytest.raises(ValueError, match="finite"):
+        sp.spectral_norm(m.toarray())
 
 
 @pytest.mark.parametrize("n", [150, 700])
