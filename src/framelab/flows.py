@@ -318,20 +318,18 @@ def random_frame_point(model, rng):
 def _octagon_holds(x, y, r2):
     """`geometry.octagon_contains(complex(x, y))` for Python floats x, y with
     r2 = x * x + y * y: inside the inscribed disk, outside the unit disk, or
-    by squared distances to the side circles, each with a relative margin of
-    1e-9 (as `geometry._oct_row_substep`); octagon_contains itself decides
+    by `geometry._oct_side`, each with a relative margin of 1e-9, as the
+    octagon flow's one-row substep decides; octagon_contains itself decides
     in the margin."""
     margin = geo._OCT_ROW_MARGIN
     if r2 < geo._OCT_ROW_INNER2:
         return True
     if r2 > 1.0 + margin:
         return False
-    least = min([(x - cx) * (x - cx) + (y - cy) * (y - cy) for cx, cy in geo._OCT_ROW_CENTERS])
-    if least < geo._OCT_ROW_EDGE2 * (1.0 - margin):
-        return False
-    if least > geo._OCT_ROW_EDGE2 * (1.0 + margin) and r2 < 1.0 - margin:
-        return True
-    return geo.octagon_contains(complex(x, y))
+    side = geo._oct_side(x, y)
+    if side is None or (side < 0 and r2 >= 1.0 - margin):
+        return geo.octagon_contains(complex(x, y))
+    return side < 0
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,13 @@ on the left by a side pairing, and the view is z = b / conj(a),
 v = s / (2 conj(a)^2).  Within 1e-13 of a sphere pole the view keeps the
 point and gives NaN velocity components: the chart has none there.
 
-The octagon flow runs a batch on numpy arrays and a single state (one
-trajectory's anchor chain) on Python complex values, bit for bit alike
-(`_oct_flow`).  Octagon states and times must be finite and points inside
-the unit disk (`ValueError`).
+The octagon flow's substep is written in the real components of (a, b), one
+rounded operation at a time, which numpy's elementwise ufuncs and Python
+floats round alike.  So a batch runs on numpy arrays and a single state (one
+trajectory's anchor chain) on Python floats with the same bits, and a
+decided single-state substep makes no numpy call (`_oct_flow`).  Octagon
+states and times must be finite and points inside the unit disk
+(`ValueError`).
 
 The package's one quadrature rule on the unit tangent bundle
 (`unit_bundle_nodes`), its one sphere rule (`_sphere_rule`, also used by
@@ -44,6 +47,9 @@ OCTAGON = "octagon"
 _BOUNDARY_TOL = 1e-14
 _MAX_SUBSTEP = 0.5
 _OCT_MAX_PAIRINGS = 32  # per substep, before re-entry counts as failed
+# A batch pairs at most this many rows outside one at a time on Python floats;
+# one round of array pairing costs about as much as four such rows.
+_OCT_FEW_ROWS = 4
 _NODE_CHUNK = 8192  # quadrature nodes per callback table in `_node_average`
 
 
@@ -87,8 +93,9 @@ class ManifoldModel:
 
     @property
     def side_pairings(self):
-        """The octagon's (8, 2, 2) SU(1,1) side pairings, the table its flow
-        uses (`_OCT_PAIRINGS`); None on the other kinds."""
+        """The octagon's (8, 2, 2) SU(1,1) side pairings (`_OCT_PAIRINGS`),
+        from which its flow's crossing table is built; None on the other
+        kinds."""
         return _OCT_PAIRINGS if self.kind == OCTAGON else None
 
 
@@ -146,6 +153,15 @@ _OCT_PAIRINGS = np.array([[[_OCT_COSH_D, _OCT_SINH_HALF * w],
                            [_OCT_SINH_HALF * np.conj(w), _OCT_COSH_D]] for w in _OCT_DIRS])
 _OCT_PAIRINGS.setflags(write=False)
 
+# Crossing side k applies the first row (c, q) of P_{k+4} on the left: a goes
+# to c a + q conj(b), and b to c b + q conj(a).  Per component (re, im), with
+# w the partner's components and w~ = (im w, re w), that is
+# c a + (w (qr, -qr) + w~ (qi, qi)); `_OCT_CROSSINGS[k]` holds the rows
+# (c, c), (qr, -qr) and (qi, qi).
+_OCT_CROSSINGS = np.array([[[p.real, p.real], [q.real, -q.real], [q.imag, q.imag]]
+                           for p, q in np.roll(_OCT_PAIRINGS, -4, axis=0)[:, 0]])
+_OCT_CROSSINGS.setflags(write=False)
+
 
 def hyperbolic_octagon():
     """Regular genus-2 octagon quotient of the Poincare disk (curvature -1)."""
@@ -169,35 +185,40 @@ def _oct_flow(a, b, s, t, k):
     The times are cut into substeps h (|h| <= `_MAX_SUBSTEP`) once, by
     `_oct_plan`, and every advance applies the same substeps, so k advances
     are bit-identical to k calls of one.  A substep is `_oct_boost`, then
-    `_oct_reenter`, on arrays for a batch.  One row (len(a) == 1), where
-    numpy's per-call cost would dominate, runs `_oct_row_substep` on Python
-    complex values with the same bits.  Python boosts (a complex times a real
-    rounds once per component, as in numpy) and decides inside or outside,
-    and the side, from squared distances to the side circles, with a
-    relative margin of 1e-9 on the test against `_OCT_CIRCLE_R -
-    _BOUNDARY_TOL` and on the argmin.  numpy, whose rounding Python's differs
-    from, does the pairing product (it fuses the complex multiply-add) and
-    the norm's complex abs (not libm's hypot) on the array (a, b); the state
-    is multiplied by the norm's reciprocal, as numpy divides by a real.  A
-    state in the margin, at an argmin tie or not finite goes to
+    `_oct_reenter`: side pairings while the point lies outside the octagon,
+    then renormalization to |a|^2 - |b|^2 = 1.  Its arithmetic is written in
+    the real components (ar, ai, br, bi), one rounded operation at a time,
+    so numpy's elementwise ufuncs on a batch and Python floats on one row
+    give the same bits, signed zeros included.
+
+    One row (len(a) == 1), where numpy's per-call cost would dominate, runs
+    `_oct_row_substep` on Python floats, and a batch pairs a few rows outside
+    the same way.  Python decides inside or outside, and the side, by
+    `_oct_side`: squared distances with a relative margin of 1e-9 against the
+    batch's test.  A state in the margin, at a tie or not finite goes to
     `_oct_reenter` as a one-row array, which decides as in a batch.
     """
     plan = _oct_plan(s, t)
     if len(a) == 1:
         steps = [(float(c[0]), float(sh[0])) for _, c, sh in plan if len(c)]
         a, b = complex(a[0]), complex(b[0])
+        g = a.real, a.imag, b.real, b.imag
         out = []
         for _ in range(k):
             for c, sh in steps:
-                a, b = _oct_row_substep(a, b, c, sh)
-            out.append((a, b))
-        return np.array(out, dtype=complex).T.reshape(2, k, 1)
+                g = _oct_row_substep(*g, c, sh)
+            out.append(g)
+        return np.array(out).view(complex).T.reshape(2, k, 1)
+    # each coefficient once per component (re, im): products broadcast only
+    # over a and b
+    plan = [(rows, np.repeat(c, 2).reshape(-1, 2), np.repeat(sh, 2).reshape(-1, 2))
+            for rows, c, sh in plan]
+    g = np.array([a, b]).view(float).reshape(2, len(a), 2)
     out = np.empty((2, k, len(a)), dtype=complex)
     for j in range(k):
-        out[0, j], out[1, j] = a, b
-        a, b = out[0, j], out[1, j]
         for rows, c, sh in plan:
-            a[rows], b[rows] = _oct_reenter(*_oct_boost(a[rows], b[rows], c, sh))
+            g[:, rows] = _oct_reenter(_oct_boost(g[:, rows], c, sh))
+        out[:, j] = g.view(complex)[..., 0]
     return out
 
 
@@ -223,72 +244,130 @@ def _oct_plan(s, t):
             return plan
 
 
-def _oct_boost(a, b, c, sh):
-    """g times [[c, sh], [sh, c]] on the right: arrays or Python values."""
-    return a * c + b * sh, a * sh + b * c
+def _oct_boost(g, c, sh):
+    """The states g (2, ..., 2), a and b by real and imaginary part, times
+    [[c, sh], [sh, c]] on the right: a c + b sh and b c + a sh, per
+    component (c and sh broadcast against g[0])."""
+    return g * c + g[::-1] * sh
 
 
-def _oct_reenter(a, b):
-    """The rows (a, b), new arrays: while the point b / conj(a) lies outside
-    the octagon, the pairing of the most violated side on the left; then
-    renormalized to |a|^2 - |b|^2 = 1."""
-    d = np.abs((b / np.conj(a))[:, None] - _OCT_CENTERS)
-    # rounding is monotone, so the least distance over all rows tells
-    # whether any row lies outside
-    if _OCT_CIRCLE_R - d.min(initial=np.inf) > _BOUNDARY_TOL:
-        out = np.arange(len(a))  # the rows still outside
-        for _ in range(_OCT_MAX_PAIRINGS):
-            outside = _OCT_CIRCLE_R - d.min(axis=-1) > _BOUNDARY_TOL
-            out = out[outside]
-            if not len(out):
+def _oct_reenter(g):
+    """The states g (2, m, 2) of `_oct_boost`, a new array: while the point
+    b / conj(a) lies outside the octagon, the pairing of the most violated
+    side on the left (in place); then renormalized to |a|^2 - |b|^2 = 1.
+
+    Up to `_OCT_FEW_ROWS` rows outside go one at a time through
+    `_oct_row_reenter`, whose arithmetic is the same; a row it leaves
+    undecided is decided here in the next round.
+    """
+    d = _oct_distances(g)
+    out = None  # the rows of d, once any is outside
+    for _ in range(_OCT_MAX_PAIRINGS):
+        # rounding is monotone, so the least distance over the rows tells
+        # whether any lies outside
+        if not _OCT_CIRCLE_R - d.min(initial=np.inf) > _BOUNDARY_TOL:
+            break
+        outside = _OCT_CIRCLE_R - d.min(axis=0) > _BOUNDARY_TOL
+        out = np.flatnonzero(outside) if out is None else out[outside]
+        sides = d[:, outside].argmin(axis=0)
+        if len(out) <= _OCT_FEW_ROWS:  # one at a time on Python floats
+            left = []  # the rows `_oct_row_reenter` leaves undecided
+            for j, side in zip(out.tolist(), sides.tolist()):
+                (ar, ai, br, bi), side = _oct_row_reenter(*g[:, j].ravel().tolist(), side)
+                g[:, j] = (ar, ai), (br, bi)
+                if side is None:
+                    left.append(j)
+            if not left:
                 break
-            p = _OCT_PAIRINGS[(d[outside].argmin(axis=-1) + 4) % 8]
-            a[out], b[out] = (p[:, 0, 0] * a[out] + p[:, 0, 1] * np.conj(b[out]),
-                              p[:, 0, 0] * b[out] + p[:, 0, 1] * np.conj(a[out]))
-            d = np.abs((b[out] / np.conj(a[out]))[:, None] - _OCT_CENTERS)
+            out = np.array(left)
+            h = g[:, out]
         else:
-            raise ResolutionError("octagon re-entry did not terminate")
-    norm = np.sqrt(np.abs(a) ** 2 - np.abs(b) ** 2)
-    return a / norm, b / norm
+            c, q1, q2 = _OCT_CROSSINGS[sides].transpose(1, 0, 2)
+            h = g[:, out]
+            w = h[::-1]  # the partner of each of a and b
+            h = h * c + (w * q1 + w[..., ::-1] * q2)
+            g[:, out] = h
+        d = _oct_distances(h)
+    else:
+        raise ResolutionError("octagon re-entry did not terminate")
+    n2 = g * g
+    n2 = n2[..., 0] + n2[..., 1]  # |a|^2 and |b|^2
+    return g * (1.0 / np.sqrt(n2[0] - n2[1]))[:, None]
 
 
+def _oct_distances(g):
+    """Distances (8, m) to the side circles' centres from the points
+    b / conj(a) of the states g (2, m, 2), as `octagon_contains` measures
+    them (side first: the least over the sides is then elementwise)."""
+    a, b = g.view(complex)[..., 0]
+    return np.abs(b / np.conj(a) - _OCT_CENTERS[:, None])
+
+
+# The one-row kernel's constants, as Python floats: its arithmetic never
+# meets a numpy scalar
 _OCT_ROW_MARGIN = 1e-9
-_OCT_ROW_INNER2 = (_OCT_RHO_MID * (1.0 - _OCT_ROW_MARGIN)) ** 2  # in the inscribed disk
-_OCT_ROW_EDGE2 = (_OCT_CIRCLE_R - _BOUNDARY_TOL) ** 2
+_OCT_ROW_INNER2 = float(_OCT_RHO_MID * (1.0 - _OCT_ROW_MARGIN)) ** 2  # in the inscribed disk
+_OCT_ROW_EDGE2 = float(_OCT_CIRCLE_R - _BOUNDARY_TOL) ** 2
 _OCT_ROW_CENTERS = [(w.real, w.imag) for w in _OCT_CENTERS.tolist()]
 
 
-def _oct_row_substep(a, b, c, sh):
-    """One substep of a single state (Python complex a, b; floats c, sh),
-    bit-identical to `_oct_reenter(*_oct_boost(...))` on one-row arrays:
-    the decisions and numpy's share are set out in `_oct_flow`."""
-    a, b = _oct_boost(a, b, c, sh)
+def _oct_side(x, y):
+    """The side circle that the disk point (x, y), Python floats, lies in, by
+    squared distances: -1 for none, else the side k of the nearest; None when
+    a relative margin of 1e-9 leaves that undecided, against the radius less
+    `_BOUNDARY_TOL` or between the two nearest circles."""
+    d2 = [(x - cx) * (x - cx) + (y - cy) * (y - cy) for cx, cy in _OCT_ROW_CENTERS]
+    least = min(d2)
+    if least > _OCT_ROW_EDGE2 * (1.0 + _OCT_ROW_MARGIN):
+        return -1
+    if (least < _OCT_ROW_EDGE2 * (1.0 - _OCT_ROW_MARGIN)
+            and sorted(d2)[1] > least * (1.0 + _OCT_ROW_MARGIN)):
+        return d2.index(least)
+    return None
+
+
+def _oct_row_side(ar, ai, br, bi):
+    """`_oct_side` of the point z = b / conj(a) = b a / |a|^2 of a single
+    state (Python floats); -1 at once when |z|^2 = |b|^2 / |a|^2 puts it in
+    the inscribed disk."""
+    na = ar * ar + ai * ai
+    if br * br + bi * bi < _OCT_ROW_INNER2 * na:
+        return -1
+    return _oct_side((br * ar - bi * ai) / na, (br * ai + bi * ar) / na)
+
+
+def _oct_row_reenter(ar, ai, br, bi, side):
+    """A single state (Python floats) outside side `side`, after the pairing
+    of that side and of each side `_oct_row_side` finds after it: the state
+    and its last side, -1 (inside) or None (undecided).
+
+    The pairing is `_oct_reenter`'s, rounded alike; its qi br - qr bi is
+    numpy's (-qr) bi + qi br, since x - y is x + (-y) in floating point.
+    """
     for _ in range(_OCT_MAX_PAIRINGS):
-        z = b / a.conjugate()
-        x, y = z.real, z.imag
-        if x * x + y * y >= _OCT_ROW_INNER2:
-            d2 = [(x - cx) * (x - cx) + (y - cy) * (y - cy) for cx, cy in _OCT_ROW_CENTERS]
-            least, second = sorted(d2)[:2]
-            if (least < _OCT_ROW_EDGE2 * (1.0 - _OCT_ROW_MARGIN)
-                    and second > least * (1.0 + _OCT_ROW_MARGIN)):
-                p = _OCT_PAIRINGS[(d2.index(least) + 4) % 8]
-                g = np.array([a, b])
-                a, b = (p[0, 0] * g + p[0, 1] * g[::-1].conj()).tolist()
-                continue
-            if not least > _OCT_ROW_EDGE2 * (1.0 + _OCT_ROW_MARGIN):
-                break
-        na, nb = np.abs([a, b]).tolist()
-        norm2 = na * na - nb * nb
-        if not 0.0 < norm2 < math.inf:
-            break
-        r = 1.0 / math.sqrt(norm2)  # numpy's complex / real, signed zeros included
-        return (complex((a.real + a.imag * 0.0) * r, (a.imag - a.real * 0.0) * r),
-                complex((b.real + b.imag * 0.0) * r, (b.imag - b.real * 0.0) * r))
-    else:
-        raise ResolutionError("octagon re-entry did not terminate")
+        if side is None or side < 0:
+            return (ar, ai, br, bi), side
+        c, qr, qi = _OCT_CROSSINGS[side, :, 0].tolist()
+        ar, ai, br, bi = (c * ar + (qr * br + qi * bi), c * ai + (qi * br - qr * bi),
+                          c * br + (qr * ar + qi * ai), c * bi + (qi * ar - qr * ai))
+        side = _oct_row_side(ar, ai, br, bi)
+    raise ResolutionError("octagon re-entry did not terminate")
+
+
+def _oct_row_substep(ar, ai, br, bi, c, sh):
+    """One substep of a single state (Python floats ar, ai, br, bi; c, sh),
+    bit-identical to `_oct_reenter(_oct_boost(...))` on a one-row array: the
+    same operations in the same order, and the same decisions (`_oct_flow`)."""
+    ar, ai, br, bi = ar * c + br * sh, ai * c + bi * sh, br * c + ar * sh, bi * c + ai * sh
+    side = _oct_row_side(ar, ai, br, bi)
+    if side != -1:  # outside, or undecided
+        (ar, ai, br, bi), side = _oct_row_reenter(ar, ai, br, bi, side)
+    n2 = (ar * ar + ai * ai) - (br * br + bi * bi)
+    if side is not None and 0.0 < n2 < math.inf:
+        r = 1.0 / math.sqrt(n2)
+        return ar * r, ai * r, br * r, bi * r
     # undecided, or no SU(1,1) state (numpy's NaN and warnings): the array code
-    a, b = _oct_reenter(np.array([a]), np.array([b]))
-    return complex(a[0]), complex(b[0])
+    return tuple(_oct_reenter(np.array([[[ar, ai]], [[br, bi]]])).ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +666,9 @@ def holonomy(model, vertices):
         turning = np.arctan2((x * np.cross(u, chord)).sum(axis=-1), (u * chord).sum(axis=-1))
     else:  # the same in the disk: boosts, without `_flow`'s re-entry into the octagon
         a, b, _ = _lift(model, p, np.column_stack([q.real, q.imag]))
+        g = np.array([a[:, 0], b[:, 0]]).view(float).reshape(2, -1, 2)
         half = 0.5 * length[:, None]  # the boost of a unit-speed edge
-        a = np.roll(_oct_boost(a, b, np.cosh(half), np.sinh(half))[0][:, 0], 1)
+        a = np.roll(_oct_boost(g, np.cosh(half), np.sinh(half))[0].view(complex)[:, 0], 1)
         turning = np.angle(q * np.conj(a) ** 2)  # the direction of (a, b) is a^2 / |a|^4
     return float(np.angle(np.exp(-1j * turning.sum())))
 

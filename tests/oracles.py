@@ -15,6 +15,9 @@
 - `octagon_chart_advance`: the octagon geodesic flow in the disk chart, a
   Mobius step per substep with the speed renormalized at every step and
   every side crossing, against the SU(1,1) flow of `geometry`.
+- `octagon_su11_referee`: the octagon flow as the same SU(1,1) chain (boost,
+  side choices, renormalization) in 50-digit arithmetic (mpmath), against
+  the double-precision kernel of `geometry`.
 - `octagon_frame_point`: the octagon's random frame point by a rejection
   loop on numpy arrays, against the Python-float loop of
   `flows.random_frame_point`.
@@ -346,6 +349,54 @@ def octagon_chart_advance(z, v, t):
         remaining -= h
         if remaining == 0.0:
             return z, v
+
+
+def octagon_su11_referee(z, v, t, digits=50):
+    """The disk state (z, v), complex scalars with v != 0, advanced by time t
+    as an SU(1,1) chain in `digits`-digit arithmetic, returned as complex
+    floats.
+
+    The state lifts to a^2 = (v / |v|) / (1 - |z|^2), b = z conj(a) and speed
+    s = 2 |v| / (1 - |z|^2).  Each substep of at most 0.5 in time boosts
+    (a, b) by [[cosh(s h / 2), sinh(s h / 2)], [sinh(s h / 2), cosh(s h / 2)]]
+    on the right; then, while b / conj(a) lies outside the octagon (to 1e-14),
+    it applies the pairing of the most violated side on the left; then it
+    renormalizes to |a|^2 - |b|^2 = 1.  The chart view is z = b / conj(a),
+    v = s / (2 conj(a)^2).
+    """
+    import mpmath  # a test dependency that only this oracle needs
+
+    with mpmath.workdps(digits):
+        z, v = mpmath.mpc(z), mpmath.mpc(v)
+        conf = 1 - abs(z) ** 2
+        a = mpmath.sqrt(v / abs(v) / conf)
+        b = z * mpmath.conj(a)
+        s = 2 * abs(v) / conf
+        cosh_d = 1 + mpmath.sqrt(2)
+        sinh_d = mpmath.sqrt(cosh_d ** 2 - 1)
+        rho = mpmath.sqrt(mpmath.sqrt(2) - 1)
+        centers = [(rho + 1 / rho) / 2 * mpmath.expjpi(mpmath.mpf(k) / 4) for k in range(8)]
+        radius = (1 / rho - rho) / 2
+        remaining = mpmath.mpf(t)
+        while True:
+            h = mpmath.sign(remaining) * min(mpmath.mpf(0.5), abs(remaining))
+            c, sh = mpmath.cosh(s * h / 2), mpmath.sinh(s * h / 2)
+            a, b = a * c + b * sh, a * sh + b * c
+            for _ in range(32):
+                d = [abs(b / mpmath.conj(a) - w) for w in centers]
+                k = min(range(8), key=d.__getitem__)
+                if radius - d[k] <= 1e-14:
+                    break
+                q = sinh_d * mpmath.expjpi(mpmath.mpf((k + 4) % 8) / 4)
+                a, b = cosh_d * a + q * mpmath.conj(b), cosh_d * b + q * mpmath.conj(a)
+            else:
+                raise RuntimeError("octagon re-entry did not terminate")
+            norm = mpmath.sqrt(abs(a) ** 2 - abs(b) ** 2)
+            a, b = a / norm, b / norm
+            remaining -= h
+            if remaining == 0:
+                ca = mpmath.conj(a)
+                return complex(b / ca), complex(s / (2 * ca ** 2))
 
 
 # ---------------------------------------------------------------------------

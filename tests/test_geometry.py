@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -306,9 +307,10 @@ def test_octagon_rejects_points_off_the_disk():
 
 
 def test_octagon_reentry_failure_is_a_resolution_error(monkeypatch):
-    # identity pairings never bring the state back inside, on the one-row
-    # kernel and on the array kernel
-    monkeypatch.setattr(geo, "_OCT_PAIRINGS", np.broadcast_to(np.eye(2, dtype=complex), (8, 2, 2)))
+    # identity pairings (c = 1, q = 0 on every side crossed) never bring the
+    # state back inside, on the one-row kernel and on the array kernel
+    identity = [[1.0, 1.0], [0.0, -0.0], [0.0, 0.0]]
+    monkeypatch.setattr(geo, "_OCT_CROSSINGS", np.broadcast_to(identity, (8, 3, 2)))
     s = geo.unit_speed(OCT, [0.0, 0.0], [1.0, 0.0])
     for state in (s, geo.PointState(np.stack([s.point] * 2), np.stack([s.velocity, -s.velocity]))):
         with pytest.raises(ResolutionError, match="re-entry"):
@@ -337,7 +339,7 @@ def test_octagon_one_row_kernel_is_the_array_kernel_bitwise(monkeypatch):
     # points near a side or a vertex reach the undecided band
     calls, fallbacks = [], 0
     reenter = geo._oct_reenter
-    monkeypatch.setattr(geo, "_oct_reenter", lambda a, b: calls.append(a) or reenter(a, b))
+    monkeypatch.setattr(geo, "_oct_reenter", lambda g: calls.append(g) or reenter(g))
     rng = np.random.default_rng(44)
     for _ in range(150):
         z = np.array([_octagon_edge_point(rng) for _ in range(3)])
@@ -360,7 +362,7 @@ def test_octagon_one_row_kernel_is_the_array_kernel_bitwise(monkeypatch):
 
 def test_octagon_one_row_kernel_keeps_signed_zeros():
     # states on the real axis heading along it have exact zero components,
-    # whose signs numpy's complex-by-real division decides
+    # whose signs both kernels' real arithmetic must give alike
     for x, y, vx, vy in itertools.product([0.0, -0.0, 0.3, -0.3], [0.0, -0.0],
                                           [0.3, -0.3], [0.0, -0.0]):
         a, b, s = (c.ravel() for c in geo._lift(OCT, np.array([[x, y], [0.1, 0.2]]),
@@ -391,6 +393,102 @@ def test_octagon_advance_matches_the_chart_step_oracle(t):
                                              complex(*states.velocity[j]), t)
         assert np.abs(out.point[j] - [z.real, z.imag]).max() <= 1e-12
         assert np.abs(out.velocity[j] - [v.real, v.imag]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("t, tol", [(2.0, 5e-14), (5.0, 1e-12)])
+def test_octagon_advance_matches_the_50_digit_su11_referee(t, tol):
+    # the same SU(1,1) chain in 50-digit arithmetic; the tolerance allows the
+    # flow's chaotic growth of double rounding (about 5e-15 at T = 2 and
+    # 1.3e-13 at T = 5 on such states)
+    states = _octagon_unit_states(np.random.default_rng(45), 8)
+    batch = geo.geodesic_advance(OCT, states, t)
+    for j in range(8):
+        z, v = oracles.octagon_su11_referee(complex(*states.point[j]),
+                                            complex(*states.velocity[j]), t)
+        one = geo.geodesic_advance(OCT, geo.PointState(states.point[j], states.velocity[j]), t)
+        for out in (geo.PointState(batch.point[j], batch.velocity[j]), one):
+            assert np.abs(out.point - [z.real, z.imag]).max() <= tol
+            assert np.abs(out.velocity - [v.real, v.imag]).max() <= tol
+
+
+def _octagon_anchor_chain(count):
+    # the 798-hop anchor chain of a 4,000-sample block at dt 0.1: one substep
+    # of 0.5 per hop, for `count` unit-speed rows
+    states = _octagon_unit_states(np.random.default_rng(46), count)
+    a, b, s = (c.ravel() for c in geo._lift(OCT, states.point, states.velocity))
+    return a, b, s, np.full(count, 0.5)
+
+
+def test_octagon_long_anchor_chain_is_the_batch_row_bitwise(monkeypatch):
+    # after every substep one row equals its row in a batch of 16, whose
+    # rows outside pair one at a time on Python floats or all on arrays, and
+    # |a|^2 - |b|^2 - 1, evaluated exactly, stays within 4 eps of the scale
+    # |a|^2 + |b|^2 at which its four squares round
+    a, b, s, t = _octagon_anchor_chain(16)
+    batch = geo._oct_flow(a, b, s, t, 798)
+    monkeypatch.setattr(geo, "_OCT_FEW_ROWS", 0)
+    assert geo._oct_flow(a, b, s, t, 798).tobytes() == batch.tobytes()
+    monkeypatch.undo()
+    for j in range(16):
+        one = geo._oct_flow(a[j:j + 1], b[j:j + 1], s[j:j + 1], t[j:j + 1], 798)
+        assert one.tobytes() == batch[:, :, j:j + 1].tobytes()
+    eps = np.finfo(float).eps
+    for x, y in zip(batch[0].ravel().tolist(), batch[1].ravel().tolist()):
+        residual = (Fraction(x.real) ** 2 + Fraction(x.imag) ** 2
+                    - Fraction(y.real) ** 2 - Fraction(y.imag) ** 2 - 1)
+        assert abs(residual) <= 4 * eps * (abs(x) ** 2 + abs(y) ** 2)
+
+
+def test_octagon_decided_row_substeps_make_no_numpy_call(monkeypatch):
+    # the anchor chain of one row with `geometry.np` counting its calls: a
+    # substep decided on Python floats, with or without side pairings, makes
+    # none; only `_oct_reenter`, the fallback of an undecided state, may
+    calls, depth, fallbacks = [], [0], []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if not callable(attr):
+                return attr
+
+            def counted(*args, **kwargs):
+                if depth[0]:
+                    calls.append(name)
+                return attr(*args, **kwargs)
+            return counted
+
+    substep, reenter = geo._oct_row_substep, geo._oct_reenter
+
+    def counting_substep(*args):
+        depth[0] += 1
+        try:
+            return substep(*args)
+        finally:
+            depth[0] -= 1
+
+    def uncounted_fallback(g):
+        fallbacks.append(g)
+        depth[0] -= 1
+        try:
+            return reenter(g)
+        finally:
+            depth[0] += 1
+
+    a, b, s, t = (x[:1] for x in _octagon_anchor_chain(1))
+    want = geo._oct_flow(a, b, s, t, 798)
+    monkeypatch.setattr(geo, "np", CountingNumpy())
+    monkeypatch.setattr(geo, "_oct_row_substep", counting_substep)
+    monkeypatch.setattr(geo, "_oct_reenter", uncounted_fallback)
+    got = geo._oct_flow(a, b, s, t, 798)
+    monkeypatch.undo()
+    assert got.tobytes() == want.tobytes()
+    assert calls == []
+    assert len(fallbacks) < 0.05 * 798
+    # the chain crosses sides: many boosted states lie outside the octagon
+    g = np.concatenate([np.stack([a, b])[:, None], want[:, :-1]], axis=1)[..., 0]
+    c, sh = np.cosh(0.5 * s * 0.5), np.sinh(0.5 * s * 0.5)
+    boosted_a, boosted_b = g[0] * c + g[1] * sh, g[0] * sh + g[1] * c
+    assert (~geo.octagon_contains(boosted_b / np.conj(boosted_a))).sum() > 100
 
 
 def test_sphere_batch_with_pole_bound_row_views_nan_velocity():
@@ -518,7 +616,7 @@ def test_octagon_sample_chain_runs_off_the_array_reentry(monkeypatch):
     # 5 % of them may fall back to the array re-entry
     rows = []
     reenter = geo._oct_reenter
-    monkeypatch.setattr(geo, "_oct_reenter", lambda a, b: rows.append(len(a)) or reenter(a, b))
+    monkeypatch.setattr(geo, "_oct_reenter", lambda g: rows.append(g.shape[1]) or reenter(g))
     state = random_state(OCT, np.random.default_rng(43))
     assert len(next(geo.geodesic_samples(OCT, state, 0.1, 4000, 4096)).point) == 4000
     assert rows.count(1) < 0.05 * 800
