@@ -19,12 +19,14 @@ sample).  Its geodesic states are one block of `geometry.geodesic_samples`,
 which keeps block and octagon anchors in group form (so a block may end on
 a pole) and on the octagon advances each sample from an anchor at most one
 geodesic substep back.  Its frames come from one pass of the frame step
-that `frame_flow` uses.  The block's observable table comes from
-`FlowObservable.table`: one call of a row observable's function (such as
-`smooth_bump`) on the whole block, and otherwise one call per sample and
-trajectory, of the chart function of a `scalar_observable` or
-`position_observable` on the block's rows, or of any other evaluator on one
-frame point.
+that `frame_flow` uses.
+
+Observable tables have two paths (`FlowObservable.table`).  A row observable
+gives the values of a whole stack of frame points in one call: the
+observables of `scalar_observable`, `position_observable` and `smooth_bump`,
+and every `beta_flow`, product and adjoint, which flows the stack in one
+`frame_flow` call or combines its factors' values.  Any other evaluator is
+called once per frame point.
 
 Orthonormality is an entry condition: `frame_flow` and the block sampler
 Gram-Schmidt, in one batched call, the entering frames whose residual exceeds
@@ -38,6 +40,7 @@ the SO(2) fibre (Haar measure).  Node tables are filled by
 the symbol tables of the tracial states of `limits`.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +59,10 @@ class FlowObservable:
     conjugation action the observable must intertwine under the right action
     on fibers; `equivariance_residual` checks this on the table's sample.
 
-    The evaluator takes one frame point; `table` is the one entry through
-    which the library's quadratures call it, once per frame point.  For
-    `scalar_observable` and `position_observable`, `table` calls the chart
-    function on the point (and frame) rows and builds no `FramePoint`.  A
-    row observable (`smooth_bump`, and products and adjoints of row
-    observables) has a function of the whole row stack, which `table` calls
-    once per block or chunk.
+    The evaluator takes one frame point.  `table` is the one entry through
+    which the library's quadratures call it: once per block or chunk for a
+    row observable, whose rows build no `FramePoint`, and once per frame
+    point for any other evaluator.
     """
 
     evaluator: callable
@@ -72,15 +72,18 @@ class FlowObservable:
     def table(self, points, frames):
         """The observable at the frame points (points (..., n), frames
         (..., n, n)): (..., m, m) complex."""
-        n, m, ev = points.shape[-1], self.fiber_dim, self.evaluator
-        shape = points.shape[:-1] + (m, m)
-        points, frames = points.reshape(-1, n), frames.reshape(-1, n, n)
-        if isinstance(ev, _ChartEvaluator):
-            columns = (points, frames) if ev.reads_frame else (points,)
-            if ev.on_rows:
-                return np.asarray(ev.fn(*columns), dtype=complex).reshape(shape)
-            return geo._per_node_table(ev.fn, shape, *columns)
-        return geo._per_node_table(ev, shape, map(geo.FramePoint, points, frames))
+        n = points.shape[-1]
+        values = self._values(points.reshape(-1, n), frames.reshape(-1, n, n))
+        return np.asarray(values, dtype=complex).reshape(points.shape[:-1] + values.shape[1:])
+
+    def _values(self, points, frames):
+        """The values (N, m, m) at points (N, n), frames (N, n, n), in their
+        own dtype: a row evaluator's rows, or one evaluator call per frame
+        point.  A value of the wrong size raises instead of broadcasting."""
+        ev, m = self.evaluator, self.fiber_dim
+        values = (ev.rows(points, frames) if isinstance(ev, _RowEvaluator)
+                  else _each(ev, map(geo.FramePoint, points, frames)))
+        return np.reshape(values, (len(points), m, m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,38 +102,34 @@ class BirkhoffEstimate:
 
 
 @dataclass(frozen=True)
-class _ChartEvaluator:
-    """Evaluator of a chart function fn(point) or, with `reads_frame`,
-    fn(point, frame): called on one frame point, and on rows by `table`.
+class _RowEvaluator:
+    """Evaluator that is `at` on one frame point and has `rows`, a function
+    of whole stacks: rows(points (N, n), frames (N, n, n)) gives the N
+    values in one call."""
 
-    With `on_rows`, fn takes the whole stacks, points (N, n) (and frames
-    (N, n, n)), and returns the N values; one frame point is a batch of one.
-    """
-
-    fn: callable
-    reads_frame: bool
-    on_rows: bool = False
+    at: callable
+    rows: callable
 
     def __call__(self, fp):
-        columns = (fp.point, fp.frame) if self.reads_frame else (fp.point,)
-        if self.on_rows:
-            return self.fn(*(np.asarray(c)[None] for c in columns))[0]
-        return self.fn(*columns)
+        return self.at(fp)
 
 
-def _on_rows(ev):
-    return isinstance(ev, _ChartEvaluator) and ev.on_rows
+def _each(fn, *columns):
+    """fn(*row) for each row of the zipped columns, as one array."""
+    return np.asarray([fn(*row) for row in zip(*columns)])
 
 
 def scalar_observable(fn):
     """Observable from a function of (point, frame); tables call it on rows."""
-    return FlowObservable(evaluator=_ChartEvaluator(fn, reads_frame=True))
+    return FlowObservable(evaluator=_RowEvaluator(
+        lambda fp: fn(fp.point, fp.frame), lambda points, frames: _each(fn, points, frames)))
 
 
 def position_observable(fn):
     """Scalar observable depending on the base point only; tables call it
     on point rows."""
-    return FlowObservable(evaluator=_ChartEvaluator(fn, reads_frame=False))
+    return FlowObservable(evaluator=_RowEvaluator(
+        lambda fp: fn(fp.point), lambda points, frames: _each(fn, points)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,42 +208,39 @@ def right_action(fp, g):
 
 
 def beta_flow(model, obs, t):
-    """Pull-back flow on observables: (beta_t f)(x) = f(gamma_{-t} x)."""
-    return FlowObservable(
-        evaluator=lambda fp: obs.evaluator(frame_flow(model, fp, -t)),
-        fiber_dim=obs.fiber_dim,
-        equivariance_rep=obs.equivariance_rep,
-    )
+    """Pull-back flow on observables: (beta_t f)(x) = f(gamma_{-t} x).
+
+    A row observable: its rows flow the whole stack in one `frame_flow`
+    call and read the values of `obs` there."""
+    def rows(points, frames):
+        end = frame_flow(model, geo.FramePoint(point=points, frame=frames), -t)
+        return obs._values(end.point, end.frame)
+
+    ev = _RowEvaluator(lambda fp: obs.evaluator(frame_flow(model, fp, -t)), rows)
+    return FlowObservable(evaluator=ev, fiber_dim=obs.fiber_dim,
+                          equivariance_rep=obs.equivariance_rep)
 
 
 def obs_product(f, h):
-    """Pointwise product observable; of two scalar row observables, the row
-    observable of the product of their tables."""
+    """Pointwise product observable, the row observable of the product of
+    the factors' values; equivariant when both factors carry the same table."""
     if f.fiber_dim != h.fiber_dim:
         raise ValueError("fiber dimensions differ")
-    fe, he = f.evaluator, h.evaluator
-    if f.fiber_dim == 1 and _on_rows(fe) and _on_rows(he):
-        ev = _ChartEvaluator(lambda *cols: fe.fn(*cols[:1 + fe.reads_frame])
-                             * he.fn(*cols[:1 + he.reads_frame]),
-                             reads_frame=fe.reads_frame or he.reads_frame, on_rows=True)
-    elif f.fiber_dim == 1:
-        ev = lambda fp: fe(fp) * he(fp)
-    else:
-        ev = lambda fp: fe(fp) @ he(fp)
-    return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim)
+    op = operator.mul if f.fiber_dim == 1 else operator.matmul
+    ev = _RowEvaluator(lambda fp: op(f.evaluator(fp), h.evaluator(fp)),
+                       lambda *stack: op(f._values(*stack), h._values(*stack)))
+    rep = f.equivariance_rep if f.equivariance_rep is h.equivariance_rep else None
+    return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim, equivariance_rep=rep)
 
 
 def obs_adjoint(f):
-    """Pointwise adjoint observable; of a scalar row observable, the row
-    observable of the conjugate table."""
-    fe = f.evaluator
-    if f.fiber_dim == 1 and _on_rows(fe):
-        ev = _ChartEvaluator(lambda *cols: np.conj(fe.fn(*cols)), fe.reads_frame, on_rows=True)
-    elif f.fiber_dim == 1:
-        ev = lambda fp: np.conj(fe(fp))
-    else:
-        ev = lambda fp: np.asarray(fe(fp)).conj().T
-    return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim)
+    """Pointwise adjoint observable, the row observable of the conjugate
+    transposed values; as equivariant as f (rho is unitary)."""
+    at = np.conj if f.fiber_dim == 1 else lambda v: np.asarray(v).conj().T
+    ev = _RowEvaluator(lambda fp: at(f.evaluator(fp)),
+                       lambda *stack: np.conj(f._values(*stack)).swapaxes(-1, -2))
+    return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim,
+                          equivariance_rep=f.equivariance_rep)
 
 
 def equivariance_residual(model, obs, rng=None):
@@ -456,7 +452,7 @@ def smooth_bump(radius=0.55):
     A row observable: its function takes the point rows (N, 2), so a table
     is one array expression per block or chunk."""
 
-    def fn(points):
+    def rows(points, frames):
         x, y = points[..., 0], points[..., 1]
         r2 = (x * x + y * y) / (radius * radius)
         inside = r2 < 1.0
@@ -464,4 +460,5 @@ def smooth_bump(radius=0.55):
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
         return out
 
-    return FlowObservable(evaluator=_ChartEvaluator(fn, reads_frame=False, on_rows=True))
+    return FlowObservable(evaluator=_RowEvaluator(
+        lambda fp: rows(np.asarray(fp.point)[None], None)[0], rows))

@@ -788,7 +788,8 @@ def _node_average(weights, rows, *arrays):
 def _per_node_table(fn, shape, *columns):
     """The table of a per-point callback: fn(*row) for each row of the zipped
     `columns`, as one complex array of the given shape (rows first, then
-    m x m).  The package's one adapter for callbacks that take one point; a
+    m x m).  The adapter of `limits` and `spectral` for callbacks that take
+    one point (`flows._each` keeps the values' own dtype, for products); a
     value of the wrong size raises instead of broadcasting."""
     return np.asarray([fn(*row) for row in zip(*columns)], dtype=complex).reshape(shape)
 

@@ -12,7 +12,8 @@ element in enumeration order, so d and the Hodge star come from numpy over
 the whole basis and `algebra`'s exterior table.  The co-exact and exact
 Hodge projections, the helicity operator, the Dirac operator and its sign and
 halves are each a torus `multiplier`: the block of mode k is |kappa_k|^order
-times the symbol at kappa_k / |kappa_k|, from one batched symbol call.
+times the symbol at kappa_k / |kappa_k|, from one batched symbol call; the
+sphere's Hodge projections are 0/1 diagonals read from the labels.
 Sphere multipliers integrate with `geometry._sphere_rule`: an FFT in phi at
 each polar node, then one real matmul over the polar nodes per order m, over
 the columns of live phi-bands only.  A band is live when some ring carries it
@@ -36,7 +37,6 @@ from . import CapabilityError
 from . import algebra as alg
 from . import geometry as geo
 
-_KERNEL_RELATIVE = 1e-10
 # Largest smaller side for which `spectral_norm` takes the dense SVD of a
 # sparse matrix: at 100 x 100 it is about twice as fast as the Gram matrix's
 # Lanczos, which catches up near 150 x 150 on real data.
@@ -478,28 +478,19 @@ def hodge_star(model, p, K):
     return OperatorMatrix(matrix=mat, order=0, domain=dom, codomain=cod)
 
 
-def _pinv_diag(vals):
-    """1 / vals, and 0 on the kernel (relative to max(vals.max(), 1))."""
-    vals = np.asarray(vals, dtype=float)
-    scale = vals.max() if vals.size else 1.0
-    out = np.zeros_like(vals)
-    keep = vals > _KERNEL_RELATIVE * max(scale, 1.0)
-    out[keep] = vals[keep] ** -1.0
-    return out
-
-
 def hodge_projections(model, p, K):
     """Spectral projections (P, Q, H) onto co-exact, exact, harmonic p-forms.
 
     On a torus P and Q are the order-0 `multiplier`s of iota_xi xi ^ =
     E_p^H E_p and xi ^ iota_xi = E_(p-1) E_(p-1)^H, E_q = xi ^ . on q-forms
-    (`algebra.exterior_mult`), and H is the identity on the zero mode, each
-    exact per mode.  On the sphere P = pinv(Delta) delta d, Q = pinv(Delta)
-    d delta and H = 1 - P - Q, with each d assembled once and delta = d^H
-    (the canonical basis is orthonormal); sphere projections carry no symbol.
+    (`algebra.exterior_mult`), each exact per mode.  On the sphere they are
+    0/1 diagonals read from the labels: P is l >= 1 on the `f` and `co`
+    families, Q is l >= 1 on `ex` and `v`, and they carry no symbol.  On
+    every model H is the identity on the basis elements with lam == 0.
     """
     sm = basis_for(model, "forms", K, p)
-    mk = lambda mat, sym: OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=sym)
+    diagonal = lambda rows: OperatorMatrix(
+        matrix=_sparse(rows, rows, np.ones(rows.size), (sm.dim, sm.dim)), order=0, domain=sm)
     if model.kind == geo.TORUS:
         def coexact(x, xi):  # the projection onto iota_xi Lambda^(p+1)
             e = alg.exterior_mult(xi, p)
@@ -509,21 +500,13 @@ def hodge_projections(model, p, K):
             e = alg.exterior_mult(xi, p - 1)
             return e @ e.swapaxes(-1, -2)
 
-        zero = np.flatnonzero(~sm.modes.any(axis=1))
-        hmat = _sparse(zero, zero, np.ones(zero.size), (sm.dim, sm.dim))
-        return (multiplier(sm, SymbolField(coexact, sm.fiber_dim, batched=True), 0),
-                multiplier(sm, SymbolField(exact, sm.fiber_dim, batched=True), 0),
-                mk(hmat, None))
-    dinv_m = scipy.sparse.diags(_pinv_diag(sm.lam))
-    pmat = qmat = scipy.sparse.csr_matrix((sm.dim, sm.dim), dtype=complex)
-    if p < model.dim:
-        d = exterior_d(model, p, K).matrix
-        pmat = (dinv_m @ (d.conj().T.tocsr() @ d)).tocsr()
-    if p > 0:
-        d = exterior_d(model, p - 1, K).matrix
-        qmat = (dinv_m @ (d @ d.conj().T.tocsr())).tocsr()
-    hmat = (scipy.sparse.identity(sm.dim, dtype=complex) - pmat - qmat).tocsr()
-    return mk(pmat, None), mk(qmat, None), mk(hmat, None)
+        pq = (multiplier(sm, SymbolField(coexact, sm.fiber_dim, batched=True), 0),
+              multiplier(sm, SymbolField(exact, sm.fiber_dim, batched=True), 0))
+    else:
+        fams = np.array([lab[0] for lab in sm.labels])
+        pq = tuple(diagonal(np.flatnonzero(np.isin(fams, members) & (sm.lam > 0)))
+                   for members in (("f", "co"), ("ex", "v")))
+    return pq + (diagonal(np.flatnonzero(sm.lam == 0)),)
 
 
 # ---------------------------------------------------------------------------

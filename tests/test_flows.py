@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -507,19 +508,122 @@ _ROW_PAIRS = {
 @pytest.mark.parametrize("name", list(_ROW_PAIRS))
 def test_products_and_adjoints_of_row_observables_are_their_row_products(name, monkeypatch):
     f, h = _ROW_PAIRS[name]
-    f_rows, h_rows = name.startswith("bump"), name.endswith("bump")
     points, frames = _rows(OCT, 400, 52)
     fps = [geo.FramePoint(point=p, frame=fr)
            for p, fr in zip(points.reshape(-1, 2), frames.reshape(-1, 2, 2))]
-    for obs, ref, rows in (
-            (fl.obs_product(f, h), lambda fp: f.evaluator(fp) * h.evaluator(fp), f_rows and h_rows),
-            (fl.obs_adjoint(f), lambda fp: np.conj(f.evaluator(fp)), f_rows)):
+    for obs, ref in ((fl.obs_product(f, h), lambda fp: f.evaluator(fp) * h.evaluator(fp)),
+                     (fl.obs_adjoint(f), lambda fp: np.conj(f.evaluator(fp)))):
         want = np.array([ref(fp) for fp in fps], dtype=complex).reshape(8, 50, 1, 1)
         got, built = _frame_points_built(monkeypatch, lambda: obs.table(points, frames))
-        assert built == (0 if rows else 400)
+        assert built == 0
         assert got.tobytes() == want.tobytes()
         for fp, value in zip(fps[:20], want.reshape(-1)):
             assert np.complex128(obs.evaluator(fp)).tobytes() == value.tobytes()
+
+
+_OPAQUE = {
+    1: fl.FlowObservable(evaluator=lambda fp: np.sin(fp.point[1]) * fp.frame[0, 1] - 0.1),
+    2: fl.FlowObservable(evaluator=lambda fp: fp.frame[:2, :2] + 1j * fp.frame[1:, :2],
+                         fiber_dim=2),
+}
+# row factors and the number of opaque evaluators each calls per frame point
+_ROW_FACTORS = {
+    1: (fl.scalar_observable(lambda p, f: np.cos(p[0]) * f[2, 1] - 0.2), 0),
+    # an adjoint is a row observable whatever its factor
+    2: (fl.obs_adjoint(fl.FlowObservable(
+        evaluator=lambda fp: fp.frame[:2, 1:] * np.cos(fp.point[0]), fiber_dim=2)), 1),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_products_of_opaque_and_row_factors_are_their_evaluator_rows(m, monkeypatch):
+    opaque, (row, row_opaque) = _OPAQUE[m], _ROW_FACTORS[m]
+    points, frames = _rows(TORUS3, 400, 53)
+    for obs in (fl.obs_product(opaque, row), fl.obs_product(row, opaque),
+                fl.obs_adjoint(fl.obs_product(opaque, row))):
+        want = _ref_table(obs, points, frames)
+        got, built = _frame_points_built(monkeypatch, lambda: obs.table(points, frames))
+        assert built == 400 * (1 + row_opaque)  # the opaque evaluators' frame points only
+        assert got.shape == (8, 50, m, m)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_adjoints_and_products_keep_equivariance():
+    rep = alg.restrict_to_stabilizer(alg.exterior_rep(3, 1))
+    b = np.diag([1.0, 2.0, -0.5])
+    obs = fl.FlowObservable(evaluator=lambda fp: fp.frame.T @ b @ fp.frame, fiber_dim=3,
+                            equivariance_rep=rep)
+    for derived in (fl.obs_adjoint(obs), fl.obs_product(obs, obs),
+                    fl.beta_flow(TORUS3, fl.obs_product(obs, fl.obs_adjoint(obs)), 0.7)):
+        assert derived.equivariance_rep is rep
+        assert fl.equivariance_residual(TORUS3, derived, np.random.default_rng(16)) < 1e-8
+    plain = fl.FlowObservable(evaluator=lambda fp: b, fiber_dim=3)
+    other = dataclasses.replace(obs, equivariance_rep=alg.restrict_to_stabilizer(
+        alg.exterior_rep(3, 1)))
+    for product in (fl.obs_product(obs, plain), fl.obs_product(plain, obs),
+                    fl.obs_product(obs, other)):
+        assert product.equivariance_rep is None
+        with pytest.raises(ValueError):
+            fl.equivariance_residual(TORUS3, product)
+
+
+# ---------------------------------------------------------------------------
+# beta flow on tables
+
+_BETA_CASES = {
+    "torus2": (TORUS2, fl.scalar_observable(lambda p, f: np.cos(p[1]) * f[0, 0] - f[1, 0] ** 2)),
+    "torus3": (TORUS3, fl.scalar_observable(
+        lambda p, f: np.sin(p[2]) * f[0, 1] * f[2, 2] + 1j * f[1, 0])),
+    "sphere2": (SPHERE, fl.position_observable(lambda p: np.cos(p[0]) ** 2)),
+    "octagon2": (OCT, fl.smooth_bump(0.9)),
+}
+
+
+@pytest.mark.parametrize("name", list(_BETA_CASES))
+def test_beta_flow_table_is_the_per_point_evaluator_bitwise(name):
+    model, obs = _BETA_CASES[name]
+    points, frames = _rows(model, 400, 55)
+    for t in (0.3, 2.0, 7.5):
+        beta = fl.beta_flow(model, obs, t)
+        assert beta.table(points, frames).tobytes() == _ref_table(beta, points, frames).tobytes()
+
+
+@pytest.mark.parametrize("name", list(_BETA_CASES))
+def test_beta_flow_birkhoff_blocks_match_the_per_point_evaluator(name, monkeypatch):
+    model, obs = _BETA_CASES[name]
+    fps = [fl.random_frame_point(model, np.random.default_rng([56, k])) for k in range(3)]
+    monkeypatch.setattr(fl, "_BLOCK_POINTS", 60)  # several blocks
+    for t in (0.3, 2.0, 7.5):
+        beta = fl.beta_flow(model, obs, t)
+        opaque = fl.FlowObservable(evaluator=lambda fp: beta.evaluator(fp))
+        got, want = (fl.birkhoff_average(model, o, fps, 3.0, 0.05, space_average=0.0)
+                     for o in (beta, opaque))
+        assert got.time_average.tobytes() == want.time_average.tobytes()
+
+
+def test_beta_flow_table_flows_each_node_chunk_in_one_call(monkeypatch):
+    obs = fl.smooth_bump(radius=0.9)
+    beta = fl.beta_flow(OCT, obs, 2.0)
+    want = _ref_liouville(OCT, beta, 12)
+    calls, single, frame_flow = [], [], fl.frame_flow
+
+    class Counting(geo.FramePoint):
+        def __init__(self, point, frame):
+            single.append(np.ndim(point) == 1)
+            super().__init__(point, frame)
+
+    def counted(model, fp, t):
+        calls.append(len(fp.point))
+        return frame_flow(model, fp, t)
+
+    monkeypatch.setattr(geo, "_NODE_CHUNK", 300)
+    monkeypatch.setattr(geo, "FramePoint", Counting)
+    monkeypatch.setattr(fl, "frame_flow", counted)
+    got = fl.liouville_haar_average(OCT, beta, 12)
+    nodes = len(fl.liouville_nodes(OCT, 12)[0])
+    assert nodes > 900 and calls == [min(300, nodes - lo) for lo in range(0, nodes, 300)]
+    assert single and not any(single)  # one stacked FramePoint in and out per chunk
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 # ---------------------------------------------------------------------------

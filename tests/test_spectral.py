@@ -186,7 +186,7 @@ def test_hodge_projection_identities(model, K, p):
 
 
 @pytest.mark.parametrize("model,p,want", [(T3, 1, 0), (T3, 0, 0), (T3, 3, 0),
-                                          (T2, 1, 0), (S2, 0, 1), (S2, 2, 1)],
+                                          (T2, 1, 0), (S2, 0, 0), (S2, 2, 0)],
                          ids=["T3-p1", "T3-p0", "T3-p3", "T2-p1", "S2-p0", "S2-p2"])
 def test_hodge_projections_assemble_each_derivative_once(monkeypatch, model, p, want):
     calls, exterior_d = [], sp.exterior_d
@@ -202,7 +202,8 @@ def test_hodge_projections_assemble_each_derivative_once(monkeypatch, model, p, 
 
 
 def _zero_mode_identity(sm):
-    """The projection onto the zero mode of a torus basis, as CSR."""
+    """The projection onto the zero mode of a torus basis (l = 0 on the
+    sphere), as CSR."""
     mat = scipy.sparse.diags((~sm.modes.any(axis=1)).astype(complex)).tocsr()
     mat.eliminate_zeros()
     return mat
@@ -217,21 +218,33 @@ def _assert_csr_bytes_equal(a, b):
 @pytest.mark.parametrize("model,K", [(T2, 4), (T3_STRETCHED, 2), (S2, 6)],
                          ids=["T2", "T3-periods", "S2"])
 def test_hodge_projections_match_codifferential_construction_bitwise(model, K):
-    # the sphere keeps the chain bit for bit; on tori P and Q are multipliers
-    # with the chain's pattern, and H is the exact zero-mode projection
+    # P and Q have the chain's pattern and sit within rounding of it, and H
+    # is the exact zero-mode projection
     for p in range(model.dim + 1):
         got = sp.hodge_projections(model, p, K)
         want = oracles.hodge_chain(model, p, K)
-        if model.kind != geo.TORUS:
-            for op, ref in zip(got, want):
-                assert op.matrix.shape == ref.shape
-                _assert_csr_bytes_equal(op.matrix, ref)
-            continue
         for op, ref in zip(got[:2], want[:2]):
             assert op.matrix.nnz == ref.nnz
             if ref.nnz:
                 assert abs(op.matrix - ref).max() <= 1e-15 * abs(ref).max()
         _assert_csr_bytes_equal(got[2].matrix, _zero_mode_identity(got[2].domain))
+
+
+@pytest.mark.parametrize("K", [6, 24])
+def test_sphere_hodge_projections_are_exact_label_diagonals(K):
+    # co-exact: the f and co families, exact: ex and v, both off l = 0; S^2 has
+    # harmonic forms in degrees 0 and 2 only, the constants and the area form
+    for p, harmonic in ((0, 1), (1, 0), (2, 1)):
+        sm = sp.basis_for(S2, "forms", K, p)
+        fams = np.array([lab[0] for lab in sm.labels])
+        live = sm.modes[:, 0] >= 1
+        P, Q, H = sp.hodge_projections(S2, p, K)
+        for op, members in ((P, ("f", "co")), (Q, ("ex", "v"))):
+            rows = np.flatnonzero(np.isin(fams, members) & live)
+            _assert_csr_bytes_equal(op.matrix, sp._sparse(rows, rows, np.ones(rows.size),
+                                                          (sm.dim, sm.dim)))
+        assert H.matrix.nnz == harmonic
+        _assert_csr_bytes_equal(H.matrix, _zero_mode_identity(sm))
 
 
 @pytest.mark.parametrize("model", TORI, ids=_torus_id)
