@@ -15,6 +15,7 @@ and one per node for a per-point symbol, and one product contracts
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +77,16 @@ def heat_state(sm, t):
     """Gibbs trace-ratio state at inverse temperature t.  Its error bounds
     what the modes beyond the cutoff would add; `compare_states` flags heat
     times below `heat_time_floor(sm)` as not reliable."""
+    _check_time(t, "heat time")
     if t <= 0:
         raise ValueError("heat time must be positive")
     return StateFunctional(kind="heat", context=sm, t=float(t))
+
+
+def _check_time(t, what):
+    """`ValueError` unless t is a finite real number."""
+    if not isinstance(t, numbers.Real) or not np.isfinite(t):
+        raise ValueError(f"{what} {t!r} is not finite, or not real")
 
 
 def heat_time_floor(sm):
@@ -341,24 +349,21 @@ def egorov_residual(model, symbol, t, shell, K):
 
     Exactly zero at t = 0 and for Fourier multipliers; decays like 1/shell
     for admissible base-dependent symbols.  Both the evolution and the
-    push-forward keep the modes of each entry, so the compression needs only
-    the entries whose row and column lie in the shell: the symbol is quantized
-    there alone, each coefficient called once per such entry
-    (`spectral._quantized`).  The push-forward's entry at (k + nu, k) is that
-    of the quantization times the phase exp(-i t nu . xi_k), xi_k the unit
-    covector of mode k (`spectral._quantized_push`).  A non-finite t, an
-    empty shell and a shell past the truncation raise `ValueError`; the model
-    and symbol meet `quantize`'s checks.
+    push-forward keep the modes of each entry, so only the entries whose row
+    and column lie in the shell are built, from one coefficient table with
+    one call of each coefficient per entry (`spectral._quantizations`): the
+    quantization places it at (k + nu, k), the push-forward places it times
+    exp(-i t nu . xi_k), xi_k the unit covector of mode k.  A t that is not a
+    finite real number, an empty shell and a shell past the truncation raise
+    `ValueError` before any coefficient call; the model and symbol meet
+    `quantize`'s checks.
     """
-    if not np.isfinite(t):
-        raise ValueError(f"evolution time {t} is not finite")
+    _check_time(t, "evolution time")
     sm = sp.basis_for(model, "functions", K)
     idx = _shell(sm, shell)
-    keep = np.zeros(sm.dim, dtype=bool)
-    keep[idx] = True
-    a_op = sp._quantized(model, symbol, K, keep)
-    evolved = evolve_observable(a_op, t)
-    diff = (evolved.matrix - sp._quantized_push(a_op, t)).tocsr()
+    a, pushed = sp._quantizations(model, symbol, K, np.isin(np.arange(sm.dim), idx), (t,))
+    evolved = evolve_observable(sp.OperatorMatrix(matrix=a, order=0, domain=sm), t)
+    diff = (evolved.matrix - pushed).tocsr()
     return sp.spectral_norm(diff[np.ix_(idx, idx)])
 
 

@@ -8,21 +8,17 @@ canonical basis ordering (ascending eigenvalue, then lexicographic label).
 
 Assembly is array-first.  Every basis keeps the integer mode and fiber
 component of each canonical position and the canonical position of each
-element in enumeration order, so d and the Hodge star come from numpy over
-the whole basis and `algebra`'s exterior table.  The co-exact and exact
-Hodge projections, the helicity operator, the Dirac operator and its sign and
-halves are each a torus `multiplier`: the block of mode k is |kappa_k|^order
-times the symbol at kappa_k / |kappa_k|, from one batched symbol call; the
-sphere's Hodge projections are 0/1 diagonals read from the labels.
-Sphere multipliers integrate with `geometry._sphere_rule`: an FFT in phi at
-each polar node, then one real matmul over the polar nodes per order m, over
-the columns of live phi-bands only.  A band is live when some ring carries it
-above 8 eps of the largest weight-free ring coefficient; the dropped part of
-the multiplier is at most n_phi times that in sup norm, which bounds the
-change in operator norm; a full-band multiplier stores every entry.
-User callbacks are still called one point at a time: a coefficient function
-in `quantize` once per label, and the `fn` of `sphere_multiplication` once
-per quadrature node.
+element in enumeration order.  A torus operator is a table of per-mode
+blocks (m_out, m_in) placed at (k + nu, k) on one cached `_block_pattern`:
+d is i kappa ^ . on `algebra`'s wedge table; P, Q, the helicity operator,
+D and its sign and halves are `multiplier`s, one batched symbol table at
+kappa_k / |kappa_k| times |kappa_k|^order; `quantize` places a coefficient
+table per frequency, the Egorov push-forward that table times its phases.
+Left-out entries, the zero mode's among them, are pruned zeros.  The Hodge
+star and the sphere's operators are read from the labels; sphere
+multipliers use the live phi-bands of `geometry._sphere_rule`.  User
+callbacks are called one point at a time: a `quantize` coefficient once per
+kept entry, the `fn` of `sphere_multiplication` once per quadrature node.
 """
 
 import itertools
@@ -287,6 +283,40 @@ def _locate(sm, modes, components):
     return np.where(inside, sm.position[enum], -1)
 
 
+@lru_cache(maxsize=64)
+def _block_pattern(dom, cod, shifts, fiber=None):
+    """CSR layout of the operators from torus basis `dom` to `cod` with one
+    block at (k + nu, k) per mode k and integer shift nu in `shifts`, on the
+    (row, column) entries `fiber` of a block, or on all of them row by row:
+    the shift, domain and codomain mode of each block (mode j fills the m
+    positions from j m), the CSR indices and indptr, and the order that takes
+    the blocks' entries to CSR order.  Read-only; keyed on cached bases."""
+    m_in, m_out = dom.fiber_dim, cod.fiber_dim
+    a, b = np.array(fiber).T if fiber else np.divmod(np.arange(m_out * m_in), m_in)
+    nus = np.array(shifts, dtype=int).reshape(-1, 1, cod.model.dim)
+    src = _locate(dom, cod.modes[::m_out] - nus, 0) // m_in
+    shift, tgt = np.nonzero(src >= 0)
+    src = src[shift, tgt]
+    rows, cols = (tgt[:, None] * m_out + a).ravel(), (src[:, None] * m_in + b).ravel()
+    order = np.lexsort((cols, rows))
+    indptr = np.searchsorted(rows[order], np.arange(cod.dim + 1)).astype(np.int32)
+    return tuple(map(_frozen, (shift, src, tgt, cols[order].astype(np.int32), indptr, order)))
+
+
+def _place_blocks(dom, cod, shifts, values, fiber=None):
+    """The matrix of `_block_pattern(dom, cod, shifts, fiber)` with entries
+    `values` in its order, taken over: dense blocks drop their exact zeros,
+    `fiber` entries keep theirs.  Its index arrays are its own."""
+    indices, indptr, order = _block_pattern(dom, cod, shifts, fiber)[3:]
+    # one shift's entries come in CSR order already
+    values = values.ravel() if len(shifts) == 1 else values.ravel()[order]
+    mat = scipy.sparse.csr_matrix((values, indices.copy(), indptr.copy()),
+                                  shape=(cod.dim, dom.dim))
+    if fiber is None:
+        mat.eliminate_zeros()
+    return mat
+
+
 def basis_for(model, bundle, K, p=None):
     """Truncated basis for (model, bundle); bundle in
     {"functions", "forms", "spinors"}.  One cached object per (model, bundle,
@@ -309,6 +339,10 @@ def _torus_basis(model, bundle, p, K):
     if bundle == "functions":
         tag, comps = "f", [None]
     elif bundle == "forms":
+        # membership compares by value, as the basis cache does: 1.0 is 1
+        if p not in range(n + 1):
+            raise ValueError(f"torus form degrees are integers 0 <= p <= {n}, got {p!r}")
+        p = int(p)
         tag, comps = "w", list(itertools.combinations(range(n), p))
     elif bundle == "spinors":
         tag, comps = "s", list(range(2 ** (n // 2)))
@@ -396,21 +430,17 @@ def exterior_d(model, p, K):
     """Exterior derivative from p-forms to (p+1)-forms on the truncated basis."""
     dom = basis_for(model, "forms", K, p)
     n = model.dim
-    if p >= n:
-        cod = _empty_model(model, p + 1, K)
+    cod = _empty_model(model, p + 1, K) if p == n else basis_for(model, "forms", K, p + 1)
+    if p == n:
         mat = scipy.sparse.csr_matrix((0, dom.dim), dtype=complex)
-        return OperatorMatrix(matrix=mat, order=1, domain=dom, codomain=cod)
-    cod = basis_for(model, "forms", K, p + 1)
-    if model.kind == geo.TORUS:
-        # d(e^{ik.x} dx_I) = sum_j i kappa_j dx_j ^ dx_I: the mode block is i kappa ^ .
-        # each fiber component has n - p pairs (j, target), ascending in j
+    elif model.kind == geo.TORUS:
+        # d(e^{ik.x} dx_I) = sum_j i kappa_j dx_j ^ dx_I: the block of mode k is
+        # i kappa ^ . on the wedge table's entries, stored even where kappa_j = 0
         eps = alg.wedge_table(n, p)
-        comp, j, target = np.nonzero(eps.transpose(2, 0, 1))
-        j, target, sign = (np.take(a.reshape(-1, n - p), dom.components, axis=0).ravel()
-                           for a in (j, target, eps[j, target, comp]))
-        cols = np.repeat(np.arange(dom.dim), n - p)
-        rows = _locate(cod, np.repeat(dom.modes, n - p, axis=0), target)
-        vals = 1j * _dual(model, dom.modes)[cols, j] * sign
+        target, comp, j = np.nonzero(eps.transpose(1, 2, 0))
+        vals = 1j * _dual(model, dom.modes[::dom.fiber_dim])[:, j] * eps[j, target, comp]
+        mat = _place_blocks(dom, cod, ((0,) * n,), vals,
+                            tuple(zip(target.tolist(), comp.tolist())))
     else:
         l = dom.modes[:, 0]
         if p == 0:      # d Y_lm = sqrt(l (l + 1)) ex_lm for l >= 1
@@ -419,9 +449,9 @@ def exterior_d(model, p, K):
             co = _SPHERE_FAMILIES[1][0].index("co")
             cols, fam, sign = np.flatnonzero(dom.components == co), "v", -1.0
         rows = _locate(cod, dom.modes[cols], _SPHERE_FAMILIES[p + 1][0].index(fam))
-        vals = sign * np.sqrt(l[cols] * (l[cols] + 1.0))
-    return OperatorMatrix(matrix=_sparse(rows, cols, vals, (cod.dim, dom.dim)), order=1,
-                          domain=dom, codomain=cod)
+        mat = _sparse(rows, cols, sign * np.sqrt(l[cols] * (l[cols] + 1.0)),
+                      (cod.dim, dom.dim))
+    return OperatorMatrix(matrix=mat, order=1, domain=dom, codomain=cod)
 
 
 def _empty_model(model, p, K):
@@ -513,21 +543,6 @@ def hodge_projections(model, p, K):
 # Fourier multipliers on tori: Hodge, helicity, Dirac, sign and halves
 
 
-@lru_cache(maxsize=None)
-def _multiplier_pattern(sm):
-    """Unit covectors xi_k and eigenvalues |kappa_k|^2 of the modes k != 0 of
-    a torus basis, a base point per mode, and the CSR indices and indptr of
-    their dense fiber blocks.  Canonical order sorts by eigenvalue, mode, then
-    component, so the zero mode comes first and each mode fills a run."""
-    if sm.model.kind != geo.TORUS:
-        raise CapabilityError("Fourier multipliers live on torus bases")
-    m, dim = sm.fiber_dim, sm.dim
-    xi = _unit_covectors(sm)[m::m]
-    indices = np.repeat(np.arange(m, dim, dtype=np.int32).reshape(-1, m), m, axis=0)
-    indptr = np.maximum(np.arange(dim + 1, dtype=np.int32) - m, 0) * m
-    return tuple(map(_frozen, (xi, np.zeros_like(xi), sm.lam[m::m], indices.ravel(), indptr)))
-
-
 def multiplier(sm, symbol, order):
     """The operator |kappa_k|^order symbol(kappa_k / |kappa_k|) on each mode
     k != 0 of a torus basis, with the zero mode in its kernel.
@@ -535,20 +550,28 @@ def multiplier(sm, symbol, order):
     `symbol` is a `SymbolField` of the basis' fiber rank that does not depend
     on the point; one table call covers every mode, and exact zeros are not
     stored.  Other bases raise `CapabilityError`, other ranks `ValueError`."""
-    xi, origin = _multiplier_pattern(sm)[:2]
+    return _multiplier_of(sm, _live_table(sm, symbol), order, symbol)
+
+
+def _live_table(sm, symbol):
+    """The table of `symbol` at the unit covectors of the modes k != 0 of a
+    torus basis, which canonical order puts after any zero mode, in order."""
+    if sm.model.kind != geo.TORUS:
+        raise CapabilityError("Fourier multipliers live on torus bases")
     if symbol.fiber_dim != sm.fiber_dim:
         raise ValueError("symbol fiber rank does not match the basis")
-    return _place(sm, symbol.table(origin, xi), order, symbol)
+    xi = _unit_covectors(sm)[np.searchsorted(sm.lam, 0.0, side="right") // sm.fiber_dim:]
+    return symbol.table(np.zeros(xi.shape), xi)
 
 
-def _place(sm, blocks, order, symbol):
-    """`multiplier` from the table `blocks` of its symbol over the modes."""
-    lam, indices, indptr = _multiplier_pattern(sm)[2:]
-    if order:
-        blocks = blocks * (lam ** (order / 2))[:, None, None]
-    # copied: pruning in place must reach neither the shared pattern nor blocks
-    mat = scipy.sparse.csr_matrix((blocks.ravel(), indices, indptr), (sm.dim,) * 2, copy=True)
-    mat.eliminate_zeros()
+def _multiplier_of(sm, table, order, symbol):
+    """`multiplier` from the table of its symbol over the modes k != 0, the
+    last len(table): the zero mode's block is 0, pruned with the other zeros."""
+    lam = sm.lam[::sm.fiber_dim]
+    live = lam.size - len(table)
+    scaled = table * (lam[live:] ** (order / 2))[:, None, None] if order else table
+    blocks = np.concatenate([np.zeros((live,) + table.shape[1:], dtype=complex), scaled])
+    mat = _place_blocks(sm, sm, ((0,) * sm.model.dim,), blocks)
     return OperatorMatrix(matrix=mat, order=order, domain=sm, symbol=symbol)
 
 
@@ -600,13 +623,12 @@ def sign_and_halves(d_op):
     sym, sm = d_op.symbol, d_op.domain
     if sym is None:
         raise ValueError("sign_and_halves needs the symbol of D")
-    xi, origin = _multiplier_pattern(sm)[:2]
-    s, m, eye = sym.table(origin, xi), sym.fiber_dim, np.eye(sym.fiber_dim)
+    s, m, eye = _live_table(sm, sym), sym.fiber_dim, np.eye(sym.fiber_dim)
     # batched halves on sym's table, whatever its convention
     plus_sym = SymbolField(lambda x, xi: 0.5 * (eye + sym.table(x, xi)), m, batched=True)
     minus_sym = SymbolField(lambda x, xi: 0.5 * (eye - sym.table(x, xi)), m, batched=True)
-    return (_place(sm, s, 0, sym), _place(sm, 0.5 * (eye + s), 0, plus_sym),
-            _place(sm, 0.5 * (eye - s), 0, minus_sym))
+    return (_multiplier_of(sm, s, 0, sym), _multiplier_of(sm, 0.5 * (eye + s), 0, plus_sym),
+            _multiplier_of(sm, 0.5 * (eye - s), 0, minus_sym))
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +667,7 @@ class _Shifted:
     """Coefficient c(xi) exp(-i t nu . xi) of a pushed symbol.
 
     It takes one covector like any coefficient; `quantize` calls only the
-    innermost `base` per label and multiplies in each push's phases of all
+    innermost `base` per entry and multiplies in each push's phases of all
     covectors in one array operation, innermost push first.
     """
 
@@ -656,16 +678,11 @@ class _Shifted:
     def __call__(self, xi):
         return self.base(xi) * np.exp(-1j * self.t * (self.nu @ np.asarray(xi)))
 
-    def phase(self, xis):
-        """exp(-i t nu . xi) for covectors xis (N, n)."""
-        return _flow_phase(xis, self.nu, self.t)
-
 
 def _flow_phase(xis, nu, t):
-    """exp(-i t nu . xi) for covectors xis (N, n) and a frequency nu, one (n,)
-    or one per covector (N, n); the stacked matmul runs the dot kernel of a
-    single call, so the phases agree bit for bit whichever nu is given."""
-    return np.exp(-1j * t * (xis[:, None, :] @ nu[..., None])[:, 0, 0])
+    """exp(-i t nu . xi) for covectors xis (N, n) and a frequency nu (n,); the
+    stacked matmul takes one dot per covector, so no phase depends on N."""
+    return np.exp(-1j * t * (xis[:, None, :] @ np.asarray(nu, dtype=float)[:, None])[:, 0, 0])
 
 
 def cosine_symbol(axis=0, dim=2):
@@ -682,12 +699,12 @@ def direction_symbol(fn, dim=2):
 
 @lru_cache(maxsize=None)
 def _unit_covectors(sm):
-    """Unit covector kappa / |kappa| of each mode of a torus basis, (dim, n),
-    with |kappa|^2 = lam as np.linalg.norm computes it; 0 at the zero mode.
-    Read-only, once per basis."""
-    live = sm.modes.any(axis=1)
-    xi = _dual(sm.model, sm.modes)
-    xi[live] /= np.sqrt(sm.lam[live])[:, None]
+    """Unit covector kappa / |kappa| of each mode of a torus basis, contiguous
+    in canonical mode order, with |kappa|^2 = lam as np.linalg.norm computes
+    it; 0 at the zero mode.  Read-only, once per basis."""
+    lam = sm.lam[::sm.fiber_dim]
+    xi = _dual(sm.model, sm.modes[::sm.fiber_dim])
+    xi[lam > 0] /= np.sqrt(lam[lam > 0])[:, None]
     return _frozen(xi)
 
 
@@ -697,73 +714,49 @@ def quantize(model, symbol, K):
     Matrix elements <e_{k+nu}, Op(a) e_k> are the x-Fourier coefficients of
     the symbol evaluated at the unit covector k/|k|; the zero mode is
     annihilated (direction undefined there).  Each frequency nu must be an
-    integer vector (`ValueError`).
+    integer vector of the model's dimension, and the coefficients must
+    return finite values (`ValueError`).
     """
-    return _quantized(model, symbol, K)
+    return OperatorMatrix(matrix=_quantizations(model, symbol, K)[0], order=0,
+                          domain=basis_for(model, "functions", K), symbol=symbol.field())
 
 
-def _quantized(model, symbol, K, keep=None):
-    """The entries of quantize(model, symbol, K) whose row and column modes
-    are both kept, as an operator on the whole basis.
-
-    `keep` masks the canonical positions of basis_for(model, "functions", K);
-    None keeps every nonzero mode, and the zero mode is never kept.  Each
-    coefficient is called once per candidate entry, a kept (k + nu, k) inside
-    the truncation, and every kept entry is bit for bit `quantize`'s.  The
-    checks are `quantize`'s: `CapabilityError` off tori, `ValueError` for a
-    symbol that is no `TrigSymbol`, has the wrong dimension or a non-integer
-    frequency.
-    """
+def _quantizations(model, symbol, K, keep=None, times=()):
+    """quantize(model, symbol, K), then quantize(model, symbol.pushed(t), K)
+    per t in `times`, as matrices of the entries whose row and column are kept
+    (`keep` masks the function basis; None keeps all but the zero mode).  The
+    coefficient table on the frequencies' `_block_pattern` holds, per kept
+    block (k + nu, k), one call of the innermost `_Shifted` base at the unit
+    covector xi_k times each push's phase, innermost first, and 0 elsewhere;
+    a push-forward places it times exp(-i t nu . xi_k).  The checks are
+    `quantize`'s; those of the frequencies precede any call."""
     if model.kind != geo.TORUS:
         raise CapabilityError("quantization is implemented on torus functions")
     if not isinstance(symbol, TrigSymbol):
         raise ValueError("quantize needs a TrigSymbol (finite trig polynomial)")
     if symbol.dim != model.dim:
         raise ValueError("symbol dimension does not match the model")
+    for nu in symbol.terms:
+        if np.shape(nu) != (model.dim,) or (np.asarray(nu, dtype=int) != np.asarray(nu)).any():
+            raise ValueError(f"symbol frequency {nu} is not an integer {model.dim}-vector")
     sm = basis_for(model, "functions", K)
-    live = sm.modes.any(axis=1)  # the zero mode has no direction and is skipped
-    keep = live if keep is None else keep & live
-    xi = _unit_covectors(sm)
-    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
-    for nu, coeff in symbol.terms.items():
-        step = np.asarray(nu, dtype=int)
-        if (step != np.asarray(nu)).any():
-            raise ValueError(f"symbol frequency {nu} is not an integer vector")
-        target = _locate(sm, sm.modes + step, 0)
-        col = np.flatnonzero(keep & (target >= 0))
-        col = col[keep[target[col]]]
+    keep = sm.lam > 0 if keep is None else keep & (sm.lam > 0)
+    shift, src, tgt = _block_pattern(sm, sm, tuple(symbol.terms))[:3]
+    kept = keep[src] & keep[tgt]
+    values = np.zeros((1 + len(times), src.size), dtype=complex)
+    for i, (nu, coeff) in enumerate(symbol.terms.items()):
+        at = np.flatnonzero(kept & (shift == i))
+        xi = _unit_covectors(sm)[src[at]]
         pushes = []  # innermost push first
         while isinstance(coeff, _Shifted):
             coeff, pushes = coeff.base, [coeff] + pushes
-        val = np.fromiter(map(coeff, xi[col]), dtype=complex, count=col.size)
+        val = np.fromiter(map(coeff, xi), dtype=complex, count=at.size)
+        if not np.isfinite(val).all():
+            raise ValueError(f"the coefficient of frequency {nu} must return finite values")
         for push in pushes:
-            val *= push.phase(xi[col])
-        nonzero = val != 0
-        rows.append(target[col[nonzero]])
-        cols.append(col[nonzero])
-        vals.append(val[nonzero])
-    mat = _sparse(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-                  (sm.dim, sm.dim))
-    return OperatorMatrix(matrix=mat, order=0, domain=sm, symbol=symbol.field())
-
-
-def _quantized_push(a_op, t):
-    """The matrix of quantize(model, symbol.pushed(t), K) from
-    a_op = quantize(model, symbol, K), without calling the coefficients again.
-
-    Distinct frequencies nu fill distinct entries (k + nu, k), so each entry
-    of a_op is one term's coefficient at the column's unit covector xi_k, and
-    the push-forward's entry is it times the phase exp(-i t nu . xi_k) of
-    `_Shifted`, nu the mode difference.  For plain coefficients this is
-    `quantize`'s own product, bit for bit, and so is it where the symbol is
-    itself pushed: `quantize` multiplies in each push's phases in turn.
-    """
-    sm, a = a_op.domain, a_op.matrix
-    cols = a.indices
-    rows = np.repeat(np.arange(sm.dim), np.diff(a.indptr))
-    nu = (sm.modes[rows] - sm.modes[cols]).astype(float)
-    phase = _flow_phase(_unit_covectors(sm)[cols], nu, t)
-    return scipy.sparse.csr_matrix((a.data * phase, cols, a.indptr), shape=a.shape)
+            val *= _flow_phase(xi, push.nu, push.t)
+        values[:, at] = [val] + [val * _flow_phase(xi, nu, t) for t in times]
+    return [_place_blocks(sm, sm, tuple(symbol.terms), row) for row in values]
 
 
 def resolvent_sqrt_inverse(sm):

@@ -541,9 +541,15 @@ def test_egorov_residual_quantizes_once(shell):
     assert all(0 < n < m for n, m in zip(calls, once))
     want, pushed = _two_quantize_residual(sym, t, shell, K)
     assert got == want
-    fast = sp._quantized_push(sp.quantize(T2, sym, K), t)
+    # the quantization and its push-forward come from one coefficient table
+    for c in sym.terms.values():
+        c.calls = 0
+    plain, fast = sp._quantizations(T2, sym, K, times=(t,))
+    assert [c.calls for c in sym.terms.values()] == once
     for attr in ("data", "indices", "indptr"):
         assert getattr(fast, attr).tobytes() == getattr(pushed, attr).tobytes()
+        assert (getattr(plain, attr).tobytes()
+                == getattr(sp.quantize(T2, sym, K).matrix, attr).tobytes())
 
 
 def test_egorov_residual_of_a_pushed_symbol():
@@ -552,7 +558,7 @@ def test_egorov_residual_of_a_pushed_symbol():
     for K, t0, t in [(10, 0.35, 0.6), (20, 0.35, 0.6), (10, 0.2, 1.3), (20, 0.2, 1.3)]:
         sym = _counted_symbol().pushed(t0)
         want, pushed = _two_quantize_residual(sym, t, 4, K)
-        fast = sp._quantized_push(sp.quantize(T2, sym, K), t)
+        fast = sp._quantizations(T2, sym, K, times=(t,))[1]
         for attr in ("data", "indices", "indptr"):
             assert getattr(fast, attr).tobytes() == getattr(pushed, attr).tobytes()
         assert lm.egorov_residual(T2, sym, t, 4, K) == want
@@ -563,7 +569,7 @@ def test_quantize_of_a_twice_pushed_symbol_is_the_quantized_push(K):
     # every push's phase is one array product, innermost first
     sym = _counted_symbol()
     twice = sp.quantize(T2, sym.pushed(0.35).pushed(0.6), K).matrix
-    fast = sp._quantized_push(sp.quantize(T2, sym.pushed(0.35), K), 0.6)
+    fast = sp._quantizations(T2, sym.pushed(0.35), K, times=(0.6,))[1]
     for attr in ("data", "indices", "indptr"):
         assert getattr(twice, attr).tobytes() == getattr(fast, attr).tobytes()
 
@@ -620,6 +626,24 @@ def test_egorov_residual_rejects_non_finite_time():
     assert [c.calls for c in sym.terms.values()] == [0, 0, 0]
 
 
+def test_times_that_are_not_real_are_rejected():
+    # a complex t used to give an Egorov residual (20.55 for cos at 0.5j),
+    # and a NaN heat time a NaN state with a RuntimeWarning
+    sym = _counted_symbol()
+    for t in (0.5j, np.complex128(0.5), "0.5"):
+        with pytest.raises(ValueError, match="not real"):
+            lm.egorov_residual(T2, sym, t, 2, 8)
+    assert [c.calls for c in sym.terms.values()] == [0, 0, 0]
+    sm = sp.basis_for(T2, "functions", 4)
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            lm.heat_state(sm, t)
+    for t in (0.5j, None):
+        with pytest.raises(ValueError, match="not real"):
+            lm.heat_state(sm, t)
+    assert lm.heat_state(sm, np.float32(0.5)).t == 0.5
+
+
 def test_egorov_shell_is_byte_equal_to_the_full_quantization_route():
     # the shell-only difference, compressed, against the compression of the
     # full one: same data, indices and indptr
@@ -630,15 +654,17 @@ def test_egorov_shell_is_byte_equal_to_the_full_quantization_route():
         idx = sp.shell_indices(sm, shell, 2 * shell)
         keep = np.zeros(sm.dim, dtype=bool)
         keep[idx] = True
-        part = sp._quantized(T2, sym, K, keep)
-        subs = [(lm.evolve_observable(a, t).matrix - sp._quantized_push(a, t)).tocsr()
-                [np.ix_(idx, idx)] for a in (full, part)]
+        routes = [sp._quantizations(T2, sym, K, mask, (t,)) for mask in (None, keep)]
+        subs = [(lm.evolve_observable(sp.OperatorMatrix(matrix=a, order=0, domain=sm), t).matrix
+                 - push).tocsr()[np.ix_(idx, idx)] for a, push in routes]
         for attr in ("data", "indices", "indptr"):
             assert getattr(subs[0], attr).tobytes() == getattr(subs[1], attr).tobytes()
+            assert getattr(routes[0][0], attr).tobytes() == getattr(full.matrix, attr).tobytes()
         # the kept entries are quantize's own, bit for bit
+        part = routes[1][0]
         inside = full.matrix[np.ix_(idx, idx)]
-        assert (inside != part.matrix[np.ix_(idx, idx)]).nnz == 0
-        assert part.matrix.nnz == inside.nnz
+        assert (inside != part[np.ix_(idx, idx)]).nnz == 0
+        assert part.nnz == inside.nnz
 
 
 # ---------------------------------------------------------------------------

@@ -594,7 +594,19 @@ def test_unit_covectors_are_one_read_only_table_per_basis():
     sm = sp.basis_for(T2, "functions", 4)
     xi = sp._unit_covectors(sm)
     assert sp._unit_covectors(sm) is xi and not xi.flags.writeable
-    assert np.shares_memory(sp._multiplier_pattern(sm)[0], xi)
+    # a multiplier's symbol reads that table at the modes k != 0, and its
+    # placement is one read-only pattern per (basis, basis, shifts)
+    seen = []
+
+    def sym(x, v):
+        seen.append(v)
+        return np.ones(v.shape[:-1] + (1, 1))
+
+    sp.multiplier(sm, sp.SymbolField(sym, 1, batched=True), 0)
+    assert len(seen) == 1 and np.array_equal(seen[0], xi[sm.lam > 0])
+    pattern = sp._block_pattern(sm, sm, ((0, 0),))
+    assert sp._block_pattern(sm, sm, ((0, 0),)) is pattern
+    assert not any(a.flags.writeable for a in pattern)
 
 
 def test_a_multiplier_pruned_in_place_leaves_later_builds_intact():
@@ -690,6 +702,18 @@ def test_quantize_rejects_bad_input():
         sp.quantize(T2, half, 4)
     with pytest.raises(ValueError, match="integer"):
         lm.egorov_residual(T2, half, 1.0, 1, 4)
+    # a frequency of the wrong length is rejected, not broadcast, before
+    # any coefficient call
+    calls = []
+    short = sp.TrigSymbol(terms={(0, 0): lambda xi: calls.append(xi) or 1.0,
+                                 (1,): lambda xi: calls.append(xi) or 1.0}, dim=2)
+    with pytest.raises(ValueError, match="integer 2-vector"):
+        sp.quantize(T2, short, 3)
+    with pytest.raises(ValueError, match="integer 2-vector"):
+        lm.egorov_residual(T2, short, 1.0, 2, 8)
+    with pytest.raises(ValueError, match="integer 2-vector"):
+        sp.quantize(T2, sp.TrigSymbol(terms={(1, 0, 0): lambda xi: 1.0}, dim=2), 3)
+    assert calls == []
     # the Egorov residual's shell-only quantization makes the same checks
     with pytest.raises(CapabilityError):
         lm.egorov_residual(S2, sp.cosine_symbol(), 1.0, 2, 4)
@@ -697,6 +721,33 @@ def test_quantize_rejects_bad_input():
         lm.egorov_residual(T2, "not a symbol", 1.0, 1, 4)
     with pytest.raises(ValueError, match="dimension"):
         lm.egorov_residual(T3, sp.cosine_symbol(axis=0, dim=2), 1.0, 1, 4)
+
+
+def test_quantize_rejects_non_finite_coefficients():
+    # one NaN coefficient value used to store 40 NaN entries at K = 3
+    for bad in (np.nan, np.inf, complex(1.0, np.nan)):
+        sym = sp.TrigSymbol(terms={(1, 0): lambda xi: 1.0,
+                                   (0, 1): lambda xi, bad=bad: bad if xi[0] > 0 else 0.5},
+                            dim=2)
+        with pytest.raises(ValueError, match="finite values"):
+            sp.quantize(T2, sym, 3)
+        with pytest.raises(ValueError, match="finite values"):
+            lm.egorov_residual(T2, sym, 1.0, 2, 8)
+
+
+@pytest.mark.parametrize("model", TORI, ids=_torus_id)
+def test_torus_form_degrees_outside_0_to_n_are_rejected(model):
+    n = model.dim
+    for p in (-1, n + 1, None, 0.5, "1"):
+        with pytest.raises(ValueError, match=f"0 <= p <= {n}"):
+            sp.basis_for(model, "forms", 2, p)
+    with pytest.raises(ValueError, match=f"0 <= p <= {n}"):
+        sp.hodge_projections(model, n + 1, 2)
+    # a degree equal to an integer is that integer, whichever comes first
+    assert type(sp.basis_for(model, "forms", 5, 1.0).form_degree) is int
+    # d on n-forms still maps to the empty (n + 1)-form model
+    d = sp.exterior_d(model, n, 2)
+    assert d.matrix.shape == (0, d.domain.dim) and d.codomain.fiber_dim == 0
 
 
 # ---------------------------------------------------------------------------
@@ -853,19 +904,28 @@ def test_dirac_matches_per_label_reference(model, K):
     _assert_same_entries(D.matrix, _ref_dirac(model, K))
 
 
-@pytest.mark.parametrize("symbol", [
-    sp.cosine_symbol(axis=0, dim=2), sp.cosine_symbol(axis=1, dim=2),
-    sp.direction_symbol(lambda xi: xi[0] ** 2 + 0.5j * xi[1], dim=2),
-    sp.TrigSymbol(terms={(2, 1): lambda xi: xi[1] - 0.5, (0, 0): lambda xi: 0.0,
-                         (-1, 0): lambda xi: 0.3 * xi[0]}, dim=2),
-], ids=["cos0", "cos1", "direction", "mixed"])
-def test_quantize_matches_per_label_reference(symbol):
-    for K in (2, 5):
-        _assert_same_entries(sp.quantize(T2, symbol, K).matrix,
-                             _ref_quantize(T2, symbol, K))
+_QUANTIZE_CASES = [
+    (T2, sp.cosine_symbol(axis=0, dim=2), (2, 5)), (T2, sp.cosine_symbol(axis=1, dim=2), (2, 5)),
+    (T2, sp.direction_symbol(lambda xi: xi[0] ** 2 + 0.5j * xi[1], dim=2), (2, 5)),
+    (T2, sp.TrigSymbol(terms={(2, 1): lambda xi: xi[1] - 0.5, (0, 0): lambda xi: 0.0,
+                              (-1, 0): lambda xi: 0.3 * xi[0]}, dim=2), (2, 5)),
+] + [(model, symbol, (1, 3)) for model in (T3, T3_STRETCHED) for symbol in (
+    sp.cosine_symbol(axis=2, dim=3),
+    sp.TrigSymbol(terms={(1, -2, 0): lambda xi: xi[2] - 0.5j * xi[0], (0, 0, 0): lambda xi: 0.0,
+                         (0, 1, 1): lambda xi: 0.3 * xi[1] * xi[2],
+                         (-1, 0, 2): lambda xi: 1.0 + xi[0]}, dim=3))]
+
+
+@pytest.mark.parametrize("model,symbol,cutoffs", _QUANTIZE_CASES,
+                         ids=["cos0", "cos1", "direction", "mixed", "T3-cos2", "T3-mixed",
+                              "T3-stretched-cos2", "T3-stretched-mixed"])
+def test_quantize_matches_per_label_reference(model, symbol, cutoffs):
+    for K in cutoffs:
+        _assert_same_entries(sp.quantize(model, symbol, K).matrix,
+                             _ref_quantize(model, symbol, K))
         pushed = symbol.pushed(0.7)
-        _assert_same_entries(sp.quantize(T2, pushed, K).matrix,
-                             _ref_quantize(T2, pushed, K))
+        _assert_same_entries(sp.quantize(model, pushed, K).matrix,
+                             _ref_quantize(model, pushed, K))
 
 
 _SPHERE_MULTIPLIERS = {
