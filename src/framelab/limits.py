@@ -84,8 +84,9 @@ def heat_state(sm, t):
 
 
 def _check_time(t, what):
-    """`ValueError` unless t is a finite real number."""
-    if not isinstance(t, numbers.Real) or not np.isfinite(t):
+    """`ValueError` unless t is a finite real number, a 0-d array included."""
+    real = isinstance(t, numbers.Real) or (np.ndim(t) == 0 and np.asarray(t).dtype.kind in "iuf")
+    if not real or not np.isfinite(float(t)):
         raise ValueError(f"{what} {t!r} is not finite, or not real")
 
 
@@ -361,7 +362,7 @@ def egorov_residual(model, symbol, t, shell, K):
     _check_time(t, "evolution time")
     sm = sp.basis_for(model, "functions", K)
     idx = _shell(sm, shell)
-    a, pushed = sp._quantizations(model, symbol, K, np.isin(np.arange(sm.dim), idx), (t,))
+    a, pushed = sp._quantizations(model, symbol, K, np.isin(np.arange(sm.dim), idx), t)
     evolved = evolve_observable(sp.OperatorMatrix(matrix=a, order=0, domain=sm), t)
     diff = (evolved.matrix - pushed).tocsr()
     return sp.spectral_norm(diff[np.ix_(idx, idx)])

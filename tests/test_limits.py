@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import tracemalloc
 
 import numpy as np
@@ -544,7 +545,7 @@ def test_egorov_residual_quantizes_once(shell):
     # the quantization and its push-forward come from one coefficient table
     for c in sym.terms.values():
         c.calls = 0
-    plain, fast = sp._quantizations(T2, sym, K, times=(t,))
+    plain, fast = sp._quantizations(T2, sym, K, t=t)
     assert [c.calls for c in sym.terms.values()] == once
     for attr in ("data", "indices", "indptr"):
         assert getattr(fast, attr).tobytes() == getattr(pushed, attr).tobytes()
@@ -558,7 +559,7 @@ def test_egorov_residual_of_a_pushed_symbol():
     for K, t0, t in [(10, 0.35, 0.6), (20, 0.35, 0.6), (10, 0.2, 1.3), (20, 0.2, 1.3)]:
         sym = _counted_symbol().pushed(t0)
         want, pushed = _two_quantize_residual(sym, t, 4, K)
-        fast = sp._quantizations(T2, sym, K, times=(t,))[1]
+        fast = sp._quantizations(T2, sym, K, t=t)[1]
         for attr in ("data", "indices", "indptr"):
             assert getattr(fast, attr).tobytes() == getattr(pushed, attr).tobytes()
         assert lm.egorov_residual(T2, sym, t, 4, K) == want
@@ -569,7 +570,7 @@ def test_quantize_of_a_twice_pushed_symbol_is_the_quantized_push(K):
     # every push's phase is one array product, innermost first
     sym = _counted_symbol()
     twice = sp.quantize(T2, sym.pushed(0.35).pushed(0.6), K).matrix
-    fast = sp._quantizations(T2, sym.pushed(0.35), K, times=(0.6,))[1]
+    fast = sp._quantizations(T2, sym.pushed(0.35), K, t=0.6)[1]
     for attr in ("data", "indices", "indptr"):
         assert getattr(twice, attr).tobytes() == getattr(fast, attr).tobytes()
 
@@ -630,18 +631,23 @@ def test_times_that_are_not_real_are_rejected():
     # a complex t used to give an Egorov residual (20.55 for cos at 0.5j),
     # and a NaN heat time a NaN state with a RuntimeWarning
     sym = _counted_symbol()
-    for t in (0.5j, np.complex128(0.5), "0.5"):
+    for t in (0.5j, np.complex128(0.5), "0.5", np.array(0.5j), np.array([0.5])):
         with pytest.raises(ValueError, match="not real"):
             lm.egorov_residual(T2, sym, t, 2, 8)
     assert [c.calls for c in sym.terms.values()] == [0, 0, 0]
     sm = sp.basis_for(T2, "functions", 4)
-    for t in (np.nan, np.inf):
+    for t in (np.nan, np.inf, np.array(np.nan)):
         with pytest.raises(ValueError, match="not finite"):
             lm.heat_state(sm, t)
-    for t in (0.5j, None):
+    for t in (0.5j, None, np.array(0.5j)):
         with pytest.raises(ValueError, match="not real"):
             lm.heat_state(sm, t)
-    assert lm.heat_state(sm, np.float32(0.5)).t == 0.5
+    # a real time of any numeric type, a 0-d array included, is taken
+    for t in (np.float32(0.5), np.array(0.5), fractions.Fraction(1, 2)):
+        assert lm.heat_state(sm, t).t == 0.5
+    cos = sp.cosine_symbol()
+    assert (lm.egorov_residual(T2, cos, np.array(0.5), 2, 8)
+            == lm.egorov_residual(T2, cos, 0.5, 2, 8))
 
 
 def test_egorov_shell_is_byte_equal_to_the_full_quantization_route():
@@ -654,7 +660,7 @@ def test_egorov_shell_is_byte_equal_to_the_full_quantization_route():
         idx = sp.shell_indices(sm, shell, 2 * shell)
         keep = np.zeros(sm.dim, dtype=bool)
         keep[idx] = True
-        routes = [sp._quantizations(T2, sym, K, mask, (t,)) for mask in (None, keep)]
+        routes = [sp._quantizations(T2, sym, K, mask, t) for mask in (None, keep)]
         subs = [(lm.evolve_observable(sp.OperatorMatrix(matrix=a, order=0, domain=sm), t).matrix
                  - push).tocsr()[np.ix_(idx, idx)] for a, push in routes]
         for attr in ("data", "indices", "indptr"):

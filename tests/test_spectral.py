@@ -604,9 +604,11 @@ def test_unit_covectors_are_one_read_only_table_per_basis():
 
     sp.multiplier(sm, sp.SymbolField(sym, 1, batched=True), 0)
     assert len(seen) == 1 and np.array_equal(seen[0], xi[sm.lam > 0])
+    assert np.shares_memory(seen[0], xi)
     pattern = sp._block_pattern(sm, sm, ((0, 0),))
     assert sp._block_pattern(sm, sm, ((0, 0),)) is pattern
-    assert not any(a.flags.writeable for a in pattern)
+    assert not any(a.flags.writeable for a in pattern if a is not None)
+    assert pattern[-1] is None  # one shift of dense blocks is in CSR order
 
 
 def test_a_multiplier_pruned_in_place_leaves_later_builds_intact():
