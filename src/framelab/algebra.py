@@ -426,7 +426,6 @@ def pascal_split_check(ranks, n, p):
     return target in reachable
 
 
-@lru_cache(maxsize=16)
 def _branching(n, p, seed):
     rep = restrict_to_stabilizer(exterior_rep(n, p))
     projs, residual = _projections(rep, seed)
@@ -440,15 +439,14 @@ def _branching(n, p, seed):
         "commutant_residual": residual,
         "identity_residual": float(np.abs(sum(pr.projector for pr in projs)
                                           - np.eye(rep.degree)).max()),
-    }, tuple(projs)
+    }, projs
 
 
 def branching_projections(n, p, seed=0):
     """Invariant projections of the p-th exterior power under the stabilizer."""
-    return list(_branching(n, p, seed)[1])
+    return _branching(n, p, seed)[1]
 
 
 def branching_report(n, p, seed=0):
     """Branching data for the p-th exterior power restricted to the stabilizer."""
-    report, _ = _branching(n, p, seed)
-    return dict(report)
+    return _branching(n, p, seed)[0]

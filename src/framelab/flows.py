@@ -21,12 +21,13 @@ a pole) and on the octagon advances each sample from an anchor at most one
 geodesic substep back.  Its frames come from one pass of the frame step
 that `frame_flow` uses.
 
-Observable tables have two paths (`FlowObservable.table`).  A row observable
-gives the values of a whole stack of frame points in one call: the
-observables of `scalar_observable`, `position_observable` and `smooth_bump`,
-and every `beta_flow`, product and adjoint, which flows the stack in one
-`frame_flow` call or combines its factors' values.  Any other evaluator is
-called once per frame point.
+Every observable the library builds is one function of a whole stack of
+frame points, and its value at one frame point is the row of a stack of one:
+`scalar_observable`, `position_observable` and `smooth_bump`, and every
+`beta_flow`, product and adjoint, which flows the stack in one `frame_flow`
+call or combines its factors' values.  A user callback that takes one point
+(the function of `scalar_observable` or `position_observable`, or any other
+evaluator) is called once per frame point by `geometry._per_node_table`.
 
 Orthonormality is an entry condition: `frame_flow` and the block sampler
 Gram-Schmidt, in one batched call, the entering frames whose residual exceeds
@@ -60,9 +61,9 @@ class FlowObservable:
     on fibers; `equivariance_residual` checks this on the table's sample.
 
     The evaluator takes one frame point.  `table` is the one entry through
-    which the library's quadratures call it: once per block or chunk for a
-    row observable, whose rows build no `FramePoint`, and once per frame
-    point for any other evaluator.
+    which the library's quadratures call it: a library observable's rows once
+    per block or chunk, building no `FramePoint`, and any other evaluator once
+    per frame point.
     """
 
     evaluator: callable
@@ -72,18 +73,19 @@ class FlowObservable:
     def table(self, points, frames):
         """The observable at the frame points (points (..., n), frames
         (..., n, n)): (..., m, m) complex."""
-        n = points.shape[-1]
+        n, m = points.shape[-1], self.fiber_dim
         values = self._values(points.reshape(-1, n), frames.reshape(-1, n, n))
-        return np.asarray(values, dtype=complex).reshape(points.shape[:-1] + values.shape[1:])
+        return np.asarray(values, dtype=complex).reshape(points.shape[:-1] + (m, m))
 
     def _values(self, points, frames):
-        """The values (N, m, m) at points (N, n), frames (N, n, n), in their
-        own dtype: a row evaluator's rows, or one evaluator call per frame
-        point.  A value of the wrong size raises instead of broadcasting."""
+        """The values at points (N, n), frames (N, n, n), in their own dtype:
+        (N,) for m = 1, else (N, m, m).  A library observable's rows, or one
+        evaluator call per frame point; a value of the wrong size raises
+        instead of broadcasting."""
         ev, m = self.evaluator, self.fiber_dim
         values = (ev.rows(points, frames) if isinstance(ev, _RowEvaluator)
-                  else _each(ev, map(geo.FramePoint, points, frames)))
-        return np.reshape(values, (len(points), m, m))
+                  else geo._per_node_table(ev, map(geo.FramePoint, points, frames)))
+        return np.reshape(values, (len(points),) if m == 1 else (len(points), m, m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,33 +105,27 @@ class BirkhoffEstimate:
 
 @dataclass(frozen=True)
 class _RowEvaluator:
-    """Evaluator that is `at` on one frame point and has `rows`, a function
-    of whole stacks: rows(points (N, n), frames (N, n, n)) gives the N
-    values in one call."""
+    """Evaluator of a library observable: rows(points (N, n), frames
+    (N, n, n)) gives the N values in one call, and its value at one frame
+    point is the row of a stack of one."""
 
-    at: callable
     rows: callable
 
     def __call__(self, fp):
-        return self.at(fp)
-
-
-def _each(fn, *columns):
-    """fn(*row) for each row of the zipped columns, as one array."""
-    return np.asarray([fn(*row) for row in zip(*columns)])
+        return self.rows(np.asarray(fp.point)[None], np.asarray(fp.frame)[None])[0]
 
 
 def scalar_observable(fn):
-    """Observable from a function of (point, frame); tables call it on rows."""
+    """Observable from a function of (point, frame), called on each row."""
     return FlowObservable(evaluator=_RowEvaluator(
-        lambda fp: fn(fp.point, fp.frame), lambda points, frames: _each(fn, points, frames)))
+        lambda points, frames: geo._per_node_table(fn, points, frames)))
 
 
 def position_observable(fn):
-    """Scalar observable depending on the base point only; tables call it
-    on point rows."""
+    """Scalar observable depending on the base point only; fn is called on
+    each point row."""
     return FlowObservable(evaluator=_RowEvaluator(
-        lambda fp: fn(fp.point), lambda points, frames: _each(fn, points)))
+        lambda points, frames: geo._per_node_table(fn, points)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,37 +206,33 @@ def right_action(fp, g):
 def beta_flow(model, obs, t):
     """Pull-back flow on observables: (beta_t f)(x) = f(gamma_{-t} x).
 
-    A row observable: its rows flow the whole stack in one `frame_flow`
-    call and read the values of `obs` there."""
+    Its rows flow the whole stack in one `frame_flow` call and read the
+    values of `obs` there."""
     def rows(points, frames):
         end = frame_flow(model, geo.FramePoint(point=points, frame=frames), -t)
         return obs._values(end.point, end.frame)
 
-    ev = _RowEvaluator(lambda fp: obs.evaluator(frame_flow(model, fp, -t)), rows)
-    return FlowObservable(evaluator=ev, fiber_dim=obs.fiber_dim,
+    return FlowObservable(evaluator=_RowEvaluator(rows), fiber_dim=obs.fiber_dim,
                           equivariance_rep=obs.equivariance_rep)
 
 
 def obs_product(f, h):
-    """Pointwise product observable, the row observable of the product of
-    the factors' values; equivariant when both factors carry the same table."""
+    """Pointwise product observable, whose rows are the products of the
+    factors' values; equivariant when both factors carry the same table."""
     if f.fiber_dim != h.fiber_dim:
         raise ValueError("fiber dimensions differ")
     op = operator.mul if f.fiber_dim == 1 else operator.matmul
-    ev = _RowEvaluator(lambda fp: op(f.evaluator(fp), h.evaluator(fp)),
-                       lambda *stack: op(f._values(*stack), h._values(*stack)))
+    ev = _RowEvaluator(lambda *stack: op(f._values(*stack), h._values(*stack)))
     rep = f.equivariance_rep if f.equivariance_rep is h.equivariance_rep else None
     return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim, equivariance_rep=rep)
 
 
 def obs_adjoint(f):
-    """Pointwise adjoint observable, the row observable of the conjugate
-    transposed values; as equivariant as f (rho is unitary)."""
-    at = np.conj if f.fiber_dim == 1 else lambda v: np.asarray(v).conj().T
-    ev = _RowEvaluator(lambda fp: at(f.evaluator(fp)),
-                       lambda *stack: np.conj(f._values(*stack)).swapaxes(-1, -2))
-    return FlowObservable(evaluator=ev, fiber_dim=f.fiber_dim,
-                          equivariance_rep=f.equivariance_rep)
+    """Pointwise adjoint observable, whose rows are the conjugate transposed
+    values; as equivariant as f (rho is unitary)."""
+    adjoint = np.conj if f.fiber_dim == 1 else lambda v: np.conj(v).swapaxes(-1, -2)
+    return FlowObservable(evaluator=_RowEvaluator(lambda *stack: adjoint(f._values(*stack))),
+                          fiber_dim=f.fiber_dim, equivariance_rep=f.equivariance_rep)
 
 
 def equivariance_residual(model, obs, rng=None):
@@ -297,7 +289,7 @@ def random_frame_point(model, rng):
             u, v = rng.random(2).tolist()
             x, y = -rho + (rho - -rho) * u, -rho + (rho - -rho) * v
             r2 = x * x + y * y
-            if not _octagon_holds(x, y, r2):
+            if not geo._oct_row_contains(x, y, r2):
                 continue
             lam = 2.0 / (1.0 - r2)  # the square root of the metric's lambda^2, exactly
             if rng.random() < (lam / lam_max) ** 2:
@@ -309,23 +301,6 @@ def random_frame_point(model, rng):
     e1 = np.array([np.cos(a) * scale[0], np.sin(a) * scale[1]])
     e1 /= np.sqrt(e1 @ g @ e1)
     return geo.FramePoint(point=point, frame=geo.frame_completion(model, point, e1))
-
-
-def _octagon_holds(x, y, r2):
-    """`geometry.octagon_contains(complex(x, y))` for Python floats x, y with
-    r2 = x * x + y * y: inside the inscribed disk, outside the unit disk, or
-    by `geometry._oct_side`, each with a relative margin of 1e-9, as the
-    octagon flow's one-row substep decides; octagon_contains itself decides
-    in the margin."""
-    margin = geo._OCT_ROW_MARGIN
-    if r2 < geo._OCT_ROW_INNER2:
-        return True
-    if r2 > 1.0 + margin:
-        return False
-    side = geo._oct_side(x, y)
-    if side is None or (side < 0 and r2 >= 1.0 - margin):
-        return geo.octagon_contains(complex(x, y))
-    return side < 0
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +424,8 @@ def smooth_bump(radius=0.55):
     """Compactly supported mollifier of the euclidean radius (octagon base):
     exp(1 - 1 / (1 - r^2 / radius^2)) inside the radius, 0 from it on.
 
-    A row observable: its function takes the point rows (N, 2), so a table
-    is one array expression per block or chunk."""
+    Its rows are one array expression of the point rows (N, 2) per block
+    or chunk."""
 
     def rows(points, frames):
         x, y = points[..., 0], points[..., 1]
@@ -460,5 +435,4 @@ def smooth_bump(radius=0.55):
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
         return out
 
-    return FlowObservable(evaluator=_RowEvaluator(
-        lambda fp: rows(np.asarray(fp.point)[None], None)[0], rows))
+    return FlowObservable(evaluator=_RowEvaluator(rows))

@@ -336,6 +336,21 @@ def _oct_row_side(ar, ai, br, bi):
     return _oct_side((br * ar - bi * ai) / na, (br * ai + bi * ar) / na)
 
 
+def _oct_row_contains(x, y, r2):
+    """`octagon_contains(complex(x, y))` for Python floats x, y with
+    r2 = x * x + y * y: inside the inscribed disk, outside the unit disk, or
+    by `_oct_side`, each with a relative margin of 1e-9, as the one-row
+    substep decides; octagon_contains itself decides in the margin."""
+    if r2 < _OCT_ROW_INNER2:
+        return True
+    if r2 > 1.0 + _OCT_ROW_MARGIN:
+        return False
+    side = _oct_side(x, y)
+    if side is None or (side < 0 and r2 >= 1.0 - _OCT_ROW_MARGIN):
+        return octagon_contains(complex(x, y))
+    return side < 0
+
+
 def _oct_row_reenter(ar, ai, br, bi, side):
     """A single state (Python floats) outside side `side`, after the pairing
     of that side and of each side `_oct_row_side` finds after it: the state
@@ -785,13 +800,14 @@ def _node_average(weights, rows, *arrays):
     return sums[:-1] / sums[-1]
 
 
-def _per_node_table(fn, shape, *columns):
-    """The table of a per-point callback: fn(*row) for each row of the zipped
-    `columns`, as one complex array of the given shape (rows first, then
-    m x m).  The adapter of `limits` and `spectral` for callbacks that take
-    one point (`flows._each` keeps the values' own dtype, for products); a
-    value of the wrong size raises instead of broadcasting."""
-    return np.asarray([fn(*row) for row in zip(*columns)], dtype=complex).reshape(shape)
+def _per_node_table(fn, *columns):
+    """The table of a per-point callback: fn on each row of the `columns`
+    (fn(a[i], b[i], ...)), as one array, rows first, in the values' own dtype
+    (a product of real values then has no -0 imaginary parts).  The package's
+    one loop over a callback that takes one point: observables in `flows`,
+    symbols, coefficients and multipliers in `spectral`, sections in
+    `limits`; the callers cast and reshape it."""
+    return np.asarray(list(map(fn, *columns)))
 
 
 def unit_bundle_nodes(model, resolution):

@@ -9,8 +9,9 @@ is omega_W(A) = omega(W A) / omega(W), the tracial state weighted by a symbol
 W (the identity for the plain state): an ergodic component is weighted by an
 invariant section, the quantum-variance limit by the projector's symbol.  Per
 chunk of nodes the symbol's and the weight's tables come from
-`SymbolField.table`, one evaluator call for the library's batched symbols
-and one per node for a per-point symbol, and one product contracts
+`SymbolField.table`, one evaluator call for the library's batched symbols;
+a per-point symbol, and an invariant section's `apply_fn`, are called once
+per node by `geometry._per_node_table`.  One product contracts
 [tr(W A), tr(W)] (`geometry._node_average`).
 """
 
@@ -475,8 +476,8 @@ def invariant_section(apply_fn, proj, fiber_dim):
     def ev(points, xi):
         xi = np.asarray(xi, dtype=float)
         frames = geo.frame_completion(geo.flat_torus(xi.shape[-1]), points, xi)
-        u = geo._per_node_table(apply_fn, frames.shape[:-2] + (fiber_dim, fiber_dim),
-                                frames.reshape((-1,) + frames.shape[-2:]))
+        u = geo._per_node_table(apply_fn, frames.reshape((-1,) + frames.shape[-2:]))
+        u = np.asarray(u, dtype=complex).reshape(frames.shape[:-2] + (fiber_dim, fiber_dim))
         return u @ proj @ u.conj().swapaxes(-1, -2)
 
     return sp.SymbolField(evaluator=ev, fiber_dim=fiber_dim, batched=True)

@@ -17,8 +17,9 @@ table per frequency, the Egorov push-forward that table times its phases.
 Left-out entries, the zero mode's among them, are pruned zeros.  The Hodge
 star and the sphere's operators are read from the labels; sphere
 multipliers use the live phi-bands of `geometry._sphere_rule`.  User
-callbacks are called one point at a time: a `quantize` coefficient once per
-kept entry, the `fn` of `sphere_multiplication` once per quadrature node.
+callbacks that take one point are called by `geometry._per_node_table`: a
+per-point symbol once per node, a `quantize` coefficient once per kept entry,
+the `fn` of `sphere_multiplication` once per quadrature node.
 """
 
 import itertools
@@ -123,13 +124,10 @@ class SymbolField:
     def table(self, points, dirs):
         """The symbol at the nodes (points, covectors (..., n)): (..., m, m)
         complex, one evaluator call when batched."""
-        m = self.fiber_dim
-        shape = dirs.shape[:-1] + (m, m)
-        if self.batched:
-            return np.asarray(self.evaluator(points, dirs), dtype=complex).reshape(shape)
-        n = dirs.shape[-1]
-        return geo._per_node_table(self.evaluator, shape, points.reshape(-1, n),
-                                   dirs.reshape(-1, n))
+        m, n = self.fiber_dim, dirs.shape[-1]
+        values = (self.evaluator(points, dirs) if self.batched else
+                  geo._per_node_table(self.evaluator, points.reshape(-1, n), dirs.reshape(-1, n)))
+        return np.asarray(values, dtype=complex).reshape(dirs.shape[:-1] + (m, m))
 
 
 @dataclass(eq=False)
@@ -259,10 +257,10 @@ def _sorted_model(model, bundle, p, K, labels, lam, fiber_dim, modes, components
     position[order] = np.arange(order.size)
     labels = tuple(labels[i] for i in order)
     return SpectralModel(model=model, bundle=bundle, form_degree=p, cutoff=K,
-                         labels=labels, lam=lam[order], fiber_dim=fiber_dim,
+                         labels=labels, lam=_frozen(lam[order]), fiber_dim=fiber_dim,
                          index={lab: i for i, lab in enumerate(labels)},
-                         modes=modes[order], components=components[order],
-                         position=position)
+                         modes=_frozen(modes[order]), components=_frozen(components[order]),
+                         position=_frozen(position))
 
 
 def _locate(sm, modes, components):
@@ -328,11 +326,14 @@ def basis_for(model, bundle, K, p=None):
 
 @lru_cache(maxsize=None)
 def _cached_basis(model, bundle, K, p):
-    if model.kind == geo.TORUS:
-        return _torus_basis(model, bundle, p, K)
-    if model.kind == geo.SPHERE:
-        return _sphere_basis(model, bundle, p, K)
-    raise CapabilityError("spectral models exist for tori and the sphere only")
+    if model.kind not in (geo.TORUS, geo.SPHERE):
+        raise CapabilityError("spectral models exist for tori and the sphere only")
+    if bundle == "forms":
+        # membership compares by value, as the basis cache does: 1.0 is 1
+        if p not in range(model.dim + 1):
+            raise ValueError(f"form degrees are integers 0 <= p <= {model.dim}, got {p!r}")
+        p = int(p)
+    return (_torus_basis if model.kind == geo.TORUS else _sphere_basis)(model, bundle, p, K)
 
 
 def _torus_basis(model, bundle, p, K):
@@ -340,10 +341,6 @@ def _torus_basis(model, bundle, p, K):
     if bundle == "functions":
         tag, comps = "f", [None]
     elif bundle == "forms":
-        # membership compares by value, as the basis cache does: 1.0 is 1
-        if p not in range(n + 1):
-            raise ValueError(f"torus form degrees are integers 0 <= p <= {n}, got {p!r}")
-        p = int(p)
         tag, comps = "w", list(itertools.combinations(range(n), p))
     elif bundle == "spinors":
         tag, comps = "s", list(range(2 ** (n // 2)))
@@ -376,7 +373,7 @@ _SPHERE_FAMILIES = {0: (("f",), 0), 1: (("ex", "co"), 1), 2: (("v",), 0)}
 def _sphere_basis(model, bundle, p, K):
     if bundle == "functions":
         degree = 0
-    elif bundle == "forms" and p in _SPHERE_FAMILIES:
+    elif bundle == "forms":
         degree = p
     else:
         raise CapabilityError("sphere bundles: functions, p-forms for p in {0,1,2}")
@@ -457,10 +454,10 @@ def exterior_d(model, p, K):
 
 def _empty_model(model, p, K):
     return SpectralModel(model=model, bundle="forms", form_degree=p, cutoff=K,
-                         labels=(), lam=np.zeros(0), fiber_dim=0, index={},
-                         modes=np.zeros((0, model.dim), dtype=int),
-                         components=np.zeros(0, dtype=int),
-                         position=np.zeros(0, dtype=int))
+                         labels=(), lam=_frozen(np.zeros(0)), fiber_dim=0, index={},
+                         modes=_frozen(np.zeros((0, model.dim), dtype=int)),
+                         components=_frozen(np.zeros(0, dtype=int)),
+                         position=_frozen(np.zeros(0, dtype=int)))
 
 
 def codifferential(model, p, K):
@@ -715,8 +712,8 @@ def quantize(model, symbol, K):
     Matrix elements <e_{k+nu}, Op(a) e_k> are the x-Fourier coefficients of
     the symbol evaluated at the unit covector k/|k|; the zero mode is
     annihilated (direction undefined there).  Each frequency nu must be an
-    integer vector of the model's dimension, and the coefficients must
-    return finite values (`ValueError`).
+    integer vector of the model's dimension, and each coefficient must
+    return one finite scalar per covector (`ValueError`).
     """
     return OperatorMatrix(matrix=_quantizations(model, symbol, K)[0], order=0,
                           domain=basis_for(model, "functions", K), symbol=symbol.field())
@@ -750,7 +747,10 @@ def _quantizations(model, symbol, K, keep=None, t=None):
         pushes = []  # innermost push first
         while isinstance(coeff, _Shifted):
             coeff, pushes = coeff.base, [coeff] + pushes
-        val = np.fromiter(map(coeff, xi), dtype=complex, count=at.size)
+        val = np.asarray(geo._per_node_table(coeff, xi), dtype=complex)
+        if val.shape != (at.size,):
+            raise ValueError(f"the coefficient of frequency {nu} must return one scalar "
+                             f"per covector, got shape {val.shape[1:]}")
         if not np.isfinite(val).all():
             raise ValueError(f"the coefficient of frequency {nu} must return finite values")
         for push in pushes:
@@ -836,7 +836,7 @@ def sphere_multiplication(L, fn):
     theta = _sphere_polar(L)
     n_th = theta.shape[1]
     n_ph = ph.size // n_th
-    f = np.asarray([fn(t, p) for t, p in zip(th, ph)], dtype=complex)
+    f = np.asarray(geo._per_node_table(fn, th, ph), dtype=complex)
     if f.shape != th.shape:
         raise ValueError(f"fn must return one scalar per node, got shape {f.shape[1:]}")
     if not np.isfinite(f).all():

@@ -504,6 +504,16 @@ def test_branching_residual_is_the_projections_commutation_residual(n, p):
     assert report["commutant_residual"] == alg.commutation_residual(rep, projs)
 
 
+def test_branching_results_are_fresh_per_call():
+    report, projs = alg.branching_report(4, 1), alg.branching_projections(4, 1)
+    want, want_projector = alg.branching_report(4, 1), projs[0].projector.copy()
+    report["ranks"].append(99)
+    report["components"][0]["rank"] = -5
+    projs[0].projector[0, 0] = 42
+    assert alg.branching_report(4, 1) == want
+    assert np.array_equal(alg.branching_projections(4, 1)[0].projector, want_projector)
+
+
 def test_pascal_split_check_logic():
     assert alg.pascal_split_check([1, 1, 1], 3, 1)
     assert alg.pascal_split_check([3, 3], 4, 2)

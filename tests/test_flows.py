@@ -428,6 +428,19 @@ def test_chart_evaluators_take_one_frame_point():
     oct_fp = geo.FramePoint(point=np.array([0.1, -0.2]), frame=np.eye(2))
     assert bump.evaluator(oct_fp) == bump.table(oct_fp.point, oct_fp.frame) > 0.5
     assert fl.obs_product(bump, bump).evaluator(oct_fp) == bump.evaluator(oct_fp) ** 2
+    # beta_t, products and adjoints at one point are the row of a stack of one:
+    # a scalar for m = 1, an m x m array otherwise
+    factors = {1: fl.position_observable(lambda p: np.exp(1j * p[0])),
+               2: fl.FlowObservable(evaluator=lambda fp: fp.frame[1:, 1:] + 1j * fp.frame[:2, :2],
+                                    fiber_dim=2)}
+    for m, f in factors.items():
+        for obs in (fl.beta_flow(TORUS3, f, 0.6), fl.obs_product(f, fl.obs_adjoint(f)),
+                    fl.obs_adjoint(f)):
+            value = obs.evaluator(fp)
+            row = obs.table(fp.point[None], fp.frame[None])[0]
+            assert type(value) is (np.complex128 if m == 1 else np.ndarray)
+            assert np.shape(value) == (() if m == 1 else (2, 2))
+            assert np.asarray(value).tobytes() == row.tobytes()
 
 
 def test_per_point_observable_table_rejects_a_wrong_sized_value():

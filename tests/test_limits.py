@@ -314,6 +314,57 @@ def test_ergodic_component_calls_each_callback_once_per_node():
     assert calls == {"apply": nodes, "symbol": nodes}
 
 
+def test_per_point_callbacks_go_through_the_one_adapter(monkeypatch):
+    tables, calls = [], []
+    adapter = geo._per_node_table
+
+    def counting(fn, *columns):
+        out = adapter(fn, *columns)
+        tables.append(len(out))
+        return out
+
+    def per_point(fn):
+        def counted(*args):
+            calls.append(None)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(geo, "_per_node_table", counting)
+    rng = np.random.default_rng(61)
+    fps = [fl.random_frame_point(T3, rng) for _ in range(12)]
+    points, frames = np.stack([fp.point for fp in fps]), np.stack([fp.frame for fp in fps])
+    dirs = frames[..., 0]
+    section = lm.invariant_section(per_point(lambda g: alg.exterior_power_matrix(g, 1)),
+                                   np.eye(3), 3)
+    trig = sp.TrigSymbol(terms={(1, 0): per_point(lambda xi: xi[0]),
+                                (0, 1): per_point(lambda xi: 1j * xi[1])}, dim=2)
+    kinds = {  # the call, then its number of tables
+        "opaque": (lambda: fl.FlowObservable(evaluator=per_point(lambda fp: fp.frame[0, 1]))
+                   .table(points, frames), 1),
+        "scalar": (lambda: fl.scalar_observable(per_point(lambda p, f: f[0, 1]))
+                   .table(points, frames), 1),
+        "position": (lambda: fl.position_observable(per_point(lambda p: np.cos(p[0])))
+                     .table(points, frames), 1),
+        "symbol": (lambda: sp.SymbolField(per_point(lambda x, xi: xi[0])).table(points, dirs), 1),
+        "quantize": (lambda: sp.quantize(T2, trig, 3), 2),  # one per frequency
+        "sphere": (lambda: sp.sphere_multiplication(4, per_point(lambda th, ph: np.cos(th))), 1),
+        "section": (lambda: section.table(points, dirs), 1),
+    }
+    for name, (call, count) in kinds.items():
+        tables.clear()
+        calls.clear()
+        call()
+        assert len(tables) == count and sum(tables) == len(calls) > 0, name
+    tables.clear()
+    bump = fl.smooth_bump()
+    oct_points, oct_frames, _ = fl.liouville_nodes(OCT, 8)
+    for obs in (bump, fl.beta_flow(OCT, bump, 0.5), fl.obs_product(bump, fl.smooth_bump(0.8)),
+                fl.obs_adjoint(bump), fl.FlowObservable(evaluator=bump.evaluator)):
+        obs.table(oct_points, oct_frames)
+        fl.liouville_haar_average(OCT, obs, 8)
+    assert tables == []
+
+
 def test_egorov_residual_zero_at_t0():
     res = lm.egorov_residual(T2, sp.cosine_symbol(axis=0, dim=2), 0.0, 2, 8)
     assert res == 0.0

@@ -61,6 +61,18 @@ def test_laplacian_returns_the_cached_basis():
     assert sp.basis_for(geo.flat_torus(3), "forms", 2, 1) is sp.basis_for(T3, "forms", 2, p=1)
 
 
+def test_cached_basis_arrays_are_read_only():
+    sm = sp.basis_for(T2, "functions", 2)
+    want = sp.build_laplacian(T2, "functions", 2)[1].matrix.toarray()
+    empty = sp.exterior_d(T2, 2, 2).codomain
+    for basis in (sm, empty):
+        for name in ("lam", "modes", "components", "position"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(basis, name)[:] = 0
+    got = sp.build_laplacian(T2, "functions", 2)[1].matrix
+    assert got.nnz == 24 and np.array_equal(got.toarray(), want)
+
+
 def test_negative_potential_raises():
     with pytest.raises(ValueError):
         sp.build_laplacian(T2, "functions", 2, potential=-0.1)
@@ -723,6 +735,13 @@ def test_quantize_rejects_bad_input():
         lm.egorov_residual(T2, "not a symbol", 1.0, 1, 4)
     with pytest.raises(ValueError, match="dimension"):
         lm.egorov_residual(T3, sp.cosine_symbol(axis=0, dim=2), 1.0, 1, 4)
+    # a coefficient takes one covector and returns one scalar
+    for coeff in (lambda xi: xi, lambda xi: [1.0]):
+        sym = sp.TrigSymbol(terms={(0, 0): lambda xi: 1.0, (1, 0): coeff}, dim=2)
+        with pytest.raises(ValueError, match="one scalar per covector"):
+            sp.quantize(T2, sym, 3)
+        with pytest.raises(ValueError, match="one scalar per covector"):
+            lm.egorov_residual(T2, sym, 1.0, 2, 8)
 
 
 def test_quantize_rejects_non_finite_coefficients():
@@ -737,7 +756,8 @@ def test_quantize_rejects_non_finite_coefficients():
             lm.egorov_residual(T2, sym, 1.0, 2, 8)
 
 
-@pytest.mark.parametrize("model", TORI, ids=_torus_id)
+@pytest.mark.parametrize("model", TORI + [S2],
+                         ids=lambda m: "S2" if m.kind == geo.SPHERE else _torus_id(m))
 def test_torus_form_degrees_outside_0_to_n_are_rejected(model):
     n = model.dim
     for p in (-1, n + 1, None, 0.5, "1"):
@@ -746,7 +766,8 @@ def test_torus_form_degrees_outside_0_to_n_are_rejected(model):
     with pytest.raises(ValueError, match=f"0 <= p <= {n}"):
         sp.hodge_projections(model, n + 1, 2)
     # a degree equal to an integer is that integer, whichever comes first
-    assert type(sp.basis_for(model, "forms", 5, 1.0).form_degree) is int
+    for K, p in ((5, 1.0), (6, True)):
+        assert type(sp.basis_for(model, "forms", K, p).form_degree) is int
     # d on n-forms still maps to the empty (n + 1)-form model
     d = sp.exterior_d(model, n, 2)
     assert d.matrix.shape == (0, d.domain.dim) and d.codomain.fiber_dim == 0
