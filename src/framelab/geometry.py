@@ -21,9 +21,9 @@ The octagon flow's substep is written in the real components of (a, b), one
 rounded operation at a time, which numpy's elementwise ufuncs and Python
 floats round alike.  So a batch runs on numpy arrays and a single state (one
 trajectory's anchor chain) on Python floats with the same bits, and a
-decided single-state substep makes no numpy call (`_oct_flow`).  Octagon
-states and times must be finite and points inside the unit disk
-(`ValueError`).
+decided single-state substep makes no numpy call (`_oct_flow`).  Flow
+times on every model and octagon states must be finite, and octagon points
+inside the unit disk (`ValueError`).
 
 The package's one quadrature rule on the unit tangent bundle
 (`unit_bundle_nodes`), its one sphere rule (`_sphere_rule`, also used by
@@ -229,8 +229,6 @@ def _oct_plan(s, t):
     Every moving row takes at least one (possibly zero-length) substep, and
     a resting row (s = 0) takes none.
     """
-    if not np.isfinite(t).all():
-        raise ValueError("octagon flow times must be finite")
     remaining = np.where(s == 0, 0.0, t)
     rows = slice(None) if s.all() else np.flatnonzero(s)
     plan = []
@@ -540,8 +538,11 @@ def geodesic_advance(model, state, t):
     substeps of at most 0.5, each followed by side-pairing re-entry into the
     fundamental domain, so an advance by |t| <= 0.5 is one closed-form step.
     Long runs of sample times go through `geodesic_samples`, which advances
-    each sample by at most one substep from an anchor.
+    each sample by at most one substep from an anchor.  Times must be finite
+    on every model (`ValueError`).
     """
+    if not np.isfinite(t).all():
+        raise ValueError("flow times must be finite")
     return _chart(model, _flow(model, _lift(model, state.point, state.velocity), t), state)
 
 
@@ -621,9 +622,12 @@ def parallel_transport(model, state, t, w):
     completed frame (`frame_completion`) of the unit velocity, which is
     parallel along the geodesic.  Along a zero displacement (a resting state
     or t = 0) w comes back unchanged; at an endpoint within 1e-13 of a sphere
-    pole its components are NaN, as the chart has none there.
+    pole its components are NaN, as the chart has none there.  Times must be
+    finite (`ValueError`), on a torus too.
     """
     w = np.asarray(w, dtype=float)
+    if not np.isfinite(t):
+        raise ValueError("flow times must be finite")
     if model.kind == TORUS:
         return w.copy()
     p, s = np.asarray(state.point, dtype=float), speed(model, state)
@@ -819,11 +823,12 @@ def unit_bundle_nodes(model, resolution):
     the midpoint grid of the octagon's bounding square, clipped to the
     fundamental domain and weighted by the conformal factor lambda^2.  Unit
     fibres: `resolution` equispaced angles on the circle (the trapezoid rule,
-    exact below angular degree `resolution`), the sphere rule on T^3.
+    exact below angular degree `resolution`), the sphere rule on T^3.  The
+    resolution must be an integer >= 4 (`ValueError`).
     """
-    if resolution < 4:
-        raise ValueError("resolution must be at least 4 nodes per dimension")
-    res = resolution
+    if not isinstance(resolution, (int, np.integer)) or resolution < 4:
+        raise ValueError(f"resolution must be an integer >= 4, got {resolution!r}")
+    res = int(resolution)
     if model.kind == TORUS:
         axes = [np.arange(res) * (p / res) for p in model.periods]
         points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.dim)

@@ -8,18 +8,19 @@ canonical basis ordering (ascending eigenvalue, then lexicographic label).
 
 Assembly is array-first.  Every basis keeps the integer mode and fiber
 component of each canonical position and the canonical position of each
-element in enumeration order.  A torus operator is a table of per-mode
-blocks (m_out, m_in) placed at (k + nu, k) on one cached `_block_pattern`:
-d is i kappa ^ . on `algebra`'s wedge table; P, Q, the helicity operator,
-D and its sign and halves are `multiplier`s, one batched symbol table at
-kappa_k / |kappa_k| times |kappa_k|^order; `quantize` places a coefficient
-table per frequency, the Egorov push-forward that table times its phases.
-Left-out entries, the zero mode's among them, are pruned zeros.  The Hodge
-star and the sphere's operators are read from the labels; sphere
-multipliers use the live phi-bands of `geometry._sphere_rule`.  User
+element in enumeration order.  An operator that acts mode by mode, on a
+torus or the sphere, is a table of per-mode blocks (m_out, m_in) placed at
+(k + nu, k) on one cached `_block_pattern`: d is i kappa ^ . on `algebra`'s
+wedge table, or +-sqrt(l (l + 1)) on the sphere; the star is `_star_table`;
+P, Q, the helicity operator, D and its sign and halves are torus
+`multiplier`s, one batched symbol table at kappa_k / |kappa_k| times
+|kappa_k|^order; `quantize` places a `_term_table` per frequency, the Egorov
+push-forward that table times its phases.  Left-out entries, the zero
+mode's among them, are pruned zeros.  The sphere's P and Q are diagonals;
+sphere multipliers use the live phi-bands of `geometry._sphere_rule`.  User
 callbacks that take one point are called by `geometry._per_node_table`: a
-per-point symbol once per node, a `quantize` coefficient once per kept entry,
-the `fn` of `sphere_multiplication` once per quadrature node.
+per-point symbol once per node, a `TrigSymbol` coefficient once per
+covector, the `fn` of `sphere_multiplication` once per quadrature node.
 """
 
 import itertools
@@ -231,9 +232,10 @@ def shell_indices(sm, lo, hi):
 
 
 def mode_block(op, mode):
-    """Dense fiber block of a mode-diagonal operator at the given mode label."""
-    sm = op.domain
-    rows = np.flatnonzero((sm.modes == np.asarray(mode)).all(axis=1)).tolist()
+    """Dense fiber block of a mode-diagonal operator at a mode and its rows,
+    in fiber component order; empty for a mode outside the truncation."""
+    rows = _locate(op.domain, mode, np.arange(op.domain.fiber_dim))
+    rows = rows.tolist() if (rows >= 0).all() else []
     return op.matrix[np.ix_(rows, rows)].toarray(), rows
 
 
@@ -277,25 +279,30 @@ def _locate(sm, modes, components):
         _, l0 = _SPHERE_FAMILIES[sm.form_degree or 0]
         inside = (l >= l0) & (l <= K) & (np.abs(m) <= l)
         mode_id = l * l + l + m - l0 * l0
-    enum = np.where(inside, mode_id * sm.fiber_dim + components, 0)
-    return np.where(inside, sm.position[enum], -1)
+    enum = np.where(inside, mode_id * sm.fiber_dim + components, -1)
+    # -1 reads the appended -1, also from a basis with no element
+    return np.append(sm.position, -1)[enum]
 
 
 @lru_cache(maxsize=64)
 def _block_pattern(dom, cod, shifts, fiber=None):
-    """CSR layout of the operators from torus basis `dom` to `cod` with one
-    block at (k + nu, k) per mode k and integer shift nu in `shifts`, on the
-    (row, column) entries `fiber` of a block, or on all of them row by row:
-    the shift, domain and codomain mode of each block (mode j fills the m
-    positions from j m), the CSR indices and indptr, and the order that takes
-    the entries to CSR order, None if they are in it.  Read-only, cached."""
+    """CSR layout of the operators from basis `dom` to `cod` with one block at
+    (k + nu, k) per mode k and integer shift nu in `shifts`, on the (row,
+    column) entries `fiber` of a block, or on all of them row by row, each
+    found by (mode, component) with `_locate`, whatever the fiber layout:
+    the shift of each block, the positions of component 0 of its domain and
+    codomain mode (shift by shift, in canonical order), the CSR indices and
+    indptr, and the order that takes the entries to CSR order, None if they
+    are in it.  Read-only, cached."""
     m_in, m_out = dom.fiber_dim, cod.fiber_dim
     a, b = np.array(fiber).T if fiber else np.divmod(np.arange(m_out * m_in), m_in)
+    heads = np.flatnonzero(cod.components == 0)
     nus = np.array(shifts, dtype=int).reshape(-1, 1, cod.model.dim)
-    src = _locate(dom, cod.modes[::m_out] - nus, 0) // m_in
+    src = _locate(dom, cod.modes[heads] - nus, 0)
     shift, tgt = np.nonzero(src >= 0)
-    src = src[shift, tgt]
-    rows, cols = (tgt[:, None] * m_out + a).ravel(), (src[:, None] * m_in + b).ravel()
+    src, tgt = src[shift, tgt], heads[tgt]
+    rows = _locate(cod, cod.modes[tgt, None], a).ravel()
+    cols = _locate(dom, dom.modes[src, None], b).ravel()
     order = np.lexsort((cols, rows))
     indptr = np.searchsorted(rows[order], np.arange(cod.dim + 1)).astype(np.int32)
     pattern = tuple(map(_frozen, (shift, src, tgt, cols[order].astype(np.int32), indptr)))
@@ -318,10 +325,14 @@ def _place_blocks(dom, cod, shifts, values, fiber=None):
 
 def basis_for(model, bundle, K, p=None):
     """Truncated basis for (model, bundle); bundle in
-    {"functions", "forms", "spinors"}.  One cached object per (model, bundle,
-    K, p): models compare by value, so equal models share it."""
+    {"functions", "forms", "spinors"}, cutoff K a non-negative integer and p
+    a form degree for forms only (`ValueError` otherwise).  One cached object
+    per (model, bundle, K, p): models compare by value, so equal models share
+    it."""
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 0:
+        raise ValueError(f"the cutoff must be a non-negative integer, got {K!r}")
     # positional, so that calls with p= and with a positional p share one entry
-    return _cached_basis(model, bundle, K, p)
+    return _cached_basis(model, bundle, int(K), p)
 
 
 @lru_cache(maxsize=None)
@@ -333,6 +344,8 @@ def _cached_basis(model, bundle, K, p):
         if p not in range(model.dim + 1):
             raise ValueError(f"form degrees are integers 0 <= p <= {model.dim}, got {p!r}")
         p = int(p)
+    elif bundle in ("functions", "spinors") and p is not None:
+        raise ValueError(f"{bundle} take no form degree, got p = {p!r}")
     return (_torus_basis if model.kind == geo.TORUS else _sphere_basis)(model, bundle, p, K)
 
 
@@ -360,7 +373,7 @@ def _torus_basis(model, bundle, p, K):
     nc = len(comps)
     modes = np.repeat(grid, nc, axis=0)
     components = np.tile(np.arange(nc), len(grid))
-    return _sorted_model(model, bundle, p if tag == "w" else None, K, labels,
+    return _sorted_model(model, bundle, p, K, labels,
                          np.repeat(lam, nc), nc, modes, components,
                          tuple(modes.T) + (components,))
 
@@ -371,13 +384,9 @@ _SPHERE_FAMILIES = {0: (("f",), 0), 1: (("ex", "co"), 1), 2: (("v",), 0)}
 
 
 def _sphere_basis(model, bundle, p, K):
-    if bundle == "functions":
-        degree = 0
-    elif bundle == "forms":
-        degree = p
-    else:
+    if bundle not in ("functions", "forms"):
         raise CapabilityError("sphere bundles: functions, p-forms for p in {0,1,2}")
-    fams, l0 = _SPHERE_FAMILIES[degree]
+    fams, l0 = _SPHERE_FAMILIES[p or 0]  # functions are 0-forms
     lms = [(l, m) for l in range(l0, K + 1) for m in range(-l, l + 1)]
     labels = [(fam, lm) for lm in lms for fam in fams]
     nf = len(fams)
@@ -395,13 +404,15 @@ def _sphere_basis(model, bundle, p, K):
 
 def build_laplacian(model, bundle, K, potential=0.0, p=None):
     """Laplace-type operator Delta + potential on the chosen bundle, for a
-    constant potential >= 0; a mass m is the potential m^2.
+    constant finite real potential >= 0 (`ValueError` otherwise); a mass m is
+    the potential m^2.
 
     Returns the cached `basis_for` basis and the operator, diagonal in it,
     with the principal symbol g(xi, xi) * id (identity on the unit bundle).
     """
-    if potential < 0:
-        raise ValueError("need potential >= 0 for square roots")
+    if not (np.ndim(potential) == 0 and np.asarray(potential).dtype.kind in "iuf"
+            and np.isfinite(potential) and potential >= 0):
+        raise ValueError(f"need a finite real potential >= 0, got {potential!r}")
     sm = basis_for(model, bundle, K, p)
     mat = scipy.sparse.diags(sm.lam + potential).tocsr().astype(complex)
     eye = np.eye(sm.fiber_dim, dtype=complex)
@@ -414,10 +425,6 @@ def build_laplacian(model, bundle, K, potential=0.0, p=None):
 # Exterior calculus
 
 
-def _sparse(rows, cols, vals, shape):
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape, dtype=complex)
-
-
 def _frozen(a):
     """Read-only array: the cached tables are shared by every caller."""
     a.flags.writeable = False
@@ -428,36 +435,31 @@ def exterior_d(model, p, K):
     """Exterior derivative from p-forms to (p+1)-forms on the truncated basis."""
     dom = basis_for(model, "forms", K, p)
     n = model.dim
-    cod = _empty_model(model, p + 1, K) if p == n else basis_for(model, "forms", K, p + 1)
     if p == n:
-        mat = scipy.sparse.csr_matrix((0, dom.dim), dtype=complex)
-    elif model.kind == geo.TORUS:
+        return OperatorMatrix(matrix=scipy.sparse.csr_matrix((0, dom.dim), dtype=complex),
+                              order=1, domain=dom, codomain=_empty_model(model, p + 1, K))
+    cod, zero = basis_for(model, "forms", K, p + 1), ((0,) * n,)
+    if model.kind == geo.TORUS:
         # d(e^{ik.x} dx_I) = sum_j i kappa_j dx_j ^ dx_I: the block of mode k is
         # i kappa ^ . on the wedge table's entries, stored even where kappa_j = 0
         eps = alg.wedge_table(n, p)
         target, comp, j = np.nonzero(eps.transpose(1, 2, 0))
-        vals = 1j * _dual(model, dom.modes[::dom.fiber_dim])[:, j] * eps[j, target, comp]
-        mat = _place_blocks(dom, cod, ((0,) * n,), vals,
-                            tuple(zip(target.tolist(), comp.tolist())))
+        fiber = tuple(zip(target.tolist(), comp.tolist()))
+        k = cod.modes[_block_pattern(dom, cod, zero, fiber)[2]]
+        vals = 1j * _dual(model, k)[:, j] * eps[j, target, comp]
     else:
-        l = dom.modes[:, 0]
-        if p == 0:      # d Y_lm = sqrt(l (l + 1)) ex_lm for l >= 1
-            cols, fam, sign = np.flatnonzero(l >= 1), "ex", 1.0
-        else:           # d co_lm = -sqrt(l (l + 1)) v_lm; d ex_lm = 0
-            co = _SPHERE_FAMILIES[1][0].index("co")
-            cols, fam, sign = np.flatnonzero(dom.components == co), "v", -1.0
-        rows = _locate(cod, dom.modes[cols], _SPHERE_FAMILIES[p + 1][0].index(fam))
-        mat = _sparse(rows, cols, sign * np.sqrt(l[cols] * (l[cols] + 1.0)),
-                      (cod.dim, dom.dim))
-    return OperatorMatrix(matrix=mat, order=1, domain=dom, codomain=cod)
+        # d Y_lm = sqrt(l (l + 1)) ex_lm; d co_lm = -sqrt(l (l + 1)) v_lm, d ex_lm = 0
+        ex, co = map(_SPHERE_FAMILIES[1][0].index, ("ex", "co"))
+        fiber, sign = (((ex, 0),), 1.0) if p == 0 else (((0, co),), -1.0)
+        l = cod.modes[_block_pattern(dom, cod, zero, fiber)[2], :1]
+        vals = (sign * np.sqrt(l * (l + 1.0))).astype(complex)
+    return OperatorMatrix(matrix=_place_blocks(dom, cod, zero, vals, fiber), order=1,
+                          domain=dom, codomain=cod)
 
 
 def _empty_model(model, p, K):
-    return SpectralModel(model=model, bundle="forms", form_degree=p, cutoff=K,
-                         labels=(), lam=_frozen(np.zeros(0)), fiber_dim=0, index={},
-                         modes=_frozen(np.zeros((0, model.dim), dtype=int)),
-                         components=_frozen(np.zeros(0, dtype=int)),
-                         position=_frozen(np.zeros(0, dtype=int)))
+    return _sorted_model(model, "forms", p, K, (), np.zeros(0), 0,
+                         np.zeros((0, model.dim), dtype=int), np.zeros(0, dtype=int), ())
 
 
 def codifferential(model, p, K):
@@ -501,8 +503,9 @@ def hodge_star(model, p, K):
     n = model.dim
     cod = basis_for(model, "forms", K, n - p)
     target, sign = _star_table(model.kind, n, p)
-    rows = _locate(cod, dom.modes, target[dom.components])
-    mat = _sparse(rows, np.arange(dom.dim), sign[dom.components], (cod.dim, dom.dim))
+    zero, fiber = ((0,) * n,), tuple(zip(target.tolist(), range(dom.fiber_dim)))
+    vals = np.tile(sign.astype(complex), (_block_pattern(dom, cod, zero, fiber)[0].size, 1))
+    mat = _place_blocks(dom, cod, zero, vals, fiber)
     return OperatorMatrix(matrix=mat, order=0, domain=dom, codomain=cod)
 
 
@@ -512,13 +515,14 @@ def hodge_projections(model, p, K):
     On a torus P and Q are the order-0 `multiplier`s of iota_xi xi ^ =
     E_p^H E_p and xi ^ iota_xi = E_(p-1) E_(p-1)^H, E_q = xi ^ . on q-forms
     (`algebra.exterior_mult`), each exact per mode.  On the sphere they are
-    0/1 diagonals read from the labels: P is l >= 1 on the `f` and `co`
-    families, Q is l >= 1 on `ex` and `v`, and they carry no symbol.  On
-    every model H is the identity on the basis elements with lam == 0.
+    0/1 diagonals read from the family index in `components`: P is l >= 1
+    on the `f` and `co` families, Q is l >= 1 on `ex` and `v`, and they carry
+    no symbol.  On every model H is the identity on the basis elements with
+    lam == 0.
     """
     sm = basis_for(model, "forms", K, p)
-    diagonal = lambda rows: OperatorMatrix(
-        matrix=_sparse(rows, rows, np.ones(rows.size), (sm.dim, sm.dim)), order=0, domain=sm)
+    diagonal = lambda rows: OperatorMatrix(scipy.sparse.csr_matrix(
+        (np.ones(rows.size, dtype=complex), (rows, rows)), shape=(sm.dim,) * 2), 0, sm)
     if model.kind == geo.TORUS:
         def coexact(x, xi):  # the projection onto iota_xi Lambda^(p+1)
             e = alg.exterior_mult(xi, p)
@@ -531,7 +535,7 @@ def hodge_projections(model, p, K):
         pq = (multiplier(sm, SymbolField(coexact, sm.fiber_dim, batched=True), 0),
               multiplier(sm, SymbolField(exact, sm.fiber_dim, batched=True), 0))
     else:
-        fams = np.array([lab[0] for lab in sm.labels])
+        fams = np.array(_SPHERE_FAMILIES[p][0])[sm.components]
         pq = tuple(diagonal(np.flatnonzero(np.isin(fams, members) & (sm.lam > 0)))
                    for members in (("f", "co"), ("ex", "v")))
     return pq + (diagonal(np.flatnonzero(sm.lam == 0)),)
@@ -636,45 +640,47 @@ def sign_and_halves(d_op):
 @dataclass(frozen=True, eq=False)
 class TrigSymbol:
     """Admissible order-0 torus symbol: finite trigonometric polynomial in x
-    with direction-dependent coefficients.
+    with direction-dependent coefficients, pushed by the flow for each time
+    in `pushes`.
 
-    `terms` maps integer frequency tuples nu to coefficient functions of the
-    unit covector.  They are user callbacks on one covector, so `field` is a
-    per-point symbol.
+    `terms` maps integer frequency tuples nu to coefficient functions c_nu of
+    the unit covector, user callbacks on one covector: the symbol is
+    sum_nu c_nu(xi) exp(i nu . x) prod_t exp(-i t nu . xi) over the push
+    times t, innermost first.  `field` is it as a batched `SymbolField`.
     """
 
     terms: dict
     dim: int
+    pushes: tuple = ()
 
     def field(self):
         def ev(x, xi):
-            x = np.asarray(x, float)
-            return sum(c(np.asarray(xi, float)) * np.exp(1j * (np.array(nu) @ x))
-                       for nu, c in self.terms.items())
+            x, xi = (a.reshape(-1, self.dim) for a in np.broadcast_arrays(
+                np.asarray(x, float), np.asarray(xi, float)))
+            return sum((_term_table(nu, c, xi, self.pushes) * np.exp(1j * (x @ np.array(nu)))
+                        for nu, c in self.terms.items()), np.zeros(len(xi), dtype=complex))
 
-        return SymbolField(evaluator=ev, fiber_dim=1)
+        return SymbolField(evaluator=ev, fiber_dim=1, batched=True)
 
     def pushed(self, t):
-        """Composition with the reversed geodesic flow: x -> x - t xi."""
-        return TrigSymbol(terms={nu: _Shifted(c, np.array(nu, dtype=float), t)
-                                 for nu, c in self.terms.items()}, dim=self.dim)
+        """Composition with the reversed geodesic flow x -> x - t xi, as data."""
+        return TrigSymbol(terms=self.terms, dim=self.dim, pushes=self.pushes + (t,))
 
 
-@dataclass(frozen=True, eq=False)
-class _Shifted:
-    """Coefficient c(xi) exp(-i t nu . xi) of a pushed symbol.
-
-    It takes one covector like any coefficient; `quantize` calls only the
-    innermost `base` per entry and multiplies in each push's phases of all
-    covectors in one array operation, innermost push first.
-    """
-
-    base: callable
-    nu: np.ndarray
-    t: float
-
-    def __call__(self, xi):
-        return self.base(xi) * np.exp(-1j * self.t * (self.nu @ np.asarray(xi)))
+def _term_table(nu, coeff, xi, pushes):
+    """The term of frequency nu at the unit covectors xi (N, n), complex (N,):
+    one `geometry._per_node_table` call of its coefficient, which must return
+    one finite scalar per covector (`ValueError`), times `_flow_phase` for
+    each push time, innermost first."""
+    val = np.asarray(geo._per_node_table(coeff, xi), dtype=complex)
+    if val.shape != (len(xi),):
+        raise ValueError(f"the coefficient of frequency {nu} must return one scalar "
+                         f"per covector, got shape {val.shape[1:]}")
+    if not np.isfinite(val).all():
+        raise ValueError(f"the coefficient of frequency {nu} must return finite values")
+    for t in pushes:
+        val *= _flow_phase(xi, nu, t)
+    return val
 
 
 def _flow_phase(xis, nu, t):
@@ -710,10 +716,11 @@ def quantize(model, symbol, K):
     """Left quantization of an admissible symbol on the torus function basis.
 
     Matrix elements <e_{k+nu}, Op(a) e_k> are the x-Fourier coefficients of
-    the symbol evaluated at the unit covector k/|k|; the zero mode is
-    annihilated (direction undefined there).  Each frequency nu must be an
-    integer vector of the model's dimension, and each coefficient must
-    return one finite scalar per covector (`ValueError`).
+    the symbol at the unit covector k/|k|, push phases included
+    (`_term_table`); the zero mode is annihilated (direction undefined
+    there).  Each frequency nu must be an integer vector of the model's
+    dimension, and each coefficient must return one finite scalar per
+    covector (`ValueError`).
     """
     return OperatorMatrix(matrix=_quantizations(model, symbol, K)[0], order=0,
                           domain=basis_for(model, "functions", K), symbol=symbol.field())
@@ -723,10 +730,9 @@ def _quantizations(model, symbol, K, keep=None, t=None):
     """[`quantize`'s matrix], and with a time t [it, that of symbol.pushed(t)],
     on the entries whose row and column are kept (`keep` masks the function
     basis; None keeps all but the zero mode).  One table on the frequencies'
-    `_block_pattern` holds, per kept block (k + nu, k), one call of the
-    innermost `_Shifted` base at the unit covector xi_k times each push's
-    phase, innermost first, and 0 elsewhere; the push-forward is it times
-    exp(-i t nu . xi_k).  Frequencies are checked before any call."""
+    `_block_pattern` holds, per kept block (k + nu, k), the `_term_table` of
+    nu at the unit covector xi_k, and 0 elsewhere; the push-forward is it
+    times exp(-i t nu . xi_k).  Frequencies are checked before any call."""
     if model.kind != geo.TORUS:
         raise CapabilityError("quantization is implemented on torus functions")
     if not isinstance(symbol, TrigSymbol):
@@ -744,17 +750,7 @@ def _quantizations(model, symbol, K, keep=None, t=None):
     for i, (nu, coeff) in enumerate(symbol.terms.items()):
         at = np.flatnonzero(kept & (shift == i))
         xi = _unit_covectors(sm)[src[at]]
-        pushes = []  # innermost push first
-        while isinstance(coeff, _Shifted):
-            coeff, pushes = coeff.base, [coeff] + pushes
-        val = np.asarray(geo._per_node_table(coeff, xi), dtype=complex)
-        if val.shape != (at.size,):
-            raise ValueError(f"the coefficient of frequency {nu} must return one scalar "
-                             f"per covector, got shape {val.shape[1:]}")
-        if not np.isfinite(val).all():
-            raise ValueError(f"the coefficient of frequency {nu} must return finite values")
-        for push in pushes:
-            val *= _flow_phase(xi, push.nu, push.t)
+        val = _term_table(nu, coeff, xi, symbol.pushes)
         values[:, at] = [val] if t is None else [val, val * _flow_phase(xi, nu, t)]
     return [_place_blocks(sm, sm, tuple(symbol.terms), row) for row in values]
 
@@ -828,10 +824,8 @@ def sphere_multiplication(L, fn):
     node (`ValueError` otherwise).  fn is a user callback on one (theta, phi),
     called once per node, and the attached symbol is per-point.
     """
-    if isinstance(L, bool) or not isinstance(L, (int, np.integer)) or L < 0:
-        raise ValueError(f"L must be a non-negative integer, got {L!r}")
-    L = int(L)
     sm = basis_for(geo.round_sphere(), "functions", L)
+    L = sm.cutoff
     th, ph, w = _sphere_grid(L)
     theta = _sphere_polar(L)
     n_th = theta.shape[1]

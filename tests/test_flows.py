@@ -318,6 +318,20 @@ def test_liouville_resolution_floor():
         fl.liouville_nodes(TORUS2, 3)
 
 
+def test_quadrature_resolution_must_be_an_integer():
+    # 4.5 and 8.0 reached numpy's "expected a sequence of integers", "8" a
+    # TypeError on <
+    obs = fl.position_observable(lambda p: np.cos(p[0]))
+    for res in (4.5, 8.0, "8", 3, True):
+        with pytest.raises(ValueError, match="resolution"):
+            geo.unit_bundle_nodes(TORUS2, res)
+        with pytest.raises(ValueError, match="resolution"):
+            fl.liouville_haar_average(TORUS2, obs, res)
+    # an integer of any integer type is taken
+    assert all(np.array_equal(a, b) for a, b in zip(geo.unit_bundle_nodes(TORUS2, np.int64(6)),
+                                                    geo.unit_bundle_nodes(TORUS2, 6)))
+
+
 def test_octagon_bump_average_converges():
     bump = fl.smooth_bump()
     coarse = fl.liouville_haar_average(OCT, bump, resolution=40)[0, 0].real

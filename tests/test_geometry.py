@@ -278,6 +278,23 @@ def test_octagon_rejects_non_finite_times():
             geo.geodesic_advance(OCT, s, t)
 
 
+@pytest.mark.parametrize("model", [TORUS2, TORUS3, SPHERE], ids=lambda m: m.kind + str(m.dim))
+def test_flows_reject_non_finite_times(model):
+    # tori and the sphere returned NaN states (the sphere inf with a
+    # RuntimeWarning), and torus transport returned w unchanged
+    rng = np.random.default_rng(15)
+    s = random_state(model, rng)
+    fp = fl.random_frame_point(model, rng)
+    for t in (np.nan, np.inf, -np.inf, np.array([0.3, np.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            geo.geodesic_advance(model, s, t)
+        with pytest.raises(ValueError, match="finite"):
+            fl.frame_flow(model, fp, t)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            geo.parallel_transport(model, s, t, s.velocity)
+
+
 def test_octagon_rejects_non_finite_states():
     # for one row and for a batch, before any arithmetic (no RuntimeWarning)
     good = geo.unit_speed(OCT, [0.1, -0.2], [0.3, 1.0])

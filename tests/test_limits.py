@@ -42,6 +42,13 @@ def test_tracial_state_is_the_tracial_functional():
         assert direct == state
 
 
+def test_tracial_state_resolution_must_be_an_integer():
+    sym = sp.SymbolField(lambda x, xi: np.cos(x[0]) + xi[0] ** 2, 1)
+    for res in (4.5, 8.0, "8"):
+        with pytest.raises(ValueError, match="resolution"):
+            lm.tracial_state(T2, sym, 1, res)
+
+
 def test_tracial_circle_rule_exact_below_its_degree():
     # 8 equispaced directions integrate cos^6 exactly (mean 5/16); the error
     # estimate is the gap to the 4-direction rule, which reads 1/2

@@ -78,6 +78,46 @@ def test_negative_potential_raises():
         sp.build_laplacian(T2, "functions", 2, potential=-0.1)
 
 
+def test_potential_must_be_finite_real_and_non_negative():
+    # nan gave an all-NaN diagonal (nan < 0 is False), inf an infinite one,
+    # and 1j numpy's TypeError
+    for bad in (np.nan, np.inf, -np.inf, 1j, np.complex128(0.5), "0.5", None, np.array([0.5])):
+        with pytest.raises(ValueError, match="potential"):
+            sp.build_laplacian(T2, "functions", 2, potential=bad)
+    want = sp.build_laplacian(T2, "functions", 2, potential=0.5)[1].matrix
+    for good in (np.float32(0.5), np.array(0.5)):
+        got = sp.build_laplacian(T2, "functions", 2, potential=good)[1].matrix
+        assert (got != want).nnz == 0
+
+
+@pytest.mark.parametrize("model", [T2, T3, S2], ids=["T2", "T3", "S2"])
+def test_basis_cutoff_must_be_a_non_negative_integer(model):
+    # 2.5 raised a TypeError and -1 numpy's "negative dimensions"; 3.0 failed
+    # or returned the K = 3 basis, by whether that was cached first
+    sm = sp.basis_for(model, "functions", 3)
+    for K in (2.5, 3.0, -1, True, "3", None):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            sp.basis_for(model, "functions", K)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            sp.build_laplacian(model, "functions", K)
+    assert sp.basis_for(model, "functions", np.int64(3)) is sm
+    assert sp.basis_for(model, "functions", 0).dim == 1
+
+
+@pytest.mark.parametrize("model", [T2, T3, S2], ids=["T2", "T3", "S2"])
+def test_function_and_spinor_bases_take_no_form_degree(model):
+    # a degree used to cache a second basis, and on the sphere to be stored
+    # and read by _locate from the wrong family table (p = 5: KeyError)
+    bundles = ("functions",) if model.kind == geo.SPHERE else ("functions", "spinors")
+    for bundle in bundles:
+        for p in (0, 1, 5, 1.0):
+            with pytest.raises(ValueError, match="form degree"):
+                sp.basis_for(model, bundle, 3, p)
+        sm = sp.basis_for(model, bundle, 3)
+        assert sm.form_degree is None
+        assert (sp._locate(sm, sm.modes, sm.components) == np.arange(sm.dim)).all()
+
+
 def test_torus_form_multiplicity():
     sm, _ = sp.build_laplacian(T3, "forms", 1, p=1)
     assert sm.dim == 27 * 3
@@ -253,8 +293,8 @@ def test_sphere_hodge_projections_are_exact_label_diagonals(K):
         P, Q, H = sp.hodge_projections(S2, p, K)
         for op, members in ((P, ("f", "co")), (Q, ("ex", "v"))):
             rows = np.flatnonzero(np.isin(fams, members) & live)
-            _assert_csr_bytes_equal(op.matrix, sp._sparse(rows, rows, np.ones(rows.size),
-                                                          (sm.dim, sm.dim)))
+            _assert_csr_bytes_equal(op.matrix, scipy.sparse.csr_matrix(
+                (np.ones(rows.size), (rows, rows)), shape=(sm.dim, sm.dim), dtype=complex))
         assert H.matrix.nnz == harmonic
         _assert_csr_bytes_equal(H.matrix, _zero_mode_identity(sm))
 
@@ -887,7 +927,10 @@ def _ref_quantize(model, symbol, K):
             k2 = tuple(a + b for a, b in zip(k, nu))
             if any(k) and any(k2) and ("f", k2) in sm.index:
                 kappa = _kappa(model, k)
-                c = coeff(kappa / np.linalg.norm(kappa))
+                xi = kappa / np.linalg.norm(kappa)
+                c = coeff(xi)
+                for t in symbol.pushes:
+                    c *= np.exp(-1j * t * (np.asarray(nu) @ xi))
                 if c != 0:
                     out[sm.index[("f", k2)], col] = complex(c)
     return out
@@ -949,6 +992,39 @@ def test_quantize_matches_per_label_reference(model, symbol, cutoffs):
         pushed = symbol.pushed(0.7)
         _assert_same_entries(sp.quantize(model, pushed, K).matrix,
                              _ref_quantize(model, pushed, K))
+
+
+class _Counted:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, xi):
+        self.calls += 1
+        return self.fn(xi)
+
+
+def test_a_pushed_symbol_keeps_its_terms_and_records_its_times():
+    terms = {(1, 0): _Counted(lambda xi: 0.7 * xi[0] ** 2),
+             (-1, 2): _Counted(lambda xi: 0.2 - 0.4j * xi[1]),
+             (0, 0): _Counted(lambda xi: xi[0] * xi[1])}
+    sym = sp.TrigSymbol(terms=terms, dim=2)
+    twice = sym.pushed(0.35).pushed(-1.2)
+    assert twice.pushes == (0.35, -1.2) and sym.pushes == ()
+    assert twice.terms.keys() == terms.keys()
+    assert all(twice.terms[nu] is c for nu, c in terms.items())
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0, 2 * np.pi, size=(4, 3, 2))
+    xi = rng.normal(size=(4, 3, 2))
+    xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
+    table = twice.field().table(x, xi)
+    assert table.shape == (4, 3, 1, 1)
+    assert [c.calls for c in terms.values()] == [12] * 3  # once per node and term
+    for i, j in np.ndindex(4, 3):
+        nu_x = {nu: np.asarray(nu) @ x[i, j] for nu in terms}
+        want = sum(c.fn(xi[i, j]) * np.exp(1j * nu_x[nu])
+                   * np.exp(-1j * 0.35 * (np.asarray(nu) @ xi[i, j]))
+                   * np.exp(-1j * -1.2 * (np.asarray(nu) @ xi[i, j])) for nu, c in terms.items())
+        assert abs(table[i, j, 0, 0] - want) <= 1e-15
 
 
 _SPHERE_MULTIPLIERS = {
@@ -1087,6 +1163,29 @@ def test_mode_block_rows_are_the_mode():
     block, rows = sp.mode_block(D, (1, -2, 0))
     assert [D.domain.labels[i][1] for i in rows] == [(1, -2, 0)] * 2
     assert block.shape == (2, 2)
+
+
+def test_mode_block_outside_the_truncation_is_empty():
+    _, D = sp.build_dirac(T3, 2)
+    for mode in ((3, 0, 0), (0, -3, 2)):
+        block, rows = sp.mode_block(D, mode)
+        assert rows == [] and block.shape == (0, 0)
+
+
+@pytest.mark.parametrize("K", [3, 6])
+def test_sphere_identity_blocks_place_the_identity(K):
+    # the placement finds entries by (mode, component): the sphere's
+    # canonical order puts all co rows of a shell before all ex rows
+    for p in range(3):
+        sm = sp.basis_for(S2, "forms", K, p)
+        m, zero = sm.fiber_dim, ((0, 0),)
+        blocks = sp._block_pattern(sm, sm, zero)[0].size
+        dense = sp._place_blocks(sm, sm, zero, np.tile(np.eye(m).ravel(), (blocks, 1)))
+        diagonal = tuple((c, c) for c in range(m))
+        fiber = sp._place_blocks(sm, sm, zero, np.ones((blocks, m)), diagonal)
+        for mat in (dense, fiber):
+            assert mat.nnz == sm.dim
+            assert np.array_equal(mat.toarray(), np.eye(sm.dim))
 
 
 # ---------------------------------------------------------------------------
