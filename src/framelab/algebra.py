@@ -7,13 +7,17 @@ exterior-multiplication sign (`spectral`'s torus symbols read it too).
 
 A representation table is a group map, its Lie-algebra map and a seeded
 spot-check sample of generic rotations.  The group maps are array-first: a
-rotation (m, m) is a stack of one, and a table's sample is drawn, and its
-unitaries computed, in one stacked call each.  Invariant projections are
-exact: the groups are connected, so the commutant of a representation is the
-null space of the commutators with its Lie-algebra image.
+rotation (m, m) is a stack of one, and a table's unitaries come from one
+stacked call; spin lifts take one batched eigendecomposition for all their
+rotation logarithms.  Every table of SO(m) shares one cached, read-only
+sample stack, drawn by one batched QR.  Invariant projections are exact: the
+groups are connected, so the commutant of a representation is the null space
+of the commutators with its Lie-algebra image, whose Gram matrix is one
+contraction over the stacked images of the generators.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -150,31 +154,32 @@ def exterior_mult(xi, p):
 
 
 def so_log(r):
-    """Principal antisymmetric logarithm of a rotation matrix (real Schur).
+    """Principal antisymmetric logarithm of a rotation matrix (n, n), or of
+    each of a stack (..., n, n), from one batched eigendecomposition:
+    log r = Re(V diag(i arg lambda) V^-1), antisymmetrized.
 
-    Angle-pi planes (paired -1 eigenvalues, which real Schur leaves as scalar
-    blocks) are rotated by +pi; the sign choice is immaterial for conjugation.
+    Real -1 eigenvalues (exact angle-pi planes) are taken in pairs, with
+    their eigenvectors orthonormalized in order: the pair (u, w) becomes the
+    conjugate pair u -+ i w of angles +-pi, so the plane turns by +pi from u
+    toward w; the sign choice is immaterial for conjugation.  An unpaired
+    -1 (a reflection) raises `ValueError`.
     """
     r = np.asarray(r, dtype=float)
-    t, q = scipy.linalg.schur(r, output="real")
-    n = r.shape[0]
-    log_t = np.zeros_like(t)
-    flipped = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > 1e-12:
-            theta = np.arctan2(t[i + 1, i], t[i, i])
-            log_t[i, i + 1] = -theta
-            log_t[i + 1, i] = theta
-            i += 2
-        else:
-            if t[i, i] < -0.5:
-                flipped.append(i)
-            i += 1
-    for a, b in zip(flipped[0::2], flipped[1::2]):
-        log_t[a, b] = -np.pi
-        log_t[b, a] = np.pi
-    return q @ log_t @ q.T
+    lam, v = np.linalg.eig(r.reshape(-1, *r.shape[-2:]))
+    lam, v = lam.astype(complex), v.astype(complex)  # all-real spectra come back real
+    theta = np.angle(lam)
+    flipped = (lam.imag == 0) & (lam.real < 0)
+    for i in np.flatnonzero(flipped.any(axis=-1)):
+        cols = np.flatnonzero(flipped[i])
+        if len(cols) % 2:
+            raise ValueError("so_log needs rotations; a -1 eigenvalue is unpaired (det < 0)")
+        q, tri = np.linalg.qr(v[i][:, cols].real)
+        q = q * np.sign(np.diagonal(tri))
+        u, w = q[:, 0::2] / np.sqrt(2), 1j * q[:, 1::2] / np.sqrt(2)
+        v[i][:, cols[0::2]], v[i][:, cols[1::2]] = u - w, u + w
+        theta[i, cols] = np.pi * (-1.0) ** np.arange(len(cols))
+    log = ((v * (1j * theta)[:, None, :]) @ np.linalg.inv(v)).real
+    return (0.5 * (log - log.swapaxes(-1, -2))).reshape(r.shape)
 
 
 def spin_lift(cl, r):
@@ -182,13 +187,11 @@ def spin_lift(cl, r):
     stack (..., n, n), by conjugation.
 
     Satisfies lift(r) gamma_xi lift(r)^{-1} = gamma_{r xi}; the branch is the
-    Clifford exponential of the principal bivector logarithm.  The logarithms
-    are taken one matrix at a time, the bivectors and exponentials in one
-    stacked call each.
+    Clifford exponential of the principal bivector logarithm.  The
+    logarithms, bivectors and exponentials take one stacked call each
+    (`scipy.linalg.expm` still runs its Pade step once per matrix).
     """
-    r = np.asarray(r, dtype=float)
-    logs = np.stack([so_log(x) for x in r.reshape(-1, *r.shape[-2:])])
-    return scipy.linalg.expm(_bivector(cl, logs.reshape(r.shape)))
+    return scipy.linalg.expm(_bivector(cl, so_log(r)))
 
 
 def _bivector(cl, a):
@@ -200,21 +203,25 @@ def _bivector(cl, a):
 
 def generic_rotations(m, count=_SAMPLE_SIZE, seed=0):
     """Seeded generic sample of SO(m) with equal weights (not a Haar rule):
-    a list of `count` (rotation, 1/count) pairs.
+    a list of `count` (rotation, 1/count) pairs, for an integer seed.
 
     The draws are those of `count` successive (m, m) normal draws, each
     orthonormalized by QR with column 0 flipped where the determinant is
-    negative; one batched QR does them all.
+    negative; one batched QR does them all, cached per (m, count, seed).
+    The rotations returned are the caller's copies.
     """
-    return [(q, 1.0 / count) for q in _rotation_stack(m, count, seed)]
+    return [(q, 1.0 / count) for q in _rotation_stack(m, count, operator.index(seed)).copy()]
 
 
+@lru_cache(maxsize=32)
 def _rotation_stack(m, count, seed):
-    """The rotations of `generic_rotations` as one (count, m, m) array."""
+    """The rotations of `generic_rotations` as one read-only (count, m, m)
+    array, shared by every table of SO(m); the 32 latest keys are kept."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(count, m, m)))
     q[np.linalg.det(q) < 0, :, 0] *= -1
+    q.flags.writeable = False
     return q
 
 
@@ -258,11 +265,7 @@ def exterior_rep(n, p):
     eps_r eps_j^T (A has zero diagonal).  These eps_r eps_j^T are 0/+-1 with
     disjoint supports, so a call scatters signed entries of A.
     """
-    eps = wedge_table(n, p - 1)
-    ops = np.einsum("rac,jbc->rjab", eps, eps)
-    ops[np.arange(n), np.arange(n)] = 0.0
-    rs, js, rows, cols = np.nonzero(ops)
-    signs = ops[rs, js, rows, cols]
+    rs, js, rows, cols, signs = _derivation_indices(n, p)
 
     def apply(g):
         return exterior_power_matrix(g, p)
@@ -273,6 +276,19 @@ def exterior_rep(n, p):
         return out
 
     return _table(n, comb(n, p), False, apply, lie)
+
+
+@lru_cache(maxsize=None)
+def _derivation_indices(n, p):
+    """Nonzero entries (r, j, row, col) and their signs of eps_r eps_j^T, r != j."""
+    eps = wedge_table(n, p - 1)
+    ops = np.einsum("rac,jbc->rjab", eps, eps)
+    ops[np.arange(n), np.arange(n)] = 0.0
+    where = np.nonzero(ops)
+    out = (*where, ops[where])
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _table(m, degree, projective, apply, lie):
@@ -287,10 +303,15 @@ def _table(m, degree, projective, apply, lie):
 
 def embed_stabilizer(h):
     """Embed h in SO(n-1) as block-diag(1, h) in SO(n); accepts stacks."""
+    return _block_diag(1.0, h)
+
+
+def _block_diag(corner, h):
+    """block-diag(corner, h) for a matrix or a stack h (..., m, m)."""
     h = np.asarray(h)
     m = h.shape[-1]
     out = np.zeros(h.shape[:-2] + (m + 1, m + 1), dtype=h.dtype)
-    out[..., 0, 0] = 1.0
+    out[..., 0, 0] = corner
     out[..., 1:, 1:] = h
     return out
 
@@ -302,7 +323,7 @@ def restrict_to_stabilizer(rep):
         return rep.apply(embed_stabilizer(h))
 
     def lie(a):
-        return rep.lie(np.pad(a, ((1, 0), (1, 0))))  # block-diag(0, a)
+        return rep.lie(_block_diag(0.0, a))
 
     return _table(rep.group_dim - 1, rep.degree, rep.projective, apply, lie)
 
@@ -318,7 +339,7 @@ def conjugation_rep(cl):
         return spin_lift(cl, embed_stabilizer(h))
 
     def lie(a):
-        return _bivector(cl, np.pad(a, ((1, 0), (1, 0))))
+        return _bivector(cl, _block_diag(0.0, a))
 
     return _table(cl.n - 1, cl.gammas[0].shape[0], True, apply, lie)
 
@@ -356,10 +377,12 @@ def isotypic_projections(rep, seed=0):
     """Decompose C^degree into invariant subspaces of the representation.
 
     The commutant of the connected group is the null space of sum_{i<j}
-    ad_ij^H ad_ij, ad_ij X = [d rho(E_ij), X].  A seeded generic Hermitian
-    matrix, projected onto it (as its Haar average of conjugates would be), is
-    split by eigenspaces into projections; commuting with every sampled
-    unitary checks the Lie map against the group map.
+    ad_ij^H ad_ij, ad_ij X = [d rho(E_ij), X]: the Lie map is called once per
+    generator E_ij, and the stacked ad_ij give this Gram matrix in one
+    product.  A seeded generic Hermitian matrix, projected onto it (as its
+    Haar average of conjugates would be), is split by eigenspaces into
+    projections; commuting with every sampled unitary checks the Lie map
+    against the group map.
     """
     return _projections(rep, seed)[0]
 
@@ -368,13 +391,15 @@ def _projections(rep, seed):
     """`isotypic_projections` and their `commutation_residual`."""
     m, k = rep.group_dim, rep.degree
     eye = np.eye(k)
-    gram = np.zeros((k * k, k * k))
-    for i, j in itertools.combinations(range(m), 2):
-        e = np.zeros((m, m))
-        e[i, j], e[j, i] = -1.0, 1.0
-        g = rep.lie(e)
-        ad = np.kron(g, eye) - np.kron(eye, g.T)
-        gram = gram + ad.conj().T @ ad
+    i, j = np.triu_indices(m, 1)
+    basis = np.zeros((len(i), m, m))
+    pair = np.arange(len(i))
+    basis[pair, i, j], basis[pair, j, i] = -1.0, 1.0
+    g = np.array([rep.lie(e) for e in basis]).reshape(-1, k, k)  # SO(1) has none
+    # ad_ij = kron(g, 1) - kron(1, g^T) for every generator, stacked by rows
+    ad = (np.einsum("pac,bd->pabcd", g, eye)
+          - np.einsum("ac,pdb->pabcd", eye, g)).reshape(-1, k * k)
+    gram = ad.conj().T @ ad
     vals, vecs = np.linalg.eigh(gram)
     null = vecs[:, vals < _NULL_TOL * max(vals[-1], 1.0)]
     rng = np.random.default_rng(seed)

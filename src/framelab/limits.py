@@ -16,7 +16,6 @@ per node by `geometry._per_node_table`.  One product contracts
 """
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,17 +77,10 @@ def heat_state(sm, t):
     """Gibbs trace-ratio state at inverse temperature t.  Its error bounds
     what the modes beyond the cutoff would add; `compare_states` flags heat
     times below `heat_time_floor(sm)` as not reliable."""
-    _check_time(t, "heat time")
+    t = sp._finite_real(t, "heat time")
     if t <= 0:
         raise ValueError("heat time must be positive")
-    return StateFunctional(kind="heat", context=sm, t=float(t))
-
-
-def _check_time(t, what):
-    """`ValueError` unless t is a finite real number, a 0-d array included."""
-    real = isinstance(t, numbers.Real) or (np.ndim(t) == 0 and np.asarray(t).dtype.kind in "iuf")
-    if not real or not np.isfinite(float(t)):
-        raise ValueError(f"{what} {t!r} is not finite, or not real")
+    return StateFunctional(kind="heat", context=sm, t=t)
 
 
 def heat_time_floor(sm):
@@ -360,7 +352,7 @@ def egorov_residual(model, symbol, t, shell, K):
     `ValueError` before any coefficient call; the model and symbol meet
     `quantize`'s checks.
     """
-    _check_time(t, "evolution time")
+    t = sp._finite_real(t, "evolution time")
     sm = sp.basis_for(model, "functions", K)
     idx = _shell(sm, shell)
     a, pushed = sp._quantizations(model, symbol, K, np.isin(np.arange(sm.dim), idx), t)

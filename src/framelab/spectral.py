@@ -24,6 +24,7 @@ covector, the `fn` of `sphere_multiplication` once per quadrature node.
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -214,6 +215,16 @@ def _same_basis(a, b):
     since `basis_for` hands out one cached object per basis and comparing
     label tuples is O(dim)."""
     return a is b or a.labels == b.labels
+
+
+def _finite_real(value, what):
+    """float(value), or `ValueError` unless value is a finite real number, a
+    0-d array included: the rule for times and potentials."""
+    real = (isinstance(value, numbers.Real)
+            or (np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf"))
+    if not real or not np.isfinite(float(value)):
+        raise ValueError(f"{what} {value!r} is not finite, or not real")
+    return float(value)
 
 
 def compose(a, b):
@@ -410,11 +421,11 @@ def build_laplacian(model, bundle, K, potential=0.0, p=None):
     Returns the cached `basis_for` basis and the operator, diagonal in it,
     with the principal symbol g(xi, xi) * id (identity on the unit bundle).
     """
-    if not (np.ndim(potential) == 0 and np.asarray(potential).dtype.kind in "iuf"
-            and np.isfinite(potential) and potential >= 0):
+    shift = _finite_real(potential, "potential")
+    if shift < 0:
         raise ValueError(f"need a finite real potential >= 0, got {potential!r}")
     sm = basis_for(model, bundle, K, p)
-    mat = scipy.sparse.diags(sm.lam + potential).tocsr().astype(complex)
+    mat = scipy.sparse.diags(sm.lam + shift).tocsr().astype(complex)
     eye = np.eye(sm.fiber_dim, dtype=complex)
     sym = SymbolField(lambda x, xi: np.broadcast_to(eye, np.shape(xi)[:-1] + eye.shape).copy(),
                       sm.fiber_dim, batched=True)
@@ -663,7 +674,9 @@ class TrigSymbol:
         return SymbolField(evaluator=ev, fiber_dim=1, batched=True)
 
     def pushed(self, t):
-        """Composition with the reversed geodesic flow x -> x - t xi, as data."""
+        """Composition with the reversed geodesic flow x -> x - t xi, as data;
+        `ValueError` unless t is a finite real number."""
+        t = _finite_real(t, "push time")
         return TrigSymbol(terms=self.terms, dim=self.dim, pushes=self.pushes + (t,))
 
 

@@ -25,6 +25,8 @@
   generic rotations, one draw and one QR at a time, and a table's
   diagnostics, one cocycle pair at a time, against the stacked forms of
   `algebra`.
+- `so_log_real_schur`: the rotation logarithm from one real Schur form per
+  matrix, against the batched eigendecomposition of `algebra.so_log`.
 - `helicity_chain`, `hodge_chain`, `dirac_einsum` and
   `sign_and_halves_through_square`: the torus helicity operator as the
   sparse chain Delta^{-1/2} star d, the Hodge projections as
@@ -37,6 +39,7 @@ None of them imports a private helper of the code it checks.
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from framelab import algebra as alg
@@ -113,6 +116,30 @@ def table_residuals_per_pair(rep):
         coc = max(coc, np.abs(u @ v - phase * prod).max())
     return {"weight_sum": float(abs(wsum - 1.0)), "unitarity": float(unit),
             "cocycle": float(coc)}
+
+
+def so_log_real_schur(r):
+    """Principal antisymmetric logarithm of one rotation matrix from its real
+    Schur form: each 2 x 2 block of angle theta gives a theta-rotation
+    generator, and paired -1 scalar blocks (angle-pi planes) are rotated by
+    +pi, in Schur order."""
+    t, q = scipy.linalg.schur(np.asarray(r, dtype=float), output="real")
+    n = len(t)
+    log_t = np.zeros_like(t)
+    flipped = []
+    i = 0
+    while i < n:
+        if i + 1 < n and abs(t[i + 1, i]) > 1e-12:
+            theta = np.arctan2(t[i + 1, i], t[i, i])
+            log_t[i, i + 1], log_t[i + 1, i] = -theta, theta
+            i += 2
+        else:
+            if t[i, i] < -0.5:
+                flipped.append(i)
+            i += 1
+    for a, b in zip(flipped[0::2], flipped[1::2]):
+        log_t[a, b], log_t[b, a] = -np.pi, np.pi
+    return q @ log_t @ q.T
 
 
 def _rot2(a):

@@ -109,6 +109,70 @@ def test_so_log_roundtrip():
     del rng
 
 
+def _rotated(q, d):
+    return q @ d @ q.T
+
+
+_Q5 = np.linalg.qr(np.random.default_rng(1).normal(size=(5, 5)))[0]
+_PI_AND_GENERIC_PLANE = np.eye(5)
+_PI_AND_GENERIC_PLANE[:2, :2] = -np.eye(2)
+_PI_AND_GENERIC_PLANE[2:4, 2:4] = oracles._rot2(0.7)
+_NEAR_PI = np.eye(3)
+_NEAR_PI[:2, :2] = oracles._rot2(np.pi - 1e-9)
+ANGLE_PI_ROTATIONS = {
+    "diag(-1,-1,1)": np.diag([-1.0, -1.0, 1.0]),
+    "-I4": -np.eye(4),
+    "pi-and-generic-plane": _rotated(_Q5, _PI_AND_GENERIC_PLANE),
+    "two-pi-planes": _rotated(_Q5, np.diag([-1.0, -1.0, -1.0, -1.0, 1.0])),
+    "near-pi": _NEAR_PI,
+}
+
+
+@pytest.mark.parametrize("r", ANGLE_PI_ROTATIONS.values(), ids=ANGLE_PI_ROTATIONS.keys())
+def test_so_log_of_angle_pi_rotations_exponentiates_back(r):
+    a = alg.so_log(r)
+    assert np.abs(a + a.T).max() <= 1e-12
+    assert np.abs(scipy.linalg.expm(a) - r).max() <= 1e-12
+
+
+def test_so_log_rejects_a_reflection():
+    # an improper matrix has no real logarithm; it used to give the zero matrix
+    for r in (np.diag([-1.0, 1.0, 1.0]), _rotated(_Q5, np.diag([-1.0, 1.0, 1.0, 1.0, 1.0]))):
+        with pytest.raises(ValueError, match="rotations"):
+            alg.so_log(r)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_so_log_matches_the_real_schur_oracle(n):
+    # the 24-sample tables of SO(n), and of SO(n-1) embedded in SO(n)
+    own = [g for g, _ in alg.generic_rotations(n)]
+    embedded = [alg.embed_stabilizer(h) for h, _ in alg.generic_rotations(n - 1)]
+    for r in own + embedded:
+        assert np.abs(alg.so_log(r) - oracles.so_log_real_schur(r)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_spin_lifts_match_lifts_of_the_real_schur_log(n):
+    cl = alg.build_clifford(n)
+    g = cl.gammas
+    for h, u, _ in alg.conjugation_rep(cl).sample:
+        a = oracles.so_log_real_schur(alg.embed_stabilizer(h))
+        want = scipy.linalg.expm(0.25 * np.einsum("ij,iab,jbc->ac", a, g, g))
+        assert np.abs(u - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_so_log_of_a_stack_is_each_log_bitwise(n):
+    rs = np.stack([g for g, _ in alg.generic_rotations(n, count=6, seed=n)])
+    flip = np.diag([-1.0, -1.0] + [1.0] * (n - 2))
+    rs[1], rs[4] = flip, _rotated(rs[0], flip)  # angle-pi planes in the stack
+    rs = rs.reshape(2, 3, n, n)
+    stack = alg.so_log(rs)
+    assert stack.shape == (2, 3, n, n)
+    for idx in np.ndindex(2, 3):
+        assert stack[idx].tobytes() == alg.so_log(rs[idx]).tobytes()
+
+
 def test_spin_lift_covariance():
     # lift(r) gamma_xi lift(r)^{-1} = gamma_{r xi}
     cl = alg.build_clifford(3)
@@ -323,20 +387,56 @@ def _counting(monkeypatch, owner, name):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: alg.exterior_rep(5, 2),
-    lambda: alg.conjugation_rep(alg.build_clifford(5)),
+    (lambda: alg.exterior_rep(5, 2), lambda: alg.exterior_rep(5, 3)),
+    (lambda: alg.conjugation_rep(alg.build_clifford(5)), lambda: alg.exterior_rep(4, 2)),
 ], ids=["exterior", "conjugation"])
 def test_building_a_table_takes_one_qr(monkeypatch, build):
+    # the first table of a group draws the sample; a second table shares it
+    first, second = build
+    alg._rotation_stack.cache_clear()
     calls = _counting(monkeypatch, np.linalg, "qr")
-    build()
+    first()
+    assert len(calls) == 1
+    second()
     assert len(calls) == 1
 
 
 def test_restricting_a_table_takes_one_qr(monkeypatch):
-    ext = alg.exterior_rep(5, 2)
+    ext, other = alg.exterior_rep(5, 2), alg.exterior_rep(5, 1)
+    alg._rotation_stack.cache_clear()
     calls = _counting(monkeypatch, np.linalg, "qr")
     alg.restrict_to_stabilizer(ext)
     assert len(calls) == 1
+    alg.restrict_to_stabilizer(other)
+    assert len(calls) == 1
+
+
+def test_the_shared_sample_is_read_only_and_generic_rotations_are_copies():
+    rep = alg.exterior_rep(4, 2)
+    assert not alg._rotation_stack(4, 24, 0).flags.writeable
+    assert not any(g.flags.writeable for g, _, _ in rep.sample)
+    assert not any(a.flags.writeable for a in alg._derivation_indices(4, 2))
+    want = [g.copy() for g, _, _ in rep.sample]
+    for q, _ in alg.generic_rotations(4):
+        assert q.flags.writeable
+        q[:] = 0.0
+    assert all(np.array_equal(q, w) for (q, _), w in zip(alg.generic_rotations(4), want))
+    assert all(np.array_equal(g, w) for (g, _, _), w in zip(alg.exterior_rep(4, 1).sample, want))
+    # a seed that is not an integer would freeze one draw in the cache
+    for seed in (None, np.random.default_rng(0)):
+        with pytest.raises(TypeError):
+            alg.generic_rotations(3, seed=seed)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_tables_and_projections_take_no_schur_and_no_kron(monkeypatch, n):
+    cl = alg.build_clifford(n)
+    schur = _counting(monkeypatch, scipy.linalg, "schur")
+    kron = _counting(monkeypatch, np, "kron")
+    rep = alg.conjugation_rep(cl)
+    alg.isotypic_projections(rep)
+    alg.branching_report(n, 2)
+    assert schur == [] and kron == []
 
 
 def test_conjugation_table_takes_one_spin_lift(monkeypatch):

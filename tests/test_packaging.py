@@ -19,6 +19,7 @@ _PRIVATE_REACHES = {
     ("limits", "geometry._metric_diagonal"),
     ("limits", "geometry._node_average"),
     ("limits", "geometry._per_node_table"),
+    ("limits", "spectral._finite_real"),
     ("limits", "spectral._quantizations"),
     ("limits", "spectral._same_basis"),
     ("spectral", "geometry._per_node_table"),

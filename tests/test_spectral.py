@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -1025,6 +1026,33 @@ def test_a_pushed_symbol_keeps_its_terms_and_records_its_times():
                    * np.exp(-1j * 0.35 * (np.asarray(nu) @ xi[i, j]))
                    * np.exp(-1j * -1.2 * (np.asarray(nu) @ xi[i, j])) for nu, c in terms.items())
         assert abs(table[i, j, 0, 0] - want) <= 1e-15
+
+
+def test_push_times_must_be_finite_and_real():
+    # NaN gave a quantization of 140 NaN entries, 1j a non-unitary phase
+    terms = {(1, 0): _Counted(lambda xi: 0.5), (-1, 0): _Counted(lambda xi: 0.5)}
+    sym = sp.TrigSymbol(terms=terms, dim=2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            sym.pushed(bad)
+    for bad in (1j, np.complex128(0.5), "0.5", None, np.array([0.5]), np.array(0.5j)):
+        with pytest.raises(ValueError, match="not real"):
+            sym.pushed(bad)
+    assert [c.calls for c in terms.values()] == [0, 0]
+    for good in (np.float32(0.5), np.array(0.5), Fraction(1, 2), 1):
+        assert sym.pushed(good).pushes == (float(good),)
+    a = sp.quantize(T2, sym.pushed(np.array(0.5)), 4).matrix
+    assert (a != sp.quantize(T2, sym.pushed(0.5), 4).matrix).nnz == 0
+
+
+def test_a_potential_is_any_finite_real_number_as_a_time_is():
+    want = sp.build_laplacian(T2, "functions", 2, potential=0.5)[1].matrix
+    got = sp.build_laplacian(T2, "functions", 2, potential=Fraction(1, 2))[1].matrix
+    assert (got != want).nnz == 0
+    sm = sp.basis_for(T2, "functions", 2)
+    assert lm.heat_state(sm, Fraction(1, 2)).t == 0.5
+    with pytest.raises(ValueError, match=">= 0"):
+        sp.build_laplacian(T2, "functions", 2, potential=Fraction(-1, 2))
 
 
 _SPHERE_MULTIPLIERS = {
