@@ -8,12 +8,15 @@ exterior-multiplication sign (`spectral`'s torus symbols read it too).
 A representation table is a group map, its Lie-algebra map and a seeded
 spot-check sample of generic rotations.  The group maps are array-first: a
 rotation (m, m) is a stack of one, and a table's unitaries come from one
-stacked call; spin lifts take one batched eigendecomposition for all their
-rotation logarithms.  Every table of SO(m) shares one cached, read-only
-sample stack, drawn by one batched QR.  Invariant projections are exact: the
-groups are connected, so the commutant of a representation is the null space
-of the commutators with its Lie-algebra image, whose Gram matrix is one
-contraction over the stacked images of the generators.
+stacked call.  A spin lift takes one batched eigendecomposition for its
+rotation logarithms, one product with the table of the products
+gamma_i gamma_j for their bivectors, and one batched Hermitian `eigh` for
+their exponentials, which the anti-Hermitian bivectors allow.  Every table
+of SO(m) shares one cached, read-only sample stack, drawn by one batched
+QR.  Invariant projections are exact: the groups are connected, so the
+commutant of a representation is the null space of the commutators with its
+Lie-algebra image, whose Gram matrix is one contraction over the stacked
+images of the cached so(m) generators.
 """
 
 import itertools
@@ -23,7 +26,6 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-import scipy.linalg
 
 from . import ResolutionError
 
@@ -161,10 +163,15 @@ def so_log(r):
     Real -1 eigenvalues (exact angle-pi planes) are taken in pairs, with
     their eigenvectors orthonormalized in order: the pair (u, w) becomes the
     conjugate pair u -+ i w of angles +-pi, so the plane turns by +pi from u
-    toward w; the sign choice is immaterial for conjugation.  An unpaired
-    -1 (a reflection) raises `ValueError`.
+    toward w; the sign choice is immaterial for conjugation.  A matrix with
+    a non-finite entry, one that is not orthogonal (max |r^T r - I| above
+    1e-10) and an unpaired -1 (a reflection) raise `ValueError`.
     """
     r = np.asarray(r, dtype=float)
+    if not np.isfinite(r).all():
+        raise ValueError("so_log needs rotations; an entry is not finite")
+    if np.abs(r.swapaxes(-1, -2) @ r - np.eye(r.shape[-1])).max(initial=0.0) > 1e-10:
+        raise ValueError("so_log needs rotations; r^T r differs from I")
     lam, v = np.linalg.eig(r.reshape(-1, *r.shape[-2:]))
     lam, v = lam.astype(complex), v.astype(complex)  # all-real spectra come back real
     theta = np.angle(lam)
@@ -187,18 +194,27 @@ def spin_lift(cl, r):
     stack (..., n, n), by conjugation.
 
     Satisfies lift(r) gamma_xi lift(r)^{-1} = gamma_{r xi}; the branch is the
-    Clifford exponential of the principal bivector logarithm.  The
-    logarithms, bivectors and exponentials take one stacked call each
-    (`scipy.linalg.expm` still runs its Pade step once per matrix).
+    Clifford exponential of the principal bivector logarithm B.  The gammas
+    are Hermitian, so B is anti-Hermitian and iB = V diag(w) V^H is
+    Hermitian: exp(B) = V diag(exp(-i w)) V^H.  The logarithms, bivectors
+    and eigendecompositions take one stacked call each.
     """
-    return scipy.linalg.expm(_bivector(cl, so_log(r)))
+    r = np.asarray(r)
+    if r.shape[-2:] != (cl.n, cl.n):
+        raise ValueError(f"spin_lift of Cl({cl.n}) expects rotations of shape "
+                         f"(..., {cl.n}, {cl.n}), got {r.shape}")
+    w, v = np.linalg.eigh(1j * _bivector(cl, so_log(r)))
+    return (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _bivector(cl, a):
     """Spin Lie algebra element 1/4 sum_ij a_ij gamma_i gamma_j of an
-    antisymmetric a (n, n), or of each of a stack (..., n, n)."""
-    g = np.asarray(cl.gammas)
-    return 0.25 * np.einsum("...ij,iab,jbc->...ac", a, g, g)
+    antisymmetric a (n, n), or of each of a stack (..., n, n): one
+    product with the table of the products gamma_i gamma_j."""
+    a = np.asarray(a)
+    n, dim = cl.gammas.shape[:2]
+    pairs = (cl.gammas[:, None] @ cl.gammas).reshape(n * n, -1)
+    return 0.25 * (a.reshape(-1, n * n) @ pairs).reshape(a.shape[:-2] + (dim, dim))
 
 
 def generic_rotations(m, count=_SAMPLE_SIZE, seed=0):
@@ -391,11 +407,7 @@ def _projections(rep, seed):
     """`isotypic_projections` and their `commutation_residual`."""
     m, k = rep.group_dim, rep.degree
     eye = np.eye(k)
-    i, j = np.triu_indices(m, 1)
-    basis = np.zeros((len(i), m, m))
-    pair = np.arange(len(i))
-    basis[pair, i, j], basis[pair, j, i] = -1.0, 1.0
-    g = np.array([rep.lie(e) for e in basis]).reshape(-1, k, k)  # SO(1) has none
+    g = np.array([rep.lie(e) for e in _so_basis(m)]).reshape(-1, k, k)  # SO(1) has none
     # ad_ij = kron(g, 1) - kron(1, g^T) for every generator, stacked by rows
     ad = (np.einsum("pac,bd->pabcd", g, eye)
           - np.einsum("ac,pdb->pabcd", eye, g)).reshape(-1, k * k)
@@ -430,11 +442,27 @@ def _projections(rep, seed):
     return projs, residual
 
 
+@lru_cache(maxsize=None)
+def _so_basis(m):
+    """The generators E_ij = e_j e_i^T - e_i e_j^T, i < j, of so(m) as one
+    read-only (m(m-1)/2, m, m) stack."""
+    i, j = np.triu_indices(m, 1)
+    basis = np.zeros((len(i), m, m))
+    pair = np.arange(len(i))
+    basis[pair, i, j], basis[pair, j, i] = -1.0, 1.0
+    basis.flags.writeable = False
+    return basis
+
+
 def commutation_residual(rep, projs):
-    """Max |[rho(g), p]| entry over all sampled g and all projections."""
-    u = np.stack([m for _, m, _ in rep.sample])[:, None]
+    """Max |[rho(g), p]| entry over all sampled g and all projections; the
+    products rho(g) p and p rho(g) of every pair are two 2-D products."""
+    u = np.stack([m for _, m, _ in rep.sample])
     stack = np.stack([p.projector for p in projs])
-    return float(np.abs(u @ stack - stack @ u).max())
+    s, k = u.shape[:2]
+    up = (u.reshape(-1, k) @ stack.swapaxes(0, 1).reshape(k, -1)).reshape(s, k, -1, k)
+    pu = (stack.reshape(-1, k) @ u.swapaxes(0, 1).reshape(k, -1)).reshape(-1, k, s, k)
+    return float(np.abs(up - pu.transpose(2, 1, 0, 3)).max())
 
 
 def pascal_split_check(ranks, n, p):

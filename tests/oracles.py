@@ -27,6 +27,11 @@
   `algebra`.
 - `so_log_real_schur`: the rotation logarithm from one real Schur form per
   matrix, against the batched eigendecomposition of `algebra.so_log`.
+- `bivector_einsum` and `commutation_residual_per_pair`: the spin Lie
+  algebra element as one three-operand einsum over the gammas, and the
+  commutation residual of projections one (sample, projection) pair at a
+  time, against the pair-table product of `algebra._bivector` and the 2-D
+  products of `algebra.commutation_residual`.
 - `helicity_chain`, `hodge_chain`, `dirac_einsum` and
   `sign_and_halves_through_square`: the torus helicity operator as the
   sparse chain Delta^{-1/2} star d, the Hodge projections as
@@ -140,6 +145,20 @@ def so_log_real_schur(r):
     for a, b in zip(flipped[0::2], flipped[1::2]):
         log_t[a, b], log_t[b, a] = -np.pi, np.pi
     return q @ log_t @ q.T
+
+
+def bivector_einsum(cl, a):
+    """1/4 sum_ij a_ij gamma_i gamma_j of an antisymmetric a (n, n), or of
+    each of a stack (..., n, n), as one three-operand einsum."""
+    g = cl.gammas
+    return 0.25 * np.einsum("...ij,iab,jbc->...ac", a, g, g)
+
+
+def commutation_residual_per_pair(rep, projs):
+    """Max |rho(g) p - p rho(g)| entry over the sampled g and the projections
+    p, one pair at a time."""
+    return float(max(np.abs(u @ p.projector - p.projector @ u).max()
+                     for _, u, _ in rep.sample for p in projs))
 
 
 def _rot2(a):

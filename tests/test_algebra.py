@@ -135,6 +135,50 @@ def test_so_log_of_angle_pi_rotations_exponentiates_back(r):
     assert np.abs(scipy.linalg.expm(a) - r).max() <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [
+    2.0 * np.eye(3),
+    np.diag([1.0, 1.0, 1.0 + 1e-9]),
+    np.array([[1.0, 0.5], [0.0, 1.0]]),
+], ids=["2I", "stretched-by-1e-9", "shear"])
+def test_so_log_rejects_a_matrix_that_is_not_orthogonal(bad):
+    # without the check, 2 I has the zero log and lifts to the identity
+    good = np.eye(len(bad))
+    for r in (bad, np.stack([good, bad, good])):
+        with pytest.raises(ValueError, match="rotations"):
+            alg.so_log(r)
+    with pytest.raises(ValueError, match="rotations"):
+        alg.spin_lift(alg.build_clifford(len(bad)), bad)
+
+
+def test_so_log_rejects_non_finite_entries():
+    for value in (np.nan, np.inf, -np.inf):
+        r = np.eye(4)
+        r[1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            alg.so_log(r)
+        with pytest.raises(ValueError, match="finite"):
+            alg.so_log(np.stack([np.eye(4), r]))
+
+
+def test_so_log_takes_rotations_within_the_orthogonality_bound():
+    # rounding-level defects pass, as in flows.right_action
+    r = oracles._rot2(0.3) + 1e-12
+    assert np.abs(alg.so_log(r) - np.array([[0.0, -0.3], [0.3, 0.0]])).max() < 1e-11
+
+
+def test_conjugation_table_rejects_a_matrix_that_is_not_a_rotation():
+    rep = alg.conjugation_rep(alg.build_clifford(4))
+    with pytest.raises(ValueError, match="rotations"):
+        rep.apply(2.0 * np.eye(3))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 5, 5), (4,), (4, 3)])
+def test_spin_lift_rejects_a_wrong_shape(shape):
+    cl = alg.build_clifford(4)
+    with pytest.raises(ValueError, match=r"\(\.\.\., 4, 4\)"):
+        alg.spin_lift(cl, np.zeros(shape))
+
+
 def test_so_log_rejects_a_reflection():
     # an improper matrix has no real logarithm; it used to give the zero matrix
     for r in (np.diag([-1.0, 1.0, 1.0]), _rotated(_Q5, np.diag([-1.0, 1.0, 1.0, 1.0, 1.0]))):
@@ -171,6 +215,26 @@ def test_so_log_of_a_stack_is_each_log_bitwise(n):
     assert stack.shape == (2, 3, n, n)
     for idx in np.ndindex(2, 3):
         assert stack[idx].tobytes() == alg.so_log(rs[idx]).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_bivector_is_the_three_operand_einsum(n):
+    cl = alg.build_clifford(n)
+    x = np.random.default_rng(n).normal(size=(2, 3, n, n))
+    a = x - x.swapaxes(-1, -2)
+    got = alg._bivector(cl, a)
+    assert got.shape == (2, 3) + cl.gammas.shape[1:]
+    assert got.tobytes() == oracles.bivector_einsum(cl, a).tobytes()
+    for idx in np.ndindex(2, 3):
+        assert alg._bivector(cl, a[idx]).tobytes() == got[idx].tobytes()
+
+
+@pytest.mark.parametrize("r", [r for r in ANGLE_PI_ROTATIONS.values() if len(r) <= 6],
+                         ids=[k for k, r in ANGLE_PI_ROTATIONS.items() if len(r) <= 6])
+def test_angle_pi_lifts_are_expm_of_the_einsum_bivector(r):
+    cl = alg.build_clifford(len(r))
+    want = scipy.linalg.expm(oracles.bivector_einsum(cl, alg.so_log(r)))
+    assert np.abs(alg.spin_lift(cl, r) - want).max() <= 1e-13
 
 
 def test_spin_lift_covariance():
@@ -374,6 +438,14 @@ def test_table_residuals_are_the_per_pair_loop(rep):
     assert alg.table_residuals(rep) == oracles.table_residuals_per_pair(rep)
 
 
+@pytest.mark.parametrize("rep", _tables((), range(3, 7)))
+def test_conjugation_lifts_are_expm_of_the_einsum_bivector(rep):
+    cl = alg.build_clifford(rep.group_dim + 1)
+    rs = alg.embed_stabilizer(np.stack([h for h, _, _ in rep.sample]))
+    want = scipy.linalg.expm(oracles.bivector_einsum(cl, alg.so_log(rs)))
+    assert np.abs(np.stack([u for _, u, _ in rep.sample]) - want).max() <= 1e-13
+
+
 def _counting(monkeypatch, owner, name):
     calls = []
     fn = getattr(owner, name)
@@ -433,10 +505,12 @@ def test_tables_and_projections_take_no_schur_and_no_kron(monkeypatch, n):
     cl = alg.build_clifford(n)
     schur = _counting(monkeypatch, scipy.linalg, "schur")
     kron = _counting(monkeypatch, np, "kron")
+    expm = _counting(monkeypatch, scipy.linalg, "expm")
     rep = alg.conjugation_rep(cl)
     alg.isotypic_projections(rep)
     alg.branching_report(n, 2)
     assert schur == [] and kron == []
+    assert expm == []
 
 
 def test_conjugation_table_takes_one_spin_lift(monkeypatch):
@@ -602,6 +676,13 @@ def test_branching_residual_is_the_projections_commutation_residual(n, p):
     projs = alg.branching_projections(n, p, seed=5)
     report = alg.branching_report(n, p, seed=5)
     assert report["commutant_residual"] == alg.commutation_residual(rep, projs)
+
+
+@pytest.mark.parametrize("rep", _tables(range(2, 7), range(3, 7)))
+def test_commutation_residual_is_the_per_pair_loop(rep):
+    projs = alg.isotypic_projections(rep)
+    got = alg.commutation_residual(rep, projs)
+    assert abs(got - oracles.commutation_residual_per_pair(rep, projs)) <= 4 * np.finfo(float).eps
 
 
 def test_branching_results_are_fresh_per_call():
