@@ -296,7 +296,7 @@ def random_frame_point(model, rng):
                 point = np.array([x, y])
                 break
     a = rng.uniform(0, 2 * np.pi)
-    g = geo.metric_at(model, point)
+    g = np.diag(geo._metric_diagonal(model, point))  # the point is in the chart
     scale = 1.0 / np.sqrt(np.diag(g))
     e1 = np.array([np.cos(a) * scale[0], np.sin(a) * scale[1]])
     e1 /= np.sqrt(e1 @ g @ e1)

@@ -12,7 +12,9 @@ chunk of nodes the symbol's and the weight's tables come from
 `SymbolField.table`, one evaluator call for the library's batched symbols;
 a per-point symbol, and an invariant section's `apply_fn`, are called once
 per node by `geometry._per_node_table`.  One product contracts
-[tr(W A), tr(W)] (`geometry._node_average`).
+[tr(W A), tr(W)] (`geometry._node_average`).  The matrix side reads CSR
+arrays: a Cesaro or heat rung the diagonal, a degeneracy block or frequency
+shell one contiguous row range, the commutation check the stored entries.
 """
 
 import itertools
@@ -148,21 +150,24 @@ def evaluate(state, a_op):
     """Evaluate a state on an observable; returns a StateValue."""
     if state.kind == "tracial":
         return _evaluate_tracial(state, a_op)
-    sm = state.context
     if isinstance(a_op, sp.OperatorMatrix):
-        if not sp._same_basis(a_op.domain, sm):
+        if not sp._same_basis(a_op.domain, state.context):
             raise ValueError("observable basis does not match the state context")
         mat = a_op.matrix
     else:
         mat = a_op
     if state.kind == "eigen":
         return StateValue(value=complex(mat[state.j, state.j]), error=0.0)
+    return _diagonal_value(state, mat.diagonal())
+
+
+def _diagonal_value(state, diag):
+    """A Cesaro or heat state's value on an observable of diagonal `diag`."""
     if state.kind == "cesaro":
-        diag = mat.diagonal()[: state.n]
-        return StateValue(value=complex(diag.sum() / state.n), error=0.0)
+        return StateValue(value=complex(diag[: state.n].sum() / state.n), error=0.0)
     if state.kind == "heat":
         # a constant potential cancels in the Gibbs ratio
-        value, error = _gibbs_ratio(sm.lam, mat.diagonal(), state.t)
+        value, error = _gibbs_ratio(state.context.lam, diag, state.t)
         return StateValue(value=complex(value), error=error)
     raise ValueError(f"unknown state kind {state.kind!r}")
 
@@ -230,39 +235,30 @@ def _monotone_with_slack(gaps):
 def compare_states(sm, a_op, n_ladder=None, t_ladder=None, resolution=8):
     """Cesaro / heat / tracial comparison for an order-0 observable with symbol.
 
-    Gaps are measured against the tracial value and must shrink monotonically
-    (10 percent slack) along N-doubling and t-halving ladders.
+    Gaps to the tracial value must shrink monotonically (10 percent slack)
+    along N-doubling and t-halving ladders, read from the matrix's diagonal.
     """
     if a_op.symbol is None:
         raise ValueError("compare_states needs an observable with a symbol")
     if a_op.order != 0:
         raise ValueError("compare_states applies to order-0 observables")
+    if not sp._same_basis(a_op.domain, sm):
+        raise ValueError("observable basis does not match the state context")
     trac = tracial_state(sm.model, a_op.symbol, a_op.symbol.fiber_dim, resolution)
-    # Cesaro and heat states read only the diagonal: scan the matrix once
-    diag_op = sp.OperatorMatrix(matrix=scipy.sparse.diags(a_op.matrix.diagonal()).tocsr(),
-                                order=0, domain=a_op.domain)
-    if n_ladder is None:
-        n_ladder = []
-        n = max(2, sm.dim // 16)
-        while n < sm.dim:
-            n_ladder.append(n)
-            n *= 2
-        n_ladder.append(sm.dim)
-    cesaro_rows = []
-    seen = set()
-    for n in n_ladder:
-        st = cesaro_state(sm, min(n, sm.dim))
-        if st.n in seen:
-            continue
-        seen.add(st.n)
-        val = evaluate(st, diag_op).value
-        cesaro_rows.append((st.n, val, abs(val - trac.value)))
+    diag = a_op.matrix.diagonal()
+    if n_ladder is None:  # doubling from dim / 16, then dim
+        n0 = max(2, sm.dim // 16)
+        n_ladder = [n0 << i for i in range(sm.dim.bit_length()) if n0 << i < sm.dim] + [sm.dim]
+    cesaro_rows = []  # one row per block boundary the rungs round up to
+    for rung in {r.n: r for r in (cesaro_state(sm, min(n, sm.dim)) for n in n_ladder)}.values():
+        val = _diagonal_value(rung, diag).value
+        cesaro_rows.append((rung.n, val, abs(val - trac.value)))
     t0 = heat_time_floor(sm)
     if t_ladder is None:
         t_ladder = [8 * t0, 4 * t0, 2 * t0, t0]
     heat_rows = []
     for t in t_ladder:
-        out = evaluate(heat_state(sm, t), diag_op)
+        out = _diagonal_value(heat_state(sm, t), diag)
         heat_rows.append((t, out.value, abs(out.value - trac.value), t >= t0))
     return ConvergenceReport(
         tracial=trac,
@@ -294,14 +290,14 @@ class DecayReport:
 
 
 def _shell(sm, lo):
-    """Indices of the frequency shell [lo, 2 lo), which must be nonempty and
-    inside the truncation (`ValueError`)."""
+    """The frequency shell [lo, 2 lo) as a slice (frequencies ascend), which
+    must be nonempty and inside the truncation (`ValueError`)."""
     idx = sp.shell_indices(sm, lo, 2 * lo)
     if idx.size == 0:
         raise ValueError(f"empty frequency shell [{lo}, {2 * lo})")
     if 2 * lo > sm.freq.max() + 1e-9:
         raise ValueError("shell exceeds the truncation; increase K")
-    return idx
+    return slice(int(idx[0]), int(idx[-1]) + 1)
 
 
 def negative_order_decay(sm, a_op, shells):
@@ -315,12 +311,11 @@ def negative_order_decay(sm, a_op, shells):
     """
     if not sp._same_basis(a_op.domain, sm):
         raise ValueError("observable basis does not match")
-    rows = []
+    rows, diag = [], np.abs(a_op.matrix.diagonal())
     for lo in shells:
-        idx = _shell(sm, lo)
-        sub = a_op.matrix[np.ix_(idx, idx)]
-        diag_max = float(np.abs(a_op.matrix.diagonal()[idx]).max())
-        rows.append((float(lo), sp.spectral_norm(sub), diag_max))
+        band = _shell(sm, lo)
+        rows.append((float(lo), sp.spectral_norm(a_op.matrix[band, band]),
+                     float(diag[band].max())))
     ratios = tuple(b / a if a > 0 else np.inf for (_, a, _), (_, b, _)
                    in zip(rows, rows[1:]))
     return DecayReport(rows=tuple(rows), ratios=ratios)
@@ -354,11 +349,12 @@ def egorov_residual(model, symbol, t, shell, K):
     """
     t = sp._finite_real(t, "evolution time")
     sm = sp.basis_for(model, "functions", K)
-    idx = _shell(sm, shell)
-    a, pushed = sp._quantizations(model, symbol, K, np.isin(np.arange(sm.dim), idx), t)
+    band = _shell(sm, shell)
+    keep = np.isin(np.arange(sm.dim), np.arange(band.start, band.stop))
+    a, pushed = sp._quantizations(model, symbol, K, keep, t)
     evolved = evolve_observable(sp.OperatorMatrix(matrix=a, order=0, domain=sm), t)
     diff = (evolved.matrix - pushed).tocsr()
-    return sp.spectral_norm(diff[np.ix_(idx, idx)])
+    return sp.spectral_norm(diff[band, band])
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +397,38 @@ def subspace_eigensections(sm, proj_op):
 
 def _eigensections(sm, proj_op):
     """The sections of `subspace_eigensections` as a lazy iterator that
-    diagonalizes one degeneracy block at a time; the commutation check runs
-    at once."""
-    delta = scipy.sparse.diags(sm.lam)
-    comm = proj_op.matrix @ delta - delta @ proj_op.matrix
-    if sp.frob(comm) > 1e-10 * max(1.0, float(sm.lam.max())):
+    diagonalizes one degeneracy block at a time, each from `_dense_block`.
+    The commutation check runs at once, on the stored entries of P."""
+    proj = scipy.sparse.csr_matrix(proj_op.matrix)
+    if _commutator_norm(proj, sm.lam) > 1e-10 * max(1.0, float(sm.lam.max())):
         raise ValueError("projector does not commute with the Laplacian")
-    return _block_sections(sm, scipy.sparse.csr_matrix(proj_op.matrix))
+    return _block_sections(sm, proj)
+
+
+def _commutator_norm(mat, lam):
+    """Frobenius norm of [mat, diag(lam)], sqrt(sum |m_ij|^2 (lam_i - lam_j)^2)
+    over a CSR mat's stored entries, duplicates summed first in new arrays."""
+    mat = mat if mat.has_canonical_format else mat.tocoo().tocsr()
+    gap = np.repeat(lam, np.diff(mat.indptr)) - lam[mat.indices]
+    return float(np.sqrt(np.sum(np.abs(mat.data) ** 2 * gap ** 2)))
+
+
+def _dense_block(mat, a, b):
+    """Dense mat[a:b, a:b] of a CSR mat from the rows' one indptr range and a
+    column mask; duplicates are summed in stored order, as `toarray` does."""
+    lo, hi = mat.indptr[a], mat.indptr[b]
+    rows = np.repeat(np.arange(b - a), np.diff(mat.indptr[a:b + 1]))
+    cols = mat.indices[lo:hi] - a
+    keep = (cols >= 0) & (cols < b - a)
+    out = np.zeros((b - a, b - a), dtype=mat.dtype)
+    np.add.at(out, (rows[keep], cols[keep]), mat.data[lo:hi][keep])
+    return out
 
 
 def _block_sections(sm, proj):
     bounds = sm._block_bounds()
     for a, b in zip(bounds, bounds[1:]):
-        sub = proj[a:b, a:b].toarray()
+        sub = _dense_block(proj, a, b)
         vals, vecs = np.linalg.eigh(0.5 * (sub + sub.conj().T))
         idx = np.arange(a, b)
         for vec in vecs[:, vals > 0.5].T:
@@ -429,7 +444,7 @@ def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
     omega(P), the tracial state weighted by the projector's symbol, at
     `resolution`.  Only the degeneracy blocks that hold the first n sections
     are diagonalized, and each value v^H A v is taken on its block,
-    v^H A[idx, idx] v.
+    v^H A[idx, idx] v, the block read from A's CSR arrays (`_dense_block`).
     """
     sections = list(itertools.islice(_eigensections(sm, proj_op), n))
     if n > len(sections):
@@ -446,7 +461,7 @@ def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
     devs, block, a_block = [], None, None
     for _, idx, coef in sections:
         if idx is not block:
-            block, a_block = idx, a_mat[np.ix_(idx, idx)].toarray()
+            block, a_block = idx, _dense_block(a_mat, idx[0], idx[-1] + 1)
         devs.append(np.vdot(coef, a_block @ coef) - limit_value)
     variance = float(np.mean([abs(d) ** 2 for d in devs])) if devs else 0.0
     return VarianceReport(label=label, n=len(devs), variance=variance,

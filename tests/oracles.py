@@ -39,6 +39,10 @@
   gamma . kappa rows, and its sign and halves through the diagonal of D^2,
   against the Fourier multipliers of `spectral` (and, on the sphere, the
   Hodge projections bit for bit).
+- `quantum_variance_by_slicing`: eigensections and quantum-variance
+  deviations with each degeneracy block read by scipy slicing and fancy
+  indexing, densified by `toarray`, against the CSR-array blocks of
+  `limits`.
 
 None of them imports a private helper of the code it checks.
 """
@@ -535,3 +539,23 @@ def sign_and_halves_through_square(d):
     sign = (d @ scipy.sparse.diags(_pseudo_power(diag.real, -0.5))).tocsr()
     sign2 = (sign @ sign).tocsr()
     return sign, (0.5 * (sign2 + sign)).tocsr(), (0.5 * (sign2 - sign)).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# quantum variance
+
+
+def quantum_variance_by_slicing(bounds, a_mat, p_mat, n, limit_value):
+    """The first n eigensections (block indices, coefficients) of the
+    projector p_mat and the deviations v^H A v - limit_value on them, block
+    [a, b) of `bounds` read as p_mat[a:b, a:b] and a_mat[ix_(idx, idx)]."""
+    sections, devs = [], []
+    for a, b in zip(bounds, bounds[1:]):
+        sub = p_mat[a:b, a:b].toarray()
+        vals, vecs = np.linalg.eigh(0.5 * (sub + sub.conj().T))
+        idx = np.arange(a, b)
+        a_block = a_mat[np.ix_(idx, idx)].toarray()
+        for vec in vecs[:, vals > 0.5].T[: n - len(sections)]:
+            sections.append((idx, vec))
+            devs.append(np.vdot(vec, a_block @ vec) - limit_value)
+    return sections, devs

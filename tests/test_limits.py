@@ -5,7 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from framelab import algebra as alg
 from framelab import flows as fl
 from framelab import geometry as geo
@@ -438,6 +441,102 @@ def test_quantum_variance_deviations_match_dense_expectations():
         lm.quantum_variance(sm, a_op, P, len(sections) + 1, limit_value=0.25)
 
 
+def _csr_with_duplicates(rows, cols, vals, dim):
+    """The CSR matrix of entries (rows, cols, vals) in the given order within
+    each row, duplicates kept."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dim))])
+    return scipy.sparse.csr_matrix((vals[order], cols[order], indptr), shape=(dim, dim))
+
+
+def _non_canonical(mat, seed):
+    """mat as a CSR matrix that is not canonical: each stored entry split into
+    three random duplicates, one explicit zero per row at a random column,
+    and the entries of every row in random order."""
+    rng = np.random.default_rng(seed)
+    coo, dim = mat.tocoo(), mat.shape[0]
+    r1, r2 = (rng.uniform(-1, 1, coo.nnz) * coo.data for _ in range(2))
+    rows = np.concatenate([coo.row] * 3 + [np.arange(dim)])
+    cols = np.concatenate([coo.col] * 3 + [rng.integers(0, dim, dim)])
+    data = np.concatenate([r1, r2, coo.data - r1 - r2, np.zeros(dim)])
+    perm = rng.permutation(rows.size)
+    out = _csr_with_duplicates(rows[perm], cols[perm], data[perm], dim)
+    assert not out.has_sorted_indices and not out.has_canonical_format
+    return out
+
+
+def _arrays(mat):
+    return [getattr(mat, attr).tobytes() for attr in ("data", "indices", "indptr")]
+
+
+def test_blocks_and_variance_on_non_canonical_csr_are_the_sliced_bytes():
+    P, _, _ = sp.hodge_projections(T3, 1, 3)
+    sm = P.domain
+    R = sp.helicity_R(T3, 3)
+    p_mat = _non_canonical(P.matrix, 1)
+    a_mat = _non_canonical((R.matrix + 0.3 * P.matrix).tocsr(), 2)
+    real = _non_canonical(R.matrix.real.tocsr(), 3)
+    before = [_arrays(m) for m in (p_mat, a_mat, real)]
+    bounds = sm._block_bounds()
+    ranges = list(zip(bounds, bounds[1:]))[:6] + [(0, 1), (0, 7), (sm.dim - 5, sm.dim)]
+    for mat in (p_mat, a_mat, real):
+        for a, b in ranges:
+            got = lm._dense_block(mat, a, b)
+            assert got.dtype == mat.dtype
+            assert got.tobytes() == mat[a:b, a:b].toarray().tobytes()
+            idx = np.arange(a, b)
+            assert got.tobytes() == mat[np.ix_(idx, idx)].toarray().tobytes()
+    p_op = sp.OperatorMatrix(matrix=p_mat, order=0, domain=sm)
+    a_op = sp.OperatorMatrix(matrix=a_mat, order=0, domain=sm)
+    n = 40
+    report = lm.quantum_variance(sm, a_op, p_op, n, limit_value=0.3)
+    sections = lm.subspace_eigensections(sm, p_op)
+    want_sections, want_devs = oracles.quantum_variance_by_slicing(bounds, a_mat, p_mat, n, 0.3)
+    assert np.array(report.deviations).tobytes() == np.array(want_devs).tobytes()
+    for (_, idx, coef), (want_idx, want_coef) in zip(sections, want_sections):
+        assert idx.tobytes() == want_idx.tobytes() and coef.tobytes() == want_coef.tobytes()
+    assert [_arrays(m) for m in (p_mat, a_mat, real)] == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stored_entry_commutator_norm_is_the_product_norm(data):
+    # dyadic entries and integer eigenvalues: both routes round only in the
+    # moduli and the square root
+    dim = data.draw(st.integers(1, 12))
+    count = data.draw(st.integers(0, 40))
+    ints = lambda lo, hi, size: np.array(data.draw(st.lists(st.integers(lo, hi), min_size=size,
+                                                            max_size=size)), dtype=int)
+    lam = ints(0, 100, dim).astype(float)
+    rows, cols = ints(0, dim - 1, count), ints(0, dim - 1, count)
+    vals = (ints(-64, 64, count) + 1j * ints(-64, 64, count)) / 8
+    mat = _csr_with_duplicates(rows, cols, vals, dim)
+    before = _arrays(mat)
+    delta = scipy.sparse.diags(lam)
+    want = sp.frob(mat @ delta - delta @ mat)
+    got = lm._commutator_norm(mat, lam)
+    assert abs(got - want) <= 1e-12 * want
+    assert _arrays(mat) == before
+
+
+@pytest.mark.parametrize("factor, raises", [(1.01, True), (0.99, False)])
+def test_commutation_check_threshold(factor, raises):
+    # P = I plus a symmetric pair across two eigenvalues, of commutator norm
+    # factor * 1e-10 * max(1, lam_max)
+    sm = sp.basis_for(T2, "functions", 3)
+    i, j = 0, sm.dim - 1
+    gap = sm.lam[j] - sm.lam[i]
+    eps = factor * 1e-10 * max(1.0, sm.lam.max()) / (np.sqrt(2) * gap)
+    pert = scipy.sparse.csr_matrix(([eps, eps], ([i, j], [j, i])), shape=(sm.dim, sm.dim))
+    p_op = sp.OperatorMatrix(matrix=(scipy.sparse.identity(sm.dim) + pert).tocsr(), order=0,
+                             domain=sm)
+    if raises:
+        with pytest.raises(ValueError, match="does not commute"):
+            lm.subspace_eigensections(sm, p_op)
+    else:
+        assert len(lm.subspace_eigensections(sm, p_op)) == sm.dim
+
+
 @pytest.mark.parametrize("K", [2, 3, 6])
 def test_coexact_variance_of_helicity_and_exact_projection_is_rounding(K):
     # a guard, not a pin of the sections: inside a degenerate block the
@@ -798,3 +897,36 @@ def test_compare_states_rows_equal_full_operator_states():
     # the rungs keep the basis check
     with pytest.raises(ValueError):
         lm.compare_states(sp.basis_for(S2, "functions", 5), sphere, resolution=4)
+
+
+def test_matrix_side_reads_csr_arrays_without_index_arrays_or_diags(monkeypatch):
+    # the benchmark's operators, built first; then a CSR index array or a
+    # scipy.sparse.diags call inside the matrix side of limits fails the test
+    P, _, _ = sp.hodge_projections(T3, 1, 6)
+    R = sp.helicity_R(T3, 6)
+    mix = sp.OperatorMatrix(matrix=(R.matrix + 0.3 * P.matrix).tocsr(), order=0, domain=P.domain)
+    dirac_sm, dirac = sp.build_dirac(T3, 8)
+    _, plus, _ = sp.sign_and_halves(dirac)
+    quant = sp.quantize(T2, _benchmark_symbol((0.3, -0.8, 0.5)), 20)
+    smoothed = sp.compose(sp.resolvent_sqrt_inverse(quant.domain), quant)
+
+    for cls in (scipy.sparse.csr_matrix, scipy.sparse.csr_array):
+        def slices_only(self, key, getitem=cls.__getitem__):
+            if not all(isinstance(k, (int, np.integer, slice))
+                       for k in (key if isinstance(key, tuple) else (key,))):
+                pytest.fail(f"CSR indexed by an index array: {key!r}")
+            return getitem(self, key)
+        monkeypatch.setattr(cls, "__getitem__", slices_only)
+
+    def no_diags(*args, **kwargs):
+        pytest.fail("scipy.sparse.diags called")
+
+    monkeypatch.setattr(scipy.sparse, "diags", no_diags)
+    with pytest.raises(pytest.fail.Exception):  # the guard is live
+        P.matrix[np.ix_([0, 1], [0, 1])]
+    assert P.matrix[2:4, 2:4].shape == (2, 2)
+    assert lm.quantum_variance(P.domain, mix, P, 64, limit_value=0.3).n == 64
+    assert len(lm.subspace_eigensections(P.domain, P)) > 64
+    lm.compare_states(dirac_sm, plus, n_ladder=[8, 16, 32], t_ladder=[0.1, 0.05], resolution=4)
+    lm.compare_states(quant.domain, quant, resolution=4)
+    assert len(lm.negative_order_decay(quant.domain, smoothed, (2, 4, 8)).rows) == 3

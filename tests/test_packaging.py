@@ -13,6 +13,7 @@ _ALIASES = {"geo": "geometry", "sp": "spectral", "alg": "algebra", "fl": "flows"
 # every private name one module reads from another: a new one is a one-line diff
 _PRIVATE_REACHES = {
     ("flows", "geometry._OCT_RHO_VERTEX"),
+    ("flows", "geometry._metric_diagonal"),
     ("flows", "geometry._node_average"),
     ("flows", "geometry._oct_row_contains"),
     ("flows", "geometry._per_node_table"),
