@@ -3,21 +3,20 @@ diagnostics: eigenstate / Cesaro / heat / tracial states, convergence ladders,
 negative-order decay, the time-evolution (Egorov) residual, quantum variance,
 and ergodic decomposition of the tracial state.
 
-Every state evaluation returns a value together with an error estimate
-(truncation or quadrature), never a bare number.  The one weighted average
-is omega_W(A) = omega(W A) / omega(W), the tracial state weighted by a symbol
-W (the identity for the plain state): an ergodic component is weighted by an
-invariant section, the quantum-variance limit by the projector's symbol.  Per
-chunk of nodes the symbol's and the weight's tables come from
-`SymbolField.table`, one evaluator call for the library's batched symbols;
-a per-point symbol, and an invariant section's `apply_fn`, are called once
-per node by `geometry._per_node_table`.  One product contracts
-[tr(W A), tr(W)] (`geometry._node_average`).  The matrix side reads CSR
-arrays: a Cesaro or heat rung the diagonal, a degeneracy block or frequency
-shell one contiguous row range, the commutation check the stored entries.
+Every state evaluation returns a value with an error estimate (truncation or
+quadrature); `evaluate` dispatches on the state's type.  A `SectionState` is a
+weighted family of sections, sum w <v, A v> / sum w: one unit section (eigen),
+the first N (Cesaro), all with Gibbs weights (heat).  One rule,
+`_section_values`, gives every section value, quantum-variance deviations
+included, from the diagonal or one CSR block (`_dense_block`).  A
+`TracialState` is omega_W(A) = omega(W A) / omega(W), the Liouville average
+weighted by a symbol W: the identity, an invariant section (an ergodic
+component) or a projector's symbol (the quantum-variance limit).  Node tables
+come per chunk from `SymbolField.table`, per-point callbacks go through
+`geometry._per_node_table`, and one product contracts [tr(W A), tr(W)].
 """
 
-import itertools
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,50 +38,58 @@ class StateValue:
 
 
 @dataclass(frozen=True, eq=False)
-class StateFunctional:
-    """Positive normalized functional on truncated observables.
+class SectionState:
+    """Sections of the truncated `basis`, one weight each (`weights`, in family
+    order).  `families` holds (rows, coefficients): rows a canonical slice,
+    coefficients a matrix whose columns are sections on the rows, or None for
+    the rows' unit vectors.  `tail` bounds what the modes past the cutoff
+    would add, relative to 1 + max |section value|."""
 
-    Kinds: "eigen" (diagonal matrix element j), "cesaro" (average of the first
-    N eigenstates, N on a degeneracy-block boundary), "heat" (Gibbs trace
-    ratio at time t), "tracial" (the Liouville average omega_W(A) =
-    omega(W A) / omega(W) of the symbol weighted by the SymbolField `weight`,
-    the plain normalized trace when `weight` is None; an ergodic component
-    is weighted by an invariant section).
-    """
+    basis: sp.SpectralModel
+    families: tuple
+    weights: np.ndarray
+    tail: float = 0.0
 
-    kind: str
-    context: object
-    j: int = None
-    n: int = None
-    t: float = None
+
+@dataclass(frozen=True, eq=False)
+class TracialState:
+    """omega_W(A) = omega(W A) / omega(W), the Liouville average at `resolution`
+    of a rank-`fiber_dim` symbol weighted by the SymbolField `weight`: the plain
+    normalized trace when None, an ergodic component for an invariant section."""
+
+    model: object
     fiber_dim: int = 1
     resolution: int = 8
     weight: sp.SymbolField = None
 
 
 def eigen_state(sm, j):
-    """State <phi_j, . phi_j> in the canonical eigen-ordering."""
-    if not 0 <= j < sm.dim:
-        raise ValueError(f"eigenstate index {j} outside the truncated basis")
-    return StateFunctional(kind="eigen", context=sm, j=j)
+    """State <phi_j, . phi_j> in the canonical eigen-ordering: the unit
+    section at row j, weight 1."""
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < sm.dim:
+        raise ValueError(f"eigenstate index {j!r} is not an integer in the truncated basis")
+    return SectionState(sm, ((slice(j, j + 1), None),), np.ones(1))
 
 
 def cesaro_state(sm, n):
-    """Average of the first N eigenstates, N rounded up to a degeneracy block."""
+    """Average of the first N eigenstates, N rounded up to a degeneracy block:
+    the unit sections at rows [0, N), weight 1 each."""
     if not 1 <= n <= sm.dim:
         raise ValueError(f"Cesaro length {n} outside the truncated basis")
     boundary = next(b for b in sm._block_bounds()[1:] if b >= n)
-    return StateFunctional(kind="cesaro", context=sm, n=boundary)
+    return SectionState(sm, ((slice(0, boundary), None),), np.ones(boundary))
 
 
 def heat_state(sm, t):
-    """Gibbs trace-ratio state at inverse temperature t.  Its error bounds
-    what the modes beyond the cutoff would add; `compare_states` flags heat
-    times below `heat_time_floor(sm)` as not reliable."""
+    """Gibbs state at inverse temperature t: every unit section, weighted
+    exp(-t (lam - min lam)) (a constant potential cancels), with the tail
+    dim exp(-t (max lam - min lam)); `compare_states` flags heat times below
+    `heat_time_floor(sm)` as not reliable."""
     t = sp._finite_real(t, "heat time")
     if t <= 0:
         raise ValueError("heat time must be positive")
-    return StateFunctional(kind="heat", context=sm, t=t)
+    return SectionState(sm, ((slice(0, sm.dim), None),), np.exp(-t * (sm.lam - sm.lam.min())),
+                        sm.lam.size * np.exp(-t * (sm.lam.max() - sm.lam.min())))
 
 
 def heat_time_floor(sm):
@@ -94,23 +101,9 @@ def heat_time_floor(sm):
     return float((np.log(sm.lam.size) + 12 * np.log(10.0)) / span)
 
 
-def _gibbs_ratio(lam, diag, t):
-    """sum(diag exp(-t lam)) / sum(exp(-t lam)) and its truncation bound.
-
-    The bound, dim exp(-t (max lam - min lam)) (1 + max |diag|) / Z with Z the
-    shifted denominator, estimates what the modes beyond the cutoff would add.
-    """
-    gibbs = np.exp(-t * (lam - lam.min()))
-    den = gibbs.sum()
-    tail = lam.size * np.exp(-t * (lam.max() - lam.min()))
-    scale = float(np.abs(diag).max())
-    return (diag * gibbs).sum() / den, float(tail * (1.0 + scale) / den)
-
-
 def tracial_state_functional(model, fiber_dim=1, resolution=8):
     """Normalized Liouville trace state on symbols."""
-    return StateFunctional(kind="tracial", context=model, fiber_dim=fiber_dim,
-                           resolution=resolution)
+    return TracialState(model, fiber_dim, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +124,7 @@ def _weighted_average(state, symbol, resolution):
         w = np.broadcast_to(np.eye(k), a.shape) if weight is None else weight.table(points, dirs)
         return np.column_stack([np.einsum("nij,nji->n", w, a), np.einsum("nii->n", w)])
 
-    points, dirs, weights = geo.unit_bundle_nodes(state.context, resolution)
+    points, dirs, weights = geo.unit_bundle_nodes(state.model, resolution)
     return geo._node_average(weights, rows, points, dirs)[0]
 
 
@@ -147,29 +140,44 @@ def tracial_state(model, symbol, fiber_dim=1, resolution=8):
 
 
 def evaluate(state, a_op):
-    """Evaluate a state on an observable; returns a StateValue."""
-    if state.kind == "tracial":
+    """A state's StateValue on an observable: a symbol for a tracial state; an
+    OperatorMatrix on its basis, or a (dim, dim) matrix, for a section state."""
+    if isinstance(state, TracialState):
         return _evaluate_tracial(state, a_op)
     if isinstance(a_op, sp.OperatorMatrix):
-        if not sp._same_basis(a_op.domain, state.context):
-            raise ValueError("observable basis does not match the state context")
-        mat = a_op.matrix
-    else:
-        mat = a_op
-    if state.kind == "eigen":
-        return StateValue(value=complex(mat[state.j, state.j]), error=0.0)
-    return _diagonal_value(state, mat.diagonal())
+        a_op = _on_basis(a_op, state.basis).matrix
+    if a_op.shape != (state.basis.dim, state.basis.dim):
+        raise ValueError(f"a {a_op.shape} matrix on a basis of dimension {state.basis.dim}")
+    return _section_values(state, a_op)[1]
 
 
-def _diagonal_value(state, diag):
-    """A Cesaro or heat state's value on an observable of diagonal `diag`."""
-    if state.kind == "cesaro":
-        return StateValue(value=complex(diag[: state.n].sum() / state.n), error=0.0)
-    if state.kind == "heat":
-        # a constant potential cancels in the Gibbs ratio
-        value, error = _gibbs_ratio(state.context.lam, diag, state.t)
-        return StateValue(value=complex(value), error=error)
-    raise ValueError(f"unknown state kind {state.kind!r}")
+def _on_basis(op, sm):
+    """The OperatorMatrix op, `ValueError` unless it acts on the basis sm."""
+    if not sp._same_basis(op.domain, sm):
+        raise ValueError("operator basis does not match")
+    return op
+
+
+def _section_values(state, mat, diag=None):
+    """Every section's value <v, A v>, in family order, and the StateValue
+    sum w value / sum w with error tail (1 + max |value|) / sum w.  A unit
+    section reads mat's diagonal (`diag` when given), a coefficient family its
+    rows' dense block of mat's CSR arrays (`_dense_block`)."""
+    parts, csr = [], None
+    for rows, coef in state.families:
+        if coef is None:
+            diag = mat.diagonal() if diag is None else diag
+            parts.append(diag[rows])
+        else:
+            csr = scipy.sparse.csr_matrix(mat) if csr is None else csr
+            block = _dense_block(csr, rows.start, rows.stop)
+            parts.append(np.array([np.vdot(v, block @ v) for v in coef.T]))
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if values.shape != state.weights.shape:
+        raise ValueError(f"{values.size} sections with {state.weights.size} weights")
+    den = state.weights.sum()
+    error = float(state.tail * (1.0 + np.abs(values).max()) / den) if state.tail else 0.0
+    return values, StateValue(value=complex((state.weights * values).sum() / den), error=error)
 
 
 def _evaluate_tracial(state, a_op):
@@ -242,24 +250,23 @@ def compare_states(sm, a_op, n_ladder=None, t_ladder=None, resolution=8):
         raise ValueError("compare_states needs an observable with a symbol")
     if a_op.order != 0:
         raise ValueError("compare_states applies to order-0 observables")
-    if not sp._same_basis(a_op.domain, sm):
-        raise ValueError("observable basis does not match the state context")
+    _on_basis(a_op, sm)
     trac = tracial_state(sm.model, a_op.symbol, a_op.symbol.fiber_dim, resolution)
     diag = a_op.matrix.diagonal()
     if n_ladder is None:  # doubling from dim / 16, then dim
         n0 = max(2, sm.dim // 16)
         n_ladder = [n0 << i for i in range(sm.dim.bit_length()) if n0 << i < sm.dim] + [sm.dim]
-    cesaro_rows = []  # one row per block boundary the rungs round up to
-    for rung in {r.n: r for r in (cesaro_state(sm, min(n, sm.dim)) for n in n_ladder)}.values():
-        val = _diagonal_value(rung, diag).value
-        cesaro_rows.append((rung.n, val, abs(val - trac.value)))
     t0 = heat_time_floor(sm)
     if t_ladder is None:
         t_ladder = [8 * t0, 4 * t0, 2 * t0, t0]
-    heat_rows = []
-    for t in t_ladder:
-        out = _diagonal_value(heat_state(sm, t), diag)
-        heat_rows.append((t, out.value, abs(out.value - trac.value), t >= t0))
+
+    def row(key, state):  # a rung's key, value and gap to the tracial value
+        value = _section_values(state, a_op.matrix, diag)[1].value
+        return key, value, abs(value - trac.value)
+
+    rungs = (cesaro_state(sm, min(n, sm.dim)) for n in n_ladder)  # one per block boundary
+    cesaro_rows = [row(n, r) for n, r in {r.weights.size: r for r in rungs}.items()]
+    heat_rows = [row(t, heat_state(sm, t)) + (t >= t0,) for t in t_ladder]
     return ConvergenceReport(
         tracial=trac,
         cesaro_rows=tuple(cesaro_rows),
@@ -309,9 +316,7 @@ def negative_order_decay(sm, a_op, shells):
     that is empty or reaches past the truncation raises `ValueError`: its
     norm would be that of a partial shell.
     """
-    if not sp._same_basis(a_op.domain, sm):
-        raise ValueError("observable basis does not match")
-    rows, diag = [], np.abs(a_op.matrix.diagonal())
+    rows, diag = [], np.abs(_on_basis(a_op, sm).matrix.diagonal())
     for lo in shells:
         band = _shell(sm, lo)
         rows.append((float(lo), sp.spectral_norm(a_op.matrix[band, band]),
@@ -386,23 +391,31 @@ class VarianceReport:
 
 def subspace_eigensections(sm, proj_op):
     """Orthonormal eigensections of Delta spanning the projector range,
-    ordered by eigenvalue; requires [P, Delta] = 0.
+    ordered by eigenvalue; requires [P, Delta] = 0 and P on the basis sm.
 
     A section lies in one degeneracy block of Delta and is returned as
     (eigenvalue, block indices, coefficients): its entries at the block's
     indices, zero elsewhere.  The sections of a block share its index array.
     """
-    return list(_eigensections(sm, proj_op))
+    out = []
+    for rows, coef in _eigensections(sm, proj_op):
+        idx = np.arange(rows.start, rows.stop)
+        out += [(sm.lam[rows.start], idx, vec) for vec in coef.T]
+    return out
 
 
 def _eigensections(sm, proj_op):
-    """The sections of `subspace_eigensections` as a lazy iterator that
-    diagonalizes one degeneracy block at a time, each from `_dense_block`.
-    The commutation check runs at once, on the stored entries of P."""
-    proj = scipy.sparse.csr_matrix(proj_op.matrix)
+    """`subspace_eigensections` lazily, (rows, coefficients) per degeneracy
+    block: its slice and, as columns, the eigenvectors above 1/2 of P's block
+    (`_dense_block`).  Basis and commutation checks (stored entries) first."""
+    proj = scipy.sparse.csr_matrix(_on_basis(proj_op, sm).matrix)
     if _commutator_norm(proj, sm.lam) > 1e-10 * max(1.0, float(sm.lam.max())):
         raise ValueError("projector does not commute with the Laplacian")
-    return _block_sections(sm, proj)
+    bounds = sm._block_bounds()
+    for a, b in zip(bounds, bounds[1:]):
+        sub = _dense_block(proj, a, b)
+        vals, vecs = np.linalg.eigh(0.5 * (sub + sub.conj().T))
+        yield slice(a, b), vecs[:, vals > 0.5]
 
 
 def _commutator_norm(mat, lam):
@@ -425,48 +438,37 @@ def _dense_block(mat, a, b):
     return out
 
 
-def _block_sections(sm, proj):
-    bounds = sm._block_bounds()
-    for a, b in zip(bounds, bounds[1:]):
-        sub = _dense_block(proj, a, b)
-        vals, vecs = np.linalg.eigh(0.5 * (sub + sub.conj().T))
-        idx = np.arange(a, b)
-        for vec in vecs[:, vals > 0.5].T:
-            yield sm.lam[a], idx, vec
-
-
 def quantum_variance(sm, a_op, proj_op, n, limit_value=None, resolution=8,
                      label="subspace"):
     """Variance of eigenstate values of A against the ergodic-component value
-    within the range of the projector (first n eigensections).
+    within the range of the projector (first n eigensections, n >= 1; A and P
+    on the basis sm).
 
     Without `limit_value` the component value is omega_P(A) = omega(P A) /
     omega(P), the tracial state weighted by the projector's symbol, at
-    `resolution`.  Only the degeneracy blocks that hold the first n sections
-    are diagonalized, and each value v^H A v is taken on its block,
-    v^H A[idx, idx] v, the block read from A's CSR arrays (`_dense_block`).
+    `resolution`.  Only the blocks holding the first n sections are
+    diagonalized; a deviation is a section value less the component value.
     """
-    sections = list(itertools.islice(_eigensections(sm, proj_op), n))
-    if n > len(sections):
-        raise ValueError(f"requested {n} eigensections, subspace holds "
-                         f"{len(sections)}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"the section count must be an integer >= 1, got {n!r}")
+    _on_basis(a_op, sm)
+    families, count = [], 0
+    for rows, coef in _eigensections(sm, proj_op):
+        families.append((rows, coef[:, : n - count]))
+        count += families[-1][1].shape[1]
+        if count == n:
+            break
+    if n > count:
+        raise ValueError(f"requested {n} eigensections, subspace holds {count}")
     if limit_value is None:
         if a_op.symbol is None or proj_op.symbol is None:
             raise ValueError("need symbols (or an explicit limit) for the "
                              "component value")
-        weighted = StateFunctional(kind="tracial", context=sm.model, resolution=resolution,
-                                   fiber_dim=proj_op.symbol.fiber_dim, weight=proj_op.symbol)
+        weighted = TracialState(sm.model, proj_op.symbol.fiber_dim, resolution, proj_op.symbol)
         limit_value = _weighted_average(weighted, a_op.symbol, resolution)
-    a_mat = scipy.sparse.csr_matrix(a_op.matrix)
-    devs, block, a_block = [], None, None
-    for _, idx, coef in sections:
-        if idx is not block:
-            block, a_block = idx, _dense_block(a_mat, idx[0], idx[-1] + 1)
-        devs.append(np.vdot(coef, a_block @ coef) - limit_value)
-    variance = float(np.mean([abs(d) ** 2 for d in devs])) if devs else 0.0
-    return VarianceReport(label=label, n=len(devs), variance=variance,
-                          limit_value=complex(limit_value),
-                          deviations=tuple(devs))
+    values, _ = _section_values(SectionState(sm, tuple(families), np.ones(count)), a_op.matrix)
+    report = VarianceReport(label, count, 0.0, complex(limit_value), tuple(values - limit_value))
+    return dataclasses.replace(report, variance=report.recomputed_variance())
 
 
 # ---------------------------------------------------------------------------
@@ -495,16 +497,16 @@ def ergodic_decomposition(tracial, projections, apply_fn):
 
     Returns [(weight, component state)]: the component omega_i(A) =
     omega(s_i A) / omega(s_i) is the tracial state weighted by the invariant
-    section s_i of p_i (`StateFunctional.weight`), and its weight omega(s_i)
+    section s_i of p_i (`TracialState.weight`), and its weight omega(s_i)
     is exactly tr(p_i) / k, since tr(u p_i u^H) = tr(p_i) for unitary u.  The
     identity decomposition has weight 1 and gives the state's values to
     rounding.  apply_fn is a user callback on one SO(n) matrix; the
     decomposition makes no call, and each evaluation of a component calls it
     once per node.
     """
-    if tracial.kind != "tracial" or tracial.weight is not None:
+    if not isinstance(tracial, TracialState) or tracial.weight is not None:
         raise ValueError("decomposition starts from the plain tracial state")
-    model, k, res = tracial.context, tracial.fiber_dim, tracial.resolution
+    model, k = tracial.model, tracial.fiber_dim
     mats = [p.projector if hasattr(p, "projector") else np.asarray(p)
             for p in projections]
     if np.abs(sum(mats) - np.eye(k)).max() > 1e-10:
@@ -517,7 +519,5 @@ def ergodic_decomposition(tracial, projections, apply_fn):
         scale = lambda x: np.sqrt(geo._metric_diagonal(model, np.asarray(x, dtype=float)))
         return sp.SymbolField(lambda x, xi: ev(x, scale(x) * xi), k, batched=True)
 
-    return [(float(np.trace(mat).real) / k,
-             StateFunctional(kind="tracial", context=model, fiber_dim=k, resolution=res,
-                             weight=chart_section(mat)))
+    return [(float(np.trace(mat).real) / k, dataclasses.replace(tracial, weight=chart_section(mat)))
             for mat in mats]

@@ -594,10 +594,85 @@ def test_quantum_variance_limit_is_the_projector_weighted_state(res):
                            + 0.2j * np.outer(xi, xi[::-1]), 3)
     a_op = sp.OperatorMatrix(matrix=P.matrix, order=0, domain=P.domain, symbol=a_sym)
     got = lm.quantum_variance(P.domain, a_op, P, 10, resolution=res).limit_value
-    state = lm.StateFunctional(kind="tracial", context=T3, fiber_dim=3, resolution=res,
-                               weight=P.symbol)
+    state = lm.TracialState(model=T3, fiber_dim=3, resolution=res, weight=P.symbol)
     want = lm.evaluate(state, a_sym).value
     assert np.array(got).tobytes() == np.array(complex(want)).tobytes()
+
+
+def test_variance_and_eigensections_reject_another_basis_and_a_bad_count():
+    # each of these used to pass or fail inside numpy: an observable at K = 3
+    # on the K = 2 sections gave variance 1.0, n = 0 a report of variance
+    # 0.0, and a projector on another basis numpy's broadcast error
+    P2, _, _ = sp.hodge_projections(T3, 1, 2)
+    P3, _, _ = sp.hodge_projections(T3, 1, 3)
+    sm = P2.domain
+    for a_op, p_op in ((P3, P2), (P2, P3)):
+        with pytest.raises(ValueError, match="basis does not match"):
+            lm.quantum_variance(sm, a_op, p_op, 5, limit_value=0)
+    with pytest.raises(ValueError, match="basis does not match"):
+        lm.subspace_eigensections(sp.basis_for(T3, "functions", 2), P2)
+    for n in (0, -1, 2.0, True, None):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            lm.quantum_variance(sm, P2, P2, n, limit_value=0)
+    report = lm.quantum_variance(sm, P2, P2, np.int64(5), limit_value=0)
+    assert report.n == 5 and type(report.n) is int
+
+
+def test_each_variance_deviation_is_its_one_section_state_value():
+    # a deviation is the section's value through the one rule, less the
+    # limit: bit for bit what evaluate gives on that section's state
+    P, sections = _coexact_sections(3)
+    sm = P.domain
+    noise = scipy.sparse.random(sm.dim, sm.dim, density=0.01, random_state=5, format="csr")
+    a_op = sp.OperatorMatrix(matrix=(sp.helicity_R(T3, 3).matrix + (1 + 0.5j) * noise).tocsr(),
+                             order=0, domain=sm)
+    n = 40
+    for limit in (0.0, 0.3, 0.25 - 0.5j):
+        report = lm.quantum_variance(sm, a_op, P, n, limit_value=limit)
+        assert len(report.deviations) == n
+        for dev, (_, idx, coef) in zip(report.deviations, sections):
+            rows = slice(int(idx[0]), int(idx[-1]) + 1)
+            state = lm.SectionState(sm, ((rows, coef[:, None]),), np.ones(1))
+            value = lm.evaluate(state, a_op).value
+            assert np.array(dev).tobytes() == np.array(np.complex128(value) - limit).tobytes()
+            if limit == 0.0:
+                assert np.array(dev + limit).tobytes() == np.array(value).tobytes()
+
+
+def _random_unitary_state(state, seed):
+    """The unit-section state `state` with each degeneracy block's unit
+    vectors replaced by a seeded random unitary of the block."""
+    sm, rng = state.basis, np.random.default_rng(seed)
+    (rows, coef), = state.families
+    assert coef is None and rows.start == 0
+    bounds = [b for b in sm._block_bounds() if b <= rows.stop]
+    assert bounds[-1] == rows.stop
+    families = []
+    for a, b in zip(bounds, bounds[1:]):
+        z = rng.standard_normal((b - a, b - a)) + 1j * rng.standard_normal((b - a, b - a))
+        q, r = np.linalg.qr(z)
+        families.append((slice(a, b), q * (np.diag(r) / np.abs(np.diag(r)))))
+    return lm.SectionState(sm, tuple(families), state.weights, state.tail)
+
+
+def test_cesaro_and_heat_values_do_not_depend_on_the_basis_in_a_block():
+    _, dirac = sp.build_dirac(T3, 3)
+    _, plus, _ = sp.sign_and_halves(dirac)
+    sphere = sp.sphere_multiplication(6, lambda th, ph: np.cos(th) ** 2 + np.sin(th) * np.sin(ph))
+    for a_op in (plus, sphere):
+        sm = a_op.domain
+        t0 = lm.heat_time_floor(sm)
+        states = [lm.cesaro_state(sm, n) for n in sm._block_bounds()[1::2]]
+        states += [lm.heat_state(sm, t) for t in (t0, 4 * t0)]
+        moved = 0.0
+        for seed, state in enumerate(states):
+            other = _random_unitary_state(state, seed)
+            want, got = lm.evaluate(state, a_op), lm.evaluate(other, a_op)
+            assert abs(got.value - want.value) <= 1e-13
+            # the section values themselves do move with the basis
+            values = [lm._section_values(s, a_op.matrix)[0] for s in (state, other)]
+            moved = max(moved, float(np.abs(values[1] - values[0]).max()))
+        assert moved > 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +689,39 @@ def test_eigen_state_reads_the_diagonal_entry():
         assert got.value == dense[j, j] and got.error == 0.0
 
 
-@pytest.mark.parametrize("j", [-1, 49, 50])
+@pytest.mark.parametrize("j", [-1, 49, 50, 2.5, True])
 def test_eigen_state_index_outside_the_basis_raises(j):
+    # a bool or a float is not a row index (a row slice would take True as 1)
     sm = sp.basis_for(T2, "functions", 3)
     assert sm.dim == 49
     with pytest.raises(ValueError):
         lm.eigen_state(sm, j)
+
+
+def test_section_states_reject_a_bare_matrix_of_another_shape():
+    # a 10 x 10 identity used to give the Cesaro(4) value 1.0, a 100 x 100
+    # one eigen_state(sm, 40) the value 1.0, and a heat state numpy's
+    # broadcast error
+    sm = sp.basis_for(T2, "functions", 3)
+    assert sm.dim == 49
+    states = (lm.cesaro_state(sm, 4), lm.eigen_state(sm, 40), lm.heat_state(sm, 0.5))
+    for mat in (np.eye(10), np.eye(100), scipy.sparse.identity(100, format="csr"),
+                np.ones((49, 50))):
+        for state in states:
+            with pytest.raises(ValueError, match="dimension 49"):
+                lm.evaluate(state, mat)
+    for state in states:
+        for mat in (np.eye(49), scipy.sparse.identity(49, format="csr")):
+            assert lm.evaluate(state, mat).value == 1.0
+
+
+def test_a_section_state_needs_one_weight_per_section():
+    # one weight on four unit sections would broadcast to their sum
+    sm = sp.basis_for(T2, "functions", 3)
+    for weights in (np.ones(1), np.ones(5), np.ones((4, 1))):
+        state = lm.SectionState(sm, ((slice(0, 4), None),), weights)
+        with pytest.raises(ValueError, match="4 sections"):
+            lm.evaluate(state, np.eye(sm.dim))
 
 
 def test_eigen_states_average_to_the_cesaro_state():
@@ -628,7 +730,7 @@ def test_eigen_states_average_to_the_cesaro_state():
     n = sm._block_bounds()[3]
     mean = np.mean([lm.evaluate(lm.eigen_state(sm, j), plus).value for j in range(n)])
     cesaro = lm.evaluate(lm.cesaro_state(sm, n), plus).value
-    assert lm.cesaro_state(sm, n).n == n
+    assert lm.cesaro_state(sm, n).weights.size == n
     assert abs(mean - cesaro) <= 1e-14
 
 
@@ -801,7 +903,7 @@ def test_times_that_are_not_real_are_rejected():
             lm.heat_state(sm, t)
     # a real time of any numeric type, a 0-d array included, is taken
     for t in (np.float32(0.5), np.array(0.5), fractions.Fraction(1, 2)):
-        assert lm.heat_state(sm, t).t == 0.5
+        assert lm.heat_state(sm, t).weights.tobytes() == lm.heat_state(sm, 0.5).weights.tobytes()
     cos = sp.cosine_symbol()
     assert (lm.egorov_residual(T2, cos, np.array(0.5), 2, 8)
             == lm.egorov_residual(T2, cos, 0.5, 2, 8))

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -46,3 +48,28 @@ def test_private_names_read_across_modules_are_the_allowlist():
                     and node.attr.startswith("_")):
                 reaches.add((path.stem, f"{_ALIASES[node.value.id]}.{node.attr}"))
     assert reaches == _PRIVATE_REACHES
+
+
+_TWO_TESTS = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
+    # under the repo's warning filters, a failing @given test used to end the
+    # session with INTERNALERROR, and the test after it never ran
+    (tmp_path / "test_two.py").write_text(_TWO_TESTS)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_two.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
